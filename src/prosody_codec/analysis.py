@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FeatureConfig
-from .corpus import Utterance
+from .corpus import Utterance, inference_batches
 from .dsp import AudioBuffer, estimate_f0, frame_rms, invert_mel
 from .errors import ContractError, DataError
 from .quantizer import CodeSequence
@@ -307,9 +307,10 @@ def synth_probe(model, reference: Utterance, code_pair, speaker_id: int) -> Audi
 
 
 def measure_probe(
-    audio: AudioBuffer, code: int, proj: PCAProjection, features: FeatureConfig, speaker_id: int = 0
+    audio: AudioBuffer, code: int, features: FeatureConfig, speaker_id: int = 0
 ) -> ProbeMeasurement:
-    """Mean F0 over voiced frames, mean frame RMS, and the code's PCA coords."""
+    """Mean F0 over voiced frames and mean frame RMS; the PCA coordinates
+    are left at zero for the caller to fill in."""
     contour = estimate_f0(
         audio,
         features.f0_min,
@@ -344,7 +345,7 @@ def probe_path(
     for code in path_codes:
         pair = [code] + [level2_code] * (model.rvq.n_levels - 1)
         audio = synth_probe(model, reference, pair, speaker_id)
-        m = measure_probe(audio, code, proj, model.features, speaker_id)
+        m = measure_probe(audio, code, model.features, speaker_id)
         c = proj.coords(entries[code][None, :])[0]
         m.pc1, m.pc2 = float(c[0]), float(c[1])
         out.append(m)
@@ -357,18 +358,15 @@ def speaker_relative_report(
     reference: Utterance,
     speaker_ids: list[int],
     level2_code: int,
+    proj: PCAProjection,
 ) -> dict[int, list[ProbeMeasurement]]:
     """Probe the same path once per speaker; code order is preserved."""
     if len(speaker_ids) < 2:
         raise ContractError("speaker_relative_report: need >= 2 speakers")
     return {
-        int(s): probe_path(model, reference, _proj_of(model), path_codes, level2_code, int(s))
+        int(s): probe_path(model, reference, proj, path_codes, level2_code, int(s))
         for s in speaker_ids
     }
-
-
-def _proj_of(model) -> PCAProjection:
-    return pca_codes(model.rvq.levels[0].entries)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,8 @@ def _proj_of(model) -> PCAProjection:
 
 
 def collect_codes(model, utterances: list[Utterance]) -> list[CodeSequence]:
-    return [model.encode_utterance(u) for u in utterances]
+    """Each utterance's code sequence, encoded in padded batches."""
+    return [seq for _, batch in inference_batches(utterances) for seq in model.codes_batch(batch)]
 
 
 def extraction_slice(utterances: list[Utterance], fraction: float) -> list[Utterance]:

@@ -23,7 +23,7 @@ from . import analysis as an
 from . import metrics as mx
 from .config import RunConfig, dumps_config, load_config
 from .containers import write_container
-from .corpus import Corpus, parse_manifest, read_manifest, write_synth_corpus
+from .corpus import Corpus, parse_manifest, read_manifest, record_audio, write_synth_corpus
 from .dsp import estimate_f0, frame_rms, invert_mel, load_wav, save_wav
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .model import CodecModel, load_model
@@ -80,14 +80,8 @@ def _model(cfg: RunConfig, continuous: bool = False) -> CodecModel:
 
 
 def _audio_paths(cfg: RunConfig) -> dict[str, str]:
-    records = read_manifest(cfg.paths.manifest)
     base = os.path.dirname(os.path.abspath(cfg.paths.manifest))
-    out = {}
-    for rec in records:
-        utt_id = str(rec.get("id", os.path.splitext(os.path.basename(rec["audio"]))[0]))
-        p = rec["audio"]
-        out[utt_id] = p if os.path.isabs(p) else os.path.join(base, p)
-    return out
+    return dict(record_audio(rec, base) for rec in read_manifest(cfg.paths.manifest))
 
 
 def _write_mel(path: str, mel) -> None:
@@ -284,24 +278,31 @@ def cmd_shuffle_codes(args) -> int:
     return 0
 
 
-def cmd_transfer(args) -> int:
-    cfg = _load_run(args)
+def _transfer(cfg: RunConfig, source_id: str, target_id: str):
+    """Prosody transfer: the source's codes decoded on the target's phonemes
+    and durations with the source speaker. Returns source, target, mel, audio."""
     corpus = _corpus(cfg)
     model = _model(cfg)
-    source = corpus.by_id(args.source)
-    target = corpus.by_id(args.target)
+    source = corpus.by_id(source_id)
+    target = corpus.by_id(target_id)
     if source.n_phonemes != target.n_phonemes:
         raise ContractError(
-            f"transfer: phoneme counts differ: source {args.source!r} has "
-            f"{source.n_phonemes}, target {args.target!r} has {target.n_phonemes}"
+            f"transfer: phoneme counts differ: source {source_id!r} has "
+            f"{source.n_phonemes}, target {target_id!r} has {target.n_phonemes}"
         )
     codes = model.encode_utterance(source)
     mel = model.decode_codes(codes, target.phonemes, target.durations, source.speaker_id)
+    audio = invert_mel(mel, cfg.features.griffin_lim_iters, floor=cfg.features.log_floor)
+    return source, target, mel, audio
+
+
+def cmd_transfer(args) -> int:
+    cfg = _load_run(args)
+    _, _, mel, audio = _transfer(cfg, args.source, args.target)
     out_dir = os.path.join(cfg.paths.report_dir, "transfer")
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{args.source}_to_{args.target}"
     _write_mel(os.path.join(out_dir, f"{stem}.mel"), mel)
-    audio = invert_mel(mel, cfg.features.griffin_lim_iters, floor=cfg.features.log_floor)
     save_wav(os.path.join(out_dir, f"{stem}.wav"), audio, float32=True)
     _echo_config(cfg)
     print(json.dumps({"transfer": stem, "frames": mel.n_frames}))
@@ -562,11 +563,11 @@ def _analyze_speaker_relative(cfg: RunConfig) -> dict:
     reference = _reference_utterance(cfg, corpus, utts)
     path = _select_path(cfg, model, hist, proj, 1)
     speaker_ids = list(range(len(corpus.speakers)))
+    report = an.speaker_relative_report(model, path, reference, speaker_ids, level2, proj)
+    per_speaker = {
+        corpus.speakers[s]: ["" if m.f0 is None else m.f0 for m in ms] for s, ms in report.items()
+    }
     rows = []
-    per_speaker = {}
-    for s in speaker_ids:
-        ms = an.probe_path(model, reference, proj, path, level2, s)
-        per_speaker[corpus.speakers[s]] = ["" if m.f0 is None else m.f0 for m in ms]
     for i, code in enumerate(path):
         row = {"code": code}
         for s in speaker_ids:
@@ -668,18 +669,7 @@ def cmd_metrics(args) -> int:
     elif args.task == "transfer":
         if not args.source or not args.target:
             raise ConfigError("metrics transfer: --source and --target utterance ids required")
-        corpus = _corpus(cfg)
-        model = _model(cfg)
-        source = corpus.by_id(args.source)
-        target = corpus.by_id(args.target)
-        if source.n_phonemes != target.n_phonemes:
-            raise ContractError(
-                f"transfer: phoneme counts differ: source has {source.n_phonemes}, "
-                f"target has {target.n_phonemes}"
-            )
-        codes = model.encode_utterance(source)
-        mel = model.decode_codes(codes, target.phonemes, target.durations, source.speaker_id)
-        out_audio = invert_mel(mel, cfg.features.griffin_lim_iters, floor=cfg.features.log_floor)
+        source, target, _, out_audio = _transfer(cfg, args.source, args.target)
         src_audio = load_wav(_audio_paths(cfg)[source.id])
         src_c = _contour(src_audio, cfg)
         out_c = _contour(out_audio, cfg)

@@ -112,7 +112,7 @@ class Corpus:
 class Batch:
     phonemes: np.ndarray  # (B, N_max) int, PAD_ID in padding
     durations: np.ndarray  # (B, N_max) int, 0 in padding
-    mels: np.ndarray  # (B, T_max, M), 0 in padding
+    mels: np.ndarray | None  # (B, T_max, M), 0 in padding; None when only decoding
     speaker_ids: np.ndarray  # (B,)
     phoneme_mask: np.ndarray  # (B, N_max) bool
     frame_mask: np.ndarray  # (B, T_max) bool
@@ -204,6 +204,14 @@ def cached_mel(
     return mel
 
 
+def record_audio(rec: dict, base: str) -> tuple[str, str]:
+    """A manifest record's utterance id (the audio file's stem unless the
+    record names one) and its audio path, relative paths taken from ``base``."""
+    audio = rec["audio"]
+    utt_id = str(rec.get("id", os.path.splitext(os.path.basename(audio))[0]))
+    return utt_id, audio if os.path.isabs(audio) else os.path.join(base, audio)
+
+
 def read_manifest(path: str) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -252,9 +260,7 @@ def parse_manifest(
     speaker_ids: dict[str, int] = {}
     utterances: list[Utterance] = []
     for i, rec in enumerate(records):
-        audio_path = rec["audio"]
-        if not os.path.isabs(audio_path):
-            audio_path = os.path.join(base, audio_path)
+        utt_id, audio_path = record_audio(rec, base)
         if not os.path.exists(audio_path):
             raise DataError(f"record {i}: field 'audio': file not found: {audio_path}")
         phones = rec["phones"].split()
@@ -288,7 +294,7 @@ def parse_manifest(
             raise DataError(f"record {i}: field 'phones': {exc}") from exc
         utterances.append(
             Utterance(
-                id=str(rec.get("id", os.path.splitext(os.path.basename(rec["audio"]))[0])),
+                id=utt_id,
                 speaker_id=speaker_ids[speaker],
                 phonemes=ids,
                 durations=durations,
@@ -341,6 +347,17 @@ def make_batch(utterances: list[Utterance], pad_to: tuple[int, int] | None = Non
         n_fft=first.n_fft,
         sample_rate=first.sample_rate,
     )
+
+
+INFERENCE_BATCH = 32  # utterances per padded batch when evaluating or extracting codes
+
+
+def inference_batches(utterances: list[Utterance]):
+    """Consecutive padded batches of at most INFERENCE_BATCH utterances,
+    each yielded with the utterances it holds."""
+    for i in range(0, len(utterances), INFERENCE_BATCH):
+        chunk = utterances[i : i + INFERENCE_BATCH]
+        yield chunk, make_batch(chunk)
 
 
 def unbatch(batch: Batch) -> list[Utterance]:

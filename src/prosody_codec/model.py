@@ -4,13 +4,15 @@ speaker-conditioned decoder. A quantizer bypass gives the continuous variant
 for the discrete-vs-continuous ablation.
 
 Layout conventions: batched activations are (B, L, D); masks are boolean
-(B, L). Resampling weight matrices are (T frames, N phonemes), rows summing
-to one in the upsampling direction.
+(B, L). Resampling weights are (B, T frames, N phonemes), rows summing to
+one in the upsampling direction.
+
+``encode_batch`` and ``decode_batch`` are the model's two halves. Training
+composes them around the quantizer in ``forward_batch``; every inference
+operation, batched or single-utterance, is a thin wrapper over the same two.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,72 +26,6 @@ from .errors import ContractError, DataError
 from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward
 
 _NEG_INF = -1e9
-
-
-@dataclass
-class ResampleWeights:
-    matrix: np.ndarray  # (T, N), rows sum to 1
-    centers: np.ndarray  # (N,) frame positions
-    spreads: np.ndarray  # (N,)
-
-
-def gaussian_weights(
-    durations, total_frames: int, sigma_policy: str = "ratio", sigma_value: float = 1.0
-) -> ResampleWeights:
-    """Soft alignment between frames and phonemes from durations alone.
-
-    W[t, i] = exp(-(t + 0.5 - c_i)^2 / (2 sigma_i^2)), normalized over i,
-    with centers c_i at the middle of each phoneme's span.
-    """
-    durations = np.asarray(durations, dtype=np.float64)
-    if durations.ndim != 1 or durations.size == 0:
-        raise ContractError("gaussian_weights: need a non-empty 1-D duration list")
-    if np.any(durations <= 0):
-        raise ContractError("gaussian_weights: zero-length phoneme duration")
-    if int(durations.sum()) != total_frames:
-        raise ContractError(
-            f"gaussian_weights: durations sum {int(durations.sum())} != frames {total_frames}"
-        )
-    centers = np.cumsum(durations) - durations / 2.0
-    if sigma_policy == "ratio":
-        spreads = np.maximum(durations, 1.0) / 3.0
-    elif sigma_policy in ("fixed", "learnable"):
-        spreads = np.full(durations.shape, float(sigma_value))
-    else:
-        raise ContractError(f"gaussian_weights: unknown sigma policy {sigma_policy!r}")
-    t = np.arange(total_frames)[:, None] + 0.5
-    logits = -((t - centers[None, :]) ** 2) / (2.0 * spreads[None, :] ** 2)
-    w = np.exp(logits)
-    w = w / np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
-    return ResampleWeights(matrix=w, centers=centers, spreads=spreads)
-
-
-def _weights_matrix(weights) -> np.ndarray:
-    return weights.matrix if isinstance(weights, ResampleWeights) else np.asarray(weights)
-
-
-def downsample(frames, weights):
-    """Frame-level -> phoneme-level via the transposed, column-renormalized
-    weights: out_i = sum_t W[t,i] x_t / sum_t W[t,i]."""
-    w = _weights_matrix(weights)
-    x = np.asarray(frames)
-    if x.shape[0] != w.shape[0]:
-        raise ContractError(
-            f"downsample: {x.shape[0]} frames vs weight matrix for {w.shape[0]}"
-        )
-    col = w / np.maximum(w.sum(axis=0, keepdims=True), 1e-300)
-    return col.T @ x
-
-
-def upsample(phoneme_feats, weights):
-    """Phoneme-level -> frame-level: out_t = sum_i W[t,i] h_i (rows sum to 1)."""
-    w = _weights_matrix(weights)
-    h = np.asarray(phoneme_feats)
-    if h.shape[0] != w.shape[1]:
-        raise ContractError(
-            f"upsample: {h.shape[0]} phonemes vs weight matrix for {w.shape[1]}"
-        )
-    return w @ h
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +166,15 @@ def conformer_stack(
 
 
 def batch_resample_weights(pt: dict, batch: Batch, cfg: ModelConfig, dtype):
-    """Row-normalized upsampling weights (B, T, N), zero at padded cells.
+    """Soft frame-phoneme alignment from durations alone, (B, T, N).
 
+    W[t, i] = exp(-(t + 0.5 - c_i)^2 / (2 sigma_i^2)), normalized over i, with
+    centers c_i at the middle of each phoneme's span; zero at padded cells.
     Constant unless sigma_policy is 'learnable', in which case the matrix is
     differentiable w.r.t. the shared log-sigma parameter.
     """
     B, N = batch.durations.shape
-    T = batch.mels.shape[1]
+    T = batch.frame_mask.shape[1]
     d = batch.durations.astype(np.float64)
     centers = np.cumsum(d, axis=1) - d / 2.0
     t = np.arange(T)[None, :, None] + 0.5
@@ -261,13 +199,23 @@ def batch_resample_weights(pt: dict, batch: Batch, cfg: ModelConfig, dtype):
     return Tensor(w.astype(dtype))
 
 
-def _downsample_t(frames: Tensor, w: Tensor) -> Tensor:
-    col = ad.div(w, ad.add(ad.tsum(w, axis=1, keepdims=True), 1e-12))
+def _downsample_t(frames: Tensor, w: Tensor, phoneme_mask: np.ndarray) -> Tensor:
+    """Frame-level -> phoneme-level via the transposed, column-renormalized
+    weights: out_i = sum_t W[t,i] x_t / sum_t W[t,i]. A padded phoneme's
+    column is all zero and is divided by one instead."""
+    pad = (~phoneme_mask[:, None, :]).astype(w.data.dtype)
+    col = ad.div(w, ad.add(ad.tsum(w, axis=1, keepdims=True), pad))
     return ad.matmul(ad.transpose(col, (0, 2, 1)), frames)
 
 
 def _upsample_t(phon: Tensor, w: Tensor) -> Tensor:
+    """Phoneme-level -> frame-level: out_t = sum_i W[t,i] h_i (rows sum to 1)."""
     return ad.matmul(w, phon)
+
+
+def _unpad(values: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """Per-utterance slices of a padded (B, L, ...) array, by its (B, L) mask."""
+    return [values[b, :n] for b, n in enumerate(mask.sum(axis=1))]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +237,12 @@ class CodecModel:
         ema_epsilon: float = 1e-5,
     ):
         cfg.validate("model")
+        for name, declared, actual in (
+            ("vocab_size", cfg.vocab_size, len(vocab)),
+            ("n_speakers", cfg.n_speakers, len(speakers)),
+        ):
+            if declared and declared != actual:  # 0 = take it from the corpus
+                raise ContractError(f"model.{name} is {declared}, but the model has {actual}")
         self.cfg = cfg
         self.features = features
         self.vocab = vocab
@@ -316,71 +270,110 @@ class CodecModel:
         self.dtype = np.dtype(dtype)
         return self
 
-    # -- forward pieces
+    def _require_rvq(self, op: str) -> None:
+        if self.rvq is None:
+            raise ContractError(f"{op}: model has no quantizer (continuous variant)")
 
-    def phoneme_encode(self, pt: dict, phonemes: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Phoneme IDs (B, N) -> linguistic features (B, N, D)."""
-        emb = ad.embedding_lookup(pt["phoneme_embedding"], phonemes)
-        return conformer_stack(pt, "penc", emb, mask, self.cfg.layers, self.cfg.heads)
+    # -- the two halves
+
+    def encode_batch(self, pt: dict, batch: Batch) -> tuple[Tensor, Tensor, Tensor | None]:
+        """Phoneme encoder and resampling weights, then, when the batch
+        carries mels, downsampling, mel encoder and projection. Returns the
+        linguistic features (B, N, D), the upsampling weights (B, T, N) and
+        the latent before quantization (B, N, d), None for a batch without
+        mels. The speaker never enters."""
+        mask = batch.phoneme_mask
+        emb = ad.embedding_lookup(pt["phoneme_embedding"], batch.phonemes)
+        ling = conformer_stack(pt, "penc", emb, mask, self.cfg.layers, self.cfg.heads)
+        w = batch_resample_weights(pt, batch, self.cfg, self.dtype)
+        if batch.mels is None:
+            return ling, w, None
+        ph_mel = _downsample_t(Tensor(batch.mels.astype(self.dtype)), w, mask)
+        h = ad.add(ad.linear(ph_mel, pt["mel_lift.w"], pt["mel_lift.b"]), ling)
+        h = conformer_stack(pt, "menc", h, mask, self.cfg.layers, self.cfg.heads)
+        return ling, w, ad.linear(h, pt["enc_proj.w"], pt["enc_proj.b"])
+
+    def decode_batch(self, pt: dict, batch: Batch, latent: Tensor, ling: Tensor, w: Tensor) -> Tensor:
+        """Latent (B, N, d), linguistic features and speaker -> mels (B, T, M)."""
+        spk_ids = np.asarray(batch.speaker_ids)
+        if np.any((spk_ids < 0) | (spk_ids >= len(self.speakers))):
+            raise ContractError(f"speaker ids {spk_ids.tolist()} out of range [0, {len(self.speakers)})")
+        spk = ad.embedding_lookup(pt["speaker_embedding"], spk_ids)
+        spk = ad.reshape(spk, (latent.data.shape[0], 1, self.cfg.model_dim))
+        h = ad.linear(latent, pt["dec_proj.w"], pt["dec_proj.b"])
+        h = ad.add(ad.add(h, ling), spk)
+        h = ad.mul(h, batch.phoneme_mask[..., None].astype(self.dtype))
+        frames = _upsample_t(h, w)
+        frames = conformer_stack(pt, "dec", frames, batch.frame_mask, self.cfg.layers, self.cfg.heads)
+        return ad.linear(frames, pt["mel_out.w"], pt["mel_out.b"])
 
     def forward_batch(self, pt: dict, batch: Batch, bypass: bool = False) -> dict:
-        """Full training-path forward. Returns prediction, commitment,
+        """Training-path forward: encode, quantize (skipped by ``bypass`` or
+        in the continuous variant), decode. Returns prediction, commitment,
         codes, encoder output, and the resampling weights."""
-        dtype = self.dtype
-        ph_mask = batch.phoneme_mask
-        fr_mask = batch.frame_mask
-        ling = self.phoneme_encode(pt, batch.phonemes, ph_mask)
-        w = batch_resample_weights(pt, batch, self.cfg, dtype)
-        mels = Tensor(batch.mels.astype(dtype))
-        ph_mel = _downsample_t(mels, w)
-        h = ad.add(ad.linear(ph_mel, pt["mel_lift.w"], pt["mel_lift.b"]), ling)
-        h = conformer_stack(pt, "menc", h, ph_mask, self.cfg.layers, self.cfg.heads)
-        z = ad.linear(h, pt["enc_proj.w"], pt["enc_proj.b"])  # (B, N, d)
-        use_quantizer = self.rvq is not None and not bypass
-        if use_quantizer:
-            codes, latent, commitment = rvq_forward(self.rvq, z, mask=ph_mask)
+        ling, w, z = self.encode_batch(pt, batch)
+        if self.rvq is not None and not bypass:
+            codes, latent, commitment = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
         else:
-            codes, latent, commitment = None, z, Tensor(np.zeros((), dtype=dtype))
-        pred = self._decode_latent(pt, latent, ling, batch.speaker_ids, w, fr_mask, ph_mask)
+            codes, latent, commitment = None, z, Tensor(np.zeros((), dtype=self.dtype))
         return {
-            "pred": pred,
+            "pred": self.decode_batch(pt, batch, latent, ling, w),
             "commitment": commitment,
             "codes": codes,
             "encoder_output": z,
             "weights": w,
         }
 
-    def _decode_latent(
-        self,
-        pt: dict,
-        latent: Tensor,
-        ling: Tensor,
-        speaker_ids: np.ndarray,
-        w: Tensor,
-        fr_mask: np.ndarray,
-        ph_mask: np.ndarray,
-    ) -> Tensor:
-        spk = ad.embedding_lookup(pt["speaker_embedding"], np.asarray(speaker_ids))
-        spk = ad.reshape(spk, (latent.data.shape[0], 1, self.cfg.model_dim))
-        h = ad.linear(latent, pt["dec_proj.w"], pt["dec_proj.b"])
-        h = ad.add(ad.add(h, ling), spk)
-        h = ad.mul(h, ph_mask[..., None].astype(self.dtype))
-        frames = _upsample_t(h, w)
-        frames = conformer_stack(pt, "dec", frames, fr_mask, self.cfg.layers, self.cfg.heads)
-        return ad.linear(frames, pt["mel_out.w"], pt["mel_out.b"])
+    # -- inference over padded batches, one result per utterance
 
-    # -- single-utterance operations
+    def codes_batch(self, batch: Batch) -> list[CodeSequence]:
+        """Per-utterance code sequences; no decoder runs."""
+        self._require_rvq("encode")
+        _, _, z = self.encode_batch(self.param_tensors(train=False), batch)
+        codes, _, _ = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
+        indices, vectors = (_unpad(a, batch.phoneme_mask) for a in (codes.indices, codes.vectors))
+        return [CodeSequence(indices=i, vectors=v) for i, v in zip(indices, vectors)]
+
+    def reconstruct_batch(
+        self, batch: Batch, bypass: bool = False, level1_only: bool = False
+    ) -> list[MelSpectrogram]:
+        """Encode then decode, each conformer stack once. ``bypass`` skips
+        quantization; ``level1_only`` decodes the level-1 codes alone."""
+        pt = self.param_tensors(train=False)
+        ling, w, latent = self.encode_batch(pt, batch)
+        if not bypass:
+            self._require_rvq("reconstruct")
+            codes, latent, _ = rvq_forward(self.rvq, latent, mask=batch.phoneme_mask)
+            if level1_only:
+                latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
+        return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
+
+    def _latent(self, vectors: np.ndarray) -> Tensor:
+        return Tensor(np.asarray(vectors).astype(self.dtype))
+
+    def _mels(self, pred: Tensor, batch: Batch) -> list[MelSpectrogram]:
+        return [
+            MelSpectrogram(
+                values=v.astype(np.float64),
+                hop_length=self.features.hop_length,
+                n_fft=self.features.n_fft,
+                sample_rate=self.features.sample_rate,
+            )
+            for v in _unpad(pred.data, batch.frame_mask)
+        ]
+
+    # -- single-utterance operations: one-utterance batches through the above
 
     def _single_batch(self, phonemes, durations, speaker_id, mel_values=None) -> Batch:
+        """A one-utterance batch; without mel values it carries only what
+        the decoder is conditioned on."""
         phonemes = np.asarray(phonemes, dtype=np.int64)
         durations = np.asarray(durations, dtype=np.int64)
         T = int(durations.sum())
-        M = self.cfg.n_mels
-        mels = np.zeros((1, T, M)) if mel_values is None else mel_values[None, ...]
         return Batch(
             phonemes=phonemes[None, :],
             durations=durations[None, :],
-            mels=mels,
+            mels=None if mel_values is None else mel_values[None, ...],
             speaker_ids=np.array([speaker_id], dtype=np.int64),
             phoneme_mask=np.ones((1, len(phonemes)), dtype=bool),
             frame_mask=np.ones((1, T), dtype=bool),
@@ -392,20 +385,7 @@ class CodecModel:
 
     def encode_utterance(self, utt: Utterance) -> CodeSequence:
         """Utterance -> per-phoneme code index tuples (speaker never enters)."""
-        if self.rvq is None:
-            raise ContractError("encode_utterance: model has no quantizer (continuous variant)")
-        batch = self._single_batch(utt.phonemes, utt.durations, 0, utt.mel.values)
-        pt = self.param_tensors(train=False)
-        out = self.forward_batch(pt, batch)
-        codes = out["codes"]
-        return CodeSequence(indices=codes.indices[0], vectors=codes.vectors[0])
-
-    def encode_continuous(self, utt: Utterance) -> np.ndarray:
-        """Encoder output before quantization, (N, d)."""
-        batch = self._single_batch(utt.phonemes, utt.durations, 0, utt.mel.values)
-        pt = self.param_tensors(train=False)
-        out = self.forward_batch(pt, batch, bypass=True)
-        return out["encoder_output"].data[0]
+        return self.codes_batch(self._single_batch(utt.phonemes, utt.durations, 0, utt.mel.values))[0]
 
     def decode_codes(
         self,
@@ -416,46 +396,22 @@ class CodecModel:
         level1_only: bool = False,
     ) -> MelSpectrogram:
         """Code sequence + conditioning -> mel with sum(durations) frames."""
-        if self.rvq is None:
-            raise ContractError("decode_codes: model has no quantizer (continuous variant)")
-        phonemes = np.asarray(phonemes, dtype=np.int64)
-        durations = np.asarray(durations, dtype=np.int64)
-        n = codes.indices.shape[0]
-        if not (n == len(phonemes) == len(durations)):
-            raise ContractError(
-                f"decode_codes: lengths disagree: {n} codes, {len(phonemes)} phonemes, "
-                f"{len(durations)} durations"
-            )
+        self._require_rvq("decode_codes")
         vectors = decode_vectors(self.rvq, codes.indices, level1_only=level1_only)
-        return self._decode_vectors_to_mel(vectors, phonemes, durations, speaker_id)
+        return self.decode_continuous(vectors, phonemes, durations, speaker_id)
 
     def decode_continuous(self, z: np.ndarray, phonemes, durations, speaker_id: int) -> MelSpectrogram:
-        phonemes = np.asarray(phonemes, dtype=np.int64)
-        durations = np.asarray(durations, dtype=np.int64)
+        """Latents (N, d) + conditioning -> mel; runs no mel encoder."""
+        z = np.asarray(z)
         if not (z.shape[0] == len(phonemes) == len(durations)):
             raise ContractError(
-                f"decode_continuous: lengths disagree: {z.shape[0]} latents, "
+                f"decode: lengths disagree: {z.shape[0]} latents, "
                 f"{len(phonemes)} phonemes, {len(durations)} durations"
             )
-        return self._decode_vectors_to_mel(np.asarray(z), phonemes, durations, speaker_id)
-
-    def _decode_vectors_to_mel(self, vectors, phonemes, durations, speaker_id) -> MelSpectrogram:
-        if not 0 <= speaker_id < len(self.speakers):
-            raise ContractError(f"speaker_id {speaker_id} out of range")
         batch = self._single_batch(phonemes, durations, speaker_id)
         pt = self.param_tensors(train=False)
-        ling = self.phoneme_encode(pt, batch.phonemes, batch.phoneme_mask)
-        w = batch_resample_weights(pt, batch, self.cfg, self.dtype)
-        latent = Tensor(vectors[None, ...].astype(self.dtype))
-        pred = self._decode_latent(
-            pt, latent, ling, batch.speaker_ids, w, batch.frame_mask, batch.phoneme_mask
-        )
-        return MelSpectrogram(
-            values=pred.data[0].astype(np.float64),
-            hop_length=self.features.hop_length,
-            n_fft=self.features.n_fft,
-            sample_rate=self.features.sample_rate,
-        )
+        ling, w, _ = self.encode_batch(pt, batch)
+        return self._mels(self.decode_batch(pt, batch, self._latent(z[None]), ling, w), batch)[0]
 
     def reconstruct(
         self,
@@ -467,18 +423,17 @@ class CodecModel:
         """Encode-then-decode with optional substitutions: a different
         speaker embedding, externally supplied codes, or no quantization."""
         speaker = utt.speaker_id if override_speaker is None else int(override_speaker)
+        if override_codes is None:
+            batch = self._single_batch(utt.phonemes, utt.durations, speaker, utt.mel.values)
+            return self.reconstruct_batch(batch, bypass=bypass_quantizer)[0]
         if bypass_quantizer:
-            if override_codes is not None:
-                raise ContractError("reconstruct: override_codes is meaningless with bypass")
-            z = self.encode_continuous(utt)
-            return self.decode_continuous(z, utt.phonemes, utt.durations, speaker)
-        codes = self.encode_utterance(utt) if override_codes is None else override_codes
-        if codes.indices.shape[0] != utt.n_phonemes:
+            raise ContractError("reconstruct: override_codes is meaningless with bypass")
+        if override_codes.indices.shape[0] != utt.n_phonemes:
             raise ContractError(
-                f"reconstruct: override codes cover {codes.indices.shape[0]} phonemes, "
+                f"reconstruct: override codes cover {override_codes.indices.shape[0]} phonemes, "
                 f"utterance has {utt.n_phonemes}"
             )
-        return self.decode_codes(codes, utt.phonemes, utt.durations, speaker)
+        return self.decode_codes(override_codes, utt.phonemes, utt.durations, speaker)
 
 
 # ---------------------------------------------------------------------------

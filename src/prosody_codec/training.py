@@ -18,7 +18,7 @@ from . import metrics as mx
 from .autodiff import AdamState, Tensor
 from .config import TrainConfig
 from .containers import read_container, write_container
-from .corpus import Batch, Corpus, Utterance, make_batch
+from .corpus import Batch, Corpus, Utterance, inference_batches, make_batch
 from .errors import ContractError, NumericError
 from .model import FORMAT_VERSION, CodecModel, _model_from_parts, model_arrays, model_meta
 from .quantizer import ema_update, quantize_level, reinit_dead_codes, seed_codebooks
@@ -127,10 +127,8 @@ def train_step(state: TrainState, batch: Batch) -> dict:
     tcfg = state.tcfg
     state.step += 1
     if model.rvq is not None and not model.rvq.levels[0].initialized:
-        pt0 = model.param_tensors(train=False)
-        warm = model.forward_batch(pt0, batch, bypass=True)
-        z0 = warm["encoder_output"].data[batch.phoneme_mask]
-        seed_codebooks(model.rvq, z0, state.rng)
+        _, _, z0 = model.encode_batch(model.param_tensors(train=False), batch)
+        seed_codebooks(model.rvq, z0.data[batch.phoneme_mask], state.rng)
     pt = model.param_tensors(train=True)
     try:
         total, parts, out = compute_loss(model, pt, batch)
@@ -176,21 +174,16 @@ def train_step(state: TrainState, batch: Batch) -> dict:
 
 
 def evaluate(model: CodecModel, eval_set: list[Utterance], level1_only: bool = False) -> dict:
-    """Mean L1 and PSNR of reconstruction over an utterance set; optionally
-    with the level-2 code contribution zeroed out."""
+    """Mean L1 and PSNR of reconstruction over an utterance set, in padded
+    batches; optionally with the level-2 code contribution zeroed out."""
     if not eval_set:
         raise ContractError("evaluate: empty eval set")
     l1s, psnrs = [], []
-    for utt in eval_set:
-        if model.rvq is not None and level1_only:
-            codes = model.encode_utterance(utt)
-            recon = model.decode_codes(
-                codes, utt.phonemes, utt.durations, utt.speaker_id, level1_only=True
-            )
-        else:
-            recon = model.reconstruct(utt, bypass_quantizer=model.rvq is None)
-        l1s.append(float(np.mean(np.abs(recon.values - utt.mel.values))))
-        psnrs.append(mx.psnr_mel(utt.mel, recon))
+    for chunk, batch in inference_batches(eval_set):
+        recons = model.reconstruct_batch(batch, bypass=model.rvq is None, level1_only=level1_only)
+        for utt, recon in zip(chunk, recons):
+            l1s.append(float(np.mean(np.abs(recon.values - utt.mel.values))))
+            psnrs.append(mx.psnr_mel(utt.mel, recon))
     return {"l1": float(np.mean(l1s)), "psnr": float(np.mean(psnrs)), "n": len(eval_set)}
 
 
@@ -268,12 +261,8 @@ def train(
     corpus: Corpus,
     checkpoint_dir: str | None = None,
     log_path: str | None = None,
-    bypass: bool = False,
 ) -> TrainState:
-    """Run the loop until max_steps or the early-stop target. ``bypass`` is
-    unused for a model built without a quantizer (it trains continuous by
-    construction); kept for symmetry."""
-    del bypass
+    """Run the loop until max_steps or the early-stop target."""
     tcfg = state.tcfg
     train_utts, eval_utts = split_corpus(corpus, tcfg.eval_fraction)
     if not train_utts:

@@ -19,9 +19,16 @@ from prosody_codec import cli
 from prosody_codec import metrics as mx
 from prosody_codec.autodiff import Tensor
 from prosody_codec.config import FeatureConfig, ModelConfig
-from prosody_codec.corpus import PhonemeVocab, Utterance, make_batch
+from prosody_codec.corpus import Batch, PhonemeVocab, Utterance, make_batch
 from prosody_codec.dsp import MelSpectrogram, PitchContour
-from prosody_codec.model import CodecModel, gaussian_weights, downsample, load_model, save_model, upsample
+from prosody_codec.model import (
+    CodecModel,
+    _downsample_t,
+    _upsample_t,
+    batch_resample_weights,
+    load_model,
+    save_model,
+)
 from prosody_codec.quantizer import (
     Codebook,
     ema_update,
@@ -302,22 +309,41 @@ def test_criterion_3_rvq_monotonic_and_bit_exact():
 # criterion 4: resampler identities
 
 
+def _resampler(durations):
+    """The model's resampler for one utterance in float64 (default sigma
+    policy): weights (T, N) and down/upsampling on unbatched arrays."""
+    d = np.asarray(durations, dtype=np.int64)[None, :]
+    batch = Batch(
+        phonemes=np.ones_like(d), durations=d, mels=None, speaker_ids=np.zeros(1, dtype=np.int64),
+        phoneme_mask=d > 0, frame_mask=np.ones((1, int(d.sum())), dtype=bool),
+    )
+    w = batch_resample_weights({}, batch, ModelConfig(), np.float64)
+
+    def down(x):
+        return _downsample_t(Tensor(x[None]), w, batch.phoneme_mask).data[0]
+
+    def up(h):
+        return _upsample_t(Tensor(h[None]), w).data[0]
+
+    return w.data[0], down, up
+
+
 def test_criterion_4_resampler_identities():
     # one-phoneme case: exact
-    w1 = gaussian_weights(np.array([9]), 9)
+    _, down1, up1 = _resampler([9])
     h = np.array([[0.5, -1.0, 2.0]])
-    np.testing.assert_array_equal(upsample(h, w1), np.tile(h, (9, 1)))
-    np.testing.assert_allclose(downsample(upsample(h, w1), w1), h, atol=1e-15)
+    np.testing.assert_array_equal(up1(h), np.tile(h, (9, 1)))
+    np.testing.assert_allclose(down1(up1(h)), h, atol=1e-15)
 
     rng = np.random.default_rng(0)
     worst_convexity = 0.0
     worst_roundtrip = 0.0
     for durations in ([4, 8, 4], [10, 5, 7, 12], [5] * 8, [3, 15]):
         T = int(sum(durations))
-        w = gaussian_weights(np.array(durations), T)  # default sigma policy
-        np.testing.assert_allclose(w.matrix.sum(axis=1), 1.0, atol=1e-12)
+        w, down, up = _resampler(durations)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         h = rng.normal(size=(len(durations), 5))
-        frames = upsample(h, w)
+        frames = up(h)
         lo, hi = h.min(axis=0), h.max(axis=0)
         worst_convexity = max(
             worst_convexity,
@@ -327,7 +353,7 @@ def test_criterion_4_resampler_identities():
         assert np.all(frames >= lo - 1e-12) and np.all(frames <= hi + 1e-12)
         # phoneme-constant signal: the round trip is the identity
         const = np.full((T, 5), 0.8)
-        back = upsample(downsample(const, w), w)
+        back = up(down(const))
         worst_roundtrip = max(worst_roundtrip, float(np.abs(back - const).max()))
         assert np.abs(back - const).max() < 1e-2
     _report(4, f"convexity slack {worst_convexity:.1e}; phoneme-constant "

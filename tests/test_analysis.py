@@ -311,16 +311,14 @@ def test_measure_probe_on_harmonic_standin():
     t = np.arange(n) / sr
     wave = sum(np.sin(2 * np.pi * 150.0 * (h + 1) * t) / (h + 1) for h in range(6))
     audio = AudioBuffer(0.4 * wave / np.abs(wave).max(), sr)
-    proj = pca_codes(RNG.normal(size=(10, 3)))
-    m = an.measure_probe(audio, 3, proj, FeatureConfig())
+    m = an.measure_probe(audio, 3, FeatureConfig())
     assert m.f0 == pytest.approx(150.0, rel=0.03)
     assert m.rms > 0
 
 
 def test_measure_probe_silence_flagged():
     audio = AudioBuffer(np.zeros(22050), 22050)
-    proj = pca_codes(RNG.normal(size=(10, 3)))
-    m = an.measure_probe(audio, 3, proj, FeatureConfig())
+    m = an.measure_probe(audio, 3, FeatureConfig())
     assert m.f0 is None
 
 
@@ -393,9 +391,13 @@ def test_synth_probe_shape_and_determinism():
 def test_speaker_relative_report_structure():
     model = tiny_model()
     ref = tiny_reference()
-    report = an.speaker_relative_report(model, [1, 4, 6], ref, [0, 1], level2_code=0)
+    proj = pca_codes(model.rvq.levels[0].entries)
+    report = an.speaker_relative_report(model, [1, 4, 6], ref, [0, 1], level2_code=0, proj=proj)
     assert set(report) == {0, 1}
     for rows in report.values():
         assert [m.code for m in rows] == [1, 4, 6]  # code order preserved
+        for m in rows:
+            c = proj.coords(model.rvq.levels[0].entries[m.code][None, :])[0]
+            assert (m.pc1, m.pc2) == (float(c[0]), float(c[1]))
     with pytest.raises(ContractError):
-        an.speaker_relative_report(model, [1, 4], ref, [0], level2_code=0)
+        an.speaker_relative_report(model, [1, 4], ref, [0], level2_code=0, proj=proj)

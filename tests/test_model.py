@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from prosody_codec import autodiff as ad
+from prosody_codec import model as md
+from prosody_codec.autodiff import Tensor
 from prosody_codec.config import FeatureConfig, ModelConfig
-from prosody_codec.corpus import PhonemeVocab, Utterance, make_batch
+from prosody_codec.corpus import Batch, PhonemeVocab, Utterance, make_batch
 from prosody_codec.dsp import MelSpectrogram
 from prosody_codec.errors import ContractError, DataError
 from prosody_codec.model import (
     CodecModel,
-    downsample,
-    gaussian_weights,
+    _downsample_t,
+    _upsample_t,
+    batch_resample_weights,
     load_model,
     save_model,
-    upsample,
 )
 from prosody_codec.quantizer import CodeSequence, decode_vectors
 
@@ -47,28 +49,58 @@ def make_utt(uid="u0", speaker=0, n=4, per=5, seed=3, bands=20):
     )
 
 
+def conditioning_batch(ids, durations) -> Batch:
+    """A batch without mels: phoneme IDs and durations (0 marks padding)."""
+    durations = np.asarray(durations, dtype=np.int64)
+    frames = durations.sum(axis=1)
+    return Batch(
+        phonemes=np.asarray(ids, dtype=np.int64),
+        durations=durations,
+        mels=None,
+        speaker_ids=np.zeros(len(durations), dtype=np.int64),
+        phoneme_mask=durations > 0,
+        frame_mask=np.arange(frames.max())[None, :] < frames[:, None],
+    )
+
+
+def weights(durations, sigma_policy="ratio", sigma_value=1.0):
+    """The model's resampling weights for one utterance in float64: the
+    (1, T, N) Tensor and the phoneme mask it was built with."""
+    batch = conditioning_batch([np.ones(len(durations))], [durations])
+    cfg = ModelConfig(sigma_policy=sigma_policy, sigma_value=sigma_value)
+    return batch_resample_weights({}, batch, cfg, np.float64), batch.phoneme_mask
+
+
+def downsample(frames, w, mask):
+    return _downsample_t(Tensor(np.asarray(frames, dtype=np.float64)[None]), w, mask).data[0]
+
+
+def upsample(h, w):
+    return _upsample_t(Tensor(np.asarray(h, dtype=np.float64)[None]), w).data[0]
+
+
 # ---------------------------------------------------------------------------
 # gaussian resampling weights
 
 
 def test_weights_single_phoneme_all_ones():
-    w = gaussian_weights(np.array([7]), 7)
-    np.testing.assert_allclose(w.matrix, np.ones((7, 1)))
+    w, _ = weights([7])
+    np.testing.assert_allclose(w.data[0], np.ones((7, 1)))
 
 
 def test_weights_rows_sum_to_one():
-    w = gaussian_weights(np.array([4, 8, 4]), 16)
-    np.testing.assert_allclose(w.matrix.sum(axis=1), np.ones(16), atol=1e-12)
+    w, _ = weights([4, 8, 4])
+    np.testing.assert_allclose(w.data[0].sum(axis=1), np.ones(16), atol=1e-12)
 
 
 def test_weights_symmetric_under_reversal():
-    w = gaussian_weights(np.array([6, 6]), 12).matrix
+    w = weights([6, 6])[0].data[0]
     np.testing.assert_allclose(w, w[::-1, ::-1], atol=1e-12)
 
 
 def test_weights_argmax_matches_owning_segment():
     durations = np.array([4, 8, 4])
-    w = gaussian_weights(durations, 16).matrix
+    w = weights(durations)[0].data[0]
     # oracle: recompute each frame's weights from the formula directly
     centers = np.array([2.0, 8.0, 14.0])
     spreads = durations / 3.0
@@ -78,19 +110,22 @@ def test_weights_argmax_matches_owning_segment():
         assert int(np.argmax(w[t])) == int(np.argmax(logits)) == segment_of_frame[t]
 
 
-def test_weights_zero_duration_rejected():
-    with pytest.raises(ContractError):
-        gaussian_weights(np.array([4, 0, 4]), 8)
-
-
-def test_weights_sum_mismatch_rejected():
-    with pytest.raises(ContractError):
-        gaussian_weights(np.array([4, 4]), 9)
-
-
 def test_weights_fixed_sigma_policy():
-    w = gaussian_weights(np.array([4, 4]), 8, sigma_policy="fixed", sigma_value=0.5)
-    np.testing.assert_allclose(w.spreads, [0.5, 0.5])
+    w = weights([4, 4], sigma_policy="fixed", sigma_value=0.5)[0].data[0]
+    logits = -((np.arange(8)[:, None] + 0.5 - np.array([2.0, 6.0])) ** 2) / (2 * 0.5**2)
+    expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(w, expected, atol=1e-12)
+
+
+def test_weights_zero_at_padded_cells():
+    batch = conditioning_batch([[1, 2, 3], [4, 5, 0]], [[3, 2, 4], [5, 2, 0]])
+    w = batch_resample_weights({}, batch, TINY, np.float64).data
+    assert np.all(w[1, 7:, :] == 0) and np.all(w[1, :, 2] == 0)
+    np.testing.assert_allclose(w[1, :7].sum(axis=1), 1.0, atol=1e-12)
+    # a padded phoneme's all-zero column downsamples to zero, not NaN
+    down = _downsample_t(Tensor(np.ones((2, 9, 4))), Tensor(w), batch.phoneme_mask).data
+    assert np.all(down[1, 2] == 0)
+    np.testing.assert_allclose(down[batch.phoneme_mask], 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -98,32 +133,30 @@ def test_weights_fixed_sigma_policy():
 
 
 def test_downsample_constant_is_constant():
-    w = gaussian_weights(np.array([4, 8, 4]), 16)
-    out = downsample(np.full((16, 5), 3.25), w)
+    w, mask = weights([4, 8, 4])
+    out = downsample(np.full((16, 5), 3.25), w, mask)
     np.testing.assert_allclose(out, 3.25, atol=1e-12)
 
 
 def test_downsample_small_sigma_recovers_segments():
-    durations = np.array([10, 10, 10])
-    w = gaussian_weights(durations, 30, sigma_policy="fixed", sigma_value=0.5)
+    w, mask = weights([10, 10, 10], sigma_policy="fixed", sigma_value=0.5)
     x = np.repeat(np.array([[1.0], [5.0], [-2.0]]), 10, axis=0)
-    out = downsample(x, w)
+    out = downsample(x, w, mask)
     np.testing.assert_allclose(out, [[1.0], [5.0], [-2.0]], atol=1e-3)
 
 
 def test_downsample_one_hot_weights_are_segment_means():
-    durations = [3, 2]
-    w = np.zeros((5, 2))
-    w[:3, 0] = 1.0
-    w[3:, 1] = 1.0
+    w = np.zeros((1, 5, 2))
+    w[0, :3, 0] = 1.0
+    w[0, 3:, 1] = 1.0
     x = np.arange(10, dtype=float).reshape(5, 2)
-    out = downsample(x, w)
+    out = downsample(x, Tensor(w), np.ones((1, 2), dtype=bool))
     np.testing.assert_allclose(out[0], x[:3].mean(axis=0))
     np.testing.assert_allclose(out[1], x[3:].mean(axis=0))
 
 
 def test_upsample_single_phoneme_broadcasts():
-    w = gaussian_weights(np.array([6]), 6)
+    w, _ = weights([6])
     h = np.array([[1.5, -2.0, 0.25]])
     out = upsample(h, w)
     np.testing.assert_allclose(out, np.tile(h, (6, 1)), atol=1e-12)
@@ -132,15 +165,15 @@ def test_upsample_single_phoneme_broadcasts():
 def test_roundtrip_phoneme_constant_identity():
     # constant across phonemes: down-then-up returns it exactly (to fp noise)
     for durations in ([4, 8, 4], [10, 5, 7, 12], [5] * 8):
-        w = gaussian_weights(np.array(durations), sum(durations))
+        w, mask = weights(durations)
         x = np.full((sum(durations), 6), -1.75)
-        out = upsample(downsample(x, w), w)
+        out = upsample(downsample(x, w, mask), w)
         assert np.abs(out - x).max() < 1e-2
 
 
 def test_upsample_is_convex_combination():
     rng = np.random.default_rng(0)
-    w = gaussian_weights(np.array([4, 8, 4]), 16)
+    w, _ = weights([4, 8, 4])
     h = rng.normal(size=(3, 5))
     out = upsample(h, w)
     lo, hi = h.min(axis=0), h.max(axis=0)
@@ -148,9 +181,9 @@ def test_upsample_is_convex_combination():
 
 
 def test_resample_shape_mismatch():
-    w = gaussian_weights(np.array([4, 4]), 8)
+    w, mask = weights([4, 4])
     with pytest.raises(ContractError):
-        downsample(np.zeros((9, 3)), w)
+        downsample(np.zeros((9, 3)), w, mask)
     with pytest.raises(ContractError):
         upsample(np.zeros((3, 3)), w)
 
@@ -159,13 +192,19 @@ def test_resample_shape_mismatch():
 # phoneme encoder masking
 
 
+def linguistic_features(model, pt, ids, mask):
+    """The phoneme encoder's output, as encode_batch computes it."""
+    durations = np.asarray(mask, dtype=np.int64)  # one frame per real phoneme
+    return model.encode_batch(pt, conditioning_batch(ids, durations))[0].data
+
+
 def test_phoneme_encode_deterministic():
     model = make_model()
     pt = model.param_tensors(train=False)
     ids = np.array([[1, 2, 3]])
     mask = np.ones((1, 3), dtype=bool)
-    a = model.phoneme_encode(pt, ids, mask).data
-    b = model.phoneme_encode(pt, ids, mask).data
+    a = linguistic_features(model, pt, ids, mask)
+    b = linguistic_features(model, pt, ids, mask)
     assert np.array_equal(a, b)
 
 
@@ -174,8 +213,8 @@ def test_phoneme_encode_batch_equivariance():
     pt = model.param_tensors(train=False)
     ids = np.array([[1, 2, 3], [4, 5, 1]])
     mask = np.ones((2, 3), dtype=bool)
-    out = model.phoneme_encode(pt, ids, mask).data
-    flipped = model.phoneme_encode(pt, ids[::-1], mask).data
+    out = linguistic_features(model, pt, ids, mask)
+    flipped = linguistic_features(model, pt, ids[::-1], mask)
     np.testing.assert_array_equal(out, flipped[::-1])
 
 
@@ -183,8 +222,8 @@ def test_phoneme_encode_padding_blind():
     model = make_model()
     pt = model.param_tensors(train=False)
     mask = np.array([[True, True, False]])
-    a = model.phoneme_encode(pt, np.array([[1, 2, 3]]), mask).data
-    b = model.phoneme_encode(pt, np.array([[1, 2, 5]]), mask).data
+    a = linguistic_features(model, pt, np.array([[1, 2, 3]]), mask)
+    b = linguistic_features(model, pt, np.array([[1, 2, 5]]), mask)
     np.testing.assert_array_equal(a[:, :2], b[:, :2])
 
 
@@ -260,6 +299,64 @@ def test_reconstruct_override_length_check():
     short = model.encode_utterance(make_utt(uid="u1", n=3))
     with pytest.raises(ContractError, match="override codes"):
         model.reconstruct(utt, override_codes=short)
+
+
+def test_batch_matches_one_at_a_time():
+    # a padded batch of mixed-length utterances gives each utterance's own
+    # codes exactly and its own mel to float32 tolerance
+    model = make_model(seed=2)
+    utts = [
+        make_utt(f"u{i}", speaker=i % 2, n=n, per=per, seed=10 + i)
+        for i, (n, per) in enumerate([(3, 4), (7, 2), (5, 5), (2, 9), (6, 3)])
+    ]
+    batch = make_batch(utts)
+    codes = model.codes_batch(batch)
+    recons = model.reconstruct_batch(batch)
+    for utt, seq, recon in zip(utts, codes, recons):
+        single = model.encode_utterance(utt)
+        assert np.array_equal(seq.indices, single.indices)
+        assert np.array_equal(seq.vectors, single.vectors)
+        assert recon.values.shape == utt.mel.values.shape
+        np.testing.assert_allclose(recon.values, model.reconstruct(utt).values, rtol=1e-5, atol=1e-5)
+    for bypass, level1_only in ((True, False), (False, True)):
+        batched = model.reconstruct_batch(batch, bypass=bypass, level1_only=level1_only)
+        for utt, recon in zip(utts, batched):
+            if bypass:
+                single = model.reconstruct(utt, bypass_quantizer=True)
+            else:
+                single = model.decode_codes(
+                    model.encode_utterance(utt), utt.phonemes, utt.durations, utt.speaker_id,
+                    level1_only=True,
+                )
+            np.testing.assert_allclose(recon.values, single.values, rtol=1e-5, atol=1e-5)
+
+
+def test_each_conformer_stack_runs_once(monkeypatch):
+    calls = []
+    real = md.conformer_stack
+
+    def counting(pt, stack, *args, **kwargs):
+        calls.append(stack)
+        return real(pt, stack, *args, **kwargs)
+
+    monkeypatch.setattr(md, "conformer_stack", counting)
+    model = make_model()
+    utt = make_utt()
+    model.reconstruct(utt)
+    assert sorted(calls) == ["dec", "menc", "penc"]
+    calls.clear()
+    codes = model.encode_utterance(utt)
+    assert sorted(calls) == ["menc", "penc"]
+    calls.clear()
+    model.decode_codes(codes, utt.phonemes, utt.durations, 0)
+    assert sorted(calls) == ["dec", "penc"]
+
+
+def test_decode_speaker_out_of_range_rejected():
+    model = make_model()
+    utt = make_utt()
+    with pytest.raises(ContractError, match="out of range"):
+        model.reconstruct(utt, override_speaker=2)
 
 
 def test_level1_only_decode_differs():
@@ -361,6 +458,23 @@ def test_checkpoint_truncated_rejected(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataError, match="truncated"):
         load_model(str(path))
+
+
+def test_model_config_sizes_must_match(tmp_path):
+    from prosody_codec.containers import read_container, write_container
+
+    cfg = ModelConfig(**{**TINY.__dict__, "vocab_size": 7, "n_speakers": 2})
+    model = make_model(cfg=cfg)  # 6 symbols + PAD, 2 speakers: consistent
+    path = tmp_path / "model.ckpt"
+    save_model(model, str(path))
+    assert load_model(str(path)).cfg.vocab_size == 7
+    for key, wrong in (("vocab_size", 9), ("n_speakers", 3)):
+        meta, arrays = read_container(str(path))
+        meta["model_config"][key] = wrong
+        write_container(str(path), meta, arrays)
+        with pytest.raises(ContractError, match=f"model.{key} is {wrong}"):
+            load_model(str(path))
+        save_model(model, str(path))
 
 
 def test_checkpoint_version_mismatch(tmp_path):
