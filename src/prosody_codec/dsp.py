@@ -7,10 +7,12 @@ codec and the synthetic corpus generator.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import FeatureConfig
 from .errors import ContractError, DataError
@@ -142,12 +144,25 @@ def save_wav(path: str, audio: AudioBuffer, float32: bool = False) -> None:
 # STFT / mel filterbank
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # cached tables are shared by every caller; a stray write must raise
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=8)
 def _hann(n: int) -> np.ndarray:
     # periodic Hann, COLA-compatible at 75% overlap
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    return _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
+
+
+def _require_hop(hop: int, where: str) -> None:
+    if hop < 1:
+        raise ContractError(f"{where}: hop must be >= 1, got {hop}")
 
 
 def frame_count(n_samples: int, n_fft: int, hop: int) -> int:
+    _require_hop(hop, "frame_count")
     if n_samples < n_fft:
         raise ContractError(f"audio of {n_samples} samples is shorter than one {n_fft} window")
     return 1 + (n_samples - n_fft) // hop
@@ -155,25 +170,45 @@ def frame_count(n_samples: int, n_fft: int, hop: int) -> int:
 
 def stft(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     """Complex spectrogram, shape (T, n_fft//2 + 1)."""
-    T = frame_count(len(x), n_fft, hop)
-    window = _hann(n_fft)
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(T)[:, None]
-    frames = x[idx] * window
+    frame_count(len(x), n_fft, hop)  # rejects a bad hop or too short a signal
+    frames = sliding_window_view(x, n_fft)[::hop] * _hann(n_fft)
     return np.fft.rfft(frames, axis=1)
+
+
+def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of the windowed (T, n) frames placed ``hop`` samples apart; length
+    (T-1)*hop + n.
+
+    Each windowed frame is cut into r = ceil(n / hop) zero-padded blocks of
+    ``hop`` samples, and block k of every frame is added to output blocks
+    k..k+T-1 in one vectorized add. Going through k in descending order adds
+    the frames covering any one sample in ascending frame order, starting
+    from zero: the same float sums as a loop that adds frame after frame.
+    """
+    T, n = frames.shape
+    r = -(-n // hop)
+    blocks = np.zeros((T, r * hop))
+    np.multiply(frames, window, out=blocks[:, :n])
+    blocks = blocks.reshape(T, r, hop)
+    out = np.zeros((T - 1 + r, hop))
+    for k in range(r - 1, -1, -1):
+        out[k : k + T] += blocks[:, k]
+    return out.reshape(-1)[: (T - 1) * hop + n]
+
+
+@functools.lru_cache(maxsize=16)
+def _ola_norm(T: int, n_fft: int, hop: int) -> np.ndarray:
+    # squared-window overlap-add, clamped away from zero in the gaps
+    window = _hann(n_fft)
+    squares = _overlap_add(np.broadcast_to(window, (T, n_fft)), window, hop)
+    return _read_only(np.maximum(squares, 1e-12))
 
 
 def istft(spec: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     """Overlap-add inverse of :func:`stft` with squared-window normalization."""
-    T = spec.shape[0]
-    window = _hann(n_fft)
-    frames = np.fft.irfft(spec, n=n_fft, axis=1) * window
-    out_len = (T - 1) * hop + n_fft
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    for t in range(T):
-        out[t * hop : t * hop + n_fft] += frames[t]
-        norm[t * hop : t * hop + n_fft] += window * window
-    return out / np.maximum(norm, 1e-12)
+    _require_hop(hop, "istft")
+    frames = np.fft.irfft(spec, n=n_fft, axis=1)
+    return _overlap_add(frames, _hann(n_fft), hop) / _ola_norm(spec.shape[0], n_fft, hop)
 
 
 def _hz_to_mel(f):
@@ -184,8 +219,12 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Triangular, area-normalized filters over [0, sample_rate/2]; (M, K)."""
+    """Triangular, area-normalized filters over [0, sample_rate/2]; (M, K).
+
+    Cached per argument triple; the returned array is shared and read-only.
+    """
     n_bins = n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * sample_rate / n_fft
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
@@ -197,7 +236,13 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
         falling = (hi - fft_freqs) / max(hi - center, 1e-12)
         fb[m] = np.maximum(0.0, np.minimum(rising, falling))
         fb[m] *= 2.0 / (hi - lo)  # area normalization
-    return fb
+    return _read_only(fb)
+
+
+@functools.lru_cache(maxsize=8)
+def _filterbank_pinv(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Pseudo-inverse of the transposed filterbank, (M, K); cached and read-only."""
+    return _read_only(np.linalg.pinv(mel_filterbank(n_mels, n_fft, sample_rate).T))
 
 
 def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> MelSpectrogram:
@@ -228,25 +273,35 @@ def invert_mel(
     Mel magnitudes (minus the representation's floor, which stands for
     silence) go to a linear spectrogram via the clamped pseudo-inverse of
     the filterbank, then Griffin-Lim phase recovery (zero-phase init,
-    deterministic).
+    deterministic). The filterbank, its pseudo-inverse, the window and the
+    overlap-add normalization are cached per shape, so repeated calls only
+    pay for the iterations.
+
+    Each iteration keeps the target magnitude and takes the phase of the
+    current estimate, ``spec * (magnitude / |spec|)``. A bin where
+    ``|spec|`` is exactly zero gets phase 0, as ``angle(0)`` would give.
+    ``return_errors`` adds the spectral-convergence error
+    ``||spec| - magnitude| / |magnitude|`` of each iteration.
     """
     if iterations < 1:
         raise ContractError("invert_mel: iterations must be >= 1")
-    fb = mel_filterbank(mel.n_mels, mel.n_fft, mel.sample_rate)
+    n_fft, hop = mel.n_fft, mel.hop_length
+    inv = _filterbank_pinv(mel.n_mels, n_fft, mel.sample_rate)
     mel_mag = np.maximum(np.exp(mel.values) - floor, 0.0)
-    inv = np.linalg.pinv(fb.T)  # (M, K)
     magnitude = np.maximum(mel_mag @ inv, 0.0)
+    magnitude_norm = max(np.linalg.norm(magnitude), 1e-12)
 
-    phase = np.zeros_like(magnitude)
     errors = []
-    x = istft(magnitude * np.exp(1j * phase), mel.n_fft, mel.hop_length)
+    x = istft(magnitude, n_fft, hop)
     for _ in range(iterations):
-        spec = stft(x, mel.n_fft, mel.hop_length)
-        errors.append(
-            float(np.linalg.norm(np.abs(spec) - magnitude) / max(np.linalg.norm(magnitude), 1e-12))
-        )
-        phase = np.angle(spec)
-        x = istft(magnitude * np.exp(1j * phase), mel.n_fft, mel.hop_length)
+        spec = stft(x, n_fft, hop)
+        spec_mag = np.abs(spec)
+        errors.append(float(np.linalg.norm(spec_mag - magnitude) / magnitude_norm))
+        silent = spec_mag == 0.0  # phase 0 there: the bin becomes its target magnitude
+        np.copyto(spec, 1.0, where=silent)
+        np.copyto(spec_mag, 1.0, where=silent)
+        spec *= np.divide(magnitude, spec_mag, out=spec_mag)
+        x = istft(spec, n_fft, hop)
     audio = AudioBuffer(samples=np.clip(x, -1.0, 1.0), sample_rate=mel.sample_rate)
     if return_errors:
         return audio, errors
@@ -271,6 +326,7 @@ def estimate_f0(
     for voicing, parabolic interpolation around the chosen lag. Degenerate
     frames come back unvoiced with f0 = 0.
     """
+    _require_hop(hop_length, "estimate_f0")
     sr = audio.sample_rate
     if not (0 < f_min < f_max < sr / 2):
         raise ContractError(f"estimate_f0: need 0 < f_min < f_max < {sr / 2}")
@@ -335,6 +391,7 @@ def frame_rms(audio: AudioBuffer, hop: int, win: int) -> np.ndarray:
     """Root-mean-square energy per frame; framing matches mel_spectrogram."""
     if win < 1:
         raise ContractError("frame_rms: win must be >= 1")
+    _require_hop(hop, "frame_rms")
     x = audio.samples
     if len(x) < win:
         return np.zeros(0)

@@ -243,6 +243,8 @@ class CodecModel:
         ):
             if declared and declared != actual:  # 0 = take it from the corpus
                 raise ContractError(f"model.{name} is {declared}, but the model has {actual}")
+        if cfg.n_mels != features.n_mels:
+            raise ContractError(f"model.n_mels is {cfg.n_mels}, but features.n_mels is {features.n_mels}")
         self.cfg = cfg
         self.features = features
         self.vocab = vocab
@@ -282,6 +284,10 @@ class CodecModel:
         linguistic features (B, N, D), the upsampling weights (B, T, N) and
         the latent before quantization (B, N, d), None for a batch without
         mels. The speaker never enters."""
+        if batch.mels is not None and batch.mels.shape[-1] != self.cfg.n_mels:
+            raise ContractError(
+                f"batch mels have {batch.mels.shape[-1]} bands, but model.n_mels is {self.cfg.n_mels}"
+            )
         mask = batch.phoneme_mask
         emb = ad.embedding_lookup(pt["phoneme_embedding"], batch.phonemes)
         ling = conformer_stack(pt, "penc", emb, mask, self.cfg.layers, self.cfg.heads)

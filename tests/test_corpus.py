@@ -20,7 +20,14 @@ from prosody_codec.corpus import (
     write_manifest,
     write_synth_corpus,
 )
-from prosody_codec.dsp import AudioBuffer, MelSpectrogram, estimate_f0, load_wav, save_wav
+from prosody_codec.dsp import (
+    AudioBuffer,
+    MelSpectrogram,
+    estimate_f0,
+    load_wav,
+    mel_filterbank,
+    save_wav,
+)
 from prosody_codec.errors import ContractError, DataError
 
 CFG = FeatureConfig()
@@ -201,6 +208,17 @@ def test_cached_mel_no_write_mode(tmp_path):
     cache.mkdir()
     cached_mel(str(tmp_path / "u.wav"), CFG, str(cache), cache_write=False)
     assert list(cache.iterdir()) == []
+
+
+def test_cached_mel_unchanged_by_filterbank_cache_clear(tmp_path):
+    spec = SynthSpec(n_speakers=1, n_utterances=1, f0_ranges=[[120.0, 240.0]], seed=5)
+    manifest = write_synth_corpus(spec, CFG, str(tmp_path))
+    wav = os.path.join(os.path.dirname(manifest), "synth0000.wav")
+    before = cached_mel(wav, CFG, None)
+    cached_mel(wav, FeatureConfig(n_mels=40), None)  # another table in the cache
+    mel_filterbank.cache_clear()
+    after = cached_mel(wav, CFG, None)
+    assert np.array_equal(before.values, after.values)
 
 
 # ---------------------------------------------------------------------------

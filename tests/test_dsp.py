@@ -6,19 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosody_codec import dsp
-from prosody_codec.config import FeatureConfig
+from prosody_codec.config import FeatureConfig, SynthSpec
+from prosody_codec.corpus import synth_utterances
 from prosody_codec.dsp import (
     AudioBuffer,
     MelSpectrogram,
     PitchContour,
     estimate_f0,
+    frame_count,
     frame_rms,
     invert_mel,
+    istft,
     load_wav,
     mel_filterbank,
     mel_spectrogram,
     normalize_contour,
     save_wav,
+    stft,
 )
 from prosody_codec.errors import ContractError, DataError
 
@@ -179,6 +183,129 @@ def test_invert_mel_rejects_zero_iterations():
     mel = mel_spectrogram(sine(220.0, seconds=0.2), CFG)
     with pytest.raises(ContractError):
         invert_mel(mel, 0)
+
+
+# ---------------------------------------------------------------------------
+# per-frame reference: the loop implementation the strided STFT, overlap-add
+# and phase update replaced, kept as the oracle they must reproduce
+
+
+def _ref_hann(n):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _ref_stft(x, n_fft, hop):
+    T = 1 + (len(x) - n_fft) // hop
+    idx = np.arange(n_fft)[None, :] + hop * np.arange(T)[:, None]
+    return np.fft.rfft(x[idx] * _ref_hann(n_fft), axis=1)
+
+
+def _ref_istft(spec, n_fft, hop):
+    T = spec.shape[0]
+    window = _ref_hann(n_fft)
+    frames = np.fft.irfft(spec, n=n_fft, axis=1) * window
+    out_len = (T - 1) * hop + n_fft
+    out = np.zeros(out_len)
+    norm = np.zeros(out_len)
+    for t in range(T):
+        out[t * hop : t * hop + n_fft] += frames[t]
+        norm[t * hop : t * hop + n_fft] += window * window
+    return out / np.maximum(norm, 1e-12)
+
+
+def _ref_magnitude(mel, floor):
+    fb = mel_filterbank(mel.n_mels, mel.n_fft, mel.sample_rate)
+    mel_mag = np.maximum(np.exp(mel.values) - floor, 0.0)
+    return np.maximum(mel_mag @ np.linalg.pinv(fb.T), 0.0)
+
+
+def _ref_invert_mel(mel, iterations, floor=1e-5):
+    magnitude = _ref_magnitude(mel, floor)
+    phase = np.zeros_like(magnitude)
+    errors = []
+    x = _ref_istft(magnitude * np.exp(1j * phase), mel.n_fft, mel.hop_length)
+    for _ in range(iterations):
+        spec = _ref_stft(x, mel.n_fft, mel.hop_length)
+        errors.append(
+            float(np.linalg.norm(np.abs(spec) - magnitude) / max(np.linalg.norm(magnitude), 1e-12))
+        )
+        phase = np.angle(spec)
+        x = _ref_istft(magnitude * np.exp(1j * phase), mel.n_fft, mel.hop_length)
+    return np.clip(x, -1.0, 1.0), errors
+
+
+def toy_utterance_mels(n):
+    """Mels of the acceptance suite's toy corpus (harmonic tones, pitch glides)."""
+    spec = SynthSpec(n_speakers=2, n_utterances=n, phoneme_inventory=10,
+                     f0_ranges=[[120.0, 260.0], [140.0, 300.0]], amp_range=[0.3, 1.0],
+                     segments_min=8, segments_max=14, glide_semitones=1.0, seed=7)
+    utts, _, _ = synth_utterances(spec, CFG)
+    return [u.mel for u in utts]
+
+
+@pytest.mark.parametrize("T", [1, 2, 70])
+@pytest.mark.parametrize("hop", [256, 300, 1024, 1500])
+def test_stft_istft_bit_identical_to_per_frame_reference(hop, T):
+    # 300 and 1500 do not divide n_fft; 1024 and 1500 leave no overlap
+    n_fft = 1024
+    rng = np.random.default_rng(hop * 1000 + T)
+    x = rng.normal(size=(T - 1) * hop + n_fft + hop // 2)
+    spec = stft(x, n_fft, hop)
+    assert np.array_equal(spec, _ref_stft(x, n_fft, hop))
+    assert np.array_equal(istft(spec, n_fft, hop), _ref_istft(spec, n_fft, hop))
+
+
+def test_invert_mel_matches_reference_on_toy_utterances():
+    for mel in toy_utterance_mels(3):
+        audio, errors = invert_mel(mel, CFG.griffin_lim_iters, return_errors=True,
+                                   floor=CFG.log_floor)
+        ref_x, ref_errors = _ref_invert_mel(mel, CFG.griffin_lim_iters, floor=CFG.log_floor)
+        np.testing.assert_allclose(audio.samples, ref_x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(errors, ref_errors, rtol=0, atol=1e-12)
+
+
+def test_invert_mel_zero_bins_get_zero_phase_like_reference():
+    # 16 frames below the floor: zero magnitude rows, and a stretch of exactly
+    # silent samples whose spectrum is exactly zero, where |spec| divides
+    mel = toy_utterance_mels(1)[0]
+    values = mel.values.copy()
+    values[20:36] = np.log(CFG.log_floor) - 1.0
+    mel = MelSpectrogram(values, mel.hop_length, mel.n_fft, mel.sample_rate)
+    magnitude = _ref_magnitude(mel, CFG.log_floor)
+    first = _ref_stft(_ref_istft(magnitude.astype(complex), mel.n_fft, mel.hop_length),
+                      mel.n_fft, mel.hop_length)
+    assert np.any(magnitude == 0.0) and np.any(np.abs(first) == 0.0)
+    audio, errors = invert_mel(mel, 20, return_errors=True, floor=CFG.log_floor)
+    ref_x, ref_errors = _ref_invert_mel(mel, 20, floor=CFG.log_floor)
+    assert np.all(np.isfinite(audio.samples))
+    np.testing.assert_allclose(audio.samples, ref_x, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(errors, ref_errors, rtol=0, atol=1e-12)
+
+
+def test_cached_filterbank_is_read_only():
+    audio = sine(313.0, seconds=0.3)
+    before = mel_spectrogram(audio, CFG)
+    fb = mel_filterbank(CFG.n_mels, CFG.n_fft, audio.sample_rate)
+    with pytest.raises(ValueError, match="read-only"):
+        fb[0, 0] = 1.0
+    after = mel_spectrogram(audio, CFG)
+    assert np.array_equal(before.values, after.values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: frame_count(4096, 1024, 0),
+        lambda: stft(np.zeros(4096), 1024, 0),
+        lambda: istft(np.zeros((4, 513), dtype=complex), 1024, 0),
+        lambda: frame_rms(AudioBuffer(np.zeros(4096), 22050), 0, 1024),
+        lambda: estimate_f0(AudioBuffer(np.zeros(4096), 22050), 50.0, 600.0, hop_length=0),
+    ],
+    ids=["frame_count", "stft", "istft", "frame_rms", "estimate_f0"],
+)
+def test_zero_hop_rejected(call):
+    with pytest.raises(ContractError, match="hop must be >= 1"):
+        call()
 
 
 # ---------------------------------------------------------------------------

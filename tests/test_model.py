@@ -468,13 +468,18 @@ def test_model_config_sizes_must_match(tmp_path):
     path = tmp_path / "model.ckpt"
     save_model(model, str(path))
     assert load_model(str(path)).cfg.vocab_size == 7
-    for key, wrong in (("vocab_size", 9), ("n_speakers", 3)):
+    for key, wrong in (("vocab_size", 9), ("n_speakers", 3), ("n_mels", 30)):
         meta, arrays = read_container(str(path))
         meta["model_config"][key] = wrong
         write_container(str(path), meta, arrays)
         with pytest.raises(ContractError, match=f"model.{key} is {wrong}"):
             load_model(str(path))
         save_model(model, str(path))
+
+
+def test_reconstruct_rejects_mel_width_mismatch():
+    with pytest.raises(ContractError, match="30 bands, but model.n_mels is 20"):
+        make_model().reconstruct(make_utt(bands=30))
 
 
 def test_checkpoint_version_mismatch(tmp_path):
