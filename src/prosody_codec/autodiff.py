@@ -3,9 +3,14 @@
 A ``Tensor`` wraps an ndarray plus an optional backward closure; calling
 ``backward`` on a scalar output walks the recorded graph once in reverse
 topological order. The op set is exactly what the codec needs: elementwise
-arithmetic, matmul (batched), softmax, layer norm, depthwise conv1d, swish,
-sigmoid, embedding lookup, masked fill, reductions, and the stop-gradient /
-straight-through pair used by the quantizer.
+arithmetic, matmul (batched), linear (matmul and bias in one node),
+multi-head attention with a key mask (one node), layer norm, depthwise
+conv1d, swish, sigmoid, embedding lookup, reductions, and the
+stop-gradient / straight-through pair used by the quantizer. Backward
+passes compute only the gradients of operands that require one.
+
+Adam keeps the parameters and both moments in flat buffers, one per kind,
+and updates them in place; the parameter dict holds views into the first.
 
 Forward values are never mutated by backward. Broadcasting follows numpy;
 gradients of broadcast operands are summed back to the operand shape.
@@ -154,8 +159,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bwd():
-        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
 
     out = _make(out_data, (a, b), bwd)
     return out
@@ -166,8 +173,10 @@ def sub(a, b) -> Tensor:
     out_data = a.data - b.data
 
     def bwd():
-        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
 
     out = _make(out_data, (a, b), bwd)
     return out
@@ -178,8 +187,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bwd():
-        _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     out = _make(out_data, (a, b), bwd)
     return out
@@ -190,8 +201,10 @@ def div(a, b) -> Tensor:
     out_data = a.data / b.data
 
     def bwd():
-        _accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
 
     out = _make(out_data, (a, b), bwd)
     return out
@@ -286,71 +299,151 @@ def matmul(a, b) -> Tensor:
         raise ContractError(
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
-    # (..., m, k) @ (k, n): flatten to one GEMM instead of a batched loop
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        lead = a.data.shape[:-1]
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        out_data = (a2 @ b.data).reshape(lead + (b.data.shape[-1],))
-
-        def bwd():
-            g2 = out.grad.reshape(-1, b.data.shape[-1])
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            _accumulate(b, a2.T @ g2)
-
-        out = _make(out_data, (a, b), bwd)
-        return out
     out_data = a.data @ b.data
 
     def bwd():
         g = out.grad
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     out = _make(out_data, (a, b), bwd)
     return out
 
 
 def linear(x, w, b=None) -> Tensor:
-    """x @ w (+ b)."""
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    """x @ w (+ b) as one node: one GEMM over the flattened leading axes of
+    ``x`` (..., k) against ``w`` (k, n), the bias (n,) added in place."""
+    x, w = as_tensor(x), as_tensor(w)
+    b = None if b is None else as_tensor(b)
+    if (
+        x.data.ndim < 1
+        or w.data.ndim != 2
+        or x.data.shape[-1] != w.data.shape[0]
+        or (b is not None and b.data.shape != w.data.shape[1:])
+    ):
+        raise ContractError(
+            f"linear: incompatible shapes {x.data.shape}, {w.data.shape} and "
+            f"{None if b is None else b.data.shape}"
+        )
+    k, n = w.data.shape
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    if b is not None:
+        y += b.data
+    out_data = y.reshape(x.data.shape[:-1] + (n,))
 
     def bwd():
-        g = out.grad
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(x, out_data * (g - dot))
+        g2 = out.grad.reshape(-1, n)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
 
-    out = _make(out_data, (x,), bwd)
+    out = _make(out_data, (x, w) if b is None else (x, w, b), bwd)
+    return out
+
+
+_MASKED_SCORE = -1e9  # the score of a padded key, before the softmax
+
+
+def attention(q, k, v, key_mask, heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one node.
+
+    ``q``, ``k``, ``v``: (B, L, D), split along D into ``heads`` slices of
+    dh = D / heads. Per head, softmax(q k^T / sqrt(dh)) v, where a key whose
+    ``key_mask`` (B, L) entry is False gets zero weight. Returns (B, L, D)
+    with the heads merged back in order.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    key_mask = np.asarray(key_mask, dtype=bool)
+    shape = q.data.shape
+    if (
+        len(shape) != 3
+        or k.data.shape != shape
+        or v.data.shape != shape
+        or key_mask.shape != shape[:2]
+        or heads < 1
+        or shape[2] % heads
+    ):
+        raise ContractError(
+            f"attention: incompatible shapes q {shape}, k {k.data.shape}, v {v.data.shape} "
+            f"and key mask {key_mask.shape} for {heads} heads"
+        )
+    B, L, D = shape
+    dh = D // heads
+    scale = np.asarray(dh**-0.5, dtype=q.data.dtype)
+
+    def split(a):  # (B, L, D) -> (B, H, L, dh), a view
+        return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, H, L, dh) -> (B, L, D)
+        return a.transpose(0, 2, 1, 3).reshape(B, L, D)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    weights = qh @ kh.transpose(0, 1, 3, 2)  # (B, H, L queries, L keys)
+    weights *= scale
+    np.copyto(weights, np.asarray(_MASKED_SCORE, dtype=weights.dtype), where=~key_mask[:, None, None, :])
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out_data = merge(weights @ vh)
+
+    def bwd():
+        g = split(out.grad)
+        if v.requires_grad:
+            _accumulate(v, merge(weights.transpose(0, 1, 3, 2) @ g))
+        if q.requires_grad or k.requires_grad:
+            # softmax backward; a padded key has weight 0, so its score gets 0
+            ds = g @ vh.transpose(0, 1, 3, 2)
+            ds -= (ds * weights).sum(axis=-1, keepdims=True)
+            ds *= weights
+            ds *= scale
+            if q.requires_grad:
+                _accumulate(q, merge(ds @ kh))
+            if k.requires_grad:
+                _accumulate(k, merge(ds.transpose(0, 1, 3, 2) @ qh))
+
+    out = _make(out_data, (q, k, v), bwd)
     return out
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    """Normalize the last axis (n) to zero mean / unit variance, then scale
+    by ``gain`` (n,) and shift by ``bias`` (n,)."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out_data = xhat * gain.data + bias.data
+    if gain.data.shape != (n,) or bias.data.shape != (n,):
+        raise ContractError(
+            f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must be ({n},)"
+        )
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def bwd():
-        g = out.grad
-        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        dxhat = g * gain.data
-        term = n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-        _accumulate(x, inv_std / n * term)
+        g2 = out.grad.reshape(-1, n)
+        xhat2 = xhat.reshape(-1, n)
+        if bias.requires_grad:
+            _accumulate(bias, g2.sum(axis=0))
+        gx = g2 * xhat2
+        if gain.requires_grad:
+            _accumulate(gain, gx.sum(axis=0))
+        if x.requires_grad:
+            # with d = g * gain: dx = inv_std * (d - mean(d) - xhat * mean(d * xhat))
+            mean_d = (g2 @ gain.data)[:, None] / n
+            mean_dx = (gx @ gain.data)[:, None] / n
+            dx = g2 * gain.data
+            dx -= mean_d
+            np.multiply(xhat2, mean_dx, out=gx)
+            dx -= gx
+            dx *= inv_std.reshape(-1, 1)
+            _accumulate(x, dx.reshape(x.data.shape))
 
     out = _make(out_data, (x, gain, bias), bwd)
     return out
@@ -411,19 +504,6 @@ def embedding_lookup(table, ids) -> Tensor:
         _accumulate(table, gt)
 
     out = _make(out_data, (table,), bwd)
-    return out
-
-
-def masked_fill(x, mask, value: float) -> Tensor:
-    """Replace entries where ``mask`` is True with ``value`` (no grad there)."""
-    x = as_tensor(x)
-    mask = np.asarray(mask, dtype=bool)
-    out_data = np.where(mask, np.asarray(value, dtype=x.data.dtype), x.data)
-
-    def bwd():
-        _accumulate(x, _unbroadcast(np.where(mask, 0.0, out.grad), x.data.shape))
-
-    out = _make(out_data, (x,), bwd)
     return out
 
 
@@ -547,57 +627,116 @@ def grad_check(f, x: Tensor, eps: float = 1e-6) -> float:
 
 
 class AdamState:
-    """First/second moment averages keyed like the parameter dict."""
+    """Adam's step count and moments, over parameters laid out flat.
+
+    ``bind`` copies a parameter dict into one flat buffer, in sorted name
+    order, and makes each entry a view into it; the two moments are flat
+    buffers of the same layout, and ``m``/``v`` map each name to its view
+    (the form a checkpoint stores). An entry replaced since the last
+    ``bind`` (a new array, not an in-place edit) is seen at the next one,
+    which lays the current values and moments out afresh; a moment with no
+    entry starts at zero.
+    """
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: int = 0
+        self._views: dict[str, np.ndarray] = {}
+        self._layout: list[tuple[str, slice, tuple]] = []
+        self._params = self._m = self._v = None
+
+    def bind(self, params: dict[str, np.ndarray]) -> None:
+        views = self._views
+        if len(params) == len(views) and all(views.get(k) is a for k, a in params.items()):
+            return
+        if not params:
+            raise ContractError("adam: no parameters")
+        names = sorted(params)
+        dtype = np.result_type(*params.values())
+        self._layout, start = [], 0
+        for name in names:
+            shape = np.shape(params[name])
+            size = int(np.prod(shape))
+            self._layout.append((name, slice(start, start + size), shape))
+            start += size
+        self._params = np.concatenate([np.ravel(params[k]) for k in names], dtype=dtype)
+        self._m = self._flatten(self.m, dtype, "moment")
+        self._v = self._flatten(self.v, dtype, "moment")
+        self.m, self.v = {}, {}
+        for name, span, shape in self._layout:
+            params[name] = self._params[span].reshape(shape)
+            self.m[name] = self._m[span].reshape(shape)
+            self.v[name] = self._v[span].reshape(shape)
+        self._views = dict(params)
+
+    def _flatten(self, arrays: dict, dtype, what: str) -> np.ndarray:
+        """``arrays`` concatenated in the bound layout, a missing entry as zeros."""
+        unknown = arrays.keys() - {name for name, _, _ in self._layout}
+        if unknown:
+            raise ContractError(f"adam: {what} for unknown parameter {sorted(unknown)[0]!r}")
+        parts = []
+        for name, span, shape in self._layout:
+            a = arrays.get(name)
+            if a is None:
+                a = np.zeros(span.stop - span.start, dtype=dtype)
+            elif np.shape(a) != shape:
+                raise ContractError(f"adam: {name}: {what} shape {np.shape(a)} != param shape {shape}")
+            parts.append(np.ravel(a))
+        return np.concatenate(parts, dtype=dtype)
+
+    def flat_grad(self, params: dict[str, np.ndarray], grads: dict) -> np.ndarray:
+        """Bind ``params`` and return ``grads`` concatenated in its layout, a
+        missing or None gradient as zeros. Raises NumericError, naming the
+        parameter, when any entry is not finite."""
+        self.bind(params)
+        present = {k: g for k, g in grads.items() if g is not None}
+        flat = self._flatten(present, self._params.dtype, "gradient")
+        if not np.isfinite(flat).all():
+            bad = next(k for k, g in present.items() if not np.all(np.isfinite(g)))
+            raise NumericError(f"non-finite gradient for {bad!r}")
+        return flat
 
 
 def adam_step(
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> dict[str, np.ndarray]:
-    """One Adam update with bias correction. Aborts (no mutation) on a
-    non-finite gradient."""
-    for name, g in grads.items():
-        if name not in params:
-            raise ContractError(f"adam_step: gradient for unknown parameter {name!r}")
-        if g.shape != params[name].shape:
-            raise ContractError(
-                f"adam_step: {name}: grad shape {g.shape} != param shape {params[name].shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"adam_step: non-finite gradient for {name!r}")
+) -> None:
+    """One Adam update with bias correction, in place: ``grad`` is the flat
+    gradient ``state.flat_grad`` returned for ``params``, and the moments
+    and every parameter view move in place."""
+    state.bind(params)
+    if grad.shape != state._params.shape:
+        raise ContractError(f"adam_step: flat gradient {grad.shape} != parameters {state._params.shape}")
     state.t += 1
     t = state.t
-    new_params = dict(params)
-    for name, g in grads.items():
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(params[name])
-            v = np.zeros_like(params[name])
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params
+    m, v = state._m, state._v
+    m *= beta1
+    scratch = grad * (1.0 - beta1)
+    m += scratch
+    v *= beta2
+    np.multiply(grad, grad, out=scratch)
+    scratch *= 1.0 - beta2
+    v += scratch
+    denom = v / (1.0 - beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - beta1**t, out=scratch)
+    scratch *= lr
+    scratch /= denom
+    state._params -= scratch
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    total = float(sum(float((g * g).sum()) for g in grads.values()))
-    norm = total**0.5
-    if norm <= max_norm or norm == 0.0:
-        return grads
-    scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """The L2 norm of a flat gradient. When it exceeds ``max_norm`` > 0, the
+    gradient is scaled in place to that norm. Returns the norm before
+    clipping."""
+    norm = float(np.dot(grad, grad)) ** 0.5
+    if 0.0 < max_norm < norm:
+        grad *= max_norm / norm
+    return norm

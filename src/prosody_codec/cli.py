@@ -23,12 +23,19 @@ from . import analysis as an
 from . import metrics as mx
 from .config import RunConfig, dumps_config, load_config
 from .containers import write_container
-from .corpus import Corpus, parse_manifest, read_manifest, record_audio, write_synth_corpus
+from .corpus import (
+    Corpus,
+    inference_batches,
+    parse_manifest,
+    read_manifest,
+    record_audio,
+    write_synth_corpus,
+)
 from .dsp import estimate_f0, frame_rms, invert_mel, load_wav, save_wav
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .model import CodecModel, load_model
 from .quantizer import CodeSequence, decode_vectors, usage_stats
-from .training import evaluate, new_train_state, train
+from .training import evaluate, new_train_state, reconstruction_scores, score_report, train
 
 
 class _UsageError(Exception):
@@ -337,11 +344,21 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_usage(cfg: RunConfig) -> dict:
-    corpus, model, utts, sequences = _analysis_inputs(cfg)
+    corpus, model = _corpus(cfg), _model(cfg)
+    utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
+    two_levels = model.rvq.n_levels > 1
+    # one encode per batch serves the codes and both reconstructions
+    sequences, full, level1 = [], [], []
+    for chunk, batch in inference_batches(utts):
+        codes, recons, recons_l1 = model.codes_and_reconstructions(batch, level1=two_levels)
+        sequences += codes
+        full += reconstruction_scores(chunk, recons)
+        if two_levels:
+            level1 += reconstruction_scores(chunk, recons_l1)
     k = model.cfg.codebook_size
     stats = usage_stats(sequences, k)
-    rep_full = evaluate(model, utts)
-    rep_l1 = evaluate(model, utts, level1_only=True) if model.rvq.n_levels > 1 else rep_full
+    rep_full = score_report(full)
+    rep_l1 = score_report(level1) if two_levels else rep_full
     dependency = (
         an.level_dependency(sequences, k) if model.rvq.n_levels > 1 else 0.0
     )

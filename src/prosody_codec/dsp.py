@@ -46,6 +46,9 @@ class MelSpectrogram:
             raise ContractError(f"MelSpectrogram: bad shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ContractError("MelSpectrogram: values must be finite")
+        for name in ("hop_length", "n_fft", "sample_rate"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"MelSpectrogram: {name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def n_frames(self) -> int:
@@ -327,6 +330,8 @@ def estimate_f0(
     frames come back unvoiced with f0 = 0.
     """
     _require_hop(hop_length, "estimate_f0")
+    if win_length < 1:
+        raise ContractError(f"estimate_f0: win_length must be >= 1, got {win_length}")
     sr = audio.sample_rate
     if not (0 < f_min < f_max < sr / 2):
         raise ContractError(f"estimate_f0: need 0 < f_min < f_max < {sr / 2}")

@@ -25,9 +25,6 @@ from .dsp import MelSpectrogram
 from .errors import ContractError, DataError
 from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward
 
-_NEG_INF = -1e9
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -115,20 +112,10 @@ def _ffn(pt: dict, prefix: str, x: Tensor) -> Tensor:
 
 
 def _attention(pt: dict, prefix: str, x: Tensor, mask: np.ndarray, heads: int) -> Tensor:
-    B, L, D = x.data.shape
-    dh = D // heads
     q = ad.linear(x, pt[prefix + ".wq"], pt[prefix + ".bq"])
     k = ad.linear(x, pt[prefix + ".wk"], pt[prefix + ".bk"])
     v = ad.linear(x, pt[prefix + ".wv"], pt[prefix + ".bv"])
-    q = ad.transpose(ad.reshape(q, (B, L, heads, dh)), (0, 2, 1, 3))
-    k = ad.transpose(ad.reshape(k, (B, L, heads, dh)), (0, 2, 1, 3))
-    v = ad.transpose(ad.reshape(v, (B, L, heads, dh)), (0, 2, 1, 3))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), dh**-0.5)
-    pad = ~mask[:, None, None, :]  # mask out padded keys
-    scores = ad.masked_fill(scores, pad, _NEG_INF)
-    attn = ad.softmax(scores, axis=-1)
-    out = ad.matmul(attn, v)
-    out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, L, D))
+    out = ad.attention(q, k, v, mask, heads)  # padded keys get no weight
     return ad.linear(out, pt[prefix + ".wo"], pt[prefix + ".bo"])
 
 
@@ -337,8 +324,7 @@ class CodecModel:
         self._require_rvq("encode")
         _, _, z = self.encode_batch(self.param_tensors(train=False), batch)
         codes, _, _ = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
-        indices, vectors = (_unpad(a, batch.phoneme_mask) for a in (codes.indices, codes.vectors))
-        return [CodeSequence(indices=i, vectors=v) for i, v in zip(indices, vectors)]
+        return self._sequences(codes, batch)
 
     def reconstruct_batch(
         self, batch: Batch, bypass: bool = False, level1_only: bool = False
@@ -353,6 +339,27 @@ class CodecModel:
             if level1_only:
                 latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
         return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
+
+    def codes_and_reconstructions(
+        self, batch: Batch, level1: bool
+    ) -> tuple[list[CodeSequence], list[MelSpectrogram], list[MelSpectrogram] | None]:
+        """What ``codes_batch`` and ``reconstruct_batch`` return, from one
+        encode and quantization; with ``level1``, also the level-1-only
+        reconstructions, decoded from the same codes (else None)."""
+        self._require_rvq("reconstruct")
+        pt = self.param_tensors(train=False)
+        ling, w, z = self.encode_batch(pt, batch)
+        codes, latent, _ = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
+        full = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
+        partial = None
+        if level1:
+            latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
+            partial = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
+        return self._sequences(codes, batch), full, partial
+
+    def _sequences(self, codes: CodeSequence, batch: Batch) -> list[CodeSequence]:
+        indices, vectors = (_unpad(a, batch.phoneme_mask) for a in (codes.indices, codes.vectors))
+        return [CodeSequence(indices=i, vectors=v) for i, v in zip(indices, vectors)]
 
     def _latent(self, vectors: np.ndarray) -> Tensor:
         return Tensor(np.asarray(vectors).astype(self.dtype))

@@ -133,19 +133,13 @@ def train_step(state: TrainState, batch: Batch) -> dict:
     try:
         total, parts, out = compute_loss(model, pt, batch)
         ad.backward(total)
-        grads = {}
-        for name, t in pt.items():
-            if t.grad is not None:
-                if not np.all(np.isfinite(t.grad)):
-                    raise NumericError(f"non-finite gradient for {name!r}")
-                grads[name] = t.grad
-        if tcfg.grad_clip > 0:
-            grads = ad.clip_global_norm(grads, tcfg.grad_clip)
+        grad = state.opt.flat_grad(model.params, {name: t.grad for name, t in pt.items()})
+        grad_norm = ad.clip_global_norm(grad, tcfg.grad_clip)
         lr = tcfg.learning_rate
         if tcfg.warmup_steps > 0:
             lr *= min(1.0, state.step / tcfg.warmup_steps)
-        if tcfg.learning_rate > 0 and grads:
-            model.params = ad.adam_step(model.params, grads, state.opt, lr)
+        if tcfg.learning_rate > 0:
+            ad.adam_step(model.params, grad, state.opt, lr)
         reinit = 0
         if model.rvq is not None:
             reinit = _codebook_updates(
@@ -158,6 +152,8 @@ def train_step(state: TrainState, batch: Batch) -> dict:
             "l2": parts["l2"],
             "commit": parts["commitment"],
             "reinit": reinit,
+            "grad_norm": grad_norm,
+            "lr": lr,
         }
         if out["codes"] is not None:
             k = model.cfg.codebook_size
@@ -178,13 +174,25 @@ def evaluate(model: CodecModel, eval_set: list[Utterance], level1_only: bool = F
     batches; optionally with the level-2 code contribution zeroed out."""
     if not eval_set:
         raise ContractError("evaluate: empty eval set")
-    l1s, psnrs = [], []
+    scores = []
     for chunk, batch in inference_batches(eval_set):
         recons = model.reconstruct_batch(batch, bypass=model.rvq is None, level1_only=level1_only)
-        for utt, recon in zip(chunk, recons):
-            l1s.append(float(np.mean(np.abs(recon.values - utt.mel.values))))
-            psnrs.append(mx.psnr_mel(utt.mel, recon))
-    return {"l1": float(np.mean(l1s)), "psnr": float(np.mean(psnrs)), "n": len(eval_set)}
+        scores += reconstruction_scores(chunk, recons)
+    return score_report(scores)
+
+
+def reconstruction_scores(utterances: list[Utterance], recons: list) -> list[tuple[float, float]]:
+    """(L1, PSNR) of each reconstruction against its utterance's mel."""
+    return [
+        (float(np.mean(np.abs(r.values - u.mel.values))), mx.psnr_mel(u.mel, r))
+        for u, r in zip(utterances, recons)
+    ]
+
+
+def score_report(scores: list[tuple[float, float]]) -> dict:
+    """Mean L1 and PSNR over per-utterance scores."""
+    l1s, psnrs = zip(*scores)
+    return {"l1": float(np.mean(l1s)), "psnr": float(np.mean(psnrs)), "n": len(scores)}
 
 
 # ---------------------------------------------------------------------------

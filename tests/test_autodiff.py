@@ -23,7 +23,12 @@ CONST_V4 = RNG.normal(size=4)
 KERNEL = RNG.normal(size=(3, 4))
 CONV_INPUT = RNG.normal(size=(2, 5, 4))
 TABLE_IDS = np.array([[0, 2], [1, 1]])
-MASK = RNG.random((3, 4)) > 0.5
+X3 = RNG.normal(size=(2, 5, 4))
+W_OUT = RNG.normal(size=(4, 3))
+GAIN = RNG.normal(size=4)
+# attention inputs: (B=2, L=4, D=6) in 2 heads; batch row 0 has one padded key
+Q_ATT, K_ATT, V_ATT = (RNG.normal(size=(2, 4, 6)) for _ in range(3))
+KEY_MASK = np.array([[True, True, True, False], [True, True, True, True]])
 
 OP_CASES = {
     "add": ((3, 4), lambda x: ad.tsum(ad.mul(ad.add(x, CONST_A), ad.add(x, CONST_A)))),
@@ -46,8 +51,21 @@ OP_CASES = {
         lambda x: ad.tsum(ad.power(ad.matmul(x, ad.transpose(x, (0, 2, 1))), 2.0)),
     ),
     "linear": ((3, 4), lambda x: ad.tsum(ad.swish(ad.linear(x, Tensor(CONST_B), Tensor(np.ones(2)))))),
-    "softmax": ((3, 5), lambda x: ad.tsum(ad.power(ad.softmax(x, axis=-1), 2.0))),
-    "softmax_axis0": ((3, 5), lambda x: ad.tsum(ad.power(ad.softmax(x, axis=0), 2.0))),
+    "linear_3d_x": ((2, 5, 4), lambda x: ad.tsum(ad.swish(ad.linear(x, Tensor(W_OUT), Tensor(np.ones(3)))))),
+    "linear_3d_w": ((4, 3), lambda w: ad.tsum(ad.swish(ad.linear(Tensor(X3), w, Tensor(np.ones(3)))))),
+    "linear_3d_b": ((3,), lambda b: ad.tsum(ad.swish(ad.linear(Tensor(X3), Tensor(W_OUT), b)))),
+    "attention_query": (
+        (2, 4, 6),
+        lambda q: ad.tsum(ad.power(ad.attention(q, Tensor(K_ATT), Tensor(V_ATT), KEY_MASK, 2), 2.0)),
+    ),
+    "attention_key": (
+        (2, 4, 6),
+        lambda k: ad.tsum(ad.power(ad.attention(Tensor(Q_ATT), k, Tensor(V_ATT), KEY_MASK, 2), 2.0)),
+    ),
+    "attention_value": (
+        (2, 4, 6),
+        lambda v: ad.tsum(ad.power(ad.attention(Tensor(Q_ATT), Tensor(K_ATT), v, KEY_MASK, 2), 2.0)),
+    ),
     "layer_norm": (
         (2, 4),
         lambda x: ad.tsum(ad.power(ad.layer_norm(x, Tensor(CONST_V4), Tensor(CONST_V4 * 0.1)), 2.0)),
@@ -56,11 +74,22 @@ OP_CASES = {
         (4,),
         lambda g: ad.tsum(ad.power(ad.layer_norm(Tensor(CONST_A), g, Tensor(np.zeros(4))), 2.0)),
     ),
+    "layer_norm_3d": (
+        (2, 5, 4),
+        lambda x: ad.tsum(ad.power(ad.layer_norm(x, Tensor(GAIN), Tensor(CONST_V4)), 3.0)),
+    ),
+    "layer_norm_3d_gain": (
+        (4,),
+        lambda g: ad.tsum(ad.power(ad.layer_norm(Tensor(X3), g, Tensor(CONST_V4)), 3.0)),
+    ),
+    "layer_norm_3d_bias": (
+        (4,),
+        lambda b: ad.tsum(ad.power(ad.layer_norm(Tensor(X3), Tensor(GAIN), b), 3.0)),
+    ),
     "conv1d_3d": ((2, 5, 4), lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(x, Tensor(KERNEL)), 2.0))),
     "conv1d_2d": ((5, 4), lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(x, Tensor(KERNEL)), 2.0))),
     "conv1d_kernel": ((3, 4), lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(CONV_INPUT), w), 2.0))),
     "embedding": ((4, 3), lambda tab: ad.tsum(ad.power(ad.embedding_lookup(tab, TABLE_IDS), 2.0))),
-    "masked_fill": ((3, 4), lambda x: ad.tsum(ad.power(ad.masked_fill(x, MASK, 0.5), 2.0))),
     "tsum_axis": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=1), 2.0))),
     "tsum_keepdims": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=0, keepdims=True), 2.0))),
     "tmean": ((3, 4), lambda x: ad.tsum(ad.power(ad.tmean(x, axis=-1), 2.0))),
@@ -87,11 +116,31 @@ def test_grad_check_analytic_quadratic():
     assert err < 1e-8
 
 
-def test_softmax_uniform_rows():
-    out = ad.softmax(Tensor(np.zeros(4)))
-    np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-15)
-    rows = ad.softmax(t((5, 7)), axis=-1)
-    np.testing.assert_allclose(rows.data.sum(axis=-1), np.ones(5), atol=1e-12)
+def test_attention_uniform_weights_average_values():
+    # equal keys give every valid key the same weight: each output row is
+    # the mean of the valid value rows, whatever the queries
+    keys = Tensor(np.ones((2, 4, 6)))
+    out = ad.attention(Tensor(Q_ATT), keys, Tensor(V_ATT), KEY_MASK, 2)
+    for b in range(2):
+        mean = V_ATT[b][KEY_MASK[b]].mean(axis=0)
+        np.testing.assert_allclose(out.data[b], np.broadcast_to(mean, (4, 6)), atol=1e-12)
+
+
+def test_attention_shape_error_names_shapes():
+    q = Tensor(Q_ATT)
+    with pytest.raises(ContractError, match=r"\(2, 4, 6\)"):
+        ad.attention(q, Tensor(K_ATT[:, :3]), Tensor(V_ATT), KEY_MASK, 2)
+    with pytest.raises(ContractError):
+        ad.attention(q, Tensor(K_ATT), Tensor(V_ATT), KEY_MASK, 4)  # 6 is not a multiple of 4
+    with pytest.raises(ContractError):
+        ad.attention(q, Tensor(K_ATT), Tensor(V_ATT), KEY_MASK[:, :3], 2)
+
+
+def test_linear_shape_error():
+    with pytest.raises(ContractError):
+        ad.linear(Tensor(X3), Tensor(CONST_A))  # 4 features into a (3, 4) weight
+    with pytest.raises(ContractError):
+        ad.linear(Tensor(X3), Tensor(W_OUT), Tensor(np.ones(4)))  # bias must be (3,)
 
 
 def test_layer_norm_zero_mean_unit_variance():
@@ -159,8 +208,8 @@ def test_straight_through_op_bit_exact():
 
 
 def test_backward_does_not_corrupt_forward_values():
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    h = ad.softmax(ad.matmul(x, Tensor(CONST_B)), axis=-1)
+    x = Tensor(RNG.normal(size=(2, 4, 6)), requires_grad=True)
+    h = ad.layer_norm(ad.attention(x, x, x, KEY_MASK, 2), Tensor(np.ones(6)), Tensor(np.zeros(6)))
     snapshot = h.data.copy()
     ad.backward(ad.tsum(ad.power(h, 2.0)))
     np.testing.assert_array_equal(h.data, snapshot)
@@ -209,11 +258,16 @@ def _adam_reference(x0, grad_fn, lr, steps, b1=0.9, b2=0.999, eps=1e-8):
     return x
 
 
+def _adam(params, grads, state, lr):
+    """One step the way the trainer takes it: flat gradient, then Adam."""
+    ad.adam_step(params, state.flat_grad(params, grads), state, lr)
+
+
 def test_adam_zero_gradients_leave_params_unchanged():
     params = {"w": RNG.normal(size=(3, 2))}
     before = params["w"].copy()
     state = AdamState()
-    params = ad.adam_step(params, {"w": np.zeros((3, 2))}, state, lr=1e-2)
+    _adam(params, {"w": np.zeros((3, 2))}, state, lr=1e-2)
     np.testing.assert_array_equal(params["w"], before)
 
 
@@ -222,7 +276,7 @@ def test_adam_constant_gradient_moves_monotonically():
     state = AdamState()
     values = [0.0]
     for _ in range(50):
-        params = ad.adam_step(params, {"w": np.ones(1) * 3.0}, state, lr=1e-2)
+        _adam(params, {"w": np.ones(1) * 3.0}, state, lr=1e-2)
         values.append(float(params["w"][0]))
     diffs = np.diff(values)
     assert np.all(diffs < 0)  # opposite to the gradient sign, every step
@@ -233,9 +287,44 @@ def test_adam_matches_reference_recurrence():
     params = {"x": x0.copy()}
     state = AdamState()
     for _ in range(200):
-        params = ad.adam_step(params, {"x": 2 * params["x"]}, state, lr=1e-2)
+        _adam(params, {"x": 2 * params["x"]}, state, lr=1e-2)
     expected = _adam_reference(x0, lambda x: 2 * x, lr=1e-2, steps=200)
     np.testing.assert_allclose(params["x"], expected, rtol=1e-12, atol=1e-15)
+
+
+def test_flat_adam_matches_reference_per_parameter():
+    # several parameters of different shapes share the flat buffers; each
+    # follows its own reference recurrence
+    x0 = {"b": RNG.normal(size=3), "a": RNG.normal(size=(2, 3)), "c": RNG.normal(size=(1,))}
+    scale = {"a": 2.0, "b": 0.5, "c": 3.0}
+    params = {k: v.copy() for k, v in x0.items()}
+    state = AdamState()
+    for _ in range(200):
+        _adam(params, {k: scale[k] * params[k] for k in params}, state, lr=1e-2)
+    for k in x0:
+        expected = _adam_reference(x0[k], lambda x, s=scale[k]: s * x, lr=1e-2, steps=200)
+        np.testing.assert_allclose(params[k], expected, rtol=1e-12, atol=1e-15)
+    # parameters and moments are views into one buffer each
+    for views in (params, state.m, state.v):
+        base = views["a"].base
+        assert base is not None and all(a.base is base for a in views.values())
+
+
+def test_adam_picks_up_a_replaced_entry():
+    x0 = np.array([0.7, -0.3, 0.2])
+    params = {"x": x0.copy(), "y": np.ones(2)}
+    state = AdamState()
+    for _ in range(3):
+        _adam(params, {"x": 2 * params["x"], "y": np.ones(2)}, state, lr=1e-2)
+    moments = state.m["x"].copy(), state.v["x"].copy()
+    params["x"] = x0.copy()  # a new array, not an in-place edit
+    _adam(params, {"x": 2 * params["x"], "y": np.ones(2)}, state, lr=1e-2)
+    # the step moved the new values, carrying the moments over
+    m = 0.9 * moments[0] + 0.1 * (2 * x0)
+    v = 0.999 * moments[1] + 0.001 * (2 * x0) ** 2
+    expected = x0 - 1e-2 * (m / (1 - 0.9**4)) / (np.sqrt(v / (1 - 0.999**4)) + 1e-8)
+    np.testing.assert_allclose(params["x"], expected, rtol=1e-12)
+    assert params["x"].base is params["y"].base
 
 
 def test_adam_quadratic_bowl_converges():
@@ -246,25 +335,35 @@ def test_adam_quadratic_bowl_converges():
     params = {"x": x0.copy()}
     state = AdamState()
     for _ in range(500):
-        params = ad.adam_step(params, {"x": 2 * params["x"]}, state, lr=1e-2)
+        _adam(params, {"x": 2 * params["x"]}, state, lr=1e-2)
     assert np.linalg.norm(params["x"]) < 1e-3
 
 
 def test_adam_rejects_nonfinite_gradient():
     params = {"w": np.ones(2)}
     state = AdamState()
-    with pytest.raises(NumericError):
-        ad.adam_step(params, {"w": np.array([np.nan, 1.0])}, state, lr=1e-3)
+    with pytest.raises(NumericError, match="'w'"):
+        _adam(params, {"w": np.array([np.nan, 1.0])}, state, lr=1e-3)
     np.testing.assert_array_equal(params["w"], np.ones(2))  # step aborted
+    assert state.t == 0
+
+
+def test_adam_rejects_unknown_or_misshapen_gradient():
+    params = {"w": np.ones(2)}
+    with pytest.raises(ContractError):
+        AdamState().flat_grad(params, {"u": np.ones(2)})
+    with pytest.raises(ContractError):
+        AdamState().flat_grad(params, {"w": np.ones(3)})
 
 
 def test_clip_global_norm():
-    grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}  # norm sqrt(36+144)
-    clipped = ad.clip_global_norm(grads, 1.0)
-    total = sum(float((g * g).sum()) for g in clipped.values())
-    np.testing.assert_allclose(np.sqrt(total), 1.0, rtol=1e-12)
-    small = {"a": np.full(2, 0.1)}
-    assert ad.clip_global_norm(small, 1.0) is small
+    grad = np.concatenate([np.full(4, 3.0), np.full(9, 4.0)])  # norm sqrt(36+144)
+    norm = ad.clip_global_norm(grad, 1.0)
+    np.testing.assert_allclose(norm, np.sqrt(180.0), rtol=1e-12)
+    np.testing.assert_allclose(np.sqrt(float((grad * grad).sum())), 1.0, rtol=1e-12)
+    small = np.full(2, 0.1)
+    np.testing.assert_allclose(ad.clip_global_norm(small, 1.0), np.sqrt(0.02), rtol=1e-12)
+    np.testing.assert_array_equal(small, np.full(2, 0.1))  # under the limit: untouched
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +383,18 @@ def test_matmul_gradient_property(m, k, n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=2, max_size=8))
-def test_softmax_simplex_property(values):
-    out = ad.softmax(Tensor(np.array(values)))
-    assert np.all(out.data >= 0)
-    np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-9)
+@given(st.lists(st.floats(-10, 10), min_size=2, max_size=8), st.integers(0, 7))
+def test_attention_weights_simplex_property(scores, n_pad):
+    # with one-hot values the output row is the weight row itself: weights
+    # are nonnegative, sum to one, and are zero on padded keys
+    L = len(scores)
+    n_pad = min(n_pad, L - 1)
+    mask = np.arange(L)[None, :] < L - n_pad
+    q = np.ones((1, L, 1))
+    k = np.array(scores)[None, :, None]
+    v = np.eye(L)[None]
+    q, k = np.repeat(q, L, axis=2), np.repeat(k, L, axis=2)  # D = L, one head
+    out = ad.attention(Tensor(q), Tensor(k / np.sqrt(L)), Tensor(v), mask, 1).data[0]
+    assert np.all(out >= 0)
+    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
+    assert np.all(out[:, ~mask[0]] == 0)

@@ -1,11 +1,15 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from prosody_codec import cli
+from prosody_codec import corpus as corpus_module
+from prosody_codec import model as model_module
 from prosody_codec.config import RunConfig, dumps_config, load_config, loads_config
+from prosody_codec.containers import read_container, write_container
 from prosody_codec.errors import ConfigError
 
 
@@ -146,6 +150,19 @@ def test_missing_checkpoint_exit_2(tmp_path):
 # pipeline commands
 
 
+def test_bad_cache_header_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    os.makedirs(tmp_path / "data", exist_ok=True)
+    assert cli.main(["synth-data", "--config", config]) == 0
+    assert cli.main(["prepare", "--config", config]) == 0
+    cache_file = str(sorted((tmp_path / "cache").iterdir())[0])
+    meta, arrays = read_container(cache_file)
+    write_container(cache_file, meta={**meta, "n_fft": 0}, arrays=arrays)
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", config]) == 2
+    assert "n_fft must be >= 1" in capsys.readouterr().err
+
+
 def test_train_emits_log_and_checkpoint(pipeline):
     root, _ = pipeline
     assert (root / "ckpt" / "latest.ckpt").exists()
@@ -165,6 +182,30 @@ def test_analyze_usage_report(pipeline):
     assert np.isfinite(payload["psnr_full"])
     assert np.isfinite(payload["psnr_level1_only"])
     assert (root / "reports" / "usage.csv").exists()
+
+
+def test_analyze_usage_encodes_once_per_batch(pipeline, monkeypatch):
+    # one encode per inference batch serves the codes and both decodes
+    root, config = pipeline
+    calls = Counter()
+    real_stack, real_batches = model_module.conformer_stack, cli.inference_batches
+
+    def counting_stack(pt, stack, *args):
+        calls[stack] += 1
+        return real_stack(pt, stack, *args)
+
+    def counting_batches(utts):
+        for item in real_batches(utts):
+            calls["batch"] += 1
+            yield item
+
+    monkeypatch.setattr(model_module, "conformer_stack", counting_stack)
+    monkeypatch.setattr(cli, "inference_batches", counting_batches)
+    monkeypatch.setattr(corpus_module, "INFERENCE_BATCH", 2)  # several batches
+    assert cli.main(["analyze", "--config", config, "usage"]) == 0
+    n = calls["batch"]
+    assert n >= 2
+    assert (calls["penc"], calls["menc"], calls["dec"]) == (n, n, 2 * n)
 
 
 def test_analyze_entropy_report(pipeline):

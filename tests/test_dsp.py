@@ -308,6 +308,20 @@ def test_zero_hop_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("sizes", [(0, 1024, 22050), (256, 0, 22050), (256, 1024, 0)],
+                         ids=["hop_length", "n_fft", "sample_rate"])
+def test_mel_rejects_nonpositive_sizes(sizes):
+    # n_fft=0 used to reach invert_mel and fail there with a raw LinAlgError
+    with pytest.raises(ContractError, match="must be >= 1"):
+        invert_mel(MelSpectrogram(np.zeros((5, 80)), *sizes), 2)
+
+
+def test_estimate_f0_rejects_zero_window():
+    # used to raise a raw ValueError ("negative dimensions are not allowed")
+    with pytest.raises(ContractError, match="win_length must be >= 1"):
+        estimate_f0(sine(220.0, seconds=8192 / 22050), 50.0, 600.0, win_length=0)
+
+
 # ---------------------------------------------------------------------------
 # pitch
 

@@ -153,6 +153,37 @@ def test_usage_logged_per_level(tmp_path):
         assert {"l1", "l2", "commit"} <= set(r)
 
 
+def test_step_records_carry_grad_norm_and_lr(tmp_path):
+    corpus = tiny_corpus()
+    tcfg = TrainConfig(batch_size=2, max_steps=6, warmup_steps=4, learning_rate=2e-3,
+                       eval_every=1000, checkpoint_every=1000)
+    state = new_train_state(make_model(), tcfg)
+    log = tmp_path / "log.jsonl"
+    train(state, corpus, log_path=str(log))
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == list(range(1, 7))
+    for r in records:
+        assert np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
+        assert np.isfinite(r["lr"])
+        assert r["lr"] == pytest.approx(2e-3 * min(1.0, r["step"] / 4), rel=1e-12)
+
+
+def test_replaced_param_entry_is_picked_up_by_next_step():
+    # the trainer keeps params as views into a flat buffer; an entry
+    # replaced between steps must be what the next step updates
+    model = make_model()
+    state = new_train_state(model, TrainConfig(batch_size=2, max_steps=5, warmup_steps=0))
+    batch = make_batch([make_utt("a", seed=1), make_utt("b", seed=2)])
+    train_step(state, batch)
+    replacement = model.params["mel_out.b"] + 5.0
+    model.params["mel_out.b"] = replacement.copy()
+    train_step(state, batch)
+    moved = np.abs(model.params["mel_out.b"] - replacement).max()
+    assert 0 < moved < 2 * state.tcfg.learning_rate
+    assert model.params["mel_out.b"].base is model.params["mel_out.w"].base
+    assert state.opt.m["mel_out.b"].base is state.opt.m["mel_out.w"].base
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
