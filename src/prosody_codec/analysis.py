@@ -297,11 +297,7 @@ def synth_probe(model, reference: Utterance, code_pair, speaker_id: int) -> Audi
         raise ContractError(
             f"synth_probe: pair has {pair.size} levels, model has {model.rvq.n_levels}"
         )
-    n = reference.n_phonemes
-    indices = np.tile(pair, (n, 1))
-    from .quantizer import decode_vectors
-
-    codes = CodeSequence(indices=indices, vectors=decode_vectors(model.rvq, indices))
+    codes = CodeSequence(indices=np.tile(pair, (reference.n_phonemes, 1)))
     mel = model.decode_codes(codes, reference.phonemes, reference.durations, speaker_id)
     return invert_mel(mel, model.features.griffin_lim_iters, floor=model.features.log_floor)
 

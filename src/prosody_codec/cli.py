@@ -31,11 +31,18 @@ from .corpus import (
     record_audio,
     write_synth_corpus,
 )
-from .dsp import estimate_f0, frame_rms, invert_mel, load_wav, save_wav
+from .dsp import PitchContour, estimate_f0, frame_rms, invert_mel, load_wav, save_wav
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .model import CodecModel, load_model
-from .quantizer import CodeSequence, decode_vectors, usage_stats
-from .training import evaluate, new_train_state, reconstruction_scores, score_report, train
+from .quantizer import CodeSequence, usage_stats
+from .training import (
+    evaluate,
+    new_train_state,
+    reconstruction_scores,
+    save_checkpoint,
+    score_report,
+    train,
+)
 
 
 class _UsageError(Exception):
@@ -194,8 +201,6 @@ def _train_impl(cfg: RunConfig, continuous: bool) -> dict:
         checkpoint_dir=None if continuous else cfg.paths.checkpoint_dir,
         log_path=log_path,
     )
-    from .training import save_checkpoint
-
     save_checkpoint(state, _checkpoint_path(cfg, continuous))
     report = evaluate(state.model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction))
     return {
@@ -273,11 +278,8 @@ def cmd_shuffle_codes(args) -> int:
     def decode_shuffled(u):
         codes = model.encode_utterance(u)
         perm = rng.permutation(codes.indices.shape[0])
-        shuffled = CodeSequence(
-            indices=codes.indices[perm],
-            vectors=decode_vectors(model.rvq, codes.indices[perm]),
-        )
-        return model.reconstruct(u, override_codes=shuffled)
+        shuffled = CodeSequence(indices=codes.indices[perm])
+        return model.decode_codes(shuffled, u.phonemes, u.durations, u.speaker_id)
 
     _emit_resynth(cfg, model, utts, f"shuffled_seed{args.seed}", decode_shuffled)
     _echo_config(cfg)
@@ -621,7 +623,7 @@ def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, corpus: Corpus) -
     utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
     mcds, vdes, gpes, ffes, psnrs = [], [], [], [], []
     for utt in utts:
-        recon = model.reconstruct(utt, bypass_quantizer=model.rvq is None)
+        recon = model.reconstruct(utt)
         psnrs.append(mx.psnr_mel(utt.mel, recon))
         mcds.append(mx.mcd(utt.mel, recon))
         ref_audio = load_wav(audio_paths[utt.id])
@@ -629,8 +631,6 @@ def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, corpus: Corpus) -
         ref_c = _contour(ref_audio, cfg)
         hyp_c = _contour(hyp_audio, cfg)
         n = min(len(ref_c.f0), len(hyp_c.f0))
-        from .dsp import PitchContour
-
         vde, gpe, ffe = mx.f0_errors(
             PitchContour(ref_c.f0[:n], ref_c.voiced[:n]),
             PitchContour(hyp_c.f0[:n], hyp_c.voiced[:n]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -102,7 +103,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 500
     checkpoint_every: int = 1000
-    grad_clip: float = 1.0
+    grad_clip: float = 1.0  # global gradient-norm limit (0 = measure, do not clip)
     dead_code_threshold: float = 0.1  # fraction of the mean EMA count
     dead_code_every: int = 25
     eval_fraction: float = 0.0  # 0 = evaluate on the training set
@@ -119,6 +120,7 @@ class TrainConfig:
         _require(self.ema_epsilon > 0, f"{prefix}.ema_epsilon", "must be positive")
         _require(self.eval_every >= 1, f"{prefix}.eval_every", "must be >= 1")
         _require(self.checkpoint_every >= 1, f"{prefix}.checkpoint_every", "must be >= 1")
+        _require(0 <= self.grad_clip < math.inf, f"{prefix}.grad_clip", "must be finite and >= 0")
         _require(0 <= self.eval_fraction < 1, f"{prefix}.eval_fraction", "must be in [0, 1)")
         _require(self.dtype in ("float32", "float64"), f"{prefix}.dtype", "must be float32|float64")
 
@@ -301,8 +303,3 @@ def dumps_config(cfg: RunConfig) -> str:
         section = getattr(cfg, name)
         out[name] = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
     return json.dumps(out, indent=2) + "\n"
-
-
-def save_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_config(cfg))

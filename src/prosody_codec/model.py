@@ -1,7 +1,7 @@
 """The conditioned mel autoencoder: phoneme encoder, duration-driven Gaussian
 down/upsampling, linguistics-conditioned mel encoder, RVQ bottleneck, and a
-speaker-conditioned decoder. A quantizer bypass gives the continuous variant
-for the discrete-vs-continuous ablation.
+speaker-conditioned decoder. A model without a quantizer is the continuous
+variant for the discrete-vs-continuous ablation.
 
 Layout conventions: batched activations are (B, L, D); masks are boolean
 (B, L). Resampling weights are (B, T frames, N phonemes), rows summing to
@@ -98,6 +98,18 @@ def init_params(
             arr = rng.normal(0.0, scale, size=shape)
         params[name] = arr.astype(dtype)
     return params
+
+
+def _check_params(params: dict[str, np.ndarray], specs) -> None:
+    """Given parameters (from a checkpoint) must have exactly the names and
+    shapes the config implies."""
+    shapes = {name: shape for name, shape, _ in specs}
+    missing, unknown = sorted(shapes.keys() - params.keys()), sorted(params.keys() - shapes.keys())
+    if missing or unknown:
+        raise DataError(f"parameters disagree with the config: missing {missing}, unknown {unknown}")
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise DataError(f"parameter {name} has shape {params[name].shape}, the config needs {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +244,8 @@ class CodecModel:
                 raise ContractError(f"model.{name} is {declared}, but the model has {actual}")
         if cfg.n_mels != features.n_mels:
             raise ContractError(f"model.n_mels is {cfg.n_mels}, but features.n_mels is {features.n_mels}")
+        if params is not None:
+            _check_params(params, _param_specs(cfg, len(vocab), len(speakers)))
         self.cfg = cfg
         self.features = features
         self.vocab = vocab
@@ -326,18 +340,13 @@ class CodecModel:
         codes, _, _ = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
         return self._sequences(codes, batch)
 
-    def reconstruct_batch(
-        self, batch: Batch, bypass: bool = False, level1_only: bool = False
-    ) -> list[MelSpectrogram]:
-        """Encode then decode, each conformer stack once. ``bypass`` skips
-        quantization; ``level1_only`` decodes the level-1 codes alone."""
+    def reconstruct_batch(self, batch: Batch) -> list[MelSpectrogram]:
+        """Encode, quantize when the model has a quantizer, decode; each
+        conformer stack runs once."""
         pt = self.param_tensors(train=False)
         ling, w, latent = self.encode_batch(pt, batch)
-        if not bypass:
-            self._require_rvq("reconstruct")
-            codes, latent, _ = rvq_forward(self.rvq, latent, mask=batch.phoneme_mask)
-            if level1_only:
-                latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
+        if self.rvq is not None:
+            _, latent, _ = rvq_forward(self.rvq, latent, mask=batch.phoneme_mask)
         return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
 
     def codes_and_reconstructions(
@@ -358,8 +367,7 @@ class CodecModel:
         return self._sequences(codes, batch), full, partial
 
     def _sequences(self, codes: CodeSequence, batch: Batch) -> list[CodeSequence]:
-        indices, vectors = (_unpad(a, batch.phoneme_mask) for a in (codes.indices, codes.vectors))
-        return [CodeSequence(indices=i, vectors=v) for i, v in zip(indices, vectors)]
+        return [CodeSequence(indices=i) for i in _unpad(codes.indices, batch.phoneme_mask)]
 
     def _latent(self, vectors: np.ndarray) -> Tensor:
         return Tensor(np.asarray(vectors).astype(self.dtype))
@@ -400,17 +408,10 @@ class CodecModel:
         """Utterance -> per-phoneme code index tuples (speaker never enters)."""
         return self.codes_batch(self._single_batch(utt.phonemes, utt.durations, 0, utt.mel.values))[0]
 
-    def decode_codes(
-        self,
-        codes: CodeSequence,
-        phonemes,
-        durations,
-        speaker_id: int,
-        level1_only: bool = False,
-    ) -> MelSpectrogram:
+    def decode_codes(self, codes: CodeSequence, phonemes, durations, speaker_id: int) -> MelSpectrogram:
         """Code sequence + conditioning -> mel with sum(durations) frames."""
         self._require_rvq("decode_codes")
-        vectors = decode_vectors(self.rvq, codes.indices, level1_only=level1_only)
+        vectors = decode_vectors(self.rvq, codes.indices)
         return self.decode_continuous(vectors, phonemes, durations, speaker_id)
 
     def decode_continuous(self, z: np.ndarray, phonemes, durations, speaker_id: int) -> MelSpectrogram:
@@ -426,27 +427,11 @@ class CodecModel:
         ling, w, _ = self.encode_batch(pt, batch)
         return self._mels(self.decode_batch(pt, batch, self._latent(z[None]), ling, w), batch)[0]
 
-    def reconstruct(
-        self,
-        utt: Utterance,
-        override_speaker: int | None = None,
-        override_codes: CodeSequence | None = None,
-        bypass_quantizer: bool = False,
-    ) -> MelSpectrogram:
-        """Encode-then-decode with optional substitutions: a different
-        speaker embedding, externally supplied codes, or no quantization."""
+    def reconstruct(self, utt: Utterance, override_speaker: int | None = None) -> MelSpectrogram:
+        """Encode-then-decode, optionally with a different speaker embedding."""
         speaker = utt.speaker_id if override_speaker is None else int(override_speaker)
-        if override_codes is None:
-            batch = self._single_batch(utt.phonemes, utt.durations, speaker, utt.mel.values)
-            return self.reconstruct_batch(batch, bypass=bypass_quantizer)[0]
-        if bypass_quantizer:
-            raise ContractError("reconstruct: override_codes is meaningless with bypass")
-        if override_codes.indices.shape[0] != utt.n_phonemes:
-            raise ContractError(
-                f"reconstruct: override codes cover {override_codes.indices.shape[0]} phonemes, "
-                f"utterance has {utt.n_phonemes}"
-            )
-        return self.decode_codes(override_codes, utt.phonemes, utt.durations, speaker)
+        batch = self._single_batch(utt.phonemes, utt.durations, speaker, utt.mel.values)
+        return self.reconstruct_batch(batch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +476,23 @@ def save_model(model: CodecModel, path: str) -> None:
     write_container(path, meta=model_meta(model), arrays=model_arrays(model))
 
 
+def _require_keys(what: str, mapping: dict, keys) -> None:
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise DataError(f"checkpoint {what} lacks {', '.join(missing)}")
+
+
+def _config_from_meta(cls, meta: dict, key: str):
+    try:
+        return cls(**meta[key])
+    except TypeError as exc:  # an unknown key, or not an object
+        raise DataError(f"checkpoint {key}: {exc}") from None
+
+
 def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
+    """Rebuild a model from checkpoint meta and arrays. A missing key or
+    array, an unknown config key, or (checked by ``CodecModel``) a parameter
+    the config does not imply by name or shape is a DataError."""
     from .corpus import PhonemeVocab
     from .quantizer import Codebook
 
@@ -500,8 +501,9 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
             f"checkpoint format version mismatch: expected {FORMAT_VERSION}, "
             f"found {meta.get('format_version')}"
         )
-    cfg = ModelConfig(**meta["model_config"])
-    features = FeatureConfig(**meta["feature_config"])
+    _require_keys("meta", meta, ("model_config", "feature_config", "vocab", "speakers", "dtype", "rvq"))
+    cfg = _config_from_meta(ModelConfig, meta, "model_config")
+    features = _config_from_meta(FeatureConfig, meta, "feature_config")
     vocab = PhonemeVocab.from_json(meta["vocab"])
     dtype = np.dtype(meta["dtype"])
     params = {
@@ -510,9 +512,12 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
         if k.startswith("param.")
     }
     rvq = None
-    if meta.get("rvq") is not None:
+    if meta["rvq"] is not None:
+        _require_keys("rvq meta", meta["rvq"], ("beta", "levels"))
         books = []
         for l, info in enumerate(meta["rvq"]["levels"]):
+            _require_keys(f"rvq level {l} meta", info, ("decay", "epsilon", "initialized"))
+            _require_keys("arrays", arrays, [f"rvq.l{l}.{a}" for a in ("entries", "ema_count", "ema_sum")])
             books.append(
                 Codebook(
                     entries=arrays[f"rvq.l{l}.entries"],

@@ -99,11 +99,9 @@ def new_rvq(
 @dataclass
 class CodeSequence:
     indices: np.ndarray  # (..., L) per-position index tuples
-    vectors: np.ndarray  # (..., d) sum of selected entries
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
 
     @property
     def n_levels(self) -> int:
@@ -177,10 +175,7 @@ def rvq_forward(rvq: RVQ, x, mask: np.ndarray | None = None):
         commitment = ad.add(commitment, term)
     commitment = ad.mul(commitment, rvq.beta / rvq.n_levels)
     output = ad.straight_through(x, quantized_sum)
-    codes = CodeSequence(
-        indices=np.stack(indices_per_level, axis=-1), vectors=quantized_sum.copy()
-    )
-    return codes, output, commitment
+    return CodeSequence(indices=np.stack(indices_per_level, axis=-1)), output, commitment
 
 
 def decode_vectors(rvq: RVQ, indices: np.ndarray, level1_only: bool = False) -> np.ndarray:

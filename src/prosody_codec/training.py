@@ -20,7 +20,8 @@ from .config import TrainConfig
 from .containers import read_container, write_container
 from .corpus import Batch, Corpus, Utterance, inference_batches, make_batch
 from .errors import ContractError, NumericError
-from .model import FORMAT_VERSION, CodecModel, _model_from_parts, model_arrays, model_meta
+from .model import CodecModel, _model_from_parts, model_arrays, model_meta
+# quantize_level is unused here; perfbench/layers.py still wraps training.quantize_level
 from .quantizer import ema_update, quantize_level, reinit_dead_codes, seed_codebooks
 
 
@@ -96,20 +97,20 @@ def compute_loss(model: CodecModel, pt: dict, batch: Batch, bypass: bool = False
 # one optimization step
 
 
-def _codebook_updates(model: CodecModel, z: np.ndarray, mask: np.ndarray, state: TrainState):
-    """EMA update per level on that level's input residual, then optional
-    dead-code reinit. Assignments are recomputed with the same entries the
-    forward pass used, so they match it exactly."""
+def _codebook_updates(model: CodecModel, out: dict, mask: np.ndarray, state: TrainState):
+    """EMA update per level on that level's input residual, with the
+    assignments the forward pass made, then optional dead-code reinit."""
     rvq = model.rvq
-    flat = z.reshape(-1, rvq.dim).astype(np.float64)
+    residual = out["encoder_output"].data.reshape(-1, rvq.dim).astype(np.float64)
+    indices = out["codes"].indices.reshape(-1, rvq.n_levels)
     valid = mask.reshape(-1)
     reinit_now = (
         state.tcfg.dead_code_every > 0 and state.step % state.tcfg.dead_code_every == 0
     )
     reinit = 0
-    residual = flat
-    for book in rvq.levels:
-        idx, q, _ = quantize_level(book, residual)
+    for l, book in enumerate(rvq.levels):
+        idx = indices[:, l]
+        q = book.entries[idx]  # the entries the forward pass chose, before they move
         ema_update(book, idx[valid], residual[valid])
         if reinit_now:
             # recycle onto this level's own input residuals; threshold scales
@@ -142,9 +143,7 @@ def train_step(state: TrainState, batch: Batch) -> dict:
             ad.adam_step(model.params, grad, state.opt, lr)
         reinit = 0
         if model.rvq is not None:
-            reinit = _codebook_updates(
-                model, out["encoder_output"].data, batch.phoneme_mask, state
-            )
+            reinit = _codebook_updates(model, out, batch.phoneme_mask, state)
         record = {
             "step": state.step,
             "total": float(total.data),
@@ -169,14 +168,13 @@ def train_step(state: TrainState, batch: Batch) -> dict:
 # evaluation
 
 
-def evaluate(model: CodecModel, eval_set: list[Utterance], level1_only: bool = False) -> dict:
-    """Mean L1 and PSNR of reconstruction over an utterance set, in padded
-    batches; optionally with the level-2 code contribution zeroed out."""
+def evaluate(model: CodecModel, eval_set: list[Utterance]) -> dict:
+    """Mean L1 and PSNR of reconstruction over an utterance set, in padded batches."""
     if not eval_set:
         raise ContractError("evaluate: empty eval set")
     scores = []
     for chunk, batch in inference_batches(eval_set):
-        recons = model.reconstruct_batch(batch, bypass=model.rvq is None, level1_only=level1_only)
+        recons = model.reconstruct_batch(batch)
         scores += reconstruction_scores(chunk, recons)
     return score_report(scores)
 
@@ -219,13 +217,6 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 
 def load_checkpoint(path: str) -> TrainState:
     meta, arrays = read_container(path)
-    if meta.get("format_version") != FORMAT_VERSION:
-        from .errors import DataError
-
-        raise DataError(
-            f"checkpoint format version mismatch: expected {FORMAT_VERSION}, "
-            f"found {meta.get('format_version')}"
-        )
     model = _model_from_parts(meta, {k: v for k, v in arrays.items() if not k.startswith("opt.")})
     train_meta = meta.get("train", {})
     tcfg = TrainConfig(**train_meta.get("config", {}))

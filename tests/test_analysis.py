@@ -97,7 +97,7 @@ def test_entropy_bounds_invariant():
 
 def seq_of(c1, c2):
     idx = np.stack([np.asarray(c1), np.asarray(c2)], axis=-1)
-    return CodeSequence(indices=idx, vectors=np.zeros((len(c1), 1)))
+    return CodeSequence(indices=idx)
 
 
 def test_level_dependency_deterministic_is_zero():

@@ -139,6 +139,38 @@ def test_config_error_exit_1(tmp_path):
     assert cli.main(["train", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("grad_clip", [-1.0, float("nan"), float("inf")])
+def test_config_rejects_bad_grad_clip(grad_clip):
+    with pytest.raises(ConfigError, match="train.grad_clip"):
+        loads_config(json.dumps({"train": {"grad_clip": grad_clip}}))
+
+
+def test_config_grad_clip_zero_means_measure_only():
+    assert loads_config(json.dumps({"train": {"grad_clip": 0}})).train.grad_clip == 0.0
+
+
+def test_bad_grad_clip_exit_1(tmp_path, capsys):
+    config = write_config(tmp_path, train={"grad_clip": -1.0})
+    assert cli.main(["train", "--config", config]) == 1
+    assert "train.grad_clip" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
+    # the pipeline's data with a copy of its checkpoint, one parameter misshapen
+    root, _ = pipeline
+    config = write_config(
+        tmp_path,
+        paths={"manifest": str(root / "data" / "manifest.jsonl"), "cache_dir": str(root / "cache")},
+    )
+    meta, arrays = read_container(str(root / "ckpt" / "latest.ckpt"))
+    arrays["param.mel_out.w"] = np.zeros((3, 3), dtype=np.float32)
+    os.makedirs(tmp_path / "ckpt")
+    write_container(str(tmp_path / "ckpt" / "latest.ckpt"), meta, arrays)
+    capsys.readouterr()
+    assert cli.main(["resynth", "--config", config]) == 2
+    assert "mel_out.w has shape (3, 3)" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exit_2(tmp_path):
     config = write_config(tmp_path)
     os.makedirs(tmp_path / "data", exist_ok=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,6 @@ def test_encode_deterministic_and_speaker_blind():
     c = model.encode_utterance(relabeled)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.indices, c.indices)
-    assert np.array_equal(a.vectors, c.vectors)
 
 
 def test_decode_frame_count_is_duration_sum():
@@ -277,28 +278,9 @@ def test_reconstruct_with_shuffled_codes_keeps_shape():
     utt = make_utt(n=6, per=3)
     codes = model.encode_utterance(utt)
     perm = np.random.default_rng(7).permutation(6)
-    shuffled = CodeSequence(
-        indices=codes.indices[perm], vectors=decode_vectors(model.rvq, codes.indices[perm])
-    )
-    out = model.reconstruct(utt, override_codes=shuffled)
+    shuffled = CodeSequence(indices=codes.indices[perm])
+    out = model.decode_codes(shuffled, utt.phonemes, utt.durations, utt.speaker_id)
     assert out.values.shape == utt.mel.values.shape
-
-
-def test_reconstruct_bypass_finite_and_distinct():
-    model = make_model()
-    utt = make_utt()
-    bypassed = model.reconstruct(utt, bypass_quantizer=True)
-    assert np.all(np.isfinite(bypassed.values))
-    with pytest.raises(ContractError):
-        model.reconstruct(utt, bypass_quantizer=True, override_codes=model.encode_utterance(utt))
-
-
-def test_reconstruct_override_length_check():
-    model = make_model()
-    utt = make_utt(n=4)
-    short = model.encode_utterance(make_utt(uid="u1", n=3))
-    with pytest.raises(ContractError, match="override codes"):
-        model.reconstruct(utt, override_codes=short)
 
 
 def test_batch_matches_one_at_a_time():
@@ -315,20 +297,12 @@ def test_batch_matches_one_at_a_time():
     for utt, seq, recon in zip(utts, codes, recons):
         single = model.encode_utterance(utt)
         assert np.array_equal(seq.indices, single.indices)
-        assert np.array_equal(seq.vectors, single.vectors)
         assert recon.values.shape == utt.mel.values.shape
         np.testing.assert_allclose(recon.values, model.reconstruct(utt).values, rtol=1e-5, atol=1e-5)
-    for bypass, level1_only in ((True, False), (False, True)):
-        batched = model.reconstruct_batch(batch, bypass=bypass, level1_only=level1_only)
-        for utt, recon in zip(utts, batched):
-            if bypass:
-                single = model.reconstruct(utt, bypass_quantizer=True)
-            else:
-                single = model.decode_codes(
-                    model.encode_utterance(utt), utt.phonemes, utt.durations, utt.speaker_id,
-                    level1_only=True,
-                )
-            np.testing.assert_allclose(recon.values, single.values, rtol=1e-5, atol=1e-5)
+    continuous = make_model(seed=2, cfg=dataclasses.replace(TINY, quantization="none"))
+    for utt, recon in zip(utts, continuous.reconstruct_batch(batch)):
+        single = continuous.reconstruct(utt)
+        np.testing.assert_allclose(recon.values, single.values, rtol=1e-5, atol=1e-5)
 
 
 def test_each_conformer_stack_runs_once(monkeypatch):
@@ -360,13 +334,17 @@ def test_decode_speaker_out_of_range_rejected():
 
 
 def test_level1_only_decode_differs():
+    # the level-1 reconstructions `analyze usage` scores decode the level-1
+    # entries alone, from the same codes as the full ones
     model = make_model()
-    utt = make_utt()
-    codes = model.encode_utterance(utt)
-    full = model.decode_codes(codes, utt.phonemes, utt.durations, 0)
-    lvl1 = model.decode_codes(codes, utt.phonemes, utt.durations, 0, level1_only=True)
-    assert full.values.shape == lvl1.values.shape
-    assert np.all(np.isfinite(lvl1.values))
+    utts = [make_utt("a", seed=1), make_utt("b", speaker=1, n=6, per=3, seed=2)]
+    codes, full, lvl1 = model.codes_and_reconstructions(make_batch(utts), level1=True)
+    for utt, seq, f, l1 in zip(utts, codes, full, lvl1):
+        z = decode_vectors(model.rvq, seq.indices, level1_only=True)
+        single = model.decode_continuous(z, utt.phonemes, utt.durations, utt.speaker_id)
+        np.testing.assert_allclose(l1.values, single.values, rtol=1e-5, atol=1e-5)
+        assert f.values.shape == l1.values.shape
+        assert not np.array_equal(f.values, l1.values)
 
 
 def test_forward_output_finite_for_finite_inputs():
@@ -492,4 +470,42 @@ def test_checkpoint_version_mismatch(tmp_path):
     meta["format_version"] = 99
     write_container(str(path), meta, arrays)
     with pytest.raises(DataError, match="expected 1, found 99"):
+        load_model(str(path))
+
+
+def _corrupt(meta, arrays, case):
+    if case == "missing codebook array":
+        del arrays["rvq.l0.entries"]
+    elif case == "missing model_config":
+        del meta["model_config"]
+    elif case == "unknown model_config key":
+        meta["model_config"]["frobnicate"] = 1
+    elif case == "misshapen parameter":
+        arrays["param.mel_out.w"] = np.zeros((3, 3), dtype=np.float32)
+    elif case == "missing parameter":
+        del arrays["param.mel_out.b"]
+    elif case == "unknown parameter":
+        arrays["param.extra.w"] = np.zeros((2, 2), dtype=np.float32)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing codebook array", "arrays lacks rvq.l0.entries"),
+        ("missing model_config", "meta lacks model_config"),
+        ("unknown model_config key", "model_config: .*frobnicate"),
+        ("misshapen parameter", r"mel_out.w has shape \(3, 3\), the config needs \(16, 20\)"),
+        ("missing parameter", r"missing \['mel_out.b'\], unknown \[\]"),
+        ("unknown parameter", r"missing \[\], unknown \['extra.w'\]"),
+    ],
+)
+def test_malformed_checkpoint_is_data_error(tmp_path, case, message):
+    from prosody_codec.containers import read_container, write_container
+
+    path = tmp_path / "model.ckpt"
+    save_model(make_model(), str(path))
+    meta, arrays = read_container(str(path))
+    _corrupt(meta, arrays, case)
+    write_container(str(path), meta, arrays)
+    with pytest.raises(DataError, match=message):
         load_model(str(path))

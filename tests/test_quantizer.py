@@ -90,7 +90,7 @@ def test_rvq_exact_sum_gives_zero_residual_and_commitment():
         0.25 / 2 * float(((x - rvq.levels[0].entries[2]) ** 2).sum()), abs=1e-12
     )
     # final residual is zero, so x - output == 0
-    np.testing.assert_allclose(out.data - codes.vectors, 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.data - decode_vectors(rvq, codes.indices), 0.0, atol=1e-12)
 
 
 def test_rvq_one_level_equals_plain_vq():
@@ -120,7 +120,7 @@ def test_rvq_straight_through_bit_exact_and_identity_grad():
     rvq = new_rvq(levels=2, k=8, d=3, rng=rng)
     x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     codes, out, commitment = rvq_forward(rvq, x)
-    assert np.array_equal(out.data, codes.vectors)  # value identity, bitwise
+    assert np.array_equal(out.data, decode_vectors(rvq, codes.indices))  # value identity, bitwise
     ad.backward(ad.tsum(out))
     np.testing.assert_array_equal(x.grad, np.ones((6, 3)))
 
@@ -283,19 +283,19 @@ def test_reinit_empty_batch_rejected():
 
 def test_usage_full_coverage():
     indices = np.arange(256).reshape(-1, 1)
-    seq = CodeSequence(indices=indices, vectors=np.zeros((256, 1)))
+    seq = CodeSequence(indices=indices)
     stats = usage_stats([seq], 256)
     assert stats.usage == [1.0]
 
 
 def test_usage_single_code():
-    seq = CodeSequence(indices=np.zeros((10, 1), dtype=int), vectors=np.zeros((10, 1)))
+    seq = CodeSequence(indices=np.zeros((10, 1), dtype=int))
     stats = usage_stats([seq], 256)
     assert stats.usage == [1.0 / 256]
 
 
 def test_usage_histogram_counts():
-    seq = CodeSequence(indices=np.array([[0], [0], [3]]), vectors=np.zeros((3, 1)))
+    seq = CodeSequence(indices=np.array([[0], [0], [3]]))
     stats = usage_stats([seq], 4)
     np.testing.assert_array_equal(stats.histograms[0], [2, 0, 0, 1])
 

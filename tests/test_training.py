@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from prosody_codec import training
 from prosody_codec.autodiff import Tensor
 from prosody_codec.config import FeatureConfig, ModelConfig, SynthSpec, TrainConfig
 from prosody_codec.corpus import PhonemeVocab, Utterance, make_batch, synth_corpus
 from prosody_codec.dsp import MelSpectrogram
 from prosody_codec.errors import ContractError
 from prosody_codec.model import CodecModel
+from prosody_codec.quantizer import ema_update, quantize_level, reinit_dead_codes
 from prosody_codec.training import (
     compute_loss,
     evaluate,
@@ -204,7 +206,7 @@ def test_evaluate_empty_set_rejected():
 def test_evaluate_never_touches_ema_state():
     model = make_model()
     counts = [book.ema_count.copy() for book in model.rvq.levels]
-    evaluate(model, [make_utt()], level1_only=True)
+    model.codes_and_reconstructions(make_batch([make_utt()]), level1=True)
     evaluate(model, [make_utt()])
     for book, before in zip(model.rvq.levels, counts):
         np.testing.assert_array_equal(book.ema_count, before)
@@ -293,3 +295,82 @@ def test_loss_decreases_on_fixed_corpus():
             if first is None:
                 first = record["total"]
     assert losses[-1] < first
+
+
+# ---------------------------------------------------------------------------
+# codebook learning from the forward pass's assignments
+
+
+def _requantizing_codebook_updates(model, out, mask, state):
+    """The earlier update, which quantized every level's float64 residual a
+    second time; kept as the oracle for the one that reads the forward's codes."""
+    rvq = model.rvq
+    residual = out["encoder_output"].data.reshape(-1, rvq.dim).astype(np.float64)
+    valid = mask.reshape(-1)
+    reinit_now = state.tcfg.dead_code_every > 0 and state.step % state.tcfg.dead_code_every == 0
+    reinit = 0
+    for book in rvq.levels:
+        idx, q, _ = quantize_level(book, residual)
+        ema_update(book, idx[valid], residual[valid])
+        if reinit_now:
+            threshold = state.tcfg.dead_code_threshold * float(book.ema_count.mean())
+            reinit += reinit_dead_codes(book, residual[valid], threshold, state.rng)
+        residual = residual - q
+    return reinit
+
+
+def test_ema_update_gets_the_forward_assignments(monkeypatch):
+    model = make_model(seed=1)
+    state = new_train_state(model, TrainConfig(batch_size=3, max_steps=5, warmup_steps=0))
+    batch = make_batch([make_utt("a", n=3, seed=1), make_utt("b", n=6, per=2, seed=2),
+                        make_utt("c", n=4, per=3, seed=3)])
+    train_step(state, batch)  # seeds the codebooks
+    forwards, updates = [], []
+    real_forward = model.forward_batch
+
+    def forward_spy(*args, **kwargs):
+        out = real_forward(*args, **kwargs)
+        forwards.append(out)
+        return out
+
+    def ema_spy(book, assignments, vectors):
+        updates.append((book, np.array(assignments), np.array(vectors)))
+        return ema_update(book, assignments, vectors)
+
+    monkeypatch.setattr(model, "forward_batch", forward_spy)
+    monkeypatch.setattr(training, "ema_update", ema_spy)
+    train_step(state, batch)
+    assert len(forwards) == 1
+    codes = forwards[0]["codes"].indices
+    assert len(updates) == 2 and all(u[0] is book for u, book in zip(updates, model.rvq.levels))
+    for l, (_, assignments, _) in enumerate(updates):
+        np.testing.assert_array_equal(assignments, codes[..., l][batch.phoneme_mask])
+    z = forwards[0]["encoder_output"].data[batch.phoneme_mask].astype(np.float64)
+    np.testing.assert_array_equal(updates[0][2], z)
+
+
+def test_codebook_updates_match_requantizing_oracle(monkeypatch, tmp_path):
+    def run(update):
+        monkeypatch.setattr(training, "_codebook_updates", update)
+        tcfg = TrainConfig(batch_size=2, max_steps=30, warmup_steps=5, seed=5,
+                           dead_code_every=4, dead_code_threshold=0.5,
+                           eval_every=1000, checkpoint_every=1000)
+        model = make_model(seed=6)
+        for book in model.rvq.levels:
+            book.decay = 0.8  # unused codes fall under the threshold within a few steps
+        state = new_train_state(model, tcfg)
+        log = tmp_path / "log.jsonl"
+        if log.exists():
+            log.unlink()
+        train(state, tiny_corpus(), log_path=str(log))
+        return state, log.read_bytes()
+
+    new_state, new_log = run(training._codebook_updates)
+    old_state, old_log = run(_requantizing_codebook_updates)
+    assert new_log == old_log
+    assert sum(json.loads(line)["reinit"] for line in new_log.splitlines()) > 0
+    for name, value in new_state.model.params.items():
+        np.testing.assert_array_equal(value, old_state.model.params[name])
+    for new_book, old_book in zip(new_state.model.rvq.levels, old_state.model.rvq.levels):
+        for part in ("entries", "ema_count", "ema_sum"):
+            np.testing.assert_array_equal(getattr(new_book, part), getattr(old_book, part))
