@@ -2,11 +2,13 @@
 
 A ``Tensor`` wraps an ndarray plus an optional backward closure; calling
 ``backward`` on a scalar output walks the recorded graph once in reverse
-topological order. The op set is exactly what the codec needs: elementwise
-arithmetic, matmul (batched), linear (matmul and bias in one node),
-multi-head attention with a key mask (one node), layer norm, depthwise
-conv1d, swish, sigmoid, embedding lookup, reductions, and the
-stop-gradient / straight-through pair used by the quantizer. Backward
+topological order. The ops are functions, not operators on ``Tensor``:
+elementwise ``add``/``sub``/``mul``/``div``/``power``/``absolute``/``exp``/
+``log``/``sqrt``, ``sigmoid``, ``swish``, ``matmul`` (batched), ``linear``
+(matmul and bias in one node), multi-head ``attention`` with a key mask
+(one node), ``layer_norm``, ``conv1d_depthwise`` over (B, L, C),
+``embedding_lookup``, ``tsum``, ``reshape``, ``transpose``, and the
+``stop_gradient``/``straight_through`` pair used by the quantizer. Backward
 passes compute only the gradients of operands that require one.
 
 Adam keeps the parameters and both moments in flat buffers, one per kind,
@@ -45,37 +47,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the module-level functions are the actual ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
 
 
 def as_tensor(x) -> Tensor:
@@ -452,28 +423,24 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 def conv1d_depthwise(x, w) -> Tensor:
     """Depthwise 1-D convolution along the length axis, 'same' padding.
 
-    ``x``: (B, L, C) or (L, C); ``w``: (k, C), one filter per channel.
+    ``x``: (B, L, C); ``w``: (k, C), one filter per channel.
     """
     x, w = as_tensor(x), as_tensor(w)
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3 or w.data.ndim != 2 or xd.shape[2] != w.data.shape[1]:
+    if x.data.ndim != 3 or w.data.ndim != 2 or x.data.shape[2] != w.data.shape[1]:
         raise ContractError(
             f"conv1d_depthwise: incompatible shapes {x.data.shape} and {w.data.shape}"
         )
     k = w.data.shape[0]
     left = (k - 1) // 2
     right = k - 1 - left
-    xpad = np.pad(xd, ((0, 0), (left, right), (0, 0)))
-    L = xd.shape[1]
-    out_data = np.zeros_like(xd)
+    xpad = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
+    L = x.data.shape[1]
+    out_data = np.zeros_like(x.data)
     for j in range(k):
         out_data += w.data[j] * xpad[:, j : j + L, :]
-    if squeeze:
-        out_data = out_data[0]
 
     def bwd():
-        g = out.grad[None] if squeeze else out.grad
+        g = out.grad
         gw = np.empty_like(w.data)
         for j in range(k):
             gw[j] = (g * xpad[:, j : j + L, :]).sum(axis=(0, 1))
@@ -481,8 +448,7 @@ def conv1d_depthwise(x, w) -> Tensor:
         gxpad = np.zeros_like(xpad)
         for j in range(k):
             gxpad[:, j : j + L, :] += w.data[j] * g
-        gx = gxpad[:, left : left + L, :]
-        _accumulate(x, gx[0] if squeeze else gx)
+        _accumulate(x, gxpad[:, left : left + L, :])
 
     out = _make(out_data, (x, w), bwd)
     return out
@@ -521,22 +487,6 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, axes)
         _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-
-    out = _make(out_data, (x,), bwd)
-    return out
-
-
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    out_data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size / max(out_data.size, 1)
-
-    def bwd():
-        g = out.grad
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
-        _accumulate(x, np.broadcast_to(g, x.data.shape) / count)
 
     out = _make(out_data, (x,), bwd)
     return out

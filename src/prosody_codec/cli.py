@@ -22,13 +22,13 @@ import numpy as np
 from . import analysis as an
 from . import metrics as mx
 from .config import RunConfig, dumps_config, load_config
-from .containers import write_container
 from .corpus import (
     Corpus,
     inference_batches,
     parse_manifest,
     read_manifest,
     record_audio,
+    write_mel,
     write_synth_corpus,
 )
 from .dsp import PitchContour, estimate_f0, frame_rms, invert_mel, load_wav, save_wav
@@ -98,26 +98,13 @@ def _audio_paths(cfg: RunConfig) -> dict[str, str]:
     return dict(record_audio(rec, base) for rec in read_manifest(cfg.paths.manifest))
 
 
-def _write_mel(path: str, mel) -> None:
-    write_container(
-        path,
-        meta={
-            "kind": "mel",
-            "hop_length": mel.hop_length,
-            "n_fft": mel.n_fft,
-            "sample_rate": mel.sample_rate,
-        },
-        arrays={"values": mel.values},
-    )
-
-
 def _emit_resynth(cfg: RunConfig, model: CodecModel, utterances, subdir: str, decode_fn) -> list[dict]:
     out_dir = os.path.join(cfg.paths.report_dir, subdir)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for utt in utterances:
         mel = decode_fn(utt)
-        _write_mel(os.path.join(out_dir, f"{utt.id}.mel"), mel)
+        write_mel(os.path.join(out_dir, f"{utt.id}.mel"), mel)
         audio = invert_mel(mel, cfg.features.griffin_lim_iters, floor=cfg.features.log_floor)
         save_wav(os.path.join(out_dir, f"{utt.id}.wav"), audio, float32=True)
         rows.append({"id": utt.id, "frames": mel.n_frames})
@@ -311,7 +298,7 @@ def cmd_transfer(args) -> int:
     out_dir = os.path.join(cfg.paths.report_dir, "transfer")
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{args.source}_to_{args.target}"
-    _write_mel(os.path.join(out_dir, f"{stem}.mel"), mel)
+    write_mel(os.path.join(out_dir, f"{stem}.mel"), mel)
     save_wav(os.path.join(out_dir, f"{stem}.wav"), audio, float32=True)
     _echo_config(cfg)
     print(json.dumps({"transfer": stem, "frames": mel.n_frames}))

@@ -40,6 +40,7 @@ class FeatureConfig:
             f"{prefix}.f0_min",
             "need 0 < f0_min < f0_max < sample_rate/2",
         )
+        _require(0 < self.yin_threshold < math.inf, f"{prefix}.yin_threshold", "must be finite and > 0")
         _require(self.griffin_lim_iters >= 1, f"{prefix}.griffin_lim_iters", "must be >= 1")
 
 
@@ -118,10 +119,22 @@ class TrainConfig:
         _require(self.commitment_beta >= 0, f"{prefix}.commitment_beta", "must be >= 0")
         _require(0 <= self.ema_decay < 1, f"{prefix}.ema_decay", "must be in [0, 1)")
         _require(self.ema_epsilon > 0, f"{prefix}.ema_epsilon", "must be positive")
+        _require(self.seed >= 0, f"{prefix}.seed", "must be >= 0")
         _require(self.eval_every >= 1, f"{prefix}.eval_every", "must be >= 1")
         _require(self.checkpoint_every >= 1, f"{prefix}.checkpoint_every", "must be >= 1")
         _require(0 <= self.grad_clip < math.inf, f"{prefix}.grad_clip", "must be finite and >= 0")
+        _require(
+            0 <= self.dead_code_threshold < math.inf,
+            f"{prefix}.dead_code_threshold",
+            "must be finite and >= 0",
+        )
+        _require(self.dead_code_every >= 0, f"{prefix}.dead_code_every", "must be >= 0 (0 = off)")
         _require(0 <= self.eval_fraction < 1, f"{prefix}.eval_fraction", "must be in [0, 1)")
+        _require(
+            0 <= self.target_loss_ratio < math.inf,
+            f"{prefix}.target_loss_ratio",
+            "must be finite and >= 0 (0 = off)",
+        )
         _require(self.dtype in ("float32", "float64"), f"{prefix}.dtype", "must be float32|float64")
 
 
@@ -164,6 +177,7 @@ class SynthSpec:
         _require(1 <= self.duration_min <= self.duration_max, f"{prefix}.duration_min", "bad range")
         _require(self.glide_semitones >= 0, f"{prefix}.glide_semitones", "must be >= 0")
         _require(self.n_harmonics >= 1, f"{prefix}.n_harmonics", "must be >= 1")
+        _require(self.seed >= 0, f"{prefix}.seed", "must be >= 0")
 
 
 @dataclass
@@ -189,6 +203,7 @@ class AnalysisConfig:
             "must be mds|tsne",
         )
         _require(self.tsne_perplexity > 0, f"{prefix}.tsne_perplexity", "must be positive")
+        _require(self.tsne_seed >= 0, f"{prefix}.tsne_seed", "must be >= 0")
         _require(
             0 < self.extract_fraction <= 1,
             f"{prefix}.extract_fraction",
@@ -217,25 +232,8 @@ class RunConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
-    def validate(self) -> None:
-        for name in _SECTIONS:
-            getattr(self, name).validate(name)
-        _require(
-            self.model.n_mels == self.features.n_mels,
-            "model.n_mels",
-            "must equal features.n_mels",
-        )
 
-
-_SECTIONS = ("features", "model", "train", "synth", "analysis", "paths")
-_SECTION_TYPES = {
-    "features": FeatureConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "synth": SynthSpec,
-    "analysis": AnalysisConfig,
-    "paths": PathsConfig,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _require(cond: bool, key: str, msg: str) -> None:
@@ -243,7 +241,10 @@ def _require(cond: bool, key: str, msg: str) -> None:
         raise ConfigError(f"{key}: {msg}")
 
 
-def _parse_section(cls: type, data: Any, prefix: str):
+def parse_section(cls: type, data: Any, prefix: str):
+    """Build a config section from its JSON object: every key is checked
+    against the field's type, then the section validates itself. Errors
+    name the key as ``prefix.key``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix}: expected an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -265,7 +266,14 @@ def _parse_section(cls: type, data: Any, prefix: str):
         if ftype == "list" and not isinstance(value, list):
             raise ConfigError(f"{prefix}.{key}: expected list, got {type(value).__name__}")
         kwargs[key] = value
-    return cls(**kwargs)
+    section = cls(**kwargs)
+    section.validate(prefix)
+    return section
+
+
+def section_json(section) -> dict:
+    """A config section as its JSON object, keys in field order."""
+    return {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
 
 
 def loads_config(text: str) -> RunConfig:
@@ -276,14 +284,12 @@ def loads_config(text: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root: expected an object")
     for key in data:
-        if key not in _SECTIONS:
+        if key not in _SECTION_TYPES:
             raise ConfigError(f"{key}: unknown section")
-    sections = {
-        name: _parse_section(_SECTION_TYPES[name], data.get(name, {}), name)
-        for name in _SECTIONS
-    }
-    cfg = RunConfig(**sections)
-    cfg.validate()
+    cfg = RunConfig(
+        **{name: parse_section(cls, data.get(name, {}), name) for name, cls in _SECTION_TYPES.items()}
+    )
+    _require(cfg.model.n_mels == cfg.features.n_mels, "model.n_mels", "must equal features.n_mels")
     return cfg
 
 
@@ -298,8 +304,5 @@ def load_config(path: str) -> RunConfig:
 
 def dumps_config(cfg: RunConfig) -> str:
     # Canonical order: section order then dataclass field order.
-    out: dict = {}
-    for name in _SECTIONS:
-        section = getattr(cfg, name)
-        out[name] = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
+    out = {name: section_json(getattr(cfg, name)) for name in _SECTION_TYPES}
     return json.dumps(out, indent=2) + "\n"

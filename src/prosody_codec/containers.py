@@ -8,6 +8,7 @@ sorted-key JSON), so identical state produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -19,7 +20,7 @@ from .errors import DataError
 _MAGIC = b"PRCT"
 _VERSION = 1
 
-_DTYPES = {"<f8": "<f8", "<f4": "<f4", "<i8": "<i8"}
+_DTYPES = ("<f8", "<f4", "<i8")
 
 
 def _canonical_dtype(arr: np.ndarray) -> str:
@@ -77,24 +78,32 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataError(f"{path}: truncated header ({len(raw)} bytes total)")
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
         raise DataError(f"{path}: corrupt container header: {exc}") from exc
+    entries = header.get("arrays", []) if isinstance(header, dict) else None
+    if not (
+        isinstance(entries, list)
+        and isinstance(header.get("meta", {}), dict)
+        and all(isinstance(e, dict) and e.keys() == {"name", "dtype", "shape"} for e in entries)
+    ):
+        raise DataError(f"{path}: corrupt container header: not {{meta, arrays: [{{name, dtype, shape}}]}}")
     offset = 16 + header_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in header.get("arrays", []):
-        dtype = entry["dtype"]
-        if dtype not in _DTYPES:
-            raise DataError(f"{path}: unsupported dtype {dtype} in header")
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry in entries:
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+        if not isinstance(name, str) or dtype not in _DTYPES:
+            raise DataError(f"{path}: array {name!r} has unsupported dtype {dtype!r}")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise DataError(f"{path}: array {name!r} has a bad shape {shape!r}")
+        count = math.prod(shape)
         nbytes = count * np.dtype(dtype).itemsize
         if offset + nbytes > len(raw):
             raise DataError(
-                f"{path}: truncated array {entry['name']!r}: need {nbytes} bytes at "
+                f"{path}: truncated array {name!r}: need {nbytes} bytes at "
                 f"offset {offset}, file has {len(raw)}"
             )
-        arrays[entry["name"]] = np.frombuffer(
-            raw, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()
+        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
         offset += nbytes
+    if offset != len(raw):
+        raise DataError(f"{path}: {len(raw) - offset} bytes after the last array")
     return header.get("meta", {}), arrays

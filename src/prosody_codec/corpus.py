@@ -125,7 +125,10 @@ class Batch:
 
 def reconcile_durations(durations, n_frames: int, tolerance: int = 2) -> np.ndarray:
     """Absorb an aligner-style off-by-a-few mismatch into the last phoneme."""
-    durations = np.asarray(durations, dtype=np.int64)
+    try:
+        durations = np.asarray(durations, dtype=np.int64)
+    except OverflowError:
+        raise DataError("reconcile_durations: a duration is out of range") from None
     if durations.ndim != 1 or durations.size == 0:
         raise ContractError("reconcile_durations: need a non-empty 1-D duration list")
     if np.any(durations < 1):
@@ -176,13 +179,12 @@ def cached_mel(
         key = f"{audio_hash}-{_config_hash(cfg)}.mel"
         cache_path = os.path.join(cache_dir, key)
         if os.path.exists(cache_path):
-            meta, arrays = read_container(cache_path)
-            return MelSpectrogram(
-                values=arrays["values"],
-                hop_length=int(meta["hop_length"]),
-                n_fft=int(meta["n_fft"]),
-                sample_rate=int(meta["sample_rate"]),
-            )
+            mel = read_mel(cache_path)
+            found = (mel.hop_length, mel.n_fft, mel.sample_rate, mel.n_mels)
+            wanted = (cfg.hop_length, cfg.n_fft, cfg.sample_rate, cfg.n_mels)
+            if found != wanted:  # the key hashes these, so the file is corrupt
+                raise DataError(f"{cache_path}: hop, n_fft, sample rate, bands {found} != {wanted}")
+            return mel
     audio = load_wav(audio_path)
     if audio.sample_rate != cfg.sample_rate:
         raise DataError(
@@ -191,17 +193,33 @@ def cached_mel(
         )
     mel = mel_spectrogram(audio, cfg)
     if cache_dir and cache_write:
-        write_container(
-            cache_path,
-            meta={
-                "kind": "mel",
-                "hop_length": mel.hop_length,
-                "n_fft": mel.n_fft,
-                "sample_rate": mel.sample_rate,
-            },
-            arrays={"values": mel.values},
-        )
+        write_mel(cache_path, mel)
     return mel
+
+
+_MEL_FRAMING = ("hop_length", "n_fft", "sample_rate")
+
+
+def write_mel(path: str, mel: MelSpectrogram) -> None:
+    """A ``.mel`` file: a container holding the values and their framing."""
+    meta = {"kind": "mel", **{name: getattr(mel, name) for name in _MEL_FRAMING}}
+    write_container(path, meta=meta, arrays={"values": mel.values})
+
+
+def read_mel(path: str) -> MelSpectrogram:
+    """The mel ``write_mel`` stored; anything else in the file is a DataError."""
+    meta, arrays = read_container(path)
+    if meta.get("kind") != "mel":
+        raise DataError(f"{path}: not a mel file (kind {meta.get('kind')!r})")
+    for name in _MEL_FRAMING:
+        if isinstance(meta.get(name), bool) or not isinstance(meta.get(name), int):
+            raise DataError(f"{path}: {name}: expected int, got {meta.get(name)!r}")
+    if "values" not in arrays:
+        raise DataError(f"{path}: no values array")
+    try:
+        return MelSpectrogram(arrays["values"], meta["hop_length"], meta["n_fft"], meta["sample_rate"])
+    except ContractError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def record_audio(rec: dict, base: str) -> tuple[str, str]:
@@ -210,6 +228,19 @@ def record_audio(rec: dict, base: str) -> tuple[str, str]:
     audio = rec["audio"]
     utt_id = str(rec.get("id", os.path.splitext(os.path.basename(audio))[0]))
     return utt_id, audio if os.path.isabs(audio) else os.path.join(base, audio)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the fields every manifest record needs, with the check each value must pass
+_RECORD_FIELDS = {
+    "audio": lambda v: isinstance(v, str),
+    "speaker": lambda v: isinstance(v, str) or _is_int(v),
+    "phones": lambda v: isinstance(v, str),
+    "durations": lambda v: isinstance(v, list) and all(_is_int(d) for d in v),
+}
 
 
 def read_manifest(path: str) -> list[dict]:
@@ -226,9 +257,13 @@ def read_manifest(path: str) -> list[dict]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"record {i}: invalid JSON: {exc}") from exc
-        for fname in ("audio", "speaker", "phones", "durations"):
+        if not isinstance(rec, dict):
+            raise DataError(f"record {i}: expected an object")
+        for fname, ok in _RECORD_FIELDS.items():
             if fname not in rec:
                 raise DataError(f"record {i}: field {fname!r}: missing")
+            if not ok(rec[fname]):
+                raise DataError(f"record {i}: field {fname!r}: unexpected value {rec[fname]!r:.60}")
         records.append(rec)
     return records
 
@@ -261,7 +296,7 @@ def parse_manifest(
     utterances: list[Utterance] = []
     for i, rec in enumerate(records):
         utt_id, audio_path = record_audio(rec, base)
-        if not os.path.exists(audio_path):
+        if not os.path.isfile(audio_path):
             raise DataError(f"record {i}: field 'audio': file not found: {audio_path}")
         phones = rec["phones"].split()
         if not phones:
@@ -279,7 +314,7 @@ def parse_manifest(
         except (DataError, ContractError) as exc:
             raise DataError(f"record {i}: field 'audio': {exc}") from exc
         durations = rec["durations"]
-        if not isinstance(durations, list) or len(durations) != len(phones):
+        if len(durations) != len(phones):
             raise DataError(
                 f"record {i}: field 'durations': expected {len(phones)} integers"
             )
@@ -310,13 +345,11 @@ def parse_manifest(
 # batching
 
 
-def make_batch(utterances: list[Utterance], pad_to: tuple[int, int] | None = None) -> Batch:
+def make_batch(utterances: list[Utterance]) -> Batch:
     if not utterances:
         raise ContractError("make_batch: empty utterance list")
     n_max = max(u.n_phonemes for u in utterances)
     t_max = max(u.mel.n_frames for u in utterances)
-    if pad_to is not None:
-        n_max, t_max = max(n_max, pad_to[0]), max(t_max, pad_to[1])
     B = len(utterances)
     M = utterances[0].mel.n_mels
     phonemes = np.full((B, n_max), PAD_ID, dtype=np.int64)

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import FeatureConfig, ModelConfig
+from .config import FeatureConfig, ModelConfig, parse_section, section_json
 from .containers import read_container, write_container
 from .corpus import Batch, Utterance
 from .dsp import MelSpectrogram
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward
 
 # ---------------------------------------------------------------------------
@@ -451,12 +451,10 @@ def model_arrays(model: CodecModel) -> dict[str, np.ndarray]:
 
 
 def model_meta(model: CodecModel) -> dict:
-    import dataclasses as dc
-
     return {
         "format_version": FORMAT_VERSION,
-        "model_config": dc.asdict(model.cfg),
-        "feature_config": dc.asdict(model.features),
+        "model_config": section_json(model.cfg),
+        "feature_config": section_json(model.features),
         "vocab": model.vocab.to_json(),
         "speakers": model.speakers,
         "dtype": str(np.dtype(model.dtype)),
@@ -476,23 +474,42 @@ def save_model(model: CodecModel, path: str) -> None:
     write_container(path, meta=model_meta(model), arrays=model_arrays(model))
 
 
-def _require_keys(what: str, mapping: dict, keys) -> None:
-    missing = [k for k in keys if k not in mapping]
+NUMBER = (int, float)
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return bool in kinds if isinstance(value, bool) else isinstance(value, kinds)
+
+
+def _require_keys(what: str, mapping: dict, spec: dict) -> None:
+    """Every key of ``spec`` must be in ``mapping`` with a value of the kind
+    it names: a type, a tuple of types (a bool is only a bool), or ``[kind]``
+    for a list of that kind. Anything else is a DataError."""
+    missing = [k for k in spec if k not in mapping]
     if missing:
         raise DataError(f"checkpoint {what} lacks {', '.join(missing)}")
+    for key, kind in spec.items():
+        if not _has_type(mapping[key], kind):
+            raise DataError(f"checkpoint {what}: {key}: unexpected value {mapping[key]!r:.60}")
 
 
-def _config_from_meta(cls, meta: dict, key: str):
+def _section_from_meta(cls, data, key: str, prefix: str):
+    """A config section stored under checkpoint meta ``key``, read through
+    the run-config parser and its checks; a bad value is a DataError."""
     try:
-        return cls(**meta[key])
-    except TypeError as exc:  # an unknown key, or not an object
+        return parse_section(cls, data, prefix)
+    except ConfigError as exc:
         raise DataError(f"checkpoint {key}: {exc}") from None
 
 
 def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
     """Rebuild a model from checkpoint meta and arrays. A missing key or
-    array, an unknown config key, or (checked by ``CodecModel``) a parameter
-    the config does not imply by name or shape is a DataError."""
+    array, a config value the run-config parser rejects, or (checked by
+    ``CodecModel``) a parameter the config does not imply by name or shape
+    is a DataError."""
     from .corpus import PhonemeVocab
     from .quantizer import Codebook
 
@@ -501,10 +518,13 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
             f"checkpoint format version mismatch: expected {FORMAT_VERSION}, "
             f"found {meta.get('format_version')}"
         )
-    _require_keys("meta", meta, ("model_config", "feature_config", "vocab", "speakers", "dtype", "rvq"))
-    cfg = _config_from_meta(ModelConfig, meta, "model_config")
-    features = _config_from_meta(FeatureConfig, meta, "feature_config")
+    _require_keys("meta", meta, {"model_config": dict, "feature_config": dict, "vocab": [str],
+                                 "speakers": [str], "dtype": str, "rvq": (dict, type(None))})
+    cfg = _section_from_meta(ModelConfig, meta["model_config"], "model_config", "model")
+    features = _section_from_meta(FeatureConfig, meta["feature_config"], "feature_config", "features")
     vocab = PhonemeVocab.from_json(meta["vocab"])
+    if meta["dtype"] not in ("float32", "float64"):
+        raise DataError(f"checkpoint dtype: expected float32 or float64, got {meta['dtype']!r}")
     dtype = np.dtype(meta["dtype"])
     params = {
         k[len("param.") :]: v.astype(dtype)
@@ -512,12 +532,22 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
         if k.startswith("param.")
     }
     rvq = None
+    if (meta["rvq"] is None) != (cfg.quantization == "none"):
+        raise DataError(f"checkpoint rvq: {meta['rvq']!r:.60} with quantization {cfg.quantization}")
     if meta["rvq"] is not None:
-        _require_keys("rvq meta", meta["rvq"], ("beta", "levels"))
+        _require_keys("rvq meta", meta["rvq"], {"beta": NUMBER, "levels": [dict]})
+        if len(meta["rvq"]["levels"]) != cfg.levels:
+            raise DataError(f"checkpoint rvq: {len(meta['rvq']['levels'])} levels, the config {cfg.levels}")
         books = []
         for l, info in enumerate(meta["rvq"]["levels"]):
-            _require_keys(f"rvq level {l} meta", info, ("decay", "epsilon", "initialized"))
-            _require_keys("arrays", arrays, [f"rvq.l{l}.{a}" for a in ("entries", "ema_count", "ema_sum")])
+            _require_keys(f"rvq level {l} meta", info,
+                          {"decay": NUMBER, "epsilon": NUMBER, "initialized": bool})
+            _require_keys("arrays", arrays,
+                          {f"rvq.l{l}.{a}": np.ndarray for a in ("entries", "ema_count", "ema_sum")})
+            shape = arrays[f"rvq.l{l}.entries"].shape
+            if shape != (cfg.codebook_size, cfg.code_dim):
+                raise DataError(f"codebook {l} has shape {shape}, the config needs "
+                                f"{(cfg.codebook_size, cfg.code_dim)}")
             books.append(
                 Codebook(
                     entries=arrays[f"rvq.l{l}.entries"],

@@ -16,11 +16,12 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as mx
 from .autodiff import AdamState, Tensor
-from .config import TrainConfig
+from .config import TrainConfig, section_json
 from .containers import read_container, write_container
 from .corpus import Batch, Corpus, Utterance, inference_batches, make_batch
-from .errors import ContractError, NumericError
-from .model import CodecModel, _model_from_parts, model_arrays, model_meta
+from .errors import ContractError, DataError, NumericError
+from .model import (NUMBER, CodecModel, _model_from_parts, _require_keys, _section_from_meta,
+                    model_arrays, model_meta)
 # quantize_level is unused here; perfbench/layers.py still wraps training.quantize_level
 from .quantizer import ema_update, quantize_level, reinit_dead_codes, seed_codebooks
 
@@ -205,7 +206,7 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         arrays[f"opt.v.{name}"] = arr
     meta = model_meta(state.model)
     meta["train"] = {
-        "config": state.tcfg.__dict__,
+        "config": section_json(state.tcfg),
         "step": state.step,
         "best_eval": state.best_eval,
         "loss_at_100": state.loss_at_100,
@@ -215,13 +216,19 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     write_container(path, meta=meta, arrays=arrays)
 
 
+_TRAIN_META = {"config": dict, "step": int, "best_eval": NUMBER,
+               "loss_at_100": (*NUMBER, type(None)), "adam_t": int, "rng_state": dict}
+
+
 def load_checkpoint(path: str) -> TrainState:
     meta, arrays = read_container(path)
     model = _model_from_parts(meta, {k: v for k, v in arrays.items() if not k.startswith("opt.")})
-    train_meta = meta.get("train", {})
-    tcfg = TrainConfig(**train_meta.get("config", {}))
+    _require_keys("meta", meta, {"train": dict})
+    train_meta = meta["train"]
+    _require_keys("train meta", train_meta, _TRAIN_META)
+    tcfg = _section_from_meta(TrainConfig, train_meta["config"], "train.config", "train")
     opt = AdamState()
-    opt.t = int(train_meta.get("adam_t", 0))
+    opt.t = train_meta["adam_t"]
     dtype = model.dtype
     for key, arr in arrays.items():
         if key.startswith("opt.m."):
@@ -229,18 +236,19 @@ def load_checkpoint(path: str) -> TrainState:
         elif key.startswith("opt.v."):
             opt.v[key[len("opt.v.") :]] = arr.astype(dtype)
     rng = np.random.default_rng(tcfg.seed)
-    if "rng_state" in train_meta:
+    try:
         rng.bit_generator.state = train_meta["rng_state"]
-    state = TrainState(
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise DataError(f"checkpoint train meta: rng_state: {exc!r}") from None
+    return TrainState(
         model=model,
         opt=opt,
         tcfg=tcfg,
-        step=int(train_meta.get("step", 0)),
-        best_eval=float(train_meta.get("best_eval", float("inf"))),
-        loss_at_100=train_meta.get("loss_at_100"),
+        step=train_meta["step"],
+        best_eval=float(train_meta["best_eval"]),
+        loss_at_100=train_meta["loss_at_100"],
         rng=rng,
     )
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,6 @@ def test_criterion_1_gradient_suite():
         "conv1d_kernel": ((3, 4), lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(conv_in), w), 2.0))),
         "embedding": ((4, 3), lambda t: ad.tsum(ad.power(ad.embedding_lookup(t, ids), 2.0))),
         "sum": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=1), 2.0))),
-        "mean": ((3, 4), lambda x: ad.tsum(ad.power(ad.tmean(x, axis=0), 2.0))),
         "absolute": ((6,), lambda x: ad.tsum(ad.absolute(ad.add(x, 10.0)))),
         "reshape_transpose": ((2, 3, 4), lambda x: ad.tsum(ad.power(ad.transpose(ad.reshape(x, (2, 4, 3)), (1, 0, 2)), 2.0))),
     }

@@ -87,13 +87,10 @@ OP_CASES = {
         lambda b: ad.tsum(ad.power(ad.layer_norm(Tensor(X3), Tensor(GAIN), b), 3.0)),
     ),
     "conv1d_3d": ((2, 5, 4), lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(x, Tensor(KERNEL)), 2.0))),
-    "conv1d_2d": ((5, 4), lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(x, Tensor(KERNEL)), 2.0))),
     "conv1d_kernel": ((3, 4), lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(CONV_INPUT), w), 2.0))),
     "embedding": ((4, 3), lambda tab: ad.tsum(ad.power(ad.embedding_lookup(tab, TABLE_IDS), 2.0))),
     "tsum_axis": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=1), 2.0))),
     "tsum_keepdims": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=0, keepdims=True), 2.0))),
-    "tmean": ((3, 4), lambda x: ad.tsum(ad.power(ad.tmean(x, axis=-1), 2.0))),
-    "tmean_all": ((3, 4), lambda x: ad.power(ad.tmean(x), 2.0)),
     "reshape": ((3, 4), lambda x: ad.tsum(ad.power(ad.reshape(x, (2, 6)), 2.0))),
     "transpose": ((2, 3, 4), lambda x: ad.tsum(ad.power(ad.transpose(x, (2, 0, 1)), 2.0))),
 }

@@ -149,6 +149,39 @@ def test_config_grad_clip_zero_means_measure_only():
     assert loads_config(json.dumps({"train": {"grad_clip": 0}})).train.grad_clip == 0.0
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("synth", "seed", -1),
+        ("train", "seed", -1),
+        ("analysis", "tsne_seed", -1),
+        ("train", "dead_code_every", -5),
+        ("train", "dead_code_threshold", float("nan")),
+        ("train", "dead_code_threshold", -0.1),
+        ("train", "target_loss_ratio", -1.0),
+        ("train", "target_loss_ratio", float("inf")),
+        ("features", "yin_threshold", -0.5),
+        ("features", "yin_threshold", 0.0),
+        ("features", "yin_threshold", float("nan")),
+    ],
+)
+def test_config_rejects_bad_value(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key}: must"):
+        loads_config(json.dumps({section: {key: value}}))
+
+
+def test_config_zero_turns_dead_code_and_early_stop_off():
+    cfg = loads_config(json.dumps({"train": {"dead_code_every": 0, "target_loss_ratio": 0}}))
+    assert (cfg.train.dead_code_every, cfg.train.target_loss_ratio) == (0, 0.0)
+
+
+def test_negative_synth_seed_exit_1(tmp_path, capsys):
+    config = write_config(tmp_path, synth={"seed": -1})
+    os.makedirs(tmp_path / "data", exist_ok=True)
+    assert cli.main(["synth-data", "--config", config]) == 1
+    assert "synth.seed: must be >= 0" in capsys.readouterr().err
+
+
 def test_bad_grad_clip_exit_1(tmp_path, capsys):
     config = write_config(tmp_path, train={"grad_clip": -1.0})
     assert cli.main(["train", "--config", config]) == 1
@@ -169,6 +202,44 @@ def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["resynth", "--config", config]) == 2
     assert "mel_out.w has shape (3, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("model_config", "model_dim", "x", "model.model_dim: expected int, got str"),
+        ("model_config", "model_dim", True, "model.model_dim: expected int, got bool"),
+        ("model_config", "sigma_value", "1", "model.sigma_value: expected number"),
+        ("feature_config", "hop_length", 64.5, "features.hop_length: expected int, got float"),
+    ],
+)
+def test_checkpoint_config_value_exit_2(pipeline, tmp_path, capsys, section, key, value, message):
+    root, _ = pipeline
+    config = write_config(
+        tmp_path,
+        paths={"manifest": str(root / "data" / "manifest.jsonl"), "cache_dir": str(root / "cache")},
+    )
+    meta, arrays = read_container(str(root / "ckpt" / "latest.ckpt"))
+    meta[section][key] = value
+    os.makedirs(tmp_path / "ckpt")
+    write_container(str(tmp_path / "ckpt" / "latest.ckpt"), meta, arrays)
+    capsys.readouterr()
+    assert cli.main(["resynth", "--config", config]) == 2
+    assert f"checkpoint {section}: {message}" in capsys.readouterr().err
+
+
+def test_malformed_manifest_exit_2(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    records = [json.loads(line) for line in (root / "data" / "manifest.jsonl").read_text().splitlines()]
+    records[1]["durations"][0] = 4.5
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(
+        "".join(json.dumps({**r, "audio": str(root / "data" / r["audio"])}) + "\n" for r in records)
+    )
+    config = write_config(tmp_path, paths={"manifest": str(manifest)})
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", config]) == 2
+    assert "record 1: field 'durations': unexpected value" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_exit_2(tmp_path):

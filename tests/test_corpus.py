@@ -14,12 +14,15 @@ from prosody_codec.corpus import (
     cached_mel,
     make_batch,
     parse_manifest,
+    read_mel,
     reconcile_durations,
     synth_corpus,
     unbatch,
     write_manifest,
+    write_mel,
     write_synth_corpus,
 )
+from prosody_codec.containers import read_container, write_container
 from prosody_codec.dsp import (
     AudioBuffer,
     MelSpectrogram,
@@ -175,6 +178,62 @@ def test_parse_manifest_missing_field(tmp_path):
         parse_manifest(str(manifest), CFG)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("phones", 5, "field 'phones': unexpected value 5"),
+        ("durations", ["x", 4, 4], r"field 'durations': unexpected value \['x', 4, 4\]"),
+        ("durations", [4, 4, 8.5], r"field 'durations': unexpected value \[4, 4, 8.5\]"),
+        ("durations", [4, 4, True], r"field 'durations': unexpected value \[4, 4, True\]"),
+        ("durations", 12, "field 'durations': unexpected value 12"),
+        ("audio", 5, "field 'audio': unexpected value 5"),
+        ("speaker", [1], r"field 'speaker': unexpected value \[1\]"),
+        ("speaker", True, "field 'speaker': unexpected value True"),
+    ],
+)
+def test_parse_manifest_rejects_wrong_field_type(tmp_path, field, value, message):
+    frames = tone_wav(tmp_path / "u0.wav")
+    record = {"audio": "u0.wav", "speaker": "a", "phones": "a b c", "durations": [4, 4, frames - 8]}
+    manifest = write_corpus(tmp_path, [{**record, field: value}])
+    with pytest.raises(DataError, match=f"record 0: {message}"):
+        parse_manifest(manifest, CFG)
+
+
+def test_parse_manifest_accepts_int_speaker(tmp_path):
+    frames = tone_wav(tmp_path / "u0.wav")
+    manifest = write_corpus(
+        tmp_path, [{"audio": "u0.wav", "speaker": 7, "phones": "a", "durations": [frames]}]
+    )
+    assert parse_manifest(manifest, CFG).speakers == ["7"]
+
+
+def test_parse_manifest_rejects_non_object_record(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("[1, 2]\n")
+    with pytest.raises(DataError, match="record 0: expected an object"):
+        parse_manifest(str(manifest), CFG)
+
+
+def test_parse_manifest_rejects_directory_as_audio(tmp_path):
+    (tmp_path / "sub").mkdir()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    manifest = write_corpus(
+        tmp_path, [{"audio": "sub", "speaker": "a", "phones": "a", "durations": [5]}]
+    )
+    with pytest.raises(DataError, match="record 0: field 'audio': file not found"):
+        parse_manifest(manifest, CFG, cache_dir=str(cache))
+
+
+def test_parse_manifest_rejects_out_of_range_duration(tmp_path):
+    frames = tone_wav(tmp_path / "u0.wav")
+    manifest = write_corpus(
+        tmp_path, [{"audio": "u0.wav", "speaker": "a", "phones": "a b", "durations": [2**70, frames]}]
+    )
+    with pytest.raises(DataError, match="record 0: field 'durations': .*out of range"):
+        parse_manifest(manifest, CFG)
+
+
 # ---------------------------------------------------------------------------
 # feature cache
 
@@ -219,6 +278,64 @@ def test_cached_mel_unchanged_by_filterbank_cache_clear(tmp_path):
     mel_filterbank.cache_clear()
     after = cached_mel(wav, CFG, None)
     assert np.array_equal(before.values, after.values)
+
+
+def test_mel_file_roundtrip(tmp_path):
+    mel = MelSpectrogram(np.random.default_rng(0).normal(size=(7, 20)), 64, 256, 16000)
+    write_mel(str(tmp_path / "m.mel"), mel)
+    back = read_mel(str(tmp_path / "m.mel"))
+    assert np.array_equal(back.values, mel.values)
+    assert (back.hop_length, back.n_fft, back.sample_rate) == (64, 256, 16000)
+
+
+def _mel_file(tmp_path, edit):
+    path = str(tmp_path / "m.mel")
+    write_mel(path, toy_mel(5, bands=20))
+    meta, arrays = read_container(path)
+    edit(meta, arrays)
+    write_container(path, meta, arrays)
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m, a: m.update(kind="model"), "not a mel file"),
+        (lambda m, a: m.pop("kind"), "not a mel file"),
+        (lambda m, a: m.pop("hop_length"), "hop_length: expected int, got None"),
+        (lambda m, a: m.update(hop_length="x"), "hop_length: expected int, got 'x'"),
+        (lambda m, a: m.update(n_fft=512.0), "n_fft: expected int, got 512.0"),
+        (lambda m, a: m.update(sample_rate=True), "sample_rate: expected int, got True"),
+        (lambda m, a: m.update(n_fft=0), "n_fft must be >= 1"),
+        (lambda m, a: a.pop("values"), "no values array"),
+        (lambda m, a: a.update(values=np.zeros(5)), "bad shape"),
+        (lambda m, a: a.update(values=np.full((5, 20), np.nan)), "must be finite"),
+    ],
+)
+def test_read_mel_rejects_malformed_file(tmp_path, edit, message):
+    with pytest.raises(DataError, match=message):
+        read_mel(_mel_file(tmp_path, edit))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m, a: a.update(values=a["values"][:, :5]), r"\(256, 1024, 22050, 5\) != \(256, 1024, 22050, 20\)"),
+        (lambda m, a: m.update(hop_length=32), r"\(32, 1024, 22050, 20\) != \(256, 1024, 22050, 20\)"),
+    ],
+)
+def test_cached_mel_rejects_cache_that_disagrees_with_config(tmp_path, edit, message):
+    tone_wav(tmp_path / "u.wav")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cfg = FeatureConfig(n_mels=20)
+    cached_mel(str(tmp_path / "u.wav"), cfg, str(cache))
+    (path,) = cache.iterdir()
+    meta, arrays = read_container(str(path))
+    edit(meta, arrays)
+    write_container(str(path), meta, arrays)
+    with pytest.raises(DataError, match=message):
+        cached_mel(str(tmp_path / "u.wav"), cfg, str(cache))
 
 
 # ---------------------------------------------------------------------------

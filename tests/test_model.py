@@ -438,6 +438,40 @@ def test_checkpoint_truncated_rejected(tmp_path):
         load_model(str(path))
 
 
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    # a corrupt header that shrinks an array leaves bytes no array claims
+    path = tmp_path / "model.ckpt"
+    save_model(make_model(), str(path))
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+    with pytest.raises(DataError, match="4 bytes after the last array"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ([], "corrupt container header"),
+        ({"meta": [], "arrays": []}, "corrupt container header"),
+        ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8"}]}, "corrupt container header"),
+        ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f2", "shape": []}]}, "unsupported dtype '<f2'"),
+        ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": [-1]}]}, r"bad shape \[-1\]"),
+        ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": ["2"]}]}, "bad shape"),
+        ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": [2**40, 2**40]}]}, "truncated array"),
+    ],
+)
+def test_container_header_must_describe_the_arrays(tmp_path, header, message):
+    import json
+    import struct
+
+    from prosody_codec.containers import read_container
+
+    raw = json.dumps(header).encode()
+    path = tmp_path / "c.bin"
+    path.write_bytes(b"PRCT" + struct.pack("<I", 1) + struct.pack("<Q", len(raw)) + raw)
+    with pytest.raises(DataError, match=message):
+        read_container(str(path))
+
+
 def test_model_config_sizes_must_match(tmp_path):
     from prosody_codec.containers import read_container, write_container
 
@@ -509,3 +543,61 @@ def test_malformed_checkpoint_is_data_error(tmp_path, case, message):
     write_container(str(path), meta, arrays)
     with pytest.raises(DataError, match=message):
         load_model(str(path))
+
+
+def _drop(key):
+    return lambda meta: meta.pop(key)
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(meta):
+        for key in path[:-1]:
+            meta = meta[key]
+        meta[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("model_config", "model_dim", "x"), "model_config: model.model_dim: expected int, got str"),
+        (_set("model_config", "model_dim", True), "model_config: model.model_dim: expected int, got bool"),
+        (_set("model_config", "sigma_value", "1"), "model_config: model.sigma_value: expected number"),
+        (_set("model_config", "layers", 0), "model_config: model.layers: must be >= 1"),
+        (_set("feature_config", "hop_length", 64.5), "feature_config: features.hop_length: expected int"),
+        (_set("feature_config", "yin_threshold", -0.5), "feature_config: features.yin_threshold"),
+        (_set("model_config", 5), "meta: model_config: unexpected value 5"),
+        (_set("speakers", 5), "meta: speakers: unexpected value 5"),
+        (_set("speakers", ["s0", 1]), r"meta: speakers: unexpected value \['s0', 1\]"),
+        (_set("vocab", 5), "meta: vocab: unexpected value 5"),
+        (_set("dtype", "nope"), "dtype: expected float32 or float64, got 'nope'"),
+        (_set("dtype", 5), "meta: dtype: unexpected value 5"),
+        (_set("rvq", "levels", 5), "rvq meta: levels: unexpected value 5"),
+        (_set("rvq", "levels", [5, 5]), r"rvq meta: levels: unexpected value \[5, 5\]"),
+        (_set("rvq", "beta", None), "rvq meta: beta: unexpected value None"),
+        (_set("rvq", "levels", 0, "initialized", 1), "rvq level 0 meta: initialized: unexpected value 1"),
+        (_set("rvq", None), "rvq: None with quantization rvq"),
+        (_set("model_config", "levels", 3), "rvq: 2 levels, the config 3"),
+        (_set("model_config", "codebook_size", 9), r"codebook 0 has shape \(8, 3\), the config needs \(9, 3\)"),
+        (_drop("dtype"), "meta lacks dtype"),
+    ],
+)
+def test_malformed_checkpoint_meta_is_data_error(tmp_path, edit, message):
+    from prosody_codec.containers import read_container, write_container
+
+    path = tmp_path / "model.ckpt"
+    save_model(make_model(), str(path))
+    meta, arrays = read_container(str(path))
+    edit(meta)
+    write_container(str(path), meta, arrays)
+    with pytest.raises(DataError, match=message):
+        load_model(str(path))
+
+
+def test_continuous_checkpoint_without_rvq_meta_loads(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(make_model(cfg=dataclasses.replace(TINY, quantization="none")), str(path))
+    assert load_model(str(path)).rvq is None

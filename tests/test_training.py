@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ from prosody_codec.autodiff import Tensor
 from prosody_codec.config import FeatureConfig, ModelConfig, SynthSpec, TrainConfig
 from prosody_codec.corpus import PhonemeVocab, Utterance, make_batch, synth_corpus
 from prosody_codec.dsp import MelSpectrogram
-from prosody_codec.errors import ContractError
+from prosody_codec.containers import read_container, write_container
+from prosody_codec.errors import ContractError, DataError
 from prosody_codec.model import CodecModel
 from prosody_codec.quantizer import ema_update, quantize_level, reinit_dead_codes
 from prosody_codec.training import (
@@ -267,6 +269,68 @@ def test_resume_continues_identically(tmp_path):
     assert full_log == stitched_log
     for k in full_state.model.params:
         np.testing.assert_array_equal(full_state.model.params[k], resumed_state.model.params[k])
+
+
+def test_checkpoint_meta_is_written_through_section_json(tmp_path):
+    state = new_train_state(make_model(), TrainConfig(batch_size=2, max_steps=1))
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(state, str(path))
+    meta, _ = read_container(str(path))
+    assert meta["train"]["config"] == dataclasses.asdict(state.tcfg)
+    save_checkpoint(load_checkpoint(str(path)), str(tmp_path / "again.ckpt"))
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+_DROP = object()
+
+
+def _edit_train_meta(meta, key, value):
+    if key is None:
+        meta["train"] = value
+    elif value is _DROP:
+        del meta["train"][key]
+    elif key.startswith("config."):
+        meta["train"]["config"][key[len("config."):]] = value
+    else:
+        meta["train"][key] = value
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("config.frobnicate", 1, "train.config: train.frobnicate: unknown key"),
+        ("config.learning_rate", -1.0, "train.config: train.learning_rate: must be positive"),
+        ("config.batch_size", "2", "train.config: train.batch_size: expected int, got str"),
+        ("config.seed", -1, "train.config: train.seed: must be >= 0"),
+        ("config.dead_code_every", -5, "train.config: train.dead_code_every"),
+        ("config.target_loss_ratio", float("inf"), "train.config: train.target_loss_ratio"),
+        ("config", _DROP, "train meta lacks config"),
+        ("adam_t", "x", "train meta: adam_t: unexpected value 'x'"),
+        ("step", 1.5, "train meta: step: unexpected value 1.5"),
+        ("loss_at_100", "x", "train meta: loss_at_100: unexpected value 'x'"),
+        ("rng_state", {"a": 1}, "train meta: rng_state: ValueError"),
+        ("rng_state", 5, "train meta: rng_state: unexpected value 5"),
+        (None, [1], r"meta: train: unexpected value \[1\]"),
+    ],
+)
+def test_malformed_train_checkpoint_is_data_error(tmp_path, key, value, message):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(new_train_state(make_model(), TrainConfig(batch_size=2, max_steps=1)), str(path))
+    meta, arrays = read_container(str(path))
+    _edit_train_meta(meta, key, value)
+    write_container(str(path), meta, arrays)
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(str(path))
+
+
+def test_model_checkpoint_is_not_a_train_checkpoint(tmp_path):
+    # a missing train key used to load as a default TrainConfig at step 0
+    from prosody_codec.model import save_model
+
+    path = tmp_path / "model.ckpt"
+    save_model(make_model(), str(path))
+    with pytest.raises(DataError, match="meta lacks train"):
+        load_checkpoint(str(path))
 
 
 # ---------------------------------------------------------------------------
