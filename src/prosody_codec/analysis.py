@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import FeatureConfig
 from .corpus import Utterance, inference_batches
-from .dsp import AudioBuffer, estimate_f0, frame_rms, invert_mel
+from .dsp import AudioBuffer, frame_rms, pitch, vocode
 from .errors import ContractError, DataError
 from .quantizer import CodeSequence
 
@@ -287,9 +287,11 @@ def select_path_codes(
 # probes
 
 
-def synth_probe(model, reference: Utterance, code_pair, speaker_id: int) -> AudioBuffer:
+def synth_probe(
+    model, reference: Utterance, code_pair, speaker_id: int, features: FeatureConfig
+) -> AudioBuffer:
     """Decode the reference with every position's codes replaced by one pair,
-    then invert the mel to audio."""
+    then invert the mel to audio with ``features``' vocoder settings."""
     pair = np.asarray(code_pair, dtype=np.int64).ravel()
     if model.rvq is None:
         raise ContractError("synth_probe: model has no quantizer")
@@ -299,7 +301,7 @@ def synth_probe(model, reference: Utterance, code_pair, speaker_id: int) -> Audi
         )
     codes = CodeSequence(indices=np.tile(pair, (reference.n_phonemes, 1)))
     mel = model.decode_codes(codes, reference.phonemes, reference.durations, speaker_id)
-    return invert_mel(mel, model.features.griffin_lim_iters, floor=model.features.log_floor)
+    return vocode(mel, features)
 
 
 def measure_probe(
@@ -307,14 +309,7 @@ def measure_probe(
 ) -> ProbeMeasurement:
     """Mean F0 over voiced frames and mean frame RMS; the PCA coordinates
     are left at zero for the caller to fill in."""
-    contour = estimate_f0(
-        audio,
-        features.f0_min,
-        features.f0_max,
-        hop_length=features.hop_length,
-        win_length=features.n_fft,
-        threshold=features.yin_threshold,
-    )
+    contour = pitch(audio, features)
     rms = frame_rms(audio, features.hop_length, features.n_fft)
     f0 = float(contour.f0[contour.voiced].mean()) if np.any(contour.voiced) else None
     return ProbeMeasurement(
@@ -334,14 +329,16 @@ def probe_path(
     path_codes: list[int],
     level2_code: int,
     speaker_id: int,
+    features: FeatureConfig,
 ) -> list[ProbeMeasurement]:
-    """Synthesize and measure one probe per path code for one speaker."""
+    """Synthesize and measure one probe per path code for one speaker, with
+    the vocoder and pitch settings of ``features``."""
     out = []
     entries = model.rvq.levels[0].entries
     for code in path_codes:
         pair = [code] + [level2_code] * (model.rvq.n_levels - 1)
-        audio = synth_probe(model, reference, pair, speaker_id)
-        m = measure_probe(audio, code, model.features, speaker_id)
+        audio = synth_probe(model, reference, pair, speaker_id, features)
+        m = measure_probe(audio, code, features, speaker_id)
         c = proj.coords(entries[code][None, :])[0]
         m.pc1, m.pc2 = float(c[0]), float(c[1])
         out.append(m)
@@ -355,12 +352,13 @@ def speaker_relative_report(
     speaker_ids: list[int],
     level2_code: int,
     proj: PCAProjection,
+    features: FeatureConfig,
 ) -> dict[int, list[ProbeMeasurement]]:
     """Probe the same path once per speaker; code order is preserved."""
     if len(speaker_ids) < 2:
         raise ContractError("speaker_relative_report: need >= 2 speakers")
     return {
-        int(s): probe_path(model, reference, proj, path_codes, level2_code, int(s))
+        int(s): probe_path(model, reference, proj, path_codes, level2_code, int(s), features)
         for s in speaker_ids
     }
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis as an
 from . import metrics as mx
-from .config import RunConfig, dumps_config, load_config
+from .config import MEL_FIELDS, RunConfig, dumps_config, load_config
 from .corpus import (
     Corpus,
     inference_batches,
@@ -31,7 +31,7 @@ from .corpus import (
     write_mel,
     write_synth_corpus,
 )
-from .dsp import PitchContour, estimate_f0, frame_rms, invert_mel, load_wav, save_wav
+from .dsp import MelSpectrogram, PitchContour, frame_rms, load_wav, pitch, save_wav, vocode
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .model import CodecModel, load_model
 from .quantizer import CodeSequence, usage_stats
@@ -58,18 +58,6 @@ class _Parser(argparse.ArgumentParser):
 # shared plumbing
 
 
-def _load_run(args) -> RunConfig:
-    cfg = load_config(args.config)
-    os.makedirs(cfg.paths.report_dir, exist_ok=True)
-    return cfg
-
-
-def _echo_config(cfg: RunConfig) -> None:
-    path = os.path.join(cfg.paths.report_dir, "effective_config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_config(cfg))
-
-
 def _corpus(cfg: RunConfig, cache_write: bool = False) -> Corpus:
     if not cfg.paths.manifest:
         raise ConfigError("paths.manifest: must be set for this command")
@@ -87,10 +75,24 @@ def _checkpoint_path(cfg: RunConfig, continuous: bool = False) -> str:
 
 
 def _model(cfg: RunConfig, continuous: bool = False) -> CodecModel:
+    """The trained checkpoint; its mel analysis must match the run config's,
+    or the model would be fed mels unlike its training data."""
     path = _checkpoint_path(cfg, continuous)
     if not os.path.exists(path):
         raise DataError(f"no checkpoint at {path}; run `train` first")
-    return load_model(path)
+    model = load_model(path)
+    for name in MEL_FIELDS:
+        ours, trained = getattr(cfg.features, name), getattr(model.features, name)
+        if ours != trained:
+            raise DataError(f"features.{name} is {ours}, but {path} was trained with {trained}")
+    return model
+
+
+def _inputs(cfg: RunConfig):
+    """The corpus, the trained model and the evaluation slice."""
+    corpus = _corpus(cfg)
+    model = _model(cfg)
+    return corpus, model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
 
 
 def _audio_paths(cfg: RunConfig) -> dict[str, str]:
@@ -98,62 +100,45 @@ def _audio_paths(cfg: RunConfig) -> dict[str, str]:
     return dict(record_audio(rec, base) for rec in read_manifest(cfg.paths.manifest))
 
 
-def _emit_resynth(cfg: RunConfig, model: CodecModel, utterances, subdir: str, decode_fn) -> list[dict]:
+def _emit(cfg: RunConfig, subdir: str, stem: str, mel: MelSpectrogram) -> None:
+    """``<report_dir>/<subdir>/<stem>.mel`` and its vocoded ``.wav``."""
     out_dir = os.path.join(cfg.paths.report_dir, subdir)
     os.makedirs(out_dir, exist_ok=True)
+    write_mel(os.path.join(out_dir, f"{stem}.mel"), mel)
+    save_wav(os.path.join(out_dir, f"{stem}.wav"), vocode(mel, cfg.features), float32=True)
+
+
+def _emit_resynth(cfg: RunConfig, utterances, subdir: str, decode_fn) -> int:
     rows = []
     for utt in utterances:
         mel = decode_fn(utt)
-        write_mel(os.path.join(out_dir, f"{utt.id}.mel"), mel)
-        audio = invert_mel(mel, cfg.features.griffin_lim_iters, floor=cfg.features.log_floor)
-        save_wav(os.path.join(out_dir, f"{utt.id}.wav"), audio, float32=True)
+        _emit(cfg, subdir, utt.id, mel)
         rows.append({"id": utt.id, "frames": mel.n_frames})
-    an.write_json(os.path.join(out_dir, "index.json"), rows)
-    return rows
-
-
-def _contour(audio, cfg: RunConfig):
-    return estimate_f0(
-        audio,
-        cfg.features.f0_min,
-        cfg.features.f0_max,
-        hop_length=cfg.features.hop_length,
-        win_length=cfg.features.n_fft,
-        threshold=cfg.features.yin_threshold,
-    )
+    an.write_json(os.path.join(cfg.paths.report_dir, subdir, "index.json"), rows)
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each maps (run config, parsed arguments) to its JSON payload
 
 
-def cmd_synth_data(args) -> int:
-    cfg = _load_run(args)
+def cmd_synth_data(cfg: RunConfig, args) -> dict:
     if not cfg.paths.manifest:
         raise ConfigError("paths.manifest: must point at the manifest to create")
     out_dir = os.path.dirname(os.path.abspath(cfg.paths.manifest))
     manifest = write_synth_corpus(cfg.synth, cfg.features, out_dir)
-    _echo_config(cfg)
-    print(json.dumps({"manifest": manifest, "utterances": cfg.synth.n_utterances}))
-    return 0
+    return {"manifest": manifest, "utterances": cfg.synth.n_utterances}
 
 
-def cmd_prepare(args) -> int:
-    cfg = _load_run(args)
+def cmd_prepare(cfg: RunConfig, args) -> dict:
     if not cfg.paths.cache_dir:
         raise ConfigError("paths.cache_dir: must be set for `prepare`")
     corpus = _corpus(cfg, cache_write=True)
-    _echo_config(cfg)
-    print(
-        json.dumps(
-            {
-                "utterances": len(corpus.utterances),
-                "speakers": len(corpus.speakers),
-                "vocab": len(corpus.vocab),
-            }
-        )
-    )
-    return 0
+    return {
+        "utterances": len(corpus.utterances),
+        "speakers": len(corpus.speakers),
+        "vocab": len(corpus.vocab),
+    }
 
 
 def _train_impl(cfg: RunConfig, continuous: bool) -> dict:
@@ -200,12 +185,10 @@ def _train_impl(cfg: RunConfig, continuous: bool) -> dict:
     }
 
 
-def cmd_train(args) -> int:
-    cfg = _load_run(args)
+def cmd_train(cfg: RunConfig, args) -> dict:
     summary = _train_impl(cfg, continuous=args.continuous)
     cfg.model.vocab_size = summary["vocab_size"]
     cfg.model.n_speakers = summary["n_speakers"]
-    _echo_config(cfg)
     an.write_json(
         os.path.join(
             cfg.paths.report_dir,
@@ -213,25 +196,16 @@ def cmd_train(args) -> int:
         ),
         summary,
     )
-    print(json.dumps(summary))
-    return 0
+    return summary
 
 
-def cmd_resynth(args) -> int:
-    cfg = _load_run(args)
-    corpus = _corpus(cfg)
-    model = _model(cfg)
-    utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
-    _emit_resynth(cfg, model, utts, "resynth", lambda u: model.reconstruct(u))
-    _echo_config(cfg)
-    print(json.dumps({"resynth": len(utts)}))
-    return 0
+def cmd_resynth(cfg: RunConfig, args) -> dict:
+    _, model, utts = _inputs(cfg)
+    return {"resynth": _emit_resynth(cfg, utts, "resynth", model.reconstruct)}
 
 
-def cmd_cross_resynth(args) -> int:
-    cfg = _load_run(args)
-    corpus = _corpus(cfg)
-    model = _model(cfg)
+def cmd_cross_resynth(cfg: RunConfig, args) -> dict:
+    corpus, model, utts = _inputs(cfg)
     target = args.target_speaker
     if target in corpus.speakers:
         speaker_id = corpus.speakers.index(target)
@@ -242,25 +216,18 @@ def cmd_cross_resynth(args) -> int:
             raise DataError(f"unknown speaker {target!r}; have {corpus.speakers}") from None
         if not 0 <= speaker_id < len(corpus.speakers):
             raise DataError(f"speaker index {speaker_id} out of range [0, {len(corpus.speakers)})")
-    utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
-    _emit_resynth(
+    n = _emit_resynth(
         cfg,
-        model,
         utts,
         f"cross_resynth_spk{speaker_id}",
         lambda u: model.reconstruct(u, override_speaker=speaker_id),
     )
-    _echo_config(cfg)
-    print(json.dumps({"cross_resynth": len(utts), "target_speaker": speaker_id}))
-    return 0
+    return {"cross_resynth": n, "target_speaker": speaker_id}
 
 
-def cmd_shuffle_codes(args) -> int:
-    cfg = _load_run(args)
-    corpus = _corpus(cfg)
-    model = _model(cfg)
+def cmd_shuffle_codes(cfg: RunConfig, args) -> dict:
+    _, model, utts = _inputs(cfg)
     rng = np.random.default_rng(args.seed)
-    utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
 
     def decode_shuffled(u):
         codes = model.encode_utterance(u)
@@ -268,73 +235,35 @@ def cmd_shuffle_codes(args) -> int:
         shuffled = CodeSequence(indices=codes.indices[perm])
         return model.decode_codes(shuffled, u.phonemes, u.durations, u.speaker_id)
 
-    _emit_resynth(cfg, model, utts, f"shuffled_seed{args.seed}", decode_shuffled)
-    _echo_config(cfg)
-    print(json.dumps({"shuffled": len(utts), "seed": args.seed}))
-    return 0
+    n = _emit_resynth(cfg, utts, f"shuffled_seed{args.seed}", decode_shuffled)
+    return {"shuffled": n, "seed": args.seed}
 
 
-def _transfer(cfg: RunConfig, source_id: str, target_id: str):
+def _transfer(model: CodecModel, source, target) -> MelSpectrogram:
     """Prosody transfer: the source's codes decoded on the target's phonemes
-    and durations with the source speaker. Returns source, target, mel, audio."""
-    corpus = _corpus(cfg)
-    model = _model(cfg)
-    source = corpus.by_id(source_id)
-    target = corpus.by_id(target_id)
+    and durations with the source speaker."""
     if source.n_phonemes != target.n_phonemes:
         raise ContractError(
-            f"transfer: phoneme counts differ: source {source_id!r} has "
-            f"{source.n_phonemes}, target {target_id!r} has {target.n_phonemes}"
+            f"transfer: phoneme counts differ: source {source.id!r} has "
+            f"{source.n_phonemes}, target {target.id!r} has {target.n_phonemes}"
         )
     codes = model.encode_utterance(source)
-    mel = model.decode_codes(codes, target.phonemes, target.durations, source.speaker_id)
-    audio = invert_mel(mel, cfg.features.griffin_lim_iters, floor=cfg.features.log_floor)
-    return source, target, mel, audio
+    return model.decode_codes(codes, target.phonemes, target.durations, source.speaker_id)
 
 
-def cmd_transfer(args) -> int:
-    cfg = _load_run(args)
-    _, _, mel, audio = _transfer(cfg, args.source, args.target)
-    out_dir = os.path.join(cfg.paths.report_dir, "transfer")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_transfer(cfg: RunConfig, args) -> dict:
+    corpus, model, _ = _inputs(cfg)
+    mel = _transfer(model, corpus.by_id(args.source), corpus.by_id(args.target))
     stem = f"{args.source}_to_{args.target}"
-    write_mel(os.path.join(out_dir, f"{stem}.mel"), mel)
-    save_wav(os.path.join(out_dir, f"{stem}.wav"), audio, float32=True)
-    _echo_config(cfg)
-    print(json.dumps({"transfer": stem, "frames": mel.n_frames}))
-    return 0
+    _emit(cfg, "transfer", stem, mel)
+    return {"transfer": stem, "frames": mel.n_frames}
 
 
-# -- analyze subcommands
-
-
-def _analysis_inputs(cfg: RunConfig):
-    corpus = _corpus(cfg)
-    model = _model(cfg)
-    utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
-    sequences = an.collect_codes(model, utts)
-    return corpus, model, utts, sequences
-
-
-def cmd_analyze(args) -> int:
-    cfg = _load_run(args)
-    handler = {
-        "usage": _analyze_usage,
-        "entropy": _analyze_entropy,
-        "klmap": _analyze_klmap,
-        "pca": _analyze_pca,
-        "probes": _analyze_probes,
-        "speaker-relative": _analyze_speaker_relative,
-    }[args.what]
-    payload = handler(cfg)
-    _echo_config(cfg)
-    print(json.dumps({"analyze": args.what, "report_dir": cfg.paths.report_dir, **payload}))
-    return 0
+# -- analyze tasks: each maps the run config to its stdout payload
 
 
 def _analyze_usage(cfg: RunConfig) -> dict:
-    corpus, model = _corpus(cfg), _model(cfg)
-    utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
+    _, model, utts = _inputs(cfg)
     two_levels = model.rvq.n_levels > 1
     # one encode per batch serves the codes and both reconstructions
     sequences, full, level1 = [], [], []
@@ -381,7 +310,8 @@ def _phoneme_pairs(utts, sequences, level: int):
 
 
 def _analyze_entropy(cfg: RunConfig) -> dict:
-    corpus, model, utts, sequences = _analysis_inputs(cfg)
+    corpus, model, utts = _inputs(cfg)
+    sequences = an.collect_codes(model, utts)
     k = model.cfg.codebook_size
     alpha = cfg.analysis.smoothing_alpha
     rows = []
@@ -415,7 +345,8 @@ def _analyze_entropy(cfg: RunConfig) -> dict:
 
 
 def _analyze_klmap(cfg: RunConfig) -> dict:
-    corpus, model, utts, sequences = _analysis_inputs(cfg)
+    corpus, model, utts = _inputs(cfg)
+    sequences = an.collect_codes(model, utts)
     k = model.cfg.codebook_size
     alpha = cfg.analysis.smoothing_alpha
     if alpha <= 0:
@@ -451,14 +382,24 @@ def _analyze_klmap(cfg: RunConfig) -> dict:
     return {"phonemes": len(labels)}
 
 
-def _pca_inputs(model, sequences):
+def _code_space(cfg: RunConfig):
+    """The setup the PCA analyses share: corpus, model, the level-1 code
+    histogram over the evaluation slice, the usage-weighted PCA of the used
+    level-1 codes, the most used level-2 code and the probe reference."""
+    corpus, model, utts = _inputs(cfg)
+    sequences = an.collect_codes(model, utts)
     k = model.cfg.codebook_size
     hist = np.zeros(k, dtype=np.int64)
     for seq in sequences:
         hist += np.bincount(seq.level(0).ravel(), minlength=k)
-    entries = model.rvq.levels[0].entries
     used = hist > 0
-    return entries[used], hist[used].astype(np.float64), np.nonzero(used)[0], hist
+    proj = an.pca_codes(model.rvq.levels[0].entries[used], hist[used].astype(np.float64))
+    level2 = an.most_frequent_level2(sequences, k)
+    if cfg.analysis.reference_utterance:
+        reference = corpus.by_id(cfg.analysis.reference_utterance)
+    else:  # the longest utterance gives the probes the most frames to measure
+        reference = max(utts, key=lambda u: u.mel.n_frames)
+    return corpus, model, hist, proj, level2, reference
 
 
 def _select_path(cfg: RunConfig, model: CodecModel, hist: np.ndarray, proj, axis: int) -> list[int]:
@@ -481,11 +422,9 @@ def _select_path(cfg: RunConfig, model: CodecModel, hist: np.ndarray, proj, axis
 
 
 def _analyze_pca(cfg: RunConfig) -> dict:
-    corpus, model, utts, sequences = _analysis_inputs(cfg)
-    vectors, weights, code_ids, hist = _pca_inputs(model, sequences)
-    proj = an.pca_codes(vectors, weights)
-    entries = model.rvq.levels[0].entries
-    coords = proj.coords(entries)
+    _, model, hist, proj, _, _ = _code_space(cfg)
+    code_ids = np.nonzero(hist)[0]
+    coords = proj.coords(model.rvq.levels[0].entries)
     paths = {}
     for axis in (1, 2):
         try:
@@ -506,9 +445,9 @@ def _analyze_pca(cfg: RunConfig) -> dict:
                 "code": int(c),
                 "pc1": float(coords[c, 0]),
                 "pc2": float(coords[c, 1]),
-                "count": int(cnt),
+                "count": int(hist[c]),
             }
-            for c, cnt in zip(code_ids, weights.astype(np.int64))
+            for c in code_ids
         ],
     )
     an.svg_scatter(
@@ -520,41 +459,22 @@ def _analyze_pca(cfg: RunConfig) -> dict:
     return {"top2_ratio_sum": payload["top2_ratio_sum"], "paths": paths}
 
 
-def _reference_utterance(cfg, corpus, utts):
-    if cfg.analysis.reference_utterance:
-        return corpus.by_id(cfg.analysis.reference_utterance)
-    # longest utterance gives the probes the most frames to measure
-    return max(utts, key=lambda u: u.mel.n_frames)
-
-
-def _probe_rows(measurements):
-    return [
-        {
-            "code": m.code,
-            "f0": "" if m.f0 is None else m.f0,
-            "rms": m.rms,
-            "pc1": m.pc1,
-            "pc2": m.pc2,
-            "speaker": m.speaker_id,
-        }
-        for m in measurements
-    ]
-
-
 def _analyze_probes(cfg: RunConfig) -> dict:
-    corpus, model, utts, sequences = _analysis_inputs(cfg)
-    vectors, weights, _, hist = _pca_inputs(model, sequences)
-    proj = an.pca_codes(vectors, weights)
-    level2 = an.most_frequent_level2(sequences, model.cfg.codebook_size)
-    reference = _reference_utterance(cfg, corpus, utts)
+    _, model, hist, proj, level2, reference = _code_space(cfg)
     out = {}
     for axis in (1, 2):
         path = _select_path(cfg, model, hist, proj, axis)
-        measurements = an.probe_path(model, reference, proj, path, level2, reference.speaker_id)
+        measurements = an.probe_path(
+            model, reference, proj, path, level2, reference.speaker_id, cfg.features
+        )
         an.write_csv(
             os.path.join(cfg.paths.report_dir, f"probes_axis{axis}.csv"),
             ["code", "f0", "rms", "pc1", "pc2", "speaker"],
-            _probe_rows(measurements),
+            [
+                {"code": m.code, "f0": "" if m.f0 is None else m.f0, "rms": m.rms,
+                 "pc1": m.pc1, "pc2": m.pc2, "speaker": m.speaker_id}
+                for m in measurements
+            ],
         )
         out[f"axis{axis}"] = [m.code for m in measurements]
     an.write_json(os.path.join(cfg.paths.report_dir, "probes.json"), out)
@@ -562,14 +482,12 @@ def _analyze_probes(cfg: RunConfig) -> dict:
 
 
 def _analyze_speaker_relative(cfg: RunConfig) -> dict:
-    corpus, model, utts, sequences = _analysis_inputs(cfg)
-    vectors, weights, _, hist = _pca_inputs(model, sequences)
-    proj = an.pca_codes(vectors, weights)
-    level2 = an.most_frequent_level2(sequences, model.cfg.codebook_size)
-    reference = _reference_utterance(cfg, corpus, utts)
+    corpus, model, hist, proj, level2, reference = _code_space(cfg)
     path = _select_path(cfg, model, hist, proj, 1)
     speaker_ids = list(range(len(corpus.speakers)))
-    report = an.speaker_relative_report(model, path, reference, speaker_ids, level2, proj)
+    report = an.speaker_relative_report(
+        model, path, reference, speaker_ids, level2, proj, cfg.features
+    )
     per_speaker = {
         corpus.speakers[s]: ["" if m.f0 is None else m.f0 for m in ms] for s, ms in report.items()
     }
@@ -588,7 +506,22 @@ def _analyze_speaker_relative(cfg: RunConfig) -> dict:
     return {"path": path}
 
 
-# -- metrics
+_ANALYSES = {
+    "usage": _analyze_usage,
+    "entropy": _analyze_entropy,
+    "klmap": _analyze_klmap,
+    "pca": _analyze_pca,
+    "probes": _analyze_probes,
+    "speaker-relative": _analyze_speaker_relative,
+}
+
+
+def cmd_analyze(cfg: RunConfig, args) -> dict:
+    payload = _ANALYSES[args.what](cfg)
+    return {"analyze": args.what, "report_dir": cfg.paths.report_dir, **payload}
+
+
+# -- metrics tasks: each maps (run config, arguments) to its report
 
 
 def _phoneme_means(contour, rms, durations):
@@ -605,18 +538,15 @@ def _phoneme_means(contour, rms, durations):
     return f0_means, rms_means
 
 
-def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, corpus: Corpus) -> dict:
+def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, utts) -> dict:
     audio_paths = _audio_paths(cfg)
-    utts = an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
     mcds, vdes, gpes, ffes, psnrs = [], [], [], [], []
     for utt in utts:
         recon = model.reconstruct(utt)
         psnrs.append(mx.psnr_mel(utt.mel, recon))
         mcds.append(mx.mcd(utt.mel, recon))
-        ref_audio = load_wav(audio_paths[utt.id])
-        hyp_audio = invert_mel(recon, cfg.features.griffin_lim_iters, floor=cfg.features.log_floor)
-        ref_c = _contour(ref_audio, cfg)
-        hyp_c = _contour(hyp_audio, cfg)
+        ref_c = pitch(load_wav(audio_paths[utt.id]), cfg.features)
+        hyp_c = pitch(vocode(recon, cfg.features), cfg.features)
         n = min(len(ref_c.f0), len(hyp_c.f0))
         vde, gpe, ffe = mx.f0_errors(
             PitchContour(ref_c.f0[:n], ref_c.voiced[:n]),
@@ -636,84 +566,86 @@ def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, corpus: Corpus) -
     return report.to_json()
 
 
-def _write_metric_summary(cfg: RunConfig, task: str, payload: dict) -> None:
-    keys = sorted(k for k, v in payload.items() if isinstance(v, (int, float)) and v is not None)
-    an.write_csv(
-        os.path.join(cfg.paths.report_dir, f"metrics_{task}.csv"),
-        ["task"] + keys,
-        [{"task": task, **{k: payload[k] for k in keys}}],
-    )
+def _metrics_reconstruction(cfg: RunConfig, args) -> dict:
+    _, model, utts = _inputs(cfg)
+    return _reconstruction_metrics(cfg, model, utts)
 
 
-def cmd_metrics(args) -> int:
-    cfg = _load_run(args)
-    if args.task == "reconstruction":
-        corpus = _corpus(cfg)
-        model = _model(cfg)
-        payload = _reconstruction_metrics(cfg, model, corpus)
-        an.write_json(os.path.join(cfg.paths.report_dir, "metrics_reconstruction.json"), payload)
-        _write_metric_summary(cfg, "reconstruction", payload)
-    elif args.task == "intelligibility":
-        if not args.ref or not args.hyp:
-            raise ConfigError("metrics intelligibility: --ref and --hyp text files required")
-        with open(args.ref, encoding="utf-8") as fh:
-            refs = [line for line in fh.read().splitlines() if line.strip()]
-        with open(args.hyp, encoding="utf-8") as fh:
-            hyps = [line for line in fh.read().splitlines() if line.strip()]
-        if len(refs) != len(hyps):
-            raise DataError(f"metrics: {len(refs)} reference lines vs {len(hyps)} hypothesis lines")
-        pairs = [mx.wer_cer(r, h) for r, h in zip(refs, hyps)]
-        payload = {
-            "wer": float(np.mean([p[0] for p in pairs])),
-            "cer": float(np.mean([p[1] for p in pairs])),
-            "n": len(pairs),
-        }
-        an.write_json(os.path.join(cfg.paths.report_dir, "metrics_intelligibility.json"), payload)
-        _write_metric_summary(cfg, "intelligibility", payload)
-    elif args.task == "transfer":
-        if not args.source or not args.target:
-            raise ConfigError("metrics transfer: --source and --target utterance ids required")
-        source, target, _, out_audio = _transfer(cfg, args.source, args.target)
-        src_audio = load_wav(_audio_paths(cfg)[source.id])
-        src_c = _contour(src_audio, cfg)
-        out_c = _contour(out_audio, cfg)
-        src_rms = frame_rms(src_audio, cfg.features.hop_length, cfg.features.n_fft)
-        out_rms = frame_rms(out_audio, cfg.features.hop_length, cfg.features.n_fft)
-        # phoneme-level means: the two signals have different frame counts
-        src_f0, src_e = _phoneme_means(src_c, src_rms, source.durations)
-        out_f0, out_e = _phoneme_means(out_c, out_rms, target.durations)
-        keep_f0 = [i for i in range(len(src_f0)) if src_f0[i] is not None and out_f0[i] is not None]
-        keep_e = [i for i in range(len(src_e)) if src_e[i] is not None and out_e[i] is not None]
-        payload = {
-            "pearson_f0": mx.pearson([src_f0[i] for i in keep_f0], [out_f0[i] for i in keep_f0])
-            if len(keep_f0) >= 2
-            else None,
-            "pearson_energy": mx.pearson([src_e[i] for i in keep_e], [out_e[i] for i in keep_e])
-            if len(keep_e) >= 2
-            else None,
-            "source": args.source,
-            "target": args.target,
-        }
-        an.write_json(os.path.join(cfg.paths.report_dir, "metrics_transfer.json"), payload)
-        _write_metric_summary(cfg, "transfer", payload)
-    else:
-        raise ConfigError(f"metrics: unknown task {args.task!r}")
-    _echo_config(cfg)
-    print(json.dumps(payload))
-    return 0
+def _text_lines(path: str) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line for line in fh.read().splitlines() if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"metrics intelligibility: cannot read {path}: {exc}") from None
 
 
-def cmd_ablate_continuous(args) -> int:
-    cfg = _load_run(args)
+def _metrics_intelligibility(cfg: RunConfig, args) -> dict:
+    if not args.ref or not args.hyp:
+        raise ConfigError("metrics intelligibility: --ref and --hyp text files required")
+    refs, hyps = _text_lines(args.ref), _text_lines(args.hyp)
+    if len(refs) != len(hyps):
+        raise DataError(f"metrics: {len(refs)} reference lines vs {len(hyps)} hypothesis lines")
+    pairs = [mx.wer_cer(r, h) for r, h in zip(refs, hyps)]
+    return {
+        "wer": float(np.mean([p[0] for p in pairs])),
+        "cer": float(np.mean([p[1] for p in pairs])),
+        "n": len(pairs),
+    }
+
+
+def _metrics_transfer(cfg: RunConfig, args) -> dict:
+    if not args.source or not args.target:
+        raise ConfigError("metrics transfer: --source and --target utterance ids required")
+    corpus, model, _ = _inputs(cfg)
+    source, target = corpus.by_id(args.source), corpus.by_id(args.target)
+    out_audio = vocode(_transfer(model, source, target), cfg.features)
+    src_audio = load_wav(_audio_paths(cfg)[source.id])
+    src_rms = frame_rms(src_audio, cfg.features.hop_length, cfg.features.n_fft)
+    out_rms = frame_rms(out_audio, cfg.features.hop_length, cfg.features.n_fft)
+    # phoneme-level means: the two signals have different frame counts
+    src_f0, src_e = _phoneme_means(pitch(src_audio, cfg.features), src_rms, source.durations)
+    out_f0, out_e = _phoneme_means(pitch(out_audio, cfg.features), out_rms, target.durations)
+    keep_f0 = [i for i in range(len(src_f0)) if src_f0[i] is not None and out_f0[i] is not None]
+    keep_e = [i for i in range(len(src_e)) if src_e[i] is not None and out_e[i] is not None]
+    return {
+        "pearson_f0": mx.pearson([src_f0[i] for i in keep_f0], [out_f0[i] for i in keep_f0])
+        if len(keep_f0) >= 2
+        else None,
+        "pearson_energy": mx.pearson([src_e[i] for i in keep_e], [out_e[i] for i in keep_e])
+        if len(keep_e) >= 2
+        else None,
+        "source": args.source,
+        "target": args.target,
+    }
+
+
+_METRIC_TASKS = {
+    "reconstruction": _metrics_reconstruction,
+    "intelligibility": _metrics_intelligibility,
+    "transfer": _metrics_transfer,
+}
+
+
+def cmd_metrics(cfg: RunConfig, args) -> dict:
+    """The task's report as ``metrics_<task>.json`` plus a one-row CSV of
+    its numeric fields."""
+    payload = _METRIC_TASKS[args.task](cfg, args)
+    stem = os.path.join(cfg.paths.report_dir, f"metrics_{args.task}")
+    an.write_json(stem + ".json", payload)
+    keys = sorted(k for k, v in payload.items() if isinstance(v, (int, float)))
+    an.write_csv(stem + ".csv", ["task"] + keys, [{"task": args.task, **{k: payload[k] for k in keys}}])
+    return payload
+
+
+def cmd_ablate_continuous(cfg: RunConfig, args) -> dict:
     if not os.path.exists(_checkpoint_path(cfg, continuous=False)):
         _train_impl(cfg, continuous=False)
     _train_impl(cfg, continuous=True)
-    corpus = _corpus(cfg)
-    discrete = _model(cfg, continuous=False)
+    _, discrete, utts = _inputs(cfg)
     continuous = _model(cfg, continuous=True)
     table = {
-        "discrete": _reconstruction_metrics(cfg, discrete, corpus),
-        "continuous": _reconstruction_metrics(cfg, continuous, corpus),
+        "discrete": _reconstruction_metrics(cfg, discrete, utts),
+        "continuous": _reconstruction_metrics(cfg, continuous, utts),
     }
     an.write_json(os.path.join(cfg.paths.report_dir, "ablation_continuous.json"), table)
     rows = [
@@ -725,9 +657,7 @@ def cmd_ablate_continuous(args) -> int:
         ["type", "psnr", "mcd", "vde", "gpe", "ffe"],
         rows,
     )
-    _echo_config(cfg)
-    print(json.dumps(table))
-    return 0
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +687,9 @@ def build_parser() -> _Parser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p = add("analyze", cmd_analyze, help="latent-space analyses")
-    p.add_argument(
-        "what",
-        choices=["usage", "entropy", "klmap", "pca", "probes", "speaker-relative"],
-    )
+    p.add_argument("what", choices=list(_ANALYSES))
     p = add("metrics", cmd_metrics, help="objective metric reports")
-    p.add_argument("--task", required=True, choices=["reconstruction", "intelligibility", "transfer"])
+    p.add_argument("--task", required=True, choices=list(_METRIC_TASKS))
     p.add_argument("--ref")
     p.add_argument("--hyp")
     p.add_argument("--source")
@@ -772,6 +699,9 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv) -> int:
+    """Parse, load the run config, run the command, then echo the config it
+    ran with as ``effective_config.json`` and print its payload as one JSON
+    line. Errors map to the exit codes in the module docstring."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -779,7 +709,14 @@ def dispatch(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        os.makedirs(cfg.paths.report_dir, exist_ok=True)
+        payload = args.func(cfg, args)
+        echo = os.path.join(cfg.paths.report_dir, "effective_config.json")
+        with open(echo, "w", encoding="utf-8") as fh:
+            fh.write(dumps_config(cfg))
+        print(json.dumps(payload))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

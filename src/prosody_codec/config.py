@@ -44,6 +44,11 @@ class FeatureConfig:
         _require(self.griffin_lim_iters >= 1, f"{prefix}.griffin_lim_iters", "must be >= 1")
 
 
+# The FeatureConfig fields that decide what a log-mel holds: the feature
+# cache is keyed by them, and a model only reads mels analysed as in training.
+MEL_FIELDS = ("sample_rate", "n_fft", "hop_length", "n_mels", "log_floor")
+
+
 @dataclass
 class ModelConfig:
     model_dim: int = 64
@@ -164,12 +169,12 @@ class SynthSpec:
         )
         for i, pair in enumerate(self.f0_ranges):
             _require(
-                len(pair) == 2 and 0 < pair[0] <= pair[1],
+                _is_pair(pair) and 0 < pair[0] <= pair[1],
                 f"{prefix}.f0_ranges[{i}]",
                 "must be [low, high] with 0 < low <= high",
             )
         _require(
-            len(self.amp_range) == 2 and 0 < self.amp_range[0] <= self.amp_range[1] <= 1,
+            _is_pair(self.amp_range) and 0 < self.amp_range[0] <= self.amp_range[1] <= 1,
             f"{prefix}.amp_range",
             "must be [low, high] within (0, 1]",
         )
@@ -239,6 +244,15 @@ _SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(RunConfi
 def _require(cond: bool, key: str, msg: str) -> None:
     if not cond:
         raise ConfigError(f"{key}: {msg}")
+
+
+def _is_pair(value) -> bool:
+    """Two numbers, neither a bool."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    )
 
 
 def parse_section(cls: type, data: Any, prefix: str):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import FeatureConfig, SynthSpec
+from .config import MEL_FIELDS, FeatureConfig, SynthSpec
 from .containers import read_container, write_container
 from .dsp import AudioBuffer, MelSpectrogram, load_wav, mel_spectrogram
 from .errors import ContractError, DataError
@@ -155,13 +155,7 @@ def reconcile_durations(durations, n_frames: int, tolerance: int = 2) -> np.ndar
 
 
 def _config_hash(cfg: FeatureConfig) -> str:
-    keys = {
-        "sample_rate": cfg.sample_rate,
-        "n_fft": cfg.n_fft,
-        "hop_length": cfg.hop_length,
-        "n_mels": cfg.n_mels,
-        "log_floor": cfg.log_floor,
-    }
+    keys = {name: getattr(cfg, name) for name in MEL_FIELDS}
     return hashlib.sha256(json.dumps(keys, sort_keys=True).encode()).hexdigest()[:16]
 
 

@@ -311,6 +311,11 @@ def invert_mel(
     return audio
 
 
+def vocode(mel: MelSpectrogram, features: FeatureConfig) -> AudioBuffer:
+    """A model mel as audio, inverted with the run's Griffin-Lim settings."""
+    return invert_mel(mel, features.griffin_lim_iters, floor=features.log_floor)
+
+
 # ---------------------------------------------------------------------------
 # pitch and energy
 
@@ -390,6 +395,18 @@ def estimate_f0(
         f0[t] = float(np.clip(freq, f_min, f_max))
         voiced[t] = True
     return PitchContour(f0=f0, voiced=voiced)
+
+
+def pitch(audio: AudioBuffer, features: FeatureConfig) -> PitchContour:
+    """F0 contour with the run's YIN settings, framed like its mels."""
+    return estimate_f0(
+        audio,
+        features.f0_min,
+        features.f0_max,
+        hop_length=features.hop_length,
+        win_length=features.n_fft,
+        threshold=features.yin_threshold,
+    )
 
 
 def frame_rms(audio: AudioBuffer, hop: int, win: int) -> np.ndarray:

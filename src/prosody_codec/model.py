@@ -29,6 +29,9 @@ from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward
 # parameters
 
 
+_STACKS = ("penc", "menc", "dec")
+
+
 def _param_specs(cfg: ModelConfig, vocab_size: int, n_speakers: int):
     D, Fm = cfg.model_dim, cfg.ffn_mult * cfg.model_dim
     specs: list[tuple[str, tuple, float]] = [
@@ -45,7 +48,7 @@ def _param_specs(cfg: ModelConfig, vocab_size: int, n_speakers: int):
     ]
     if cfg.sigma_policy == "learnable":
         specs.append(("resampler.log_sigma", (1,), 0.0))
-    for stack in ("penc", "menc", "dec"):
+    for stack in _STACKS:
         for i in range(cfg.layers):
             p = f"{stack}.l{i}."
             for ffn in ("ffn1", "ffn2"):
@@ -100,10 +103,19 @@ def init_params(
     return params
 
 
-def _check_params(params: dict[str, np.ndarray], specs) -> None:
+def _check_params(
+    params: dict[str, np.ndarray], cfg: ModelConfig, vocab_size: int, n_speakers: int
+) -> None:
     """Given parameters (from a checkpoint) must have exactly the names and
-    shapes the config implies."""
-    shapes = {name: shape for name, shape, _ in specs}
+    shapes the config implies. The layer count is compared first: the table
+    of expected names grows with it, so a corrupt count must not size it."""
+    stacked = tuple(f"{stack}." for stack in _STACKS)
+    layers = len({name.split(".")[1] for name in params if name.startswith(stacked)})
+    if layers != cfg.layers:
+        raise DataError(
+            f"parameters hold {layers} conformer layers per stack, the config needs {cfg.layers}"
+        )
+    shapes = {name: shape for name, shape, _ in _param_specs(cfg, vocab_size, n_speakers)}
     missing, unknown = sorted(shapes.keys() - params.keys()), sorted(params.keys() - shapes.keys())
     if missing or unknown:
         raise DataError(f"parameters disagree with the config: missing {missing}, unknown {unknown}")
@@ -245,7 +257,7 @@ class CodecModel:
         if cfg.n_mels != features.n_mels:
             raise ContractError(f"model.n_mels is {cfg.n_mels}, but features.n_mels is {features.n_mels}")
         if params is not None:
-            _check_params(params, _param_specs(cfg, len(vocab), len(speakers)))
+            _check_params(params, cfg, len(vocab), len(speakers))
         self.cfg = cfg
         self.features = features
         self.vocab = vocab

@@ -379,20 +379,21 @@ def tiny_reference():
 def test_synth_probe_shape_and_determinism():
     model = tiny_model()
     ref = tiny_reference()
-    a = an.synth_probe(model, ref, [2, 5], speaker_id=1)
-    b = an.synth_probe(model, ref, [2, 5], speaker_id=1)
+    a = an.synth_probe(model, ref, [2, 5], speaker_id=1, features=model.features)
+    b = an.synth_probe(model, ref, [2, 5], speaker_id=1, features=model.features)
     assert np.array_equal(a.samples, b.samples)
     expected = (ref.mel.n_frames - 1) * model.features.hop_length + model.features.n_fft
     assert len(a.samples) == expected
     with pytest.raises(ContractError):
-        an.synth_probe(model, ref, [2], speaker_id=0)  # wrong level count
+        an.synth_probe(model, ref, [2], speaker_id=0, features=model.features)  # wrong level count
 
 
 def test_speaker_relative_report_structure():
     model = tiny_model()
     ref = tiny_reference()
     proj = pca_codes(model.rvq.levels[0].entries)
-    report = an.speaker_relative_report(model, [1, 4, 6], ref, [0, 1], level2_code=0, proj=proj)
+    report = an.speaker_relative_report(model, [1, 4, 6], ref, [0, 1], level2_code=0, proj=proj,
+                                        features=model.features)
     assert set(report) == {0, 1}
     for rows in report.values():
         assert [m.code for m in rows] == [1, 4, 6]  # code order preserved
@@ -400,4 +401,5 @@ def test_speaker_relative_report_structure():
             c = proj.coords(model.rvq.levels[0].entries[m.code][None, :])[0]
             assert (m.pc1, m.pc2) == (float(c[0]), float(c[1]))
     with pytest.raises(ContractError):
-        an.speaker_relative_report(model, [1, 4], ref, [0], level2_code=0, proj=proj)
+        an.speaker_relative_report(model, [1, 4], ref, [0], level2_code=0, proj=proj,
+                                   features=model.features)

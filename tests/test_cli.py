@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from prosody_codec import cli
 from prosody_codec import corpus as corpus_module
+from prosody_codec import dsp as dsp_module
 from prosody_codec import model as model_module
 from prosody_codec.config import RunConfig, dumps_config, load_config, loads_config
 from prosody_codec.containers import read_container, write_container
@@ -413,3 +415,115 @@ def test_analyze_reports_byte_identical_on_rerun(pipeline):
     first = (root / "reports" / "usage.json").read_bytes()
     assert cli.main(["analyze", "--config", config, "usage"]) == 0
     assert (root / "reports" / "usage.json").read_bytes() == first
+
+
+# ---------------------------------------------------------------------------
+# the command runner and the run config's analysis settings
+
+
+def test_every_command_echoes_config_and_prints_one_json_line(tmp_path, capsys):
+    config = write_config(tmp_path, synth={"n_utterances": 4}, train={"max_steps": 3})
+    os.makedirs(tmp_path / "data")
+    echoed = tmp_path / "reports" / "effective_config.json"
+    ref = tmp_path / "ref.txt"
+    ref.write_text("a b\n")
+    commands = [["synth-data"], ["prepare"], ["train"], ["train", "--continuous"], ["resynth"],
+                ["cross-resynth", "--target-speaker", "1"], ["shuffle-codes", "--seed", "2"],
+                ["transfer", "--source", "synth0000", "--target", "synth0000"]]
+    commands += [["analyze", what] for what in
+                 ("usage", "entropy", "klmap", "pca", "probes", "speaker-relative")]
+    commands += [["metrics", "--task", "reconstruction"],
+                 ["metrics", "--task", "intelligibility", "--ref", str(ref), "--hyp", str(ref)],
+                 ["metrics", "--task", "transfer", "--source", "synth0000", "--target", "synth0000"],
+                 ["ablate-continuous"]]
+    for command in commands:
+        if echoed.exists():
+            echoed.unlink()
+        capsys.readouterr()
+        assert cli.main([command[0], "--config", config, *command[1:]]) == 0, command
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, command
+        assert isinstance(json.loads(lines[0]), dict), command
+        assert load_config(str(echoed)).features == load_config(config).features, command
+
+
+def test_analyze_probes_follow_run_config_vocoder_and_pitch(pipeline, tmp_path, monkeypatch):
+    # the checkpoint was trained with 8 Griffin-Lim iterations and YIN at 0.15
+    root, _ = pipeline
+    config = write_config(
+        tmp_path,
+        features={"griffin_lim_iters": 2, "yin_threshold": 0.3},
+        paths={"manifest": str(root / "data" / "manifest.jsonl"), "cache_dir": str(root / "cache"),
+               "checkpoint_dir": str(root / "ckpt")},
+    )
+    iterations, thresholds = [], []
+    real_invert, real_f0 = dsp_module.invert_mel, dsp_module.estimate_f0
+
+    def invert_mel(mel, iters, **kwargs):
+        iterations.append(iters)
+        return real_invert(mel, iters, **kwargs)
+
+    def estimate_f0(audio, *args, **kwargs):
+        thresholds.append(kwargs["threshold"])
+        return real_f0(audio, *args, **kwargs)
+
+    monkeypatch.setattr(dsp_module, "invert_mel", invert_mel)
+    monkeypatch.setattr(dsp_module, "estimate_f0", estimate_f0)
+    assert cli.main(["analyze", "--config", config, "probes"]) == 0
+    assert iterations and set(iterations) == {2}
+    assert len(thresholds) == len(iterations) and set(thresholds) == {0.3}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_fft", 640), ("hop_length", 127), ("n_mels", 24), ("log_floor", 1e-3)],
+)
+def test_checkpoint_mel_analysis_must_match_run_config(pipeline, tmp_path, capsys, field, value):
+    root, _ = pipeline
+    overrides = {"model": {"n_mels": value}} if field == "n_mels" else {}
+    config = write_config(
+        tmp_path,
+        features={field: value},
+        paths={"manifest": str(root / "data" / "manifest.jsonl"), "cache_dir": str(root / "cache"),
+               "checkpoint_dir": str(root / "ckpt")},
+        **overrides,
+    )
+    capsys.readouterr()
+    assert cli.main(["resynth", "--config", config]) == 2
+    assert f"features.{field} is {value}, but" in capsys.readouterr().err
+    assert not (tmp_path / "reports" / "resynth").exists()
+
+
+@pytest.mark.parametrize("missing", ["ref", "hyp"])
+def test_metrics_intelligibility_unreadable_text_exit_2(pipeline, tmp_path, capsys, missing):
+    _, config = pipeline
+    present = tmp_path / "present.txt"
+    present.write_text("a b\n")
+    paths = {"ref": str(present), "hyp": str(present), missing: str(tmp_path / "absent.txt")}
+    capsys.readouterr()
+    assert cli.main(["metrics", "--config", config, "--task", "intelligibility",
+                     "--ref", paths["ref"], "--hyp", paths["hyp"]]) == 2
+    assert f"cannot read {tmp_path / 'absent.txt'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "synth, key",
+    [
+        ({"n_speakers": 1, "f0_ranges": [5]}, "synth.f0_ranges[0]"),
+        ({"n_speakers": 1, "f0_ranges": [["a", 1]]}, "synth.f0_ranges[0]"),
+        ({"n_speakers": 1, "f0_ranges": [[True, 200.0]]}, "synth.f0_ranges[0]"),
+        ({"n_speakers": 1, "f0_ranges": [[100.0, 150.0, 200.0]]}, "synth.f0_ranges[0]"),
+        ({"amp_range": ["x", 1]}, "synth.amp_range"),
+        ({"amp_range": [0.5, None]}, "synth.amp_range"),
+        ({"amp_range": [[0.5], 1]}, "synth.amp_range"),
+    ],
+)
+def test_config_rejects_synth_pair_that_is_not_two_numbers(synth, key):
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)}: must"):
+        loads_config(json.dumps({"synth": synth}))
+
+
+def test_synth_pair_that_is_not_two_numbers_exit_1(tmp_path, capsys):
+    config = write_config(tmp_path, synth={"f0_ranges": [5, 6]})
+    assert cli.main(["synth-data", "--config", config]) == 1
+    assert "synth.f0_ranges[0]: must be [low, high]" in capsys.readouterr().err

@@ -1,5 +1,5 @@
-"""Fuzz tests of the file readers: a mutated checkpoint, manifest, container
-or mel file either loads or raises a ProsodyCodecError subclass, never a
+"""Fuzz tests of the file readers: a mutated checkpoint, manifest, container,
+mel or wav file either loads or raises a ProsodyCodecError subclass, never a
 raw Python exception."""
 
 import copy
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prosody_codec.config import FeatureConfig, ModelConfig, TrainConfig
 from prosody_codec.containers import read_container, write_container
 from prosody_codec.corpus import PhonemeVocab, parse_manifest, read_mel, write_mel
-from prosody_codec.dsp import AudioBuffer, MelSpectrogram, save_wav
+from prosody_codec.dsp import AudioBuffer, MelSpectrogram, load_wav, save_wav
 from prosody_codec.errors import DataError, ProsodyCodecError
 from prosody_codec.model import CodecModel, load_model, save_model
 from prosody_codec.training import load_checkpoint, new_train_state, save_checkpoint
@@ -24,8 +24,9 @@ FEAT = FeatureConfig(sample_rate=8000, n_fft=256, hop_length=64, n_mels=20)
 TINY = ModelConfig(model_dim=8, layers=1, heads=2, ffn_mult=1, conv_kernel=3,
                    codebook_size=4, code_dim=2, levels=2, n_mels=20)
 
-# Integers stay small: a config read from a checkpoint sizes the parameter
-# table the loader compares against, so a huge layer count is a huge table.
+# Integers stay small, so a mutated size in a checkpoint config stays cheap
+# to check (a layer count that disagrees with the parameters is rejected
+# before the table of expected names is built; test_model covers 10000).
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -132,6 +133,19 @@ def test_truncated_or_bit_flipped_container(files, name, load, data):
     path = root / f"damaged-{name}"
     path.write_bytes(_damaged((root / name).read_bytes(), data))
     _check(load, str(path))
+
+
+@pytest.mark.parametrize("float32", [False, True], ids=["pcm16", "float32"])
+@FUZZ
+@given(data=st.data())
+def test_load_wav_on_truncated_or_bit_flipped_file(files, float32, data):
+    root, _ = files
+    clean = root / f"clean-{int(float32)}.wav"
+    if not clean.exists():
+        save_wav(str(clean), AudioBuffer(0.3 * np.sin(np.arange(300) * 0.1), 8000), float32=float32)
+    path = root / "damaged.wav"
+    path.write_bytes(_damaged(clean.read_bytes(), data))
+    _check(load_wav, str(path))
 
 
 @FUZZ

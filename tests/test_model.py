@@ -597,6 +597,25 @@ def test_malformed_checkpoint_meta_is_data_error(tmp_path, edit, message):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("layers", [2, 10000])
+def test_layer_count_mismatch_rejected_before_building_spec_table(tmp_path, monkeypatch, layers):
+    from prosody_codec.containers import read_container, write_container
+
+    path = tmp_path / "model.ckpt"
+    save_model(make_model(), str(path))
+    meta, arrays = read_container(str(path))
+    meta["model_config"]["layers"] = layers
+    write_container(str(path), meta, arrays)
+
+    def no_table(*args):
+        raise AssertionError("the parameter table was built")
+
+    monkeypatch.setattr(md, "_param_specs", no_table)
+    with pytest.raises(DataError) as info:
+        load_model(str(path))
+    assert str(info.value) == f"parameters hold 1 conformer layers per stack, the config needs {layers}"
+
+
 def test_continuous_checkpoint_without_rvq_meta_loads(tmp_path):
     path = tmp_path / "model.ckpt"
     save_model(make_model(cfg=dataclasses.replace(TINY, quantization="none")), str(path))
