@@ -4,12 +4,18 @@ A ``Tensor`` wraps an ndarray plus an optional backward closure; calling
 ``backward`` on a scalar output walks the recorded graph once in reverse
 topological order. The ops are functions, not operators on ``Tensor``:
 elementwise ``add``/``sub``/``mul``/``div``/``power``/``absolute``/``exp``/
-``log``/``sqrt``, ``sigmoid``, ``swish``, ``matmul`` (batched), ``linear``
-(matmul and bias in one node), multi-head ``attention`` with a key mask
-(one node), ``layer_norm``, ``conv1d_depthwise`` over (B, L, C),
+``log``/``sqrt``, ``swish``, the gated linear unit ``glu``, ``matmul``
+(batched), ``linear`` (matmul and bias in one node), ``layer_norm``,
 ``embedding_lookup``, ``tsum``, ``reshape``, ``transpose``, and the
 ``stop_gradient``/``straight_through`` pair used by the quantizer. Backward
 passes compute only the gradients of operands that require one.
+
+Sequences of a padded batch can run packed: ``gather_rows`` takes the rows
+of a (B, L, ...) array where a (B, L) mask is True, in row-major order, and
+``scatter_rows`` puts them back, with zeros elsewhere. Multi-head
+``attention`` with a key mask and ``conv1d_depthwise``, the two ops that mix
+the rows of a sequence, take and return packed rows and pad them
+internally from the mask.
 
 Adam keeps the parameters and both moments in flat buffers, one per kind,
 and updates them in place; the parameter dict holds views into the first.
@@ -236,27 +242,51 @@ def sqrt(a) -> Tensor:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd():
-        _accumulate(a, out.grad * out_data * (1.0 - out_data))
-
-    out = _make(out_data, (a,), bwd)
-    return out
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one new array."""
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return s
 
 
 def swish(a) -> Tensor:
     """x * sigmoid(x)."""
     a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid(a.data)
     out_data = a.data * s
 
     def bwd():
-        _accumulate(a, out.grad * (s + a.data * s * (1.0 - s)))
+        # d(x s)/dx = s + x s (1 - s) = s (1 + x - out)
+        d = a.data + 1.0
+        d -= out_data
+        d *= s
+        d *= out.grad
+        _accumulate(a, d)
 
     out = _make(out_data, (a,), bwd)
+    return out
+
+
+def glu(a, g) -> Tensor:
+    """The gated linear unit a * sigmoid(g), as one node."""
+    a, g = as_tensor(a), as_tensor(g)
+    if a.data.shape != g.data.shape:
+        raise ContractError(f"glu: incompatible shapes {a.data.shape} and {g.data.shape}")
+    s = _sigmoid(g.data)
+    out_data = a.data * s
+
+    def bwd():
+        if a.requires_grad:
+            _accumulate(a, out.grad * s)
+        if g.requires_grad:
+            d = out.grad * a.data
+            d *= s
+            d *= 1.0 - s
+            _accumulate(g, d)
+
+    out = _make(out_data, (a, g), bwd)
     return out
 
 
@@ -281,6 +311,11 @@ def matmul(a, b) -> Tensor:
 
     out = _make(out_data, (a, b), bwd)
     return out
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """The sum over the rows of a 2-D array, as one matrix-vector product."""
+    return np.ones(a.shape[0], dtype=a.dtype) @ a
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -312,7 +347,7 @@ def linear(x, w, b=None) -> Tensor:
         if w.requires_grad:
             _accumulate(w, x2.T @ g2)
         if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+            _accumulate(b, _column_sums(g2))
 
     out = _make(out_data, (x, w) if b is None else (x, w, b), bwd)
     return out
@@ -324,35 +359,37 @@ _MASKED_SCORE = -1e9  # the score of a padded key, before the softmax
 def attention(q, k, v, key_mask, heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention as one node.
 
-    ``q``, ``k``, ``v``: (B, L, D), split along D into ``heads`` slices of
-    dh = D / heads. Per head, softmax(q k^T / sqrt(dh)) v, where a key whose
-    ``key_mask`` (B, L) entry is False gets zero weight. Returns (B, L, D)
-    with the heads merged back in order.
+    ``q``, ``k``, ``v``: (n, D), the packed rows of the (B, L) ``key_mask``
+    (see ``gather_rows``), split along D into ``heads`` slices of dh = D /
+    heads. Per sequence and head, softmax(q k^T / sqrt(dh)) v, where only the
+    sequence's own rows are keys. Returns (n, D) with the heads merged back
+    in order.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     key_mask = np.asarray(key_mask, dtype=bool)
     shape = q.data.shape
     if (
-        len(shape) != 3
+        len(shape) != 2
         or k.data.shape != shape
         or v.data.shape != shape
-        or key_mask.shape != shape[:2]
+        or key_mask.ndim != 2
+        or shape[0] != np.count_nonzero(key_mask)
         or heads < 1
-        or shape[2] % heads
+        or shape[1] % heads
     ):
         raise ContractError(
             f"attention: incompatible shapes q {shape}, k {k.data.shape}, v {v.data.shape} "
             f"and key mask {key_mask.shape} for {heads} heads"
         )
-    B, L, D = shape
+    (B, L), D = key_mask.shape, shape[1]
     dh = D // heads
     scale = np.asarray(dh**-0.5, dtype=q.data.dtype)
 
-    def split(a):  # (B, L, D) -> (B, H, L, dh), a view
-        return a.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+    def split(rows):  # (n, D) -> (B, H, L, dh), padded rows zero
+        return _pad(rows, key_mask).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):  # (B, H, L, dh) -> (B, L, D)
-        return a.transpose(0, 2, 1, 3).reshape(B, L, D)
+    def merge(a):  # (B, H, L, dh) -> (n, D), the valid rows
+        return a.transpose(0, 2, 1, 3)[key_mask].reshape(-1, D)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     weights = qh @ kh.transpose(0, 1, 3, 2)  # (B, H, L queries, L keys)
@@ -401,10 +438,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         g2 = out.grad.reshape(-1, n)
         xhat2 = xhat.reshape(-1, n)
         if bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=0))
+            _accumulate(bias, _column_sums(g2))
         gx = g2 * xhat2
         if gain.requires_grad:
-            _accumulate(gain, gx.sum(axis=0))
+            _accumulate(gain, _column_sums(gx))
         if x.requires_grad:
             # with d = g * gain: dx = inv_std * (d - mean(d) - xhat * mean(d * xhat))
             mean_d = (g2 @ gain.data)[:, None] / n
@@ -420,35 +457,45 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return out
 
 
-def conv1d_depthwise(x, w) -> Tensor:
-    """Depthwise 1-D convolution along the length axis, 'same' padding.
+def conv1d_depthwise(x, w, mask) -> Tensor:
+    """Depthwise 1-D convolution along each sequence, 'same' padding.
 
-    ``x``: (B, L, C); ``w``: (k, C), one filter per channel.
+    ``x``: (n, C), the packed rows of the (B, L) ``mask`` (see
+    ``gather_rows``); ``w``: (k, C), one filter per channel. A tap outside
+    the sequence reads zero. Returns (n, C).
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 3 or w.data.ndim != 2 or x.data.shape[2] != w.data.shape[1]:
+    mask = np.asarray(mask, dtype=bool)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ContractError(
             f"conv1d_depthwise: incompatible shapes {x.data.shape} and {w.data.shape}"
         )
+    _check_rows("conv1d_depthwise", x.data, mask)
     k = w.data.shape[0]
     left = (k - 1) // 2
-    right = k - 1 - left
-    xpad = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
-    L = x.data.shape[1]
-    out_data = np.zeros_like(x.data)
+    (B, L), C = mask.shape, x.data.shape[1]
+    xpad = np.zeros((B, L + k - 1, C), dtype=x.data.dtype)
+    xpad[:, left : left + L][mask] = x.data
+    full = np.zeros((B, L, C), dtype=x.data.dtype)
+    tap = np.empty_like(full)
     for j in range(k):
-        out_data += w.data[j] * xpad[:, j : j + L, :]
+        np.multiply(xpad[:, j : j + L], w.data[j], out=tap)
+        full += tap
+    out_data = full[mask]
 
     def bwd():
-        g = out.grad
-        gw = np.empty_like(w.data)
-        for j in range(k):
-            gw[j] = (g * xpad[:, j : j + L, :]).sum(axis=(0, 1))
-        _accumulate(w, gw)
-        gxpad = np.zeros_like(xpad)
-        for j in range(k):
-            gxpad[:, j : j + L, :] += w.data[j] * g
-        _accumulate(x, gxpad[:, left : left + L, :])
+        g = _pad(out.grad, mask)
+        if w.requires_grad:
+            gw = np.empty_like(w.data)
+            for j in range(k):
+                gw[j] = np.einsum("blc,blc->c", g, xpad[:, j : j + L])
+            _accumulate(w, gw)
+        if x.requires_grad:
+            gxpad = np.zeros_like(xpad)
+            for j in range(k):
+                np.multiply(g, w.data[j], out=tap)
+                gxpad[:, j : j + L] += tap
+            _accumulate(x, gxpad[:, left : left + L][mask])
 
     out = _make(out_data, (x, w), bwd)
     return out
@@ -512,6 +559,56 @@ def transpose(x, axes) -> Tensor:
         _accumulate(x, out.grad.transpose(inverse))
 
     out = _make(out_data, (x,), bwd)
+    return out
+
+
+def _check_rows(op: str, rows: np.ndarray, mask: np.ndarray) -> None:
+    """``rows`` must be the packed rows of the (B, L) ``mask``: (n, ...) with
+    n its True count."""
+    if mask.ndim != 2 or rows.ndim < 1 or rows.shape[0] != np.count_nonzero(mask):
+        raise ContractError(
+            f"{op}: {rows.shape} is not the packed rows of a mask {mask.shape} "
+            f"with {np.count_nonzero(mask)} valid entries"
+        )
+
+
+def _pad(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Packed rows (n, ...) placed at the True entries of the (B, L) ``mask``,
+    in row-major order, in zeros (B, L, ...)."""
+    out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
+    out[mask] = rows
+    return out
+
+
+def gather_rows(x, mask) -> Tensor:
+    """The rows of ``x`` (B, L, ...) where the (B, L) ``mask`` is True, in
+    row-major order: (n, ...). ``scatter_rows`` puts them back."""
+    x = as_tensor(x)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or x.data.shape[:2] != mask.shape:
+        raise ContractError(f"gather_rows: input {x.data.shape} does not start with mask {mask.shape}")
+    out_data = x.data[mask]
+
+    def bwd():
+        _accumulate(x, _pad(out.grad, mask))
+
+    out = _make(out_data, (x,), bwd)
+    return out
+
+
+def scatter_rows(rows, mask) -> Tensor:
+    """Packed rows (n, ...) back to (B, L, ...): row i goes to the i-th True
+    entry of the (B, L) ``mask`` in row-major order; every other row is
+    zero."""
+    rows = as_tensor(rows)
+    mask = np.asarray(mask, dtype=bool)
+    _check_rows("scatter_rows", rows.data, mask)
+    out_data = _pad(rows.data, mask)
+
+    def bwd():
+        _accumulate(rows, out.grad[mask])
+
+    out = _make(out_data, (rows,), bwd)
     return out
 
 

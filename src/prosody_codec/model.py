@@ -4,8 +4,9 @@ speaker-conditioned decoder. A model without a quantizer is the continuous
 variant for the discrete-vs-continuous ablation.
 
 Layout conventions: batched activations are (B, L, D); masks are boolean
-(B, L). Resampling weights are (B, T frames, N phonemes), rows summing to
-one in the upsampling direction.
+(B, L). Inside a conformer stack the activations are the mask's valid rows,
+packed (n, D). Resampling weights are (B, T frames, N phonemes), rows
+summing to one in the upsampling direction.
 
 ``encode_batch`` and ``decode_batch`` are the model's two halves. Training
 composes them around the quantizer in ``forward_batch``; every inference
@@ -61,8 +62,6 @@ def _param_specs(cfg: ModelConfig, vocab_size: int, n_speakers: int):
                     (p + ffn + ".b2", (D,), 0.0),
                 ]
             specs += [
-                (p + "attn.norm.gain", (D,), 1.0),
-                (p + "attn.norm.bias", (D,), 0.0),
                 (p + "attn.wq", (D, D), D**-0.5),
                 (p + "attn.bq", (D,), 0.0),
                 (p + "attn.wk", (D, D), D**-0.5),
@@ -139,37 +138,40 @@ def _attention(pt: dict, prefix: str, x: Tensor, mask: np.ndarray, heads: int) -
     q = ad.linear(x, pt[prefix + ".wq"], pt[prefix + ".bq"])
     k = ad.linear(x, pt[prefix + ".wk"], pt[prefix + ".bk"])
     v = ad.linear(x, pt[prefix + ".wv"], pt[prefix + ".bv"])
-    out = ad.attention(q, k, v, mask, heads)  # padded keys get no weight
+    out = ad.attention(q, k, v, mask, heads)  # each row attends within its own sequence
     return ad.linear(out, pt[prefix + ".wo"], pt[prefix + ".bo"])
 
 
-def _conv_module(pt: dict, prefix: str, x: Tensor, mask_f: np.ndarray) -> Tensor:
+def _conv_module(pt: dict, prefix: str, x: Tensor, mask: np.ndarray) -> Tensor:
     h = ad.layer_norm(x, pt[prefix + ".norm.gain"], pt[prefix + ".norm.bias"])
     a = ad.linear(h, pt[prefix + ".in_a.w"], pt[prefix + ".in_a.b"])
     g = ad.linear(h, pt[prefix + ".in_g.w"], pt[prefix + ".in_g.b"])
-    h = ad.mul(a, ad.sigmoid(g))  # GLU gate
-    h = ad.mul(h, mask_f)  # padded positions must not bleed through the kernel
-    h = ad.conv1d_depthwise(h, pt[prefix + ".dw"])
+    h = ad.conv1d_depthwise(ad.glu(a, g), pt[prefix + ".dw"], mask)
     h = ad.swish(h)
     return ad.linear(h, pt[prefix + ".out.w"], pt[prefix + ".out.b"])
 
 
 def conformer_block(pt: dict, prefix: str, x: Tensor, mask: np.ndarray, heads: int) -> Tensor:
-    mask_f = mask[..., None].astype(x.data.dtype)
+    """One conformer block on packed rows ``x`` (n, D): the valid rows of
+    the (B, L) ``mask``, as ``ad.gather_rows`` takes them."""
     x = ad.add(x, ad.mul(_ffn(pt, prefix + "ffn1", x), 0.5))
     x = ad.add(x, _attention(pt, prefix + "attn", x, mask, heads))
-    x = ad.add(x, _conv_module(pt, prefix + "conv", x, mask_f))
+    x = ad.add(x, _conv_module(pt, prefix + "conv", x, mask))
     x = ad.add(x, ad.mul(_ffn(pt, prefix + "ffn2", x), 0.5))
-    x = ad.layer_norm(x, pt[prefix + "final.norm.gain"], pt[prefix + "final.norm.bias"])
-    return ad.mul(x, mask_f)
+    return ad.layer_norm(x, pt[prefix + "final.norm.gain"], pt[prefix + "final.norm.bias"])
 
 
 def conformer_stack(
     pt: dict, stack: str, x: Tensor, mask: np.ndarray, layers: int, heads: int
 ) -> Tensor:
+    """``layers`` conformer blocks over ``x`` (B, L, D). The rows where the
+    (B, L) ``mask`` is True are gathered once, every block runs on them
+    packed, and they are scattered back once: padded rows never enter a
+    block, and come out zero."""
+    rows = ad.gather_rows(x, mask)
     for i in range(layers):
-        x = conformer_block(pt, f"{stack}.l{i}.", x, mask, heads)
-    return x
+        rows = conformer_block(pt, f"{stack}.l{i}.", rows, mask, heads)
+    return ad.scatter_rows(rows, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +519,12 @@ def _section_from_meta(cls, data, key: str, prefix: str):
         raise DataError(f"checkpoint {key}: {exc}") from None
 
 
+def retired_param(name: str) -> bool:
+    """A parameter older checkpoints carry and no code reads: the gain and
+    bias of an attention norm that was never applied. Loading drops it."""
+    return name.split(".")[2:] in (["attn", "norm", "gain"], ["attn", "norm", "bias"])
+
+
 def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
     """Rebuild a model from checkpoint meta and arrays. A missing key or
     array, a config value the run-config parser rejects, or (checked by
@@ -541,7 +549,7 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
     params = {
         k[len("param.") :]: v.astype(dtype)
         for k, v in arrays.items()
-        if k.startswith("param.")
+        if k.startswith("param.") and not retired_param(k[len("param.") :])
     }
     rvq = None
     if (meta["rvq"] is None) != (cfg.quantization == "none"):

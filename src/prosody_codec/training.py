@@ -21,7 +21,7 @@ from .containers import read_container, write_container
 from .corpus import Batch, Corpus, Utterance, inference_batches, make_batch
 from .errors import ContractError, DataError, NumericError
 from .model import (NUMBER, CodecModel, _model_from_parts, _require_keys, _section_from_meta,
-                    model_arrays, model_meta)
+                    model_arrays, model_meta, retired_param)
 # quantize_level is unused here; perfbench/layers.py still wraps training.quantize_level
 from .quantizer import ema_update, quantize_level, reinit_dead_codes, seed_codebooks
 
@@ -231,10 +231,13 @@ def load_checkpoint(path: str) -> TrainState:
     opt.t = train_meta["adam_t"]
     dtype = model.dtype
     for key, arr in arrays.items():
+        name = key[len("opt.m.") :]  # "opt.v." has the same length
+        if retired_param(name):
+            continue
         if key.startswith("opt.m."):
-            opt.m[key[len("opt.m.") :]] = arr.astype(dtype)
+            opt.m[name] = arr.astype(dtype)
         elif key.startswith("opt.v."):
-            opt.v[key[len("opt.v.") :]] = arr.astype(dtype)
+            opt.v[name] = arr.astype(dtype)
     rng = np.random.default_rng(tcfg.seed)
     try:
         rng.bit_generator.state = train_meta["rng_state"]

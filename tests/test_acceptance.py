@@ -138,9 +138,12 @@ def test_criterion_1_gradient_suite():
     ids = np.array([[0, 2], [1, 1]])
     x3 = rng.normal(size=(2, 5, 4))
     w_out = rng.normal(size=(4, 3))
-    # attention: (B=2, L=4, D=6) in 2 heads; row 0 has one padded key, row 1 none
+    # attention: (B=2, L=4, D=6) in 2 heads; row 0 has one padded key, row 1
+    # none, so the ops take 7 packed rows
     w_qkv = [rng.normal(size=(6, 6)) for _ in range(3)]
     key_mask = np.array([[True, True, True, False], [True, True, True, True]])
+    # depthwise conv over sequences of 6 and 4 positions: 10 packed rows
+    conv_mask = np.array([[True] * 6, [True] * 4 + [False] * 2])
 
     def self_attention(x):
         q, k, v = (ad.linear(x, Tensor(w)) for w in w_qkv)
@@ -154,20 +157,22 @@ def test_criterion_1_gradient_suite():
         "exp": ((5,), lambda x: ad.tsum(ad.exp(ad.mul(x, 0.2)))),
         "log": ((5,), lambda x: ad.tsum(ad.log(ad.add(ad.mul(x, x), 1.0)))),
         "sqrt": ((5,), lambda x: ad.tsum(ad.sqrt(ad.add(ad.mul(x, x), 1.0)))),
-        "sigmoid": ((6,), lambda x: ad.tsum(ad.sigmoid(x))),
         "swish": ((6,), lambda x: ad.tsum(ad.swish(x))),
+        "glu": ((3, 4), lambda x: ad.tsum(ad.power(ad.glu(x, ad.mul(x, 0.7)), 2.0))),
         "matmul": ((3, 4), lambda x: ad.tsum(ad.power(ad.matmul(x, Tensor(const)), 2.0))),
         "matmul_batched": ((2, 3, 4), lambda x: ad.tsum(ad.power(ad.matmul(x, ad.transpose(x, (0, 2, 1))), 2.0))),
         "linear": ((3, 4), lambda x: ad.tsum(ad.swish(ad.linear(x, Tensor(const), Tensor(np.ones(2)))))),
         "linear_3d_x": ((2, 5, 4), lambda x: ad.tsum(ad.swish(ad.linear(x, Tensor(w_out), Tensor(np.ones(3)))))),
         "linear_3d_w": ((4, 3), lambda w: ad.tsum(ad.swish(ad.linear(Tensor(x3), w, Tensor(np.ones(3)))))),
         "linear_3d_b": ((3,), lambda b: ad.tsum(ad.swish(ad.linear(Tensor(x3), Tensor(w_out), b)))),
-        "attention": ((2, 4, 6), lambda x: ad.tsum(ad.power(self_attention(x), 2.0))),
+        "attention": ((7, 6), lambda x: ad.tsum(ad.power(self_attention(x), 2.0))),
         "layer_norm": ((2, 4), lambda x: ad.tsum(ad.power(ad.layer_norm(x, Tensor(vec), Tensor(vec * 0.1)), 2.0))),
         "layer_norm_3d_gain": ((4,), lambda g: ad.tsum(ad.power(ad.layer_norm(Tensor(x3), g, Tensor(vec)), 3.0))),
         "layer_norm_3d_bias": ((4,), lambda b: ad.tsum(ad.power(ad.layer_norm(Tensor(x3), Tensor(vec), b), 3.0))),
-        "conv1d": ((2, 6, 4), lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(x, Tensor(kernel)), 2.0))),
-        "conv1d_kernel": ((3, 4), lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(conv_in), w), 2.0))),
+        "conv1d": ((10, 4), lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(x, Tensor(kernel), conv_mask), 2.0))),
+        "conv1d_kernel": ((3, 4), lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(conv_in[conv_mask]), w, conv_mask), 2.0))),
+        "gather_rows": ((2, 6, 4), lambda x: ad.tsum(ad.power(ad.gather_rows(x, conv_mask), 3.0))),
+        "scatter_rows": ((10, 4), lambda x: ad.tsum(ad.power(ad.scatter_rows(x, conv_mask), 3.0))),
         "embedding": ((4, 3), lambda t: ad.tsum(ad.power(ad.embedding_lookup(t, ids), 2.0))),
         "sum": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=1), 2.0))),
         "absolute": ((6,), lambda x: ad.tsum(ad.absolute(ad.add(x, 10.0)))),

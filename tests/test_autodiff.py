@@ -26,9 +26,13 @@ TABLE_IDS = np.array([[0, 2], [1, 1]])
 X3 = RNG.normal(size=(2, 5, 4))
 W_OUT = RNG.normal(size=(4, 3))
 GAIN = RNG.normal(size=4)
-# attention inputs: (B=2, L=4, D=6) in 2 heads; batch row 0 has one padded key
+# attention inputs: (B=2, L=4, D=6) in 2 heads; batch row 0 has one padded
+# key. The ops take the 7 valid rows, packed.
 Q_ATT, K_ATT, V_ATT = (RNG.normal(size=(2, 4, 6)) for _ in range(3))
 KEY_MASK = np.array([[True, True, True, False], [True, True, True, True]])
+Q_ROWS, K_ROWS, V_ROWS = Q_ATT[KEY_MASK], K_ATT[KEY_MASK], V_ATT[KEY_MASK]
+# sequences of 5 and 3 positions in (B=2, L=5): 8 packed rows
+ROW_MASK = np.array([[True] * 5, [True] * 3 + [False] * 2])
 
 OP_CASES = {
     "add": ((3, 4), lambda x: ad.tsum(ad.mul(ad.add(x, CONST_A), ad.add(x, CONST_A)))),
@@ -40,8 +44,9 @@ OP_CASES = {
     "exp": ((5,), lambda x: ad.tsum(ad.exp(ad.mul(x, 0.3)))),
     "log": ((5,), lambda x: ad.tsum(ad.log(ad.add(ad.mul(x, x), 1.0)))),
     "sqrt": ((5,), lambda x: ad.tsum(ad.sqrt(ad.add(ad.mul(x, x), 1.0)))),
-    "sigmoid": ((6,), lambda x: ad.tsum(ad.mul(ad.sigmoid(x), ad.sigmoid(x)))),
     "swish": ((6,), lambda x: ad.tsum(ad.swish(x))),
+    "glu_value": ((3, 4), lambda a: ad.tsum(ad.power(ad.glu(a, Tensor(CONST_A)), 2.0))),
+    "glu_gate": ((3, 4), lambda g: ad.tsum(ad.power(ad.glu(Tensor(CONST_A), g), 2.0))),
     "absolute": ((6,), lambda x: ad.tsum(ad.absolute(ad.add(x, 10.0)))),
     "matmul_2d": ((3, 4), lambda x: ad.tsum(ad.power(ad.matmul(x, Tensor(CONST_B)), 2.0))),
     "matmul_nd_2d": ((2, 3, 4), lambda x: ad.tsum(ad.power(ad.matmul(x, Tensor(CONST_B)), 2.0))),
@@ -55,16 +60,16 @@ OP_CASES = {
     "linear_3d_w": ((4, 3), lambda w: ad.tsum(ad.swish(ad.linear(Tensor(X3), w, Tensor(np.ones(3)))))),
     "linear_3d_b": ((3,), lambda b: ad.tsum(ad.swish(ad.linear(Tensor(X3), Tensor(W_OUT), b)))),
     "attention_query": (
-        (2, 4, 6),
-        lambda q: ad.tsum(ad.power(ad.attention(q, Tensor(K_ATT), Tensor(V_ATT), KEY_MASK, 2), 2.0)),
+        (7, 6),
+        lambda q: ad.tsum(ad.power(ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK, 2), 2.0)),
     ),
     "attention_key": (
-        (2, 4, 6),
-        lambda k: ad.tsum(ad.power(ad.attention(Tensor(Q_ATT), k, Tensor(V_ATT), KEY_MASK, 2), 2.0)),
+        (7, 6),
+        lambda k: ad.tsum(ad.power(ad.attention(Tensor(Q_ROWS), k, Tensor(V_ROWS), KEY_MASK, 2), 2.0)),
     ),
     "attention_value": (
-        (2, 4, 6),
-        lambda v: ad.tsum(ad.power(ad.attention(Tensor(Q_ATT), Tensor(K_ATT), v, KEY_MASK, 2), 2.0)),
+        (7, 6),
+        lambda v: ad.tsum(ad.power(ad.attention(Tensor(Q_ROWS), Tensor(K_ROWS), v, KEY_MASK, 2), 2.0)),
     ),
     "layer_norm": (
         (2, 4),
@@ -86,8 +91,16 @@ OP_CASES = {
         (4,),
         lambda b: ad.tsum(ad.power(ad.layer_norm(Tensor(X3), Tensor(GAIN), b), 3.0)),
     ),
-    "conv1d_3d": ((2, 5, 4), lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(x, Tensor(KERNEL)), 2.0))),
-    "conv1d_kernel": ((3, 4), lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(CONV_INPUT), w), 2.0))),
+    "conv1d_3d": (
+        (2, 5, 4),
+        lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(ad.gather_rows(x, ROW_MASK), Tensor(KERNEL), ROW_MASK), 2.0)),
+    ),
+    "conv1d_kernel": (
+        (3, 4),
+        lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(CONV_INPUT[ROW_MASK]), w, ROW_MASK), 2.0)),
+    ),
+    "gather_rows": ((2, 5, 4), lambda x: ad.tsum(ad.power(ad.gather_rows(x, ROW_MASK), 3.0))),
+    "scatter_rows": ((8, 4), lambda x: ad.tsum(ad.power(ad.mul(ad.scatter_rows(x, ROW_MASK), Tensor(X3)), 3.0))),
     "embedding": ((4, 3), lambda tab: ad.tsum(ad.power(ad.embedding_lookup(tab, TABLE_IDS), 2.0))),
     "tsum_axis": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=1), 2.0))),
     "tsum_keepdims": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=0, keepdims=True), 2.0))),
@@ -114,23 +127,52 @@ def test_grad_check_analytic_quadratic():
 
 
 def test_attention_uniform_weights_average_values():
-    # equal keys give every valid key the same weight: each output row is
-    # the mean of the valid value rows, whatever the queries
-    keys = Tensor(np.ones((2, 4, 6)))
-    out = ad.attention(Tensor(Q_ATT), keys, Tensor(V_ATT), KEY_MASK, 2)
+    # equal keys give every key of a sequence the same weight: each output
+    # row is the mean of its own sequence's value rows, whatever the queries
+    out = ad.attention(Tensor(Q_ROWS), Tensor(np.ones((7, 6))), Tensor(V_ROWS), KEY_MASK, 2)
+    rows = np.cumsum([0, *KEY_MASK.sum(axis=1)])
     for b in range(2):
         mean = V_ATT[b][KEY_MASK[b]].mean(axis=0)
-        np.testing.assert_allclose(out.data[b], np.broadcast_to(mean, (4, 6)), atol=1e-12)
+        np.testing.assert_allclose(out.data[rows[b] : rows[b + 1]], np.broadcast_to(mean, (KEY_MASK[b].sum(), 6)), atol=1e-12)
 
 
 def test_attention_shape_error_names_shapes():
-    q = Tensor(Q_ATT)
-    with pytest.raises(ContractError, match=r"\(2, 4, 6\)"):
-        ad.attention(q, Tensor(K_ATT[:, :3]), Tensor(V_ATT), KEY_MASK, 2)
+    q = Tensor(Q_ROWS)
+    with pytest.raises(ContractError, match=r"\(7, 6\)"):
+        ad.attention(q, Tensor(K_ROWS[:6]), Tensor(V_ROWS), KEY_MASK, 2)
     with pytest.raises(ContractError):
-        ad.attention(q, Tensor(K_ATT), Tensor(V_ATT), KEY_MASK, 4)  # 6 is not a multiple of 4
+        ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK, 4)  # 6 is not a multiple of 4
     with pytest.raises(ContractError):
-        ad.attention(q, Tensor(K_ATT), Tensor(V_ATT), KEY_MASK[:, :3], 2)
+        ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK[:, :3], 2)  # 6 valid rows, not 7
+    with pytest.raises(ContractError):
+        ad.attention(Tensor(Q_ATT), Tensor(K_ATT), Tensor(V_ATT), KEY_MASK, 2)  # padded, not packed
+
+
+def test_packed_row_ops_reject_rows_of_another_mask():
+    with pytest.raises(ContractError, match=r"\(7, 4\)"):
+        ad.conv1d_depthwise(Tensor(np.ones((7, 4))), Tensor(KERNEL), ROW_MASK)
+    with pytest.raises(ContractError):
+        ad.scatter_rows(Tensor(np.ones((7, 4))), ROW_MASK)
+    with pytest.raises(ContractError):
+        ad.gather_rows(Tensor(np.ones((2, 4, 4))), ROW_MASK)
+
+
+def test_scatter_rows_inverts_gather_rows():
+    rows = ad.gather_rows(Tensor(X3), ROW_MASK)
+    np.testing.assert_array_equal(rows.data, np.concatenate([X3[0], X3[1, :3]]))
+    back = ad.scatter_rows(rows, ROW_MASK).data
+    np.testing.assert_array_equal(back[ROW_MASK], X3[ROW_MASK])
+    assert np.all(back[~ROW_MASK] == 0)
+
+
+def test_conv1d_rows_do_not_reach_across_sequences():
+    # one row's value moves only the outputs of its own sequence
+    x = CONV_INPUT[ROW_MASK]
+    base = ad.conv1d_depthwise(Tensor(x), Tensor(KERNEL), ROW_MASK).data
+    bumped = x.copy()
+    bumped[4] += 1.0  # the last row of sequence 0
+    moved = ad.conv1d_depthwise(Tensor(bumped), Tensor(KERNEL), ROW_MASK).data != base
+    assert moved[3:5].all() and not moved[5:].any()
 
 
 def test_linear_shape_error():
@@ -157,9 +199,9 @@ def test_shape_mismatch_raises():
 
 def test_matmul_shape_error_names_shapes():
     try:
-        ad.conv1d_depthwise(t((2, 5, 4)), t((3, 5)))
+        ad.conv1d_depthwise(t((8, 4)), t((3, 5)), ROW_MASK)
     except ContractError as exc:
-        assert "(2, 5, 4)" in str(exc) and "(3, 5)" in str(exc)
+        assert "(8, 4)" in str(exc) and "(3, 5)" in str(exc)
     else:
         pytest.fail("expected ContractError")
 
@@ -205,7 +247,7 @@ def test_straight_through_op_bit_exact():
 
 
 def test_backward_does_not_corrupt_forward_values():
-    x = Tensor(RNG.normal(size=(2, 4, 6)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(7, 6)), requires_grad=True)
     h = ad.layer_norm(ad.attention(x, x, x, KEY_MASK, 2), Tensor(np.ones(6)), Tensor(np.zeros(6)))
     snapshot = h.data.copy()
     ad.backward(ad.tsum(ad.power(h, 2.0)))
@@ -383,15 +425,19 @@ def test_matmul_gradient_property(m, k, n):
 @given(st.lists(st.floats(-10, 10), min_size=2, max_size=8), st.integers(0, 7))
 def test_attention_weights_simplex_property(scores, n_pad):
     # with one-hot values the output row is the weight row itself: weights
-    # are nonnegative, sum to one, and are zero on padded keys
+    # are nonnegative, sum to one, are the softmax of the scores over the
+    # query's own sequence, and are zero on the other sequence's keys
     L = len(scores)
     n_pad = min(n_pad, L - 1)
-    mask = np.arange(L)[None, :] < L - n_pad
-    q = np.ones((1, L, 1))
-    k = np.array(scores)[None, :, None]
-    v = np.eye(L)[None]
-    q, k = np.repeat(q, L, axis=2), np.repeat(k, L, axis=2)  # D = L, one head
-    out = ad.attention(Tensor(q), Tensor(k / np.sqrt(L)), Tensor(v), mask, 1).data[0]
+    mask = np.array([np.arange(L) < L - n_pad, np.ones(L, dtype=bool)])
+    n = int(mask.sum())
+    first = L - n_pad  # rows of sequence 0
+    key_scores = np.concatenate([scores[:first], scores])
+    q = np.ones((n, n))
+    k = np.repeat(key_scores[:, None] / np.sqrt(n), n, axis=1)  # D = n, one head
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(np.eye(n)), mask, 1).data
     assert np.all(out >= 0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.all(out[:, ~mask[0]] == 0)
+    assert np.all(out[:first, first:] == 0) and np.all(out[first:, :first] == 0)
+    own = np.exp(key_scores[:first] - max(key_scores[:first]))
+    np.testing.assert_allclose(out[0, :first], own / own.sum(), atol=1e-9)

@@ -19,6 +19,7 @@ from prosody_codec.model import (
     save_model,
 )
 from prosody_codec.quantizer import CodeSequence, decode_vectors
+from prosody_codec.training import compute_loss
 
 FEAT = FeatureConfig()
 TINY = ModelConfig(model_dim=16, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
@@ -227,6 +228,137 @@ def test_phoneme_encode_padding_blind():
     a = linguistic_features(model, pt, np.array([[1, 2, 3]]), mask)
     b = linguistic_features(model, pt, np.array([[1, 2, 5]]), mask)
     np.testing.assert_array_equal(a[:, :2], b[:, :2])
+
+
+def test_loss_and_gradients_are_padding_blind():
+    # whatever sits in the padding of a mixed-length batch, phoneme ids or
+    # mel frames, moves no valid prediction, the loss or any parameter
+    # gradient, through all three stacks and the quantizer
+    model = make_model(seed=3)
+    utts = [make_utt(f"u{i}", speaker=i % 2, n=n, per=per, seed=20 + i)
+            for i, (n, per) in enumerate([(3, 4), (6, 2), (5, 5), (2, 7)])]
+    batch = make_batch(utts)
+    noisy = dataclasses.replace(
+        batch,
+        phonemes=np.where(batch.phoneme_mask, batch.phonemes, 5),
+        mels=np.where(batch.frame_mask[..., None], batch.mels,
+                      np.random.default_rng(0).normal(size=batch.mels.shape)),
+    )
+    assert not np.array_equal(noisy.phonemes, batch.phonemes)
+    runs = []
+    for b in (batch, noisy):
+        pt = model.param_tensors(train=True)
+        total, _, out = compute_loss(model, pt, b)
+        ad.backward(total)
+        runs.append((out["pred"].data[b.frame_mask], total.data, {k: t.grad for k, t in pt.items()}))
+    (pred, loss, grads), (noisy_pred, noisy_loss, noisy_grads) = runs
+    assert np.array_equal(pred, noisy_pred)
+    assert loss == noisy_loss
+    for name, grad in grads.items():
+        assert grad is not None, name
+        assert np.array_equal(grad, noisy_grads[name]), name
+
+
+# ---------------------------------------------------------------------------
+# packed conformer stacks against the padded computation they replace
+
+
+def _ref_sigmoid(x):
+    return ad.div(1.0, ad.add(1.0, ad.exp(ad.mul(x, -1.0))))
+
+
+def _ref_ffn(pt, prefix, x):
+    h = ad.layer_norm(x, pt[prefix + ".norm.gain"], pt[prefix + ".norm.bias"])
+    h = ad.linear(h, pt[prefix + ".w1"], pt[prefix + ".b1"])
+    h = ad.mul(h, _ref_sigmoid(h))
+    return ad.linear(h, pt[prefix + ".w2"], pt[prefix + ".b2"])
+
+
+def _ref_attention(pt, prefix, x, mask, heads):
+    """Self-attention over padded (B, L, D) rows from generic ops: a padded
+    key's score is pushed to -1e9 before the softmax."""
+    B, L, D = x.shape
+    dh = D // heads
+
+    def split(a):
+        return ad.transpose(ad.reshape(a, (B, L, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = (split(ad.linear(x, pt[f"{prefix}.w{c}"], pt[f"{prefix}.b{c}"])) for c in "qkv")
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), np.asarray(dh**-0.5, dtype=x.data.dtype))
+    scores = ad.add(scores, np.where(mask, 0.0, -1e9).astype(x.data.dtype)[:, None, None, :])
+    scores = ad.sub(scores, ad.stop_gradient(Tensor(scores.data.max(axis=-1, keepdims=True))))
+    weights = ad.exp(scores)
+    weights = ad.div(weights, ad.tsum(weights, axis=-1, keepdims=True))
+    out = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (B, L, D))
+    return ad.linear(out, pt[prefix + ".wo"], pt[prefix + ".bo"])
+
+
+def _ref_conv_module(pt, prefix, x, mask_f):
+    """The conv module over padded rows: padded positions are zeroed before
+    the depthwise kernel, each of whose taps is a shift-matrix product."""
+    h = ad.layer_norm(x, pt[prefix + ".norm.gain"], pt[prefix + ".norm.bias"])
+    a = ad.linear(h, pt[prefix + ".in_a.w"], pt[prefix + ".in_a.b"])
+    g = ad.linear(h, pt[prefix + ".in_g.w"], pt[prefix + ".in_g.b"])
+    h = ad.mul(ad.mul(a, _ref_sigmoid(g)), mask_f)
+    w = pt[prefix + ".dw"]
+    k, L = w.shape[0], x.shape[1]
+    left = (k - 1) // 2
+    conv = Tensor(np.zeros(x.shape, dtype=x.data.dtype))
+    for j in range(k):
+        shift = Tensor(np.eye(L, L, j - left, dtype=x.data.dtype))
+        tap = Tensor(np.eye(k, dtype=x.data.dtype)[j : j + 1])
+        conv = ad.add(conv, ad.mul(ad.matmul(shift, h), ad.matmul(tap, w)))
+    h = ad.mul(conv, _ref_sigmoid(conv))
+    return ad.linear(h, pt[prefix + ".out.w"], pt[prefix + ".out.b"])
+
+
+def padded_conformer_block(pt, prefix, x, mask, heads):
+    """The conformer block on padded (B, L, D) rows, masking where the
+    packed one gathers: the reference the packed stacks must reproduce."""
+    mask_f = mask[..., None].astype(x.data.dtype)
+    x = ad.add(x, ad.mul(_ref_ffn(pt, prefix + "ffn1", x), 0.5))
+    x = ad.add(x, _ref_attention(pt, prefix + "attn", x, mask, heads))
+    x = ad.add(x, _ref_conv_module(pt, prefix + "conv", x, mask_f))
+    x = ad.add(x, ad.mul(_ref_ffn(pt, prefix + "ffn2", x), 0.5))
+    x = ad.layer_norm(x, pt[prefix + "final.norm.gain"], pt[prefix + "final.norm.bias"])
+    return ad.mul(x, mask_f)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_stack_matches_padded_oracle(dtype):
+    cfg = dataclasses.replace(TINY, layers=2, conv_kernel=5)
+    model = make_model(seed=6, cfg=cfg, dtype=dtype)
+    rng = np.random.default_rng(8)
+    mask = np.arange(9)[None, :] < np.array([5, 9, 2, 7])[:, None]
+    x = rng.normal(size=(4, 9, 16)).astype(dtype)  # the padded rows hold noise
+    probe = rng.normal(size=x.shape).astype(dtype) * mask[..., None]
+    results = []
+    for run in ("packed", "padded"):
+        pt = model.param_tensors(train=True)
+        h = Tensor(x, requires_grad=True)
+        if run == "packed":
+            out = md.conformer_stack(pt, "dec", h, mask, cfg.layers, cfg.heads)
+        else:
+            out = h
+            for i in range(cfg.layers):
+                out = padded_conformer_block(pt, f"dec.l{i}.", out, mask, cfg.heads)
+        ad.backward(ad.tsum(ad.mul(out, probe)))
+        grads = {k: t.grad for k, t in pt.items() if k.startswith("dec.")}
+        results.append((out.data, h.grad, grads))
+    (out, x_grad, grads), (ref, ref_x_grad, ref_grads) = results
+    assert np.array_equal(out[mask], ref[mask])
+    assert np.all(out[~mask] == 0)
+
+    def close(a, b):  # within 1e-5 of the largest reference entry
+        return np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
+
+    assert close(x_grad[mask], ref_x_grad[mask])
+    assert np.all(x_grad[~mask] == 0)
+    assert grads.keys() == ref_grads.keys() and len(grads) == 2 * 31
+    for name, grad in grads.items():
+        if name.endswith("attn.bk"):
+            continue  # shifts every score of a row alike: the true gradient is 0
+        assert close(grad, ref_grads[name]), name
 
 
 # ---------------------------------------------------------------------------

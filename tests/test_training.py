@@ -11,7 +11,7 @@ from prosody_codec.corpus import PhonemeVocab, Utterance, make_batch, synth_corp
 from prosody_codec.dsp import MelSpectrogram
 from prosody_codec.containers import read_container, write_container
 from prosody_codec.errors import ContractError, DataError
-from prosody_codec.model import CodecModel
+from prosody_codec.model import CodecModel, load_model
 from prosody_codec.quantizer import ema_update, quantize_level, reinit_dead_codes
 from prosody_codec.training import (
     compute_loss,
@@ -279,6 +279,29 @@ def test_checkpoint_meta_is_written_through_section_json(tmp_path):
     assert meta["train"]["config"] == dataclasses.asdict(state.tcfg)
     save_checkpoint(load_checkpoint(str(path)), str(tmp_path / "again.ckpt"))
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_with_retired_attention_norm_loads(tmp_path):
+    # older checkpoints carry attn.norm.gain/bias, which no code reads, and
+    # their Adam moments; loading drops them
+    state = new_train_state(make_model(seed=2), TrainConfig(batch_size=2, max_steps=3,
+                                                            eval_every=1000, checkpoint_every=1000))
+    train(state, tiny_corpus())
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(state, str(path))
+    meta, arrays = read_container(str(path))
+    for stack in ("penc", "menc", "dec"):
+        for name, value in (("gain", 1.0), ("bias", 0.0)):
+            key = f"{stack}.l0.attn.norm.{name}"
+            arrays["param." + key] = np.full(16, value, dtype=np.float32)
+            arrays["opt.m." + key] = arrays["opt.v." + key] = np.zeros(16, dtype=np.float32)
+    old = tmp_path / "old.ckpt"
+    write_container(str(old), meta, arrays)
+    assert load_model(str(old)).params.keys() == state.model.params.keys()
+    loaded = load_checkpoint(str(old))
+    save_checkpoint(loaded, str(tmp_path / "again.ckpt"))
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+    assert "total" in train_step(loaded, make_batch(tiny_corpus().utterances[:2]))
 
 
 _DROP = object()
