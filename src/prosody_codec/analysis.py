@@ -18,6 +18,7 @@ from .config import FeatureConfig
 from .corpus import Utterance, inference_batches
 from .dsp import AudioBuffer, frame_rms, pitch, vocode
 from .errors import ContractError, DataError
+from .metrics import pearson
 from .quantizer import CodeSequence
 
 LN = np.log
@@ -391,7 +392,7 @@ def most_frequent_level2(sequences: list[CodeSequence], k: int) -> int:
 
 
 def spearman(x, y) -> float:
-    """Rank correlation with average ranks on ties."""
+    """Pearson correlation of the ranks, average ranks on ties."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
@@ -410,11 +411,7 @@ def spearman(x, y) -> float:
             i = j + 1
         return r
 
-    rx, ry = ranks(x), ranks(y)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0 or sy == 0:
-        raise DataError("spearman: constant series")
-    return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
+    return pearson(ranks(x), ranks(y))
 
 
 # ---------------------------------------------------------------------------

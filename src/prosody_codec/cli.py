@@ -555,15 +555,14 @@ def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, utts) -> dict:
         vdes.append(vde)
         gpes.append(gpe)
         ffes.append(ffe)
-    report = mx.MetricReport(
-        psnr=float(np.mean(psnrs)),
-        mcd=float(np.mean(mcds)),
-        vde=float(np.mean(vdes)),
-        gpe=float(np.mean(gpes)),
-        ffe=float(np.mean(ffes)),
-        extras={"n": len(utts)},
-    )
-    return report.to_json()
+    return {
+        "psnr": float(np.mean(psnrs)),
+        "mcd": float(np.mean(mcds)),
+        "vde": float(np.mean(vdes)),
+        "gpe": float(np.mean(gpes)),
+        "ffe": float(np.mean(ffes)),
+        "n": len(utts),
+    }
 
 
 def _metrics_reconstruction(cfg: RunConfig, args) -> dict:

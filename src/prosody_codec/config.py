@@ -59,7 +59,6 @@ class ModelConfig:
     levels: int = 2
     codebook_size: int = 64
     code_dim: int = 3
-    n_mels: int = 80
     n_speakers: int = 0  # 0 = infer from corpus
     vocab_size: int = 0  # 0 = infer from corpus
     sigma_policy: str = "ratio"  # ratio | fixed | learnable
@@ -79,7 +78,6 @@ class ModelConfig:
         _require(self.ffn_mult >= 1, f"{prefix}.ffn_mult", "must be >= 1")
         _require(self.code_dim >= 1, f"{prefix}.code_dim", "must be >= 1")
         _require(self.codebook_size >= 2, f"{prefix}.codebook_size", "must be >= 2")
-        _require(self.n_mels > 1, f"{prefix}.n_mels", "must be > 1")
         _require(self.n_speakers >= 0, f"{prefix}.n_speakers", "must be >= 0")
         _require(self.vocab_size >= 0, f"{prefix}.vocab_size", "must be >= 0")
         _require(
@@ -300,11 +298,9 @@ def loads_config(text: str) -> RunConfig:
     for key in data:
         if key not in _SECTION_TYPES:
             raise ConfigError(f"{key}: unknown section")
-    cfg = RunConfig(
+    return RunConfig(
         **{name: parse_section(cls, data.get(name, {}), name) for name, cls in _SECTION_TYPES.items()}
     )
-    _require(cfg.model.n_mels == cfg.features.n_mels, "model.n_mels", "must equal features.n_mels")
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:

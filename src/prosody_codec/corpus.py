@@ -117,10 +117,6 @@ class Batch:
     phoneme_mask: np.ndarray  # (B, N_max) bool
     frame_mask: np.ndarray  # (B, T_max) bool
     ids: list[str] = field(default_factory=list)
-    transcripts: list = field(default_factory=list)
-    hop_length: int = 256
-    n_fft: int = 1024
-    sample_rate: int = 22050
 
 
 def reconcile_durations(durations, n_frames: int, tolerance: int = 2) -> np.ndarray:
@@ -280,6 +276,7 @@ def parse_manifest(
 
     Speaker IDs are assigned in first-appearance order; the vocabulary is
     built the same way unless one is supplied (e.g. from a checkpoint).
+    Two records with the same utterance id are a DataError.
     """
     records = read_manifest(path)
     base = os.path.dirname(os.path.abspath(path))
@@ -287,9 +284,13 @@ def parse_manifest(
     symbols: list[str] = []
     speakers: list[str] = []
     speaker_ids: dict[str, int] = {}
+    records_of: dict[str, int] = {}  # utterance id -> the record that names it
     utterances: list[Utterance] = []
     for i, rec in enumerate(records):
         utt_id, audio_path = record_audio(rec, base)
+        if utt_id in records_of:
+            raise DataError(f"record {i}: utterance id {utt_id!r} repeats record {records_of[utt_id]}")
+        records_of[utt_id] = i
         if not os.path.isfile(audio_path):
             raise DataError(f"record {i}: field 'audio': file not found: {audio_path}")
         phones = rec["phones"].split()
@@ -360,7 +361,6 @@ def make_batch(utterances: list[Utterance]) -> Batch:
         speaker_ids[b] = u.speaker_id
         phoneme_mask[b, :n] = True
         frame_mask[b, :t] = True
-    first = utterances[0].mel
     return Batch(
         phonemes=phonemes,
         durations=durations,
@@ -369,10 +369,6 @@ def make_batch(utterances: list[Utterance]) -> Batch:
         phoneme_mask=phoneme_mask,
         frame_mask=frame_mask,
         ids=[u.id for u in utterances],
-        transcripts=[u.transcript for u in utterances],
-        hop_length=first.hop_length,
-        n_fft=first.n_fft,
-        sample_rate=first.sample_rate,
     )
 
 
@@ -385,30 +381,6 @@ def inference_batches(utterances: list[Utterance]):
     for i in range(0, len(utterances), INFERENCE_BATCH):
         chunk = utterances[i : i + INFERENCE_BATCH]
         yield chunk, make_batch(chunk)
-
-
-def unbatch(batch: Batch) -> list[Utterance]:
-    out = []
-    for b in range(len(batch.ids)):
-        n = int(batch.phoneme_mask[b].sum())
-        t = int(batch.frame_mask[b].sum())
-        mel = MelSpectrogram(
-            values=batch.mels[b, :t].copy(),
-            hop_length=batch.hop_length,
-            n_fft=batch.n_fft,
-            sample_rate=batch.sample_rate,
-        )
-        out.append(
-            Utterance(
-                id=batch.ids[b],
-                speaker_id=int(batch.speaker_ids[b]),
-                phonemes=batch.phonemes[b, :n].copy(),
-                durations=batch.durations[b, :n].copy(),
-                mel=mel,
-                transcript=batch.transcripts[b] if batch.transcripts else None,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

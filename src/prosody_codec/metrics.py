@@ -7,7 +7,6 @@ frame-aligned by construction.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,29 +16,6 @@ from .errors import ContractError, DataError
 PSNR_CAP_DB = 60.0
 MCD_COEFFS = 13  # cepstral coefficients 1..13, energy coefficient excluded
 GROSS_PITCH_REL = 0.2
-
-
-@dataclass
-class MetricReport:
-    psnr: float | None = None
-    mcd: float | None = None
-    vde: float | None = None
-    gpe: float | None = None
-    ffe: float | None = None
-    pearson_f0: float | None = None
-    pearson_energy: float | None = None
-    wer: float | None = None
-    cer: float | None = None
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {
-            k: getattr(self, k)
-            for k in ("psnr", "mcd", "vde", "gpe", "ffe", "pearson_f0", "pearson_energy", "wer", "cer")
-            if getattr(self, k) is not None
-        }
-        out.update(self.extras)
-        return out
 
 
 def _values(mel) -> np.ndarray:

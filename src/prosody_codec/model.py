@@ -33,19 +33,22 @@ from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward
 _STACKS = ("penc", "menc", "dec")
 
 
-def _param_specs(cfg: ModelConfig, vocab_size: int, n_speakers: int):
+def _param_specs(model: CodecModel):
+    """(name, shape, initial scale) of every parameter in draw order, sized
+    by the model's config, feature bands, vocabulary and speakers."""
+    cfg, M = model.cfg, model.features.n_mels
     D, Fm = cfg.model_dim, cfg.ffn_mult * cfg.model_dim
     specs: list[tuple[str, tuple, float]] = [
-        ("phoneme_embedding", (vocab_size, D), D**-0.5),
-        ("speaker_embedding", (n_speakers, D), D**-0.5),
-        ("mel_lift.w", (cfg.n_mels, D), cfg.n_mels**-0.5),
+        ("phoneme_embedding", (len(model.vocab), D), D**-0.5),
+        ("speaker_embedding", (len(model.speakers), D), D**-0.5),
+        ("mel_lift.w", (M, D), M**-0.5),
         ("mel_lift.b", (D,), 0.0),
         ("enc_proj.w", (D, cfg.code_dim), D**-0.5),
         ("enc_proj.b", (cfg.code_dim,), 0.0),
         ("dec_proj.w", (cfg.code_dim, D), cfg.code_dim**-0.5),
         ("dec_proj.b", (D,), 0.0),
-        ("mel_out.w", (D, cfg.n_mels), D**-0.5),
-        ("mel_out.b", (cfg.n_mels,), 0.0),
+        ("mel_out.w", (D, M), D**-0.5),
+        ("mel_out.b", (M,), 0.0),
     ]
     if cfg.sigma_policy == "learnable":
         specs.append(("resampler.log_sigma", (1,), 0.0))
@@ -85,36 +88,33 @@ def _param_specs(cfg: ModelConfig, vocab_size: int, n_speakers: int):
     return specs
 
 
-def init_params(
-    cfg: ModelConfig, vocab_size: int, n_speakers: int, rng: np.random.Generator, dtype=np.float32
-) -> dict[str, np.ndarray]:
+def init_params(model: CodecModel, rng: np.random.Generator) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
-    for name, shape, scale in _param_specs(cfg, vocab_size, n_speakers):
+    for name, shape, scale in _param_specs(model):
         if name.endswith(".norm.gain"):
             arr = np.ones(shape)
         elif name == "resampler.log_sigma":
-            arr = np.full(shape, np.log(cfg.sigma_value))
+            arr = np.full(shape, np.log(model.cfg.sigma_value))
         elif scale == 0.0:
             arr = np.zeros(shape)
         else:
             arr = rng.normal(0.0, scale, size=shape)
-        params[name] = arr.astype(dtype)
+        params[name] = arr.astype(model.dtype)
     return params
 
 
-def _check_params(
-    params: dict[str, np.ndarray], cfg: ModelConfig, vocab_size: int, n_speakers: int
-) -> None:
+def _check_params(model: CodecModel, params: dict[str, np.ndarray]) -> None:
     """Given parameters (from a checkpoint) must have exactly the names and
-    shapes the config implies. The layer count is compared first: the table
+    shapes the model implies. The layer count is compared first: the table
     of expected names grows with it, so a corrupt count must not size it."""
+    cfg = model.cfg
     stacked = tuple(f"{stack}." for stack in _STACKS)
     layers = len({name.split(".")[1] for name in params if name.startswith(stacked)})
     if layers != cfg.layers:
         raise DataError(
             f"parameters hold {layers} conformer layers per stack, the config needs {cfg.layers}"
         )
-    shapes = {name: shape for name, shape, _ in _param_specs(cfg, vocab_size, n_speakers)}
+    shapes = {name: shape for name, shape, _ in _param_specs(model)}
     missing, unknown = sorted(shapes.keys() - params.keys()), sorted(params.keys() - shapes.keys())
     if missing or unknown:
         raise DataError(f"parameters disagree with the config: missing {missing}, unknown {unknown}")
@@ -256,18 +256,16 @@ class CodecModel:
         ):
             if declared and declared != actual:  # 0 = take it from the corpus
                 raise ContractError(f"model.{name} is {declared}, but the model has {actual}")
-        if cfg.n_mels != features.n_mels:
-            raise ContractError(f"model.n_mels is {cfg.n_mels}, but features.n_mels is {features.n_mels}")
-        if params is not None:
-            _check_params(params, cfg, len(vocab), len(speakers))
         self.cfg = cfg
         self.features = features
         self.vocab = vocab
         self.speakers = list(speakers)
+        if params is not None:
+            _check_params(self, params)
         self.dtype = np.float32 if params is None else next(iter(params.values())).dtype
         rng = rng if rng is not None else np.random.default_rng(0)
         if params is None:
-            params = init_params(cfg, len(vocab), len(speakers), rng, dtype=np.float32)
+            params = init_params(self, rng)
         self.params = params
         if cfg.quantization == "rvq":
             self.rvq = rvq if rvq is not None else new_rvq(
@@ -299,9 +297,10 @@ class CodecModel:
         linguistic features (B, N, D), the upsampling weights (B, T, N) and
         the latent before quantization (B, N, d), None for a batch without
         mels. The speaker never enters."""
-        if batch.mels is not None and batch.mels.shape[-1] != self.cfg.n_mels:
+        if batch.mels is not None and batch.mels.shape[-1] != self.features.n_mels:
             raise ContractError(
-                f"batch mels have {batch.mels.shape[-1]} bands, but model.n_mels is {self.cfg.n_mels}"
+                f"batch mels have {batch.mels.shape[-1]} bands, "
+                f"but features.n_mels is {self.features.n_mels}"
             )
         mask = batch.phoneme_mask
         emb = ad.embedding_lookup(pt["phoneme_embedding"], batch.phonemes)
@@ -413,9 +412,6 @@ class CodecModel:
             phoneme_mask=np.ones((1, len(phonemes)), dtype=bool),
             frame_mask=np.ones((1, T), dtype=bool),
             ids=["_single"],
-            hop_length=self.features.hop_length,
-            n_fft=self.features.n_fft,
-            sample_rate=self.features.sample_rate,
         )
 
     def encode_utterance(self, utt: Utterance) -> CodeSequence:
@@ -540,8 +536,14 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
         )
     _require_keys("meta", meta, {"model_config": dict, "feature_config": dict, "vocab": [str],
                                  "speakers": [str], "dtype": str, "rvq": (dict, type(None))})
-    cfg = _section_from_meta(ModelConfig, meta["model_config"], "model_config", "model")
     features = _section_from_meta(FeatureConfig, meta["feature_config"], "feature_config", "features")
+    # Older checkpoints state the band count in the model section as well.
+    model_config = dict(meta["model_config"])
+    n_mels = model_config.pop("n_mels", features.n_mels)
+    if n_mels != features.n_mels:
+        raise DataError(f"checkpoint model_config: n_mels {n_mels!r:.60} differs "
+                        f"from feature_config n_mels {features.n_mels}")
+    cfg = _section_from_meta(ModelConfig, model_config, "model_config", "model")
     vocab = PhonemeVocab.from_json(meta["vocab"])
     if meta["dtype"] not in ("float32", "float64"):
         raise DataError(f"checkpoint dtype: expected float32 or float64, got {meta['dtype']!r}")

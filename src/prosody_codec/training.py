@@ -48,7 +48,7 @@ def new_train_state(model: CodecModel, tcfg: TrainConfig) -> TrainState:
 def initialize_output_bias(model: CodecModel, utterances: list[Utterance]) -> None:
     """Start the output projection at the corpus mean mel per band; removes
     the large constant error a zero-init decoder would spend steps on."""
-    total = np.zeros(model.cfg.n_mels)
+    total = np.zeros(model.features.n_mels)
     frames = 0
     for u in utterances:
         total += u.mel.values.sum(axis=0)

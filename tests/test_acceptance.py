@@ -187,7 +187,7 @@ def test_criterion_1_gradient_suite():
     # full tiny codec (model_dim 16), double precision, quantizer bypassed:
     # through the quantizer the loss is piecewise constant in the assignments
     cfg = ModelConfig(model_dim=16, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
-                      codebook_size=8, code_dim=3, levels=2, n_mels=20)
+                      codebook_size=8, code_dim=3, levels=2)
     vocab = PhonemeVocab([f"p{i}" for i in range(6)])
     model = CodecModel(cfg, FeatureConfig(n_mels=20), vocab, ["s0", "s1"],
                        rng=np.random.default_rng(1)).astype(np.float64)

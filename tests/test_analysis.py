@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,16 @@ def test_spearman_monotone():
     assert spearman(x, noisy) > 0.9
 
 
+def test_spearman_exact_for_every_ordering_of_five():
+    # with no ties, rho = 1 - 6 sum(d^2) / (n (n^2 - 1)); for five points
+    # that is a multiple of 0.1, which spearman must return correctly
+    # rounded, so that a threshold such as |rho| >= 0.8 holds exactly
+    x = np.arange(5.0)
+    for order in itertools.permutations(range(5)):
+        d2 = sum((i - r) ** 2 for i, r in enumerate(order))
+        assert spearman(x, np.array(order, dtype=np.float64)) == float(Fraction(120 - 6 * d2, 120))
+
+
 def test_svg_scatter_writes_svg(tmp_path):
     path = tmp_path / "plot.svg"
     an.svg_scatter(str(path), RNG.normal(size=(12, 2)), labels=[str(i) for i in range(12)], title="t")
@@ -358,7 +371,7 @@ def tiny_model():
     from prosody_codec.model import CodecModel
 
     cfg = ModelConfig(model_dim=16, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
-                      codebook_size=8, code_dim=3, levels=2, n_mels=20)
+                      codebook_size=8, code_dim=3, levels=2)
     vocab = PhonemeVocab([f"p{i}" for i in range(5)])
     feat = FeatureConfig(n_mels=20, griffin_lim_iters=4)
     return CodecModel(cfg, feat, vocab, ["s0", "s1"], rng=np.random.default_rng(0))

@@ -27,7 +27,6 @@ def micro_config(root, **overrides):
             "codebook_size": 8,
             "code_dim": 3,
             "levels": 2,
-            "n_mels": 20,
         },
         "train": {
             "batch_size": 2,
@@ -101,6 +100,9 @@ def test_config_rejects_bad_model_dim():
 def test_config_rejects_unknown_key_with_path():
     with pytest.raises(ConfigError, match="model.frobnicate"):
         loads_config(json.dumps({"model": {"frobnicate": 1}}))
+    # features.n_mels is the one band count; the model section has none
+    with pytest.raises(ConfigError, match="model.n_mels: unknown key"):
+        loads_config(json.dumps({"model": {"n_mels": 20}, "features": {"n_mels": 20}}))
     with pytest.raises(ConfigError, match="mystery"):
         loads_config(json.dumps({"mystery": {}}))
 
@@ -213,6 +215,7 @@ def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
         ("model_config", "model_dim", True, "model.model_dim: expected int, got bool"),
         ("model_config", "sigma_value", "1", "model.sigma_value: expected number"),
         ("feature_config", "hop_length", 64.5, "features.hop_length: expected int, got float"),
+        ("model_config", "n_mels", 30, "n_mels 30 differs from feature_config n_mels 20"),
     ],
 )
 def test_checkpoint_config_value_exit_2(pipeline, tmp_path, capsys, section, key, value, message):
@@ -228,6 +231,22 @@ def test_checkpoint_config_value_exit_2(pipeline, tmp_path, capsys, section, key
     capsys.readouterr()
     assert cli.main(["resynth", "--config", config]) == 2
     assert f"checkpoint {section}: {message}" in capsys.readouterr().err
+
+
+def test_duplicate_utterance_id_exit_2(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    records = [json.loads(line) for line in (root / "data" / "manifest.jsonl").read_text().splitlines()]
+    for sub, rec in (("a", records[0]), ("b", records[1])):
+        os.makedirs(tmp_path / sub)
+        (tmp_path / sub / "utt.wav").write_bytes((root / "data" / rec["audio"]).read_bytes())
+        rec["audio"] = f"{sub}/utt.wav"
+        del rec["id"]  # the id is the audio file's stem: "utt" for both
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records[:2]))
+    config = write_config(tmp_path, paths={"manifest": str(manifest)})
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", config]) == 2
+    assert "record 1: utterance id 'utt' repeats record 0" in capsys.readouterr().err
 
 
 def test_malformed_manifest_exit_2(pipeline, tmp_path, capsys):
@@ -480,13 +499,11 @@ def test_analyze_probes_follow_run_config_vocoder_and_pitch(pipeline, tmp_path, 
 )
 def test_checkpoint_mel_analysis_must_match_run_config(pipeline, tmp_path, capsys, field, value):
     root, _ = pipeline
-    overrides = {"model": {"n_mels": value}} if field == "n_mels" else {}
     config = write_config(
         tmp_path,
         features={field: value},
         paths={"manifest": str(root / "data" / "manifest.jsonl"), "cache_dir": str(root / "cache"),
                "checkpoint_dir": str(root / "ckpt")},
-        **overrides,
     )
     capsys.readouterr()
     assert cli.main(["resynth", "--config", config]) == 2

@@ -17,7 +17,6 @@ from prosody_codec.corpus import (
     read_mel,
     reconcile_durations,
     synth_corpus,
-    unbatch,
     write_manifest,
     write_mel,
     write_synth_corpus,
@@ -142,6 +141,18 @@ def test_parse_manifest_speaker_first_appearance_order(tmp_path):
     corpus = parse_manifest(write_corpus(tmp_path, records), CFG)
     assert corpus.speakers == ["s_c", "s_a", "s_d", "s_b"]
     assert [u.speaker_id for u in corpus.utterances] == [0, 1, 2, 3]
+
+
+def test_parse_manifest_rejects_duplicate_utterance_id(tmp_path):
+    # two audio files with one stem in different directories: both would be id "utt"
+    records = []
+    for sub, frames in (("a", 12), ("b", 9)):
+        os.makedirs(tmp_path / sub)
+        tone_wav(tmp_path / sub / "utt.wav", frames=frames)
+        records.append({"audio": f"{sub}/utt.wav", "speaker": "s", "phones": "a", "durations": [frames]})
+    manifest = write_corpus(tmp_path, records)
+    with pytest.raises(DataError, match="record 1: utterance id 'utt' repeats record 0"):
+        parse_manifest(manifest, CFG)
 
 
 def test_parse_manifest_rejects_sample_rate_mismatch(tmp_path):
@@ -384,19 +395,23 @@ def test_batch_empty_rejected():
         max_size=5,
     )
 )
-def test_batch_unbatch_roundtrip(shapes):
+def test_make_batch_pads_each_utterance(shapes):
     utts = [
-        make_utt(f"u{i}", n, n * per_frame)
+        make_utt(f"u{i}", n, n * per_frame, speaker=i % 2)
         for i, (n, per_frame) in enumerate(shapes)
     ]
-    back = unbatch(make_batch(utts))
-    assert len(back) == len(utts)
-    for a, b in zip(utts, back):
-        assert a.id == b.id
-        np.testing.assert_array_equal(a.phonemes, b.phonemes)
-        np.testing.assert_array_equal(a.durations, b.durations)
-        np.testing.assert_array_equal(a.mel.values, b.mel.values)
-        assert a.speaker_id == b.speaker_id
+    batch = make_batch(utts)
+    assert batch.ids == [u.id for u in utts]
+    for b, u in enumerate(utts):
+        n, t = u.n_phonemes, u.mel.n_frames
+        assert batch.phoneme_mask[b].sum() == n and batch.phoneme_mask[b, :n].all()
+        assert batch.frame_mask[b].sum() == t and batch.frame_mask[b, :t].all()
+        np.testing.assert_array_equal(batch.phonemes[b, :n], u.phonemes)
+        np.testing.assert_array_equal(batch.durations[b, :n], u.durations)
+        np.testing.assert_array_equal(batch.mels[b, :t], u.mel.values)
+        assert batch.speaker_ids[b] == u.speaker_id
+        assert (batch.phonemes[b, n:] == PAD_ID).all() and (batch.durations[b, n:] == 0).all()
+        assert (batch.mels[b, t:] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ FUZZ = settings(max_examples=100, derandomize=True, deadline=None)
 
 FEAT = FeatureConfig(sample_rate=8000, n_fft=256, hop_length=64, n_mels=20)
 TINY = ModelConfig(model_dim=8, layers=1, heads=2, ffn_mult=1, conv_kernel=3,
-                   codebook_size=4, code_dim=2, levels=2, n_mels=20)
+                   codebook_size=4, code_dim=2, levels=2)
 
 # Integers stay small, so a mutated size in a checkpoint config stays cheap
 # to check (a layer count that disagrees with the parameters is rejected

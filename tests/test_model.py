@@ -23,7 +23,7 @@ from prosody_codec.training import compute_loss
 
 FEAT = FeatureConfig()
 TINY = ModelConfig(model_dim=16, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
-                   codebook_size=8, code_dim=3, levels=2, n_mels=20)
+                   codebook_size=8, code_dim=3, levels=2)
 
 
 def tiny_feat():
@@ -384,7 +384,7 @@ def test_decode_frame_count_is_duration_sum():
     codes = model.encode_utterance(utt)
     mel = model.decode_codes(codes, utt.phonemes, utt.durations, 1)
     assert mel.n_frames == 20
-    assert mel.n_mels == TINY.n_mels
+    assert mel.n_mels == tiny_feat().n_mels
 
 
 def test_decode_length_mismatch_rejected():
@@ -489,7 +489,7 @@ def test_forward_output_finite_for_finite_inputs():
 
 def test_learnable_sigma_policy_trains():
     cfg = ModelConfig(model_dim=16, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
-                      codebook_size=8, code_dim=3, levels=2, n_mels=20,
+                      codebook_size=8, code_dim=3, levels=2,
                       sigma_policy="learnable", sigma_value=2.0)
     model = make_model(cfg=cfg, dtype=np.float64)
     batch = make_batch([make_utt("a", n=3, per=4, seed=1)])
@@ -612,17 +612,23 @@ def test_model_config_sizes_must_match(tmp_path):
     path = tmp_path / "model.ckpt"
     save_model(model, str(path))
     assert load_model(str(path)).cfg.vocab_size == 7
-    for key, wrong in (("vocab_size", 9), ("n_speakers", 3), ("n_mels", 30)):
+    for key, wrong in (("vocab_size", 9), ("n_speakers", 3)):
         meta, arrays = read_container(str(path))
         meta["model_config"][key] = wrong
         write_container(str(path), meta, arrays)
         with pytest.raises(ContractError, match=f"model.{key} is {wrong}"):
             load_model(str(path))
         save_model(model, str(path))
+    # older checkpoints also state the band count in model_config
+    meta, arrays = read_container(str(path))
+    meta["model_config"]["n_mels"] = 30
+    write_container(str(path), meta, arrays)
+    with pytest.raises(DataError, match="model_config: n_mels 30 differs from feature_config n_mels 20"):
+        load_model(str(path))
 
 
 def test_reconstruct_rejects_mel_width_mismatch():
-    with pytest.raises(ContractError, match="30 bands, but model.n_mels is 20"):
+    with pytest.raises(ContractError, match="30 bands, but features.n_mels is 20"):
         make_model().reconstruct(make_utt(bands=30))
 
 

@@ -26,7 +26,7 @@ from prosody_codec.training import (
 
 FEAT = FeatureConfig(n_mels=20)
 TINY = ModelConfig(model_dim=16, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
-                   codebook_size=8, code_dim=3, levels=2, n_mels=20)
+                   codebook_size=8, code_dim=3, levels=2)
 
 
 def make_model(seed=0):
@@ -302,6 +302,25 @@ def test_checkpoint_with_retired_attention_norm_loads(tmp_path):
     save_checkpoint(loaded, str(tmp_path / "again.ckpt"))
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
     assert "total" in train_step(loaded, make_batch(tiny_corpus().utterances[:2]))
+
+
+def test_checkpoint_stating_model_n_mels_loads(tmp_path):
+    # older checkpoints state the band count in model_config as well as in
+    # feature_config; loading drops the model's copy
+    state = new_train_state(make_model(seed=2), TrainConfig(batch_size=2, max_steps=3,
+                                                            eval_every=1000, checkpoint_every=1000))
+    train(state, tiny_corpus())
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(state, str(path))
+    meta, arrays = read_container(str(path))
+    meta["model_config"]["n_mels"] = FEAT.n_mels
+    old = tmp_path / "old.ckpt"
+    write_container(str(old), meta, arrays)
+    utt = tiny_corpus().utterances[0]
+    np.testing.assert_array_equal(load_model(str(old)).reconstruct(utt).values,
+                                  state.model.reconstruct(utt).values)
+    save_checkpoint(load_checkpoint(str(old)), str(tmp_path / "again.ckpt"))
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 _DROP = object()
