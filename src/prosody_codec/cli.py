@@ -97,7 +97,7 @@ def _inputs(cfg: RunConfig):
 
 def _audio_paths(cfg: RunConfig) -> dict[str, str]:
     base = os.path.dirname(os.path.abspath(cfg.paths.manifest))
-    return dict(record_audio(rec, base) for rec in read_manifest(cfg.paths.manifest))
+    return dict(record_audio(rec, base) for _, rec in read_manifest(cfg.paths.manifest))
 
 
 def _emit(cfg: RunConfig, subdir: str, stem: str, mel: MelSpectrogram) -> None:
@@ -144,8 +144,9 @@ def cmd_prepare(cfg: RunConfig, args) -> dict:
 def _train_impl(cfg: RunConfig, continuous: bool) -> dict:
     corpus = _corpus(cfg)
     mcfg = copy.deepcopy(cfg.model)
-    mcfg.vocab_size = len(corpus.vocab)
-    mcfg.n_speakers = len(corpus.speakers)
+    # a size of 0 is taken from the corpus; CodecModel checks a stated one
+    mcfg.vocab_size = mcfg.vocab_size or len(corpus.vocab)
+    mcfg.n_speakers = mcfg.n_speakers or len(corpus.speakers)
     if continuous:
         mcfg.quantization = "none"
     rng = np.random.default_rng(cfg.train.seed)
@@ -264,6 +265,7 @@ def cmd_transfer(cfg: RunConfig, args) -> dict:
 
 def _analyze_usage(cfg: RunConfig) -> dict:
     _, model, utts = _inputs(cfg)
+    model._require_rvq("analyze usage")
     two_levels = model.rvq.n_levels > 1
     # one encode per batch serves the codes and both reconstructions
     sequences, full, level1 = [], [], []
@@ -277,9 +279,7 @@ def _analyze_usage(cfg: RunConfig) -> dict:
     stats = usage_stats(sequences, k)
     rep_full = score_report(full)
     rep_l1 = score_report(level1) if two_levels else rep_full
-    dependency = (
-        an.level_dependency(sequences, k) if model.rvq.n_levels > 1 else 0.0
-    )
+    dependency = an.level_dependency(sequences, k) if two_levels else 0.0
     payload = {
         "usage": {f"level{l + 1}": stats.usage[l] for l in range(len(stats.usage))},
         "psnr_full": rep_full["psnr"],

@@ -61,8 +61,6 @@ class ModelConfig:
     code_dim: int = 3
     n_speakers: int = 0  # 0 = infer from corpus
     vocab_size: int = 0  # 0 = infer from corpus
-    sigma_policy: str = "ratio"  # ratio | fixed | learnable
-    sigma_value: float = 1.0
     quantization: str = "rvq"  # rvq | none
 
     def validate(self, prefix: str = "model") -> None:
@@ -80,12 +78,6 @@ class ModelConfig:
         _require(self.codebook_size >= 2, f"{prefix}.codebook_size", "must be >= 2")
         _require(self.n_speakers >= 0, f"{prefix}.n_speakers", "must be >= 0")
         _require(self.vocab_size >= 0, f"{prefix}.vocab_size", "must be >= 0")
-        _require(
-            self.sigma_policy in ("ratio", "fixed", "learnable"),
-            f"{prefix}.sigma_policy",
-            "must be one of ratio|fixed|learnable",
-        )
-        _require(self.sigma_value > 0, f"{prefix}.sigma_value", "must be positive")
         _require(
             self.quantization in ("rvq", "none"),
             f"{prefix}.quantization",

@@ -233,7 +233,9 @@ _RECORD_FIELDS = {
 }
 
 
-def read_manifest(path: str) -> list[dict]:
+def read_manifest(path: str) -> list[tuple[int, dict]]:
+    """Each record with its 0-based line in the file, the number every
+    message about the record gives; blank lines hold no record."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -254,7 +256,7 @@ def read_manifest(path: str) -> list[dict]:
                 raise DataError(f"record {i}: field {fname!r}: missing")
             if not ok(rec[fname]):
                 raise DataError(f"record {i}: field {fname!r}: unexpected value {rec[fname]!r:.60}")
-        records.append(rec)
+        records.append((i, rec))
     return records
 
 
@@ -278,7 +280,6 @@ def parse_manifest(
     built the same way unless one is supplied (e.g. from a checkpoint).
     Two records with the same utterance id are a DataError.
     """
-    records = read_manifest(path)
     base = os.path.dirname(os.path.abspath(path))
     build_vocab = vocab is None
     symbols: list[str] = []
@@ -286,7 +287,7 @@ def parse_manifest(
     speaker_ids: dict[str, int] = {}
     records_of: dict[str, int] = {}  # utterance id -> the record that names it
     utterances: list[Utterance] = []
-    for i, rec in enumerate(records):
+    for i, rec in read_manifest(path):
         utt_id, audio_path = record_audio(rec, base)
         if utt_id in records_of:
             raise DataError(f"record {i}: utterance id {utt_id!r} repeats record {records_of[utt_id]}")
@@ -296,6 +297,8 @@ def parse_manifest(
         phones = rec["phones"].split()
         if not phones:
             raise DataError(f"record {i}: field 'phones': empty")
+        if PAD_SYMBOL in phones:
+            raise DataError(f"record {i}: field 'phones': {PAD_SYMBOL!r} is reserved for padding")
         if build_vocab:
             for s in phones:
                 if s not in symbols:

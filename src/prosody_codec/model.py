@@ -50,8 +50,6 @@ def _param_specs(model: CodecModel):
         ("mel_out.w", (D, M), D**-0.5),
         ("mel_out.b", (M,), 0.0),
     ]
-    if cfg.sigma_policy == "learnable":
-        specs.append(("resampler.log_sigma", (1,), 0.0))
     for stack in _STACKS:
         for i in range(cfg.layers):
             p = f"{stack}.l{i}."
@@ -93,8 +91,6 @@ def init_params(model: CodecModel, rng: np.random.Generator) -> dict[str, np.nda
     for name, shape, scale in _param_specs(model):
         if name.endswith(".norm.gain"):
             arr = np.ones(shape)
-        elif name == "resampler.log_sigma":
-            arr = np.full(shape, np.log(model.cfg.sigma_value))
         elif scale == 0.0:
             arr = np.zeros(shape)
         else:
@@ -178,15 +174,13 @@ def conformer_stack(
 # batched resampling weights
 
 
-def batch_resample_weights(pt: dict, batch: Batch, cfg: ModelConfig, dtype):
+def batch_resample_weights(batch: Batch, dtype) -> np.ndarray:
     """Soft frame-phoneme alignment from durations alone, (B, T, N).
 
     W[t, i] = exp(-(t + 0.5 - c_i)^2 / (2 sigma_i^2)), normalized over i, with
-    centers c_i at the middle of each phoneme's span; zero at padded cells.
-    Constant unless sigma_policy is 'learnable', in which case the matrix is
-    differentiable w.r.t. the shared log-sigma parameter.
+    centers c_i at the middle of each phoneme's span and sigma_i =
+    max(d_i, 1) / 3; zero at padded cells. A constant: no gradient reaches it.
     """
-    B, N = batch.durations.shape
     T = batch.frame_mask.shape[1]
     d = batch.durations.astype(np.float64)
     centers = np.cumsum(d, axis=1) - d / 2.0
@@ -194,34 +188,27 @@ def batch_resample_weights(pt: dict, batch: Batch, cfg: ModelConfig, dtype):
     dist2 = (t - centers[:, None, :]) ** 2  # (B, T, N)
     ph_mask = batch.phoneme_mask[:, None, :].astype(np.float64)
     fr_mask = batch.frame_mask[:, :, None].astype(np.float64)
-    if cfg.sigma_policy == "learnable":
-        dist2_t = Tensor((-0.5 * dist2).astype(dtype))
-        inv_s2 = ad.exp(ad.mul(pt["resampler.log_sigma"], -2.0))
-        w = ad.exp(ad.mul(dist2_t, inv_s2))
-        w = ad.mul(w, ph_mask.astype(dtype))
-        w = ad.div(w, ad.add(ad.tsum(w, axis=2, keepdims=True), 1e-12))
-        return ad.mul(w, fr_mask.astype(dtype))
-    if cfg.sigma_policy == "ratio":
-        spreads = np.maximum(d, 1.0) / 3.0
-    else:
-        spreads = np.full(d.shape, float(cfg.sigma_value))
-    w = np.exp(-dist2 / (2.0 * np.maximum(spreads[:, None, :], 1e-12) ** 2))
+    spreads = np.maximum(d, 1.0) / 3.0
+    w = np.exp(-dist2 / (2.0 * spreads[:, None, :] ** 2))
     w = w * ph_mask
     w = w / np.maximum(w.sum(axis=2, keepdims=True), 1e-300)
     w = w * fr_mask
-    return Tensor(w.astype(dtype))
+    return w.astype(dtype)
 
 
-def _downsample_t(frames: Tensor, w: Tensor, phoneme_mask: np.ndarray) -> Tensor:
+def _downsample(frames: np.ndarray, w: np.ndarray, phoneme_mask: np.ndarray) -> np.ndarray:
     """Frame-level -> phoneme-level via the transposed, column-renormalized
     weights: out_i = sum_t W[t,i] x_t / sum_t W[t,i]. A padded phoneme's
-    column is all zero and is divided by one instead."""
-    pad = (~phoneme_mask[:, None, :]).astype(w.data.dtype)
-    col = ad.div(w, ad.add(ad.tsum(w, axis=1, keepdims=True), pad))
-    return ad.matmul(ad.transpose(col, (0, 2, 1)), frames)
+    column is all zero and is divided by one instead. Mels and weights are
+    both constants, so this runs outside the graph."""
+    if frames.shape[:2] != w.shape[:2]:
+        raise ContractError(f"downsample: frames {frames.shape} against weights {w.shape}")
+    pad = (~phoneme_mask[:, None, :]).astype(w.dtype)
+    col = w / (w.sum(axis=1, keepdims=True) + pad)
+    return col.transpose(0, 2, 1) @ frames
 
 
-def _upsample_t(phon: Tensor, w: Tensor) -> Tensor:
+def _upsample_t(phon: Tensor, w: np.ndarray) -> Tensor:
     """Phoneme-level -> frame-level: out_t = sum_i W[t,i] h_i (rows sum to 1)."""
     return ad.matmul(w, phon)
 
@@ -291,7 +278,7 @@ class CodecModel:
 
     # -- the two halves
 
-    def encode_batch(self, pt: dict, batch: Batch) -> tuple[Tensor, Tensor, Tensor | None]:
+    def encode_batch(self, pt: dict, batch: Batch) -> tuple[Tensor, np.ndarray, Tensor | None]:
         """Phoneme encoder and resampling weights, then, when the batch
         carries mels, downsampling, mel encoder and projection. Returns the
         linguistic features (B, N, D), the upsampling weights (B, T, N) and
@@ -305,15 +292,15 @@ class CodecModel:
         mask = batch.phoneme_mask
         emb = ad.embedding_lookup(pt["phoneme_embedding"], batch.phonemes)
         ling = conformer_stack(pt, "penc", emb, mask, self.cfg.layers, self.cfg.heads)
-        w = batch_resample_weights(pt, batch, self.cfg, self.dtype)
+        w = batch_resample_weights(batch, self.dtype)
         if batch.mels is None:
             return ling, w, None
-        ph_mel = _downsample_t(Tensor(batch.mels.astype(self.dtype)), w, mask)
+        ph_mel = _downsample(batch.mels.astype(self.dtype), w, mask)
         h = ad.add(ad.linear(ph_mel, pt["mel_lift.w"], pt["mel_lift.b"]), ling)
         h = conformer_stack(pt, "menc", h, mask, self.cfg.layers, self.cfg.heads)
         return ling, w, ad.linear(h, pt["enc_proj.w"], pt["enc_proj.b"])
 
-    def decode_batch(self, pt: dict, batch: Batch, latent: Tensor, ling: Tensor, w: Tensor) -> Tensor:
+    def decode_batch(self, pt: dict, batch: Batch, latent: Tensor, ling: Tensor, w: np.ndarray) -> Tensor:
         """Latent (B, N, d), linguistic features and speaker -> mels (B, T, M)."""
         spk_ids = np.asarray(batch.speaker_ids)
         if np.any((spk_ids < 0) | (spk_ids >= len(self.speakers))):
@@ -330,7 +317,7 @@ class CodecModel:
     def forward_batch(self, pt: dict, batch: Batch, bypass: bool = False) -> dict:
         """Training-path forward: encode, quantize (skipped by ``bypass`` or
         in the continuous variant), decode. Returns prediction, commitment,
-        codes, encoder output, and the resampling weights."""
+        codes and encoder output."""
         ling, w, z = self.encode_batch(pt, batch)
         if self.rvq is not None and not bypass:
             codes, latent, commitment = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
@@ -341,7 +328,6 @@ class CodecModel:
             "commitment": commitment,
             "codes": codes,
             "encoder_output": z,
-            "weights": w,
         }
 
     # -- inference over padded batches, one result per utterance
@@ -537,12 +523,18 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
     _require_keys("meta", meta, {"model_config": dict, "feature_config": dict, "vocab": [str],
                                  "speakers": [str], "dtype": str, "rvq": (dict, type(None))})
     features = _section_from_meta(FeatureConfig, meta["feature_config"], "feature_config", "features")
-    # Older checkpoints state the band count in the model section as well.
+    # Keys older checkpoints store in model_config and no code reads: the
+    # value each must hold to load (None: any), and what that value is.
+    retired = {
+        "n_mels": (features.n_mels, f"feature_config n_mels {features.n_mels}"),
+        "sigma_policy": ("ratio", "the one resampling rule, 'ratio'"),
+        "sigma_value": (None, None),  # read only by the retired policies
+    }
     model_config = dict(meta["model_config"])
-    n_mels = model_config.pop("n_mels", features.n_mels)
-    if n_mels != features.n_mels:
-        raise DataError(f"checkpoint model_config: n_mels {n_mels!r:.60} differs "
-                        f"from feature_config n_mels {features.n_mels}")
+    for key, (required, what) in retired.items():
+        value = model_config.pop(key, required)
+        if required is not None and value != required:
+            raise DataError(f"checkpoint model_config: {key} {value!r:.60} differs from {what}")
     cfg = _section_from_meta(ModelConfig, model_config, "model_config", "model")
     vocab = PhonemeVocab.from_json(meta["vocab"])
     if meta["dtype"] not in ("float32", "float64"):

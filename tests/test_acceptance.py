@@ -23,7 +23,7 @@ from prosody_codec.corpus import Batch, PhonemeVocab, Utterance, make_batch
 from prosody_codec.dsp import MelSpectrogram, PitchContour
 from prosody_codec.model import (
     CodecModel,
-    _downsample_t,
+    _downsample,
     _upsample_t,
     batch_resample_weights,
     load_model,
@@ -328,22 +328,22 @@ def test_criterion_3_rvq_monotonic_and_bit_exact():
 
 
 def _resampler(durations):
-    """The model's resampler for one utterance in float64 (default sigma
-    policy): weights (T, N) and down/upsampling on unbatched arrays."""
+    """The model's resampler for one utterance in float64: weights (T, N)
+    and down/upsampling on unbatched arrays."""
     d = np.asarray(durations, dtype=np.int64)[None, :]
     batch = Batch(
         phonemes=np.ones_like(d), durations=d, mels=None, speaker_ids=np.zeros(1, dtype=np.int64),
         phoneme_mask=d > 0, frame_mask=np.ones((1, int(d.sum())), dtype=bool),
     )
-    w = batch_resample_weights({}, batch, ModelConfig(), np.float64)
+    w = batch_resample_weights(batch, np.float64)
 
     def down(x):
-        return _downsample_t(Tensor(x[None]), w, batch.phoneme_mask).data[0]
+        return _downsample(x[None], w, batch.phoneme_mask)[0]
 
     def up(h):
         return _upsample_t(Tensor(h[None]), w).data[0]
 
-    return w.data[0], down, up
+    return w[0], down, up
 
 
 def test_criterion_4_resampler_identities():

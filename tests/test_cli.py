@@ -67,6 +67,11 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def _pipeline_data(root) -> dict:
+    """The pipeline's manifest and feature cache, as run-config paths."""
+    return {"manifest": str(root / "data" / "manifest.jsonl"), "cache_dir": str(root / "cache")}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth-data + prepare + train, shared by the read-only command tests."""
@@ -213,9 +218,11 @@ def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
     [
         ("model_config", "model_dim", "x", "model.model_dim: expected int, got str"),
         ("model_config", "model_dim", True, "model.model_dim: expected int, got bool"),
-        ("model_config", "sigma_value", "1", "model.sigma_value: expected number"),
+        ("feature_config", "log_floor", "1", "features.log_floor: expected number"),
         ("feature_config", "hop_length", 64.5, "features.hop_length: expected int, got float"),
         ("model_config", "n_mels", 30, "n_mels 30 differs from feature_config n_mels 20"),
+        ("model_config", "sigma_policy", "fixed", "sigma_policy 'fixed' differs from the one resampling rule"),
+        ("model_config", "sigma_policy", "learnable", "sigma_policy 'learnable' differs from the one resampling rule"),
     ],
 )
 def test_checkpoint_config_value_exit_2(pipeline, tmp_path, capsys, section, key, value, message):
@@ -263,6 +270,21 @@ def test_malformed_manifest_exit_2(pipeline, tmp_path, capsys):
     assert "record 1: field 'durations': unexpected value" in capsys.readouterr().err
 
 
+def test_pad_symbol_as_phone_exit_2(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    records = [json.loads(line) for line in (root / "data" / "manifest.jsonl").read_text().splitlines()]
+    phones = records[1]["phones"].split()
+    records[1]["phones"] = " ".join(["<pad>"] + phones[1:])
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(
+        "".join(json.dumps({**r, "audio": str(root / "data" / r["audio"])}) + "\n" for r in records)
+    )
+    config = write_config(tmp_path, paths={"manifest": str(manifest)})
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", config]) == 2
+    assert "record 1: field 'phones': '<pad>' is reserved for padding" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exit_2(tmp_path):
     config = write_config(tmp_path)
     os.makedirs(tmp_path / "data", exist_ok=True)
@@ -295,6 +317,36 @@ def test_train_emits_log_and_checkpoint(pipeline):
     steps = [r for r in records if "total" in r]
     assert len(steps) == 25
     assert all({"l1", "l2", "commit", "step"} <= set(r) for r in steps)
+
+
+def test_train_fills_in_only_unstated_model_sizes(pipeline, tmp_path, capsys):
+    root, pipeline_config = pipeline
+    data = _pipeline_data(root)
+    corpus = corpus_module.parse_manifest(
+        data["manifest"], load_config(pipeline_config).features, cache_dir=data["cache_dir"]
+    )
+    # 0 = take it from the corpus: the echo shows the corpus sizes
+    config = write_config(tmp_path, train={"max_steps": 1}, paths=data)
+    assert cli.main(["train", "--config", config]) == 0
+    echoed = load_config(str(tmp_path / "reports" / "effective_config.json"))
+    assert (echoed.model.vocab_size, echoed.model.n_speakers) == (len(corpus.vocab), len(corpus.speakers))
+    # a stated size that differs from the corpus is a contract error, not overwritten
+    for key, actual in (("vocab_size", len(corpus.vocab)), ("n_speakers", len(corpus.speakers))):
+        config = write_config(tmp_path, model={key: actual + 3}, paths=data)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", config]) == 2
+        assert f"model.{key} is {actual + 3}, but the model has {actual}" in capsys.readouterr().err
+
+
+def test_analyze_usage_on_continuous_checkpoint_exit_2(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    config = write_config(
+        tmp_path, model={"quantization": "none"}, train={"max_steps": 2}, paths=_pipeline_data(root)
+    )
+    assert cli.main(["train", "--config", config]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", config, "usage"]) == 2
+    assert "analyze usage: model has no quantizer" in capsys.readouterr().err
 
 
 def test_analyze_usage_report(pipeline):
@@ -544,3 +596,15 @@ def test_synth_pair_that_is_not_two_numbers_exit_1(tmp_path, capsys):
     config = write_config(tmp_path, synth={"f0_ranges": [5, 6]})
     assert cli.main(["synth-data", "--config", config]) == 1
     assert "synth.f0_ranges[0]: must be [low, high]" in capsys.readouterr().err
+
+
+def test_toy_experiment_config_loads(tmp_path):
+    # scripts/run_toy_experiment.py writes its config for the CLI to read
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_toy_experiment.py")
+    spec = importlib.util.spec_from_file_location("run_toy_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg = loads_config(json.dumps(script.default_config(str(tmp_path), 10, 0)))
+    assert cfg.train.max_steps == 10

@@ -245,6 +245,30 @@ def test_parse_manifest_rejects_out_of_range_duration(tmp_path):
         parse_manifest(manifest, CFG)
 
 
+@pytest.mark.parametrize("vocab", [None, PhonemeVocab(["a", "b"])], ids=["built", "supplied"])
+def test_parse_manifest_rejects_pad_symbol_as_phone(tmp_path, vocab):
+    frames = tone_wav(tmp_path / "u0.wav")
+    manifest = write_corpus(
+        tmp_path,
+        [{"audio": "u0.wav", "speaker": "a", "phones": "a <pad> b", "durations": [4, 4, frames - 8]}],
+    )
+    with pytest.raises(DataError, match="record 0: field 'phones': '<pad>' is reserved for padding"):
+        parse_manifest(manifest, CFG, vocab=vocab)
+
+
+@pytest.mark.parametrize("durations, message", [([4.5], "unexpected value"), ([17], "tolerance")])
+def test_manifest_records_are_numbered_by_file_line(tmp_path, durations, message):
+    # blank first and third lines: the record on the fourth line is record 3,
+    # whether reading it (a bad type) or resolving it (a bad sum) fails
+    good = {"audio": "u0.wav", "speaker": "a", "phones": "a", "durations": [tone_wav(tmp_path / "u0.wav")]}
+    tone_wav(tmp_path / "u1.wav")
+    bad = {"audio": "u1.wav", "speaker": "a", "phones": "a", "durations": durations}
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n" + json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DataError, match=f"record 3: field 'durations': .*{message}"):
+        parse_manifest(str(manifest), CFG)
+
+
 # ---------------------------------------------------------------------------
 # feature cache
 

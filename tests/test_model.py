@@ -12,7 +12,7 @@ from prosody_codec.dsp import MelSpectrogram
 from prosody_codec.errors import ContractError, DataError
 from prosody_codec.model import (
     CodecModel,
-    _downsample_t,
+    _downsample,
     _upsample_t,
     batch_resample_weights,
     load_model,
@@ -66,16 +66,15 @@ def conditioning_batch(ids, durations) -> Batch:
     )
 
 
-def weights(durations, sigma_policy="ratio", sigma_value=1.0):
+def weights(durations):
     """The model's resampling weights for one utterance in float64: the
-    (1, T, N) Tensor and the phoneme mask it was built with."""
+    (1, T, N) array and the phoneme mask it was built with."""
     batch = conditioning_batch([np.ones(len(durations))], [durations])
-    cfg = ModelConfig(sigma_policy=sigma_policy, sigma_value=sigma_value)
-    return batch_resample_weights({}, batch, cfg, np.float64), batch.phoneme_mask
+    return batch_resample_weights(batch, np.float64), batch.phoneme_mask
 
 
 def downsample(frames, w, mask):
-    return _downsample_t(Tensor(np.asarray(frames, dtype=np.float64)[None]), w, mask).data[0]
+    return _downsample(np.asarray(frames, dtype=np.float64)[None], w, mask)[0]
 
 
 def upsample(h, w):
@@ -88,22 +87,22 @@ def upsample(h, w):
 
 def test_weights_single_phoneme_all_ones():
     w, _ = weights([7])
-    np.testing.assert_allclose(w.data[0], np.ones((7, 1)))
+    np.testing.assert_allclose(w[0], np.ones((7, 1)))
 
 
 def test_weights_rows_sum_to_one():
     w, _ = weights([4, 8, 4])
-    np.testing.assert_allclose(w.data[0].sum(axis=1), np.ones(16), atol=1e-12)
+    np.testing.assert_allclose(w[0].sum(axis=1), np.ones(16), atol=1e-12)
 
 
 def test_weights_symmetric_under_reversal():
-    w = weights([6, 6])[0].data[0]
+    w = weights([6, 6])[0][0]
     np.testing.assert_allclose(w, w[::-1, ::-1], atol=1e-12)
 
 
 def test_weights_argmax_matches_owning_segment():
     durations = np.array([4, 8, 4])
-    w = weights(durations)[0].data[0]
+    w = weights(durations)[0][0]
     # oracle: recompute each frame's weights from the formula directly
     centers = np.array([2.0, 8.0, 14.0])
     spreads = durations / 3.0
@@ -113,20 +112,13 @@ def test_weights_argmax_matches_owning_segment():
         assert int(np.argmax(w[t])) == int(np.argmax(logits)) == segment_of_frame[t]
 
 
-def test_weights_fixed_sigma_policy():
-    w = weights([4, 4], sigma_policy="fixed", sigma_value=0.5)[0].data[0]
-    logits = -((np.arange(8)[:, None] + 0.5 - np.array([2.0, 6.0])) ** 2) / (2 * 0.5**2)
-    expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(w, expected, atol=1e-12)
-
-
 def test_weights_zero_at_padded_cells():
     batch = conditioning_batch([[1, 2, 3], [4, 5, 0]], [[3, 2, 4], [5, 2, 0]])
-    w = batch_resample_weights({}, batch, TINY, np.float64).data
+    w = batch_resample_weights(batch, np.float64)
     assert np.all(w[1, 7:, :] == 0) and np.all(w[1, :, 2] == 0)
     np.testing.assert_allclose(w[1, :7].sum(axis=1), 1.0, atol=1e-12)
     # a padded phoneme's all-zero column downsamples to zero, not NaN
-    down = _downsample_t(Tensor(np.ones((2, 9, 4))), Tensor(w), batch.phoneme_mask).data
+    down = _downsample(np.ones((2, 9, 4)), w, batch.phoneme_mask)
     assert np.all(down[1, 2] == 0)
     np.testing.assert_allclose(down[batch.phoneme_mask], 1.0, atol=1e-12)
 
@@ -142,9 +134,11 @@ def test_downsample_constant_is_constant():
 
 
 def test_downsample_small_sigma_recovers_segments():
-    w, mask = weights([10, 10, 10], sigma_policy="fixed", sigma_value=0.5)
+    # weights with sigma 0.5 for every phoneme, from the formula directly
+    logits = -((np.arange(30)[:, None] + 0.5 - np.array([5.0, 15.0, 25.0])) ** 2) / (2 * 0.5**2)
+    w = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     x = np.repeat(np.array([[1.0], [5.0], [-2.0]]), 10, axis=0)
-    out = downsample(x, w, mask)
+    out = downsample(x, w[None], np.ones((1, 3), dtype=bool))
     np.testing.assert_allclose(out, [[1.0], [5.0], [-2.0]], atol=1e-3)
 
 
@@ -153,7 +147,7 @@ def test_downsample_one_hot_weights_are_segment_means():
     w[0, :3, 0] = 1.0
     w[0, 3:, 1] = 1.0
     x = np.arange(10, dtype=float).reshape(5, 2)
-    out = downsample(x, Tensor(w), np.ones((1, 2), dtype=bool))
+    out = downsample(x, w, np.ones((1, 2), dtype=bool))
     np.testing.assert_allclose(out[0], x[:3].mean(axis=0))
     np.testing.assert_allclose(out[1], x[3:].mean(axis=0))
 
@@ -487,21 +481,6 @@ def test_forward_output_finite_for_finite_inputs():
     assert np.all(np.isfinite(out["pred"].data))
 
 
-def test_learnable_sigma_policy_trains():
-    cfg = ModelConfig(model_dim=16, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
-                      codebook_size=8, code_dim=3, levels=2,
-                      sigma_policy="learnable", sigma_value=2.0)
-    model = make_model(cfg=cfg, dtype=np.float64)
-    batch = make_batch([make_utt("a", n=3, per=4, seed=1)])
-    pt = model.param_tensors(train=True)
-    from prosody_codec.training import compute_loss
-
-    total, _, _ = compute_loss(model, pt, batch)
-    ad.backward(total)
-    assert pt["resampler.log_sigma"].grad is not None
-    assert np.all(np.isfinite(pt["resampler.log_sigma"].grad))
-
-
 # ---------------------------------------------------------------------------
 # end-to-end differentiability (tiny config, double precision)
 
@@ -703,7 +682,7 @@ def _set(*path_and_value):
     [
         (_set("model_config", "model_dim", "x"), "model_config: model.model_dim: expected int, got str"),
         (_set("model_config", "model_dim", True), "model_config: model.model_dim: expected int, got bool"),
-        (_set("model_config", "sigma_value", "1"), "model_config: model.sigma_value: expected number"),
+        (_set("feature_config", "log_floor", "1"), "feature_config: features.log_floor: expected number"),
         (_set("model_config", "layers", 0), "model_config: model.layers: must be >= 1"),
         (_set("feature_config", "hop_length", 64.5), "feature_config: features.hop_length: expected int"),
         (_set("feature_config", "yin_threshold", -0.5), "feature_config: features.yin_threshold"),

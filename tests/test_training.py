@@ -304,16 +304,17 @@ def test_checkpoint_with_retired_attention_norm_loads(tmp_path):
     assert "total" in train_step(loaded, make_batch(tiny_corpus().utterances[:2]))
 
 
-def test_checkpoint_stating_model_n_mels_loads(tmp_path):
-    # older checkpoints state the band count in model_config as well as in
-    # feature_config; loading drops the model's copy
+def _assert_loads_as_if_unstated(tmp_path, **stated):
+    """A training checkpoint whose model_config also states ``stated`` loads,
+    reconstructs bit-identically and re-saves byte-identically to one that
+    does not."""
     state = new_train_state(make_model(seed=2), TrainConfig(batch_size=2, max_steps=3,
                                                             eval_every=1000, checkpoint_every=1000))
     train(state, tiny_corpus())
     path = tmp_path / "state.ckpt"
     save_checkpoint(state, str(path))
     meta, arrays = read_container(str(path))
-    meta["model_config"]["n_mels"] = FEAT.n_mels
+    meta["model_config"].update(stated)
     old = tmp_path / "old.ckpt"
     write_container(str(old), meta, arrays)
     utt = tiny_corpus().utterances[0]
@@ -321,6 +322,18 @@ def test_checkpoint_stating_model_n_mels_loads(tmp_path):
                                   state.model.reconstruct(utt).values)
     save_checkpoint(load_checkpoint(str(old)), str(tmp_path / "again.ckpt"))
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_stating_model_n_mels_loads(tmp_path):
+    # older checkpoints state the band count in model_config as well as in
+    # feature_config; loading drops the model's copy
+    _assert_loads_as_if_unstated(tmp_path, n_mels=FEAT.n_mels)
+
+
+def test_checkpoint_stating_sigma_policy_loads(tmp_path):
+    # older checkpoints state the resampling policy and its spread in
+    # model_config; 'ratio', the one rule left, loads and drops both
+    _assert_loads_as_if_unstated(tmp_path, sigma_policy="ratio", sigma_value=1.0)
 
 
 _DROP = object()
