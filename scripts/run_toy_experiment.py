@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end toy experiment: synthesize a two-speaker harmonic corpus, train
-the codec, run every latent-space analysis, and produce the discrete-vs-
-continuous ablation table.
+the codec, run every latent-space analysis, then train the continuous twin
+and produce the discrete-vs-continuous ablation table (--skip-ablation skips
+both).
 
     python scripts/run_toy_experiment.py --workdir runs/toy [--steps 20000]
 
@@ -85,6 +86,7 @@ def main() -> int:
         ["metrics", "--config", config_path, "--task", "reconstruction"],
     ]
     if not args.skip_ablation:
+        stages.append(["train", "--continuous", "--config", config_path])
         stages.append(["ablate-continuous", "--config", config_path])
     for argv in stages:
         print(f"\n$ prosody-codec {' '.join(argv)}")

@@ -381,16 +381,6 @@ def extraction_slice(utterances: list[Utterance], fraction: float) -> list[Utter
     return list(utterances[-n:])
 
 
-def most_frequent_level2(sequences: list[CodeSequence], k: int) -> int:
-    """Default second-level code for probes: the globally most used index."""
-    hist = np.zeros(k, dtype=np.int64)
-    for seq in sequences:
-        if seq.n_levels < 2:
-            return 0
-        hist += np.bincount(seq.level(1).ravel(), minlength=k)
-    return int(np.argmax(hist))
-
-
 def spearman(x, y) -> float:
     """Pearson correlation of the ranks, average ranks on ties."""
     x = np.asarray(x, dtype=np.float64)

@@ -4,6 +4,7 @@ Subcommands: synth-data, prepare, train, resynth, cross-resynth,
 shuffle-codes, transfer, analyze {usage,entropy,klmap,pca,probes,
 speaker-relative}, metrics, ablate-continuous.
 
+Only `train` trains and writes checkpoints; every other command reads them.
 Exit codes: 0 success, 1 usage/config error, 2 data or contract error,
 3 numeric error. Every command echoes the effective config into the report
 directory and is deterministic given the seeds in that config.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import analysis as an
 from . import metrics as mx
-from .config import MEL_FIELDS, RunConfig, dumps_config, load_config
+from .config import MEL_FIELDS, RunConfig, dumps_config, load_config, section_json
 from .corpus import (
     Corpus,
     inference_batches,
@@ -58,12 +59,22 @@ class _Parser(argparse.ArgumentParser):
 # shared plumbing
 
 
+def _output_dir(path: str, key: str) -> str:
+    """Create a directory the run config names; one that cannot be made (a
+    file in its place) is a config error naming the key."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot create directory {path!r}: {exc.strerror}") from None
+    return path
+
+
 def _corpus(cfg: RunConfig, cache_write: bool = False) -> Corpus:
     if not cfg.paths.manifest:
         raise ConfigError("paths.manifest: must be set for this command")
     cache = cfg.paths.cache_dir or None
     if cache:
-        os.makedirs(cache, exist_ok=True)
+        _output_dir(cache, "paths.cache_dir")
     return parse_manifest(
         cfg.paths.manifest, cfg.features, cache_dir=cache, cache_write=cache_write
     )
@@ -79,7 +90,8 @@ def _model(cfg: RunConfig, continuous: bool = False) -> CodecModel:
     or the model would be fed mels unlike its training data."""
     path = _checkpoint_path(cfg, continuous)
     if not os.path.exists(path):
-        raise DataError(f"no checkpoint at {path}; run `train` first")
+        command = "train --continuous" if continuous else "train"
+        raise DataError(f"no checkpoint at {path}; run `{command}` first")
     model = load_model(path)
     for name in MEL_FIELDS:
         ours, trained = getattr(cfg.features, name), getattr(model.features, name)
@@ -91,6 +103,8 @@ def _model(cfg: RunConfig, continuous: bool = False) -> CodecModel:
 def _inputs(cfg: RunConfig):
     """The corpus, the trained model and the evaluation slice."""
     corpus = _corpus(cfg)
+    if not corpus.utterances:
+        raise DataError(f"{cfg.paths.manifest} lists no utterances")
     model = _model(cfg)
     return corpus, model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
 
@@ -125,7 +139,7 @@ def _emit_resynth(cfg: RunConfig, utterances, subdir: str, decode_fn) -> int:
 def cmd_synth_data(cfg: RunConfig, args) -> dict:
     if not cfg.paths.manifest:
         raise ConfigError("paths.manifest: must point at the manifest to create")
-    out_dir = os.path.dirname(os.path.abspath(cfg.paths.manifest))
+    out_dir = _output_dir(os.path.dirname(os.path.abspath(cfg.paths.manifest)), "paths.manifest")
     manifest = write_synth_corpus(cfg.synth, cfg.features, out_dir)
     return {"manifest": manifest, "utterances": cfg.synth.n_utterances}
 
@@ -141,62 +155,50 @@ def cmd_prepare(cfg: RunConfig, args) -> dict:
     }
 
 
-def _train_impl(cfg: RunConfig, continuous: bool) -> dict:
+def cmd_train(cfg: RunConfig, args) -> dict:
     corpus = _corpus(cfg)
-    mcfg = copy.deepcopy(cfg.model)
     # a size of 0 is taken from the corpus; CodecModel checks a stated one
-    mcfg.vocab_size = mcfg.vocab_size or len(corpus.vocab)
-    mcfg.n_speakers = mcfg.n_speakers or len(corpus.speakers)
-    if continuous:
+    cfg.model.vocab_size = cfg.model.vocab_size or len(corpus.vocab)
+    cfg.model.n_speakers = cfg.model.n_speakers or len(corpus.speakers)
+    mcfg = copy.deepcopy(cfg.model)
+    if args.continuous:
         mcfg.quantization = "none"
-    rng = np.random.default_rng(cfg.train.seed)
     model = CodecModel(
         mcfg,
         cfg.features,
         corpus.vocab,
         corpus.speakers,
-        rng=rng,
+        rng=np.random.default_rng(cfg.train.seed),
         beta=cfg.train.commitment_beta,
         ema_decay=cfg.train.ema_decay,
         ema_epsilon=cfg.train.ema_epsilon,
     )
     if cfg.train.dtype == "float64":
         model.astype(np.float64)
-    state = new_train_state(model, cfg.train)
-    os.makedirs(cfg.paths.checkpoint_dir, exist_ok=True)
-    suffix = "continuous" if continuous else "train"
+    checkpoint_dir = _output_dir(cfg.paths.checkpoint_dir, "paths.checkpoint_dir")
+    suffix = "continuous" if args.continuous else "train"
     log_path = os.path.join(cfg.paths.report_dir, f"{suffix}_log.jsonl")
     if os.path.exists(log_path):
         os.unlink(log_path)
+    # the codec's checkpoints, the final one included, are written by `train`
     state = train(
-        state,
+        new_train_state(model, cfg.train),
         corpus,
-        checkpoint_dir=None if continuous else cfg.paths.checkpoint_dir,
+        checkpoint_dir=None if args.continuous else checkpoint_dir,
         log_path=log_path,
     )
-    save_checkpoint(state, _checkpoint_path(cfg, continuous))
-    report = evaluate(state.model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction))
-    return {
+    if args.continuous:
+        save_checkpoint(state, _checkpoint_path(cfg, continuous=True))
+    summary = {
         "steps": state.step,
         "loss_at_100": state.loss_at_100,
-        "eval": report,
-        "checkpoint": _checkpoint_path(cfg, continuous),
+        "eval": evaluate(model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)),
+        "checkpoint": _checkpoint_path(cfg, args.continuous),
         "vocab_size": len(corpus.vocab),
         "n_speakers": len(corpus.speakers),
     }
-
-
-def cmd_train(cfg: RunConfig, args) -> dict:
-    summary = _train_impl(cfg, continuous=args.continuous)
-    cfg.model.vocab_size = summary["vocab_size"]
-    cfg.model.n_speakers = summary["n_speakers"]
-    an.write_json(
-        os.path.join(
-            cfg.paths.report_dir,
-            "train_summary_continuous.json" if args.continuous else "train_summary.json",
-        ),
-        summary,
-    )
+    name = "train_summary_continuous.json" if args.continuous else "train_summary.json"
+    an.write_json(os.path.join(cfg.paths.report_dir, name), summary)
     return summary
 
 
@@ -385,16 +387,14 @@ def _analyze_klmap(cfg: RunConfig) -> dict:
 def _code_space(cfg: RunConfig):
     """The setup the PCA analyses share: corpus, model, the level-1 code
     histogram over the evaluation slice, the usage-weighted PCA of the used
-    level-1 codes, the most used level-2 code and the probe reference."""
+    level-1 codes, the most used level-2 code (0 with one level) and the
+    probe reference."""
     corpus, model, utts = _inputs(cfg)
-    sequences = an.collect_codes(model, utts)
-    k = model.cfg.codebook_size
-    hist = np.zeros(k, dtype=np.int64)
-    for seq in sequences:
-        hist += np.bincount(seq.level(0).ravel(), minlength=k)
+    histograms = usage_stats(an.collect_codes(model, utts), model.cfg.codebook_size).histograms
+    hist = histograms[0]
     used = hist > 0
     proj = an.pca_codes(model.rvq.levels[0].entries[used], hist[used].astype(np.float64))
-    level2 = an.most_frequent_level2(sequences, k)
+    level2 = int(np.argmax(histograms[1])) if len(histograms) > 1 else 0
     if cfg.analysis.reference_utterance:
         reference = corpus.by_id(cfg.analysis.reference_utterance)
     else:  # the longest utterance gives the probes the most frames to measure
@@ -584,6 +584,8 @@ def _metrics_intelligibility(cfg: RunConfig, args) -> dict:
     refs, hyps = _text_lines(args.ref), _text_lines(args.hyp)
     if len(refs) != len(hyps):
         raise DataError(f"metrics: {len(refs)} reference lines vs {len(hyps)} hypothesis lines")
+    if not refs:
+        raise DataError("metrics intelligibility: --ref and --hyp have no non-blank lines")
     pairs = [mx.wer_cer(r, h) for r, h in zip(refs, hyps)]
     return {
         "wer": float(np.mean([p[0] for p in pairs])),
@@ -636,12 +638,28 @@ def cmd_metrics(cfg: RunConfig, args) -> dict:
     return payload
 
 
+def _twin_differences(discrete: CodecModel, continuous: CodecModel) -> list[str]:
+    """What the two trained models differ in, apart from the quantizer."""
+    ours, theirs = section_json(discrete.cfg), section_json(continuous.cfg)
+    fields = [f"model.{k}" for k in ours if k != "quantization" and ours[k] != theirs[k]]
+    if discrete.vocab != continuous.vocab:
+        fields.append("vocab")
+    if discrete.speakers != continuous.speakers:
+        fields.append("speakers")
+    return fields
+
+
 def cmd_ablate_continuous(cfg: RunConfig, args) -> dict:
-    if not os.path.exists(_checkpoint_path(cfg, continuous=False)):
-        _train_impl(cfg, continuous=False)
-    _train_impl(cfg, continuous=True)
+    """The trained codec against its trained twin without a quantizer;
+    `train` and `train --continuous` write the two checkpoints."""
     _, discrete, utts = _inputs(cfg)
     continuous = _model(cfg, continuous=True)
+    differences = _twin_differences(discrete, continuous)
+    if differences:
+        raise DataError(
+            f"{_checkpoint_path(cfg, continuous=True)} differs from {_checkpoint_path(cfg)} "
+            f"in {', '.join(differences)}; retrain one of them"
+        )
     table = {
         "discrete": _reconstruction_metrics(cfg, discrete, utts),
         "continuous": _reconstruction_metrics(cfg, continuous, utts),
@@ -663,6 +681,14 @@ def cmd_ablate_continuous(cfg: RunConfig, args) -> dict:
 # parser / dispatch
 
 
+def seed(text: str) -> int:
+    """A seed argument: numpy's generators take only integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="prosody-codec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -681,7 +707,7 @@ def build_parser() -> _Parser:
     p = add("cross-resynth", cmd_cross_resynth, help="decode with a different speaker")
     p.add_argument("--target-speaker", required=True)
     p = add("shuffle-codes", cmd_shuffle_codes, help="decode with per-utterance shuffled codes")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p = add("transfer", cmd_transfer, help="prosody transfer between equal-length utterances")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
@@ -709,7 +735,7 @@ def dispatch(argv) -> int:
         return 1
     try:
         cfg = load_config(args.config)
-        os.makedirs(cfg.paths.report_dir, exist_ok=True)
+        _output_dir(cfg.paths.report_dir, "paths.report_dir")
         payload = args.func(cfg, args)
         echo = os.path.join(cfg.paths.report_dir, "effective_config.json")
         with open(echo, "w", encoding="utf-8") as fh:

@@ -420,15 +420,3 @@ def frame_rms(audio: AudioBuffer, hop: int, win: int) -> np.ndarray:
     T = 1 + (len(x) - win) // hop
     idx = np.arange(win)[None, :] + hop * np.arange(T)[:, None]
     return np.sqrt(np.mean(x[idx] ** 2, axis=1))
-
-
-def normalize_contour(c: PitchContour) -> PitchContour:
-    """Zero-mean unit-variance rescaling of the voiced F0 values."""
-    if not np.any(c.voiced):
-        raise DataError("normalize_contour: contour has no voiced frames")
-    out = np.zeros_like(c.f0)
-    v = c.f0[c.voiced]
-    mean = v.mean()
-    std = v.std()
-    out[c.voiced] = (v - mean) / max(std, 1e-8)
-    return PitchContour(f0=out, voiced=c.voiced.copy())

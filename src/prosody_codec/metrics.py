@@ -95,14 +95,6 @@ def pearson(x, y) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def pearson_contours(ref: PitchContour, hyp: PitchContour) -> float:
-    """Pearson r of F0 over frames voiced in both contours."""
-    both = ref.voiced & hyp.voiced
-    if int(both.sum()) < 2:
-        raise DataError("pearson_contours: fewer than 2 frames voiced in both")
-    return pearson(ref.f0[both], hyp.f0[both])
-
-
 # ---------------------------------------------------------------------------
 # text metrics
 
@@ -137,15 +129,3 @@ def wer_cer(ref: str, hyp: str) -> tuple[float, float]:
     wer = levenshtein(ref_words, hyp_words) / len(ref_words)
     cer = levenshtein(ref_chars, hyp_chars) / len(ref_chars)
     return float(wer), float(cer)
-
-
-def cosine_similarity(a, b) -> float:
-    """Plain cosine similarity for externally computed embedding vectors."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ContractError(f"cosine_similarity: shape mismatch {a.shape} vs {b.shape}")
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        raise DataError("cosine_similarity: zero-norm vector")
-    return float(a @ b / denom)

@@ -32,7 +32,6 @@ class TrainState:
     opt: AdamState
     tcfg: TrainConfig
     step: int = 0
-    best_eval: float = float("inf")
     loss_at_100: float | None = None
     rng: np.random.Generator | None = None
 
@@ -208,7 +207,6 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     meta["train"] = {
         "config": section_json(state.tcfg),
         "step": state.step,
-        "best_eval": state.best_eval,
         "loss_at_100": state.loss_at_100,
         "adam_t": state.opt.t,
         "rng_state": state.rng.bit_generator.state,
@@ -216,8 +214,8 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     write_container(path, meta=meta, arrays=arrays)
 
 
-_TRAIN_META = {"config": dict, "step": int, "best_eval": NUMBER,
-               "loss_at_100": (*NUMBER, type(None)), "adam_t": int, "rng_state": dict}
+_TRAIN_META = {"config": dict, "step": int, "loss_at_100": (*NUMBER, type(None)),
+               "adam_t": int, "rng_state": dict}
 
 
 def load_checkpoint(path: str) -> TrainState:
@@ -248,7 +246,6 @@ def load_checkpoint(path: str) -> TrainState:
         opt=opt,
         tcfg=tcfg,
         step=train_meta["step"],
-        best_eval=float(train_meta["best_eval"]),
         loss_at_100=train_meta["loss_at_100"],
         rng=rng,
     )
@@ -291,8 +288,6 @@ def train(
                 state.loss_at_100 = record["total"]
             if state.step % tcfg.eval_every == 0:
                 report = evaluate(state.model, eval_utts)
-                if report["l1"] < state.best_eval:
-                    state.best_eval = report["l1"]
                 if log_fh:
                     log_fh.write(
                         json.dumps({"step": state.step, "eval": report}, sort_keys=True) + "\n"

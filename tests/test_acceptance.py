@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS line. The toy pipeline (synthetic corpus -> training -> analyses ->
-ablation) runs once per session through the CLI; criteria assert on its
-emitted artifacts. Run with `pytest tests/test_acceptance.py -v -s`.
+continuous twin -> ablation) runs once per session through the CLI; criteria
+assert on its emitted artifacts. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
@@ -103,6 +103,7 @@ def toy(tmp_path_factory):
     train_seconds = time.monotonic() - t0
     for what in ("usage", "entropy", "pca", "probes", "speaker-relative"):
         assert cli.main(["analyze", "--config", cfg_path, what]) == 0
+    assert cli.main(["train", "--continuous", "--config", cfg_path]) == 0
     assert cli.main(["ablate-continuous", "--config", cfg_path]) == 0
     reports = root / "reports"
 

@@ -325,11 +325,6 @@ def test_measure_probe_silence_flagged():
     assert m.f0 is None
 
 
-def test_most_frequent_level2():
-    seq = seq_of([0, 1, 2], [5, 5, 3])
-    assert an.most_frequent_level2([seq], 8) == 5
-
-
 def test_extraction_slice_trailing():
     utts = list(range(20))
     assert an.extraction_slice(utts, 0.1) == [18, 19]

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from prosody_codec import analysis as an
 from prosody_codec import cli
 from prosody_codec import corpus as corpus_module
 from prosody_codec import dsp as dsp_module
@@ -349,6 +350,19 @@ def test_analyze_usage_on_continuous_checkpoint_exit_2(pipeline, tmp_path, capsy
     assert "analyze usage: model has no quantizer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["analyze", "pca"], ["analyze", "usage"], ["metrics", "--task", "reconstruction"]]
+)
+def test_empty_corpus_exit_2(pipeline, tmp_path, capsys, command):
+    root, _ = pipeline
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("")
+    config = write_config(tmp_path, paths={"manifest": str(manifest), "checkpoint_dir": str(root / "ckpt")})
+    capsys.readouterr()
+    assert cli.main([command[0], "--config", config, *command[1:]]) == 2
+    assert f"{manifest} lists no utterances" in capsys.readouterr().err
+
+
 def test_analyze_usage_report(pipeline):
     root, config = pipeline
     assert cli.main(["analyze", "--config", config, "usage"]) == 0
@@ -382,6 +396,22 @@ def test_analyze_usage_encodes_once_per_batch(pipeline, monkeypatch):
     n = calls["batch"]
     assert n >= 2
     assert (calls["penc"], calls["menc"], calls["dec"]) == (n, n, 2 * n)
+
+
+def test_code_space_histograms_match_code_counts(pipeline):
+    # the PCA analyses' level-1 histogram and probe level-2 code, against
+    # counts taken directly from the codes
+    _, config = pipeline
+    cfg = load_config(config)
+    _, model, utts = cli._inputs(cfg)
+    sequences = an.collect_codes(model, utts)
+    k = model.cfg.codebook_size
+    counts = [np.bincount(np.concatenate([s.level(l).ravel() for s in sequences]), minlength=k)
+              for l in (0, 1)]
+    _, _, hist, _, level2, _ = cli._code_space(cfg)
+    assert hist.dtype == np.int64
+    np.testing.assert_array_equal(hist, counts[0])
+    assert level2 == int(np.argmax(counts[1]))
 
 
 def test_analyze_entropy_report(pipeline):
@@ -573,6 +603,82 @@ def test_metrics_intelligibility_unreadable_text_exit_2(pipeline, tmp_path, caps
     assert cli.main(["metrics", "--config", config, "--task", "intelligibility",
                      "--ref", paths["ref"], "--hyp", paths["hyp"]]) == 2
     assert f"cannot read {tmp_path / 'absent.txt'}" in capsys.readouterr().err
+
+
+def test_metrics_intelligibility_empty_text_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    assert cli.main(["metrics", "--config", config, "--task", "intelligibility",
+                     "--ref", str(empty), "--hyp", str(empty)]) == 2
+    assert "--ref and --hyp have no non-blank lines" in capsys.readouterr().err
+
+
+def test_negative_shuffle_seed_exit_1(capsys):
+    assert cli.main(["shuffle-codes", "--config", "unread.json", "--seed", "-1"]) == 1
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("synth-data", "report_dir"), ("synth-data", "manifest"), ("prepare", "cache_dir"),
+     ("train", "checkpoint_dir")],
+)
+def test_output_path_that_is_a_file_exit_1(pipeline, tmp_path, capsys, command, key):
+    root, _ = pipeline
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = str(blocker / "manifest.jsonl") if key == "manifest" else str(blocker)
+    paths = {} if command == "synth-data" else _pipeline_data(root)
+    config = write_config(tmp_path, paths={**paths, key: path})
+    capsys.readouterr()
+    assert cli.main([command, "--config", config]) == 1
+    assert f"paths.{key}: cannot create directory" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# ablate-continuous compares the two trained checkpoints
+
+
+def _codec_config(root, tmp_path, **model):
+    """The pipeline's data and a copy of its codec checkpoint."""
+    os.makedirs(tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "latest.ckpt").write_bytes((root / "ckpt" / "latest.ckpt").read_bytes())
+    return write_config(tmp_path, model=model, train={"max_steps": 2}, paths=_pipeline_data(root))
+
+
+def _twin_config(root, tmp_path, **model):
+    """As ``_codec_config``, plus a continuous twin trained for two steps
+    on the given model overrides."""
+    config = _codec_config(root, tmp_path, **model)
+    assert cli.main(["train", "--continuous", "--config", config]) == 0
+    return config
+
+
+def test_ablate_continuous_trains_nothing(pipeline, tmp_path, monkeypatch):
+    config = _twin_config(pipeline[0], tmp_path)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate-continuous called the trainer")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    assert cli.main(["ablate-continuous", "--config", config]) == 0
+    table = json.loads((tmp_path / "reports" / "ablation_continuous.json").read_text())
+    assert set(table) == {"discrete", "continuous"}
+
+
+def test_ablate_continuous_without_twin_exit_2(pipeline, tmp_path, capsys):
+    config = _codec_config(pipeline[0], tmp_path)
+    capsys.readouterr()
+    assert cli.main(["ablate-continuous", "--config", config]) == 2
+    assert "continuous.ckpt; run `train --continuous` first" in capsys.readouterr().err
+
+
+def test_ablate_continuous_with_stale_twin_exit_2(pipeline, tmp_path, capsys):
+    config = _twin_config(pipeline[0], tmp_path, model_dim=8)
+    capsys.readouterr()
+    assert cli.main(["ablate-continuous", "--config", config]) == 2
+    assert "in model.model_dim; retrain one of them" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from prosody_codec.corpus import synth_utterances
 from prosody_codec.dsp import (
     AudioBuffer,
     MelSpectrogram,
-    PitchContour,
     estimate_f0,
     frame_count,
     frame_rms,
@@ -20,7 +19,6 @@ from prosody_codec.dsp import (
     load_wav,
     mel_filterbank,
     mel_spectrogram,
-    normalize_contour,
     save_wav,
     stft,
 )
@@ -393,45 +391,6 @@ def test_rms_scales_linearly(scale, seed):
     scaled = frame_rms(AudioBuffer(np.clip(x, -1, 1) * 0.3 * scale, 8000), 200, 400)
     assert np.all(base >= 0)
     np.testing.assert_allclose(scaled, base * scale, rtol=1e-9, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# contour normalization
-
-
-def test_normalize_constant_contour_is_zero():
-    c = PitchContour(np.full(10, 200.0), np.ones(10, dtype=bool))
-    out = normalize_contour(c)
-    np.testing.assert_array_equal(out.f0, np.zeros(10))
-
-
-def test_normalize_affine_invariance():
-    rng = np.random.default_rng(3)
-    f0 = np.abs(rng.normal(150, 30, size=20))
-    voiced = rng.random(20) > 0.3
-    f0[~voiced] = 0.0
-    a = normalize_contour(PitchContour(f0, voiced))
-    transformed = np.where(voiced, 2.0 * f0 + 50.0, 0.0)
-    b = normalize_contour(PitchContour(transformed, voiced))
-    np.testing.assert_allclose(a.f0, b.f0, atol=1e-9)
-
-
-def test_normalize_alternating_gives_plus_minus_one():
-    f0 = np.array([100.0, 200.0] * 5)
-    out = normalize_contour(PitchContour(f0, np.ones(10, dtype=bool)))
-    np.testing.assert_allclose(np.sort(np.unique(out.f0)), [-1.0, 1.0], atol=1e-12)
-
-
-def test_normalize_requires_voiced_frames():
-    with pytest.raises(DataError):
-        normalize_contour(PitchContour(np.zeros(5), np.zeros(5, dtype=bool)))
-
-
-def test_normalize_leaves_unvoiced_untouched():
-    f0 = np.array([100.0, 0.0, 300.0, 0.0])
-    voiced = np.array([True, False, True, False])
-    out = normalize_contour(PitchContour(f0, voiced))
-    assert out.f0[1] == 0.0 and out.f0[3] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from prosody_codec.dsp import MelSpectrogram, PitchContour
 from prosody_codec.errors import ContractError, DataError
 from prosody_codec.metrics import (
-    cosine_similarity,
     f0_errors,
     levenshtein,
     mcd,
     mel_cepstra,
     pearson,
-    pearson_contours,
     psnr_mel,
     wer_cer,
 )
@@ -176,23 +174,6 @@ def test_pearson_affine():
 def test_pearson_zero_variance():
     with pytest.raises(DataError):
         pearson(np.ones(5), RNG.normal(size=5))
-
-
-def test_pearson_contours_voiced_in_both():
-    ref = contour([100, 0, 200, 300], [True, False, True, True])
-    hyp = contour([110, 150, 210, 0], [True, True, True, False])
-    # frames 0 and 2 are voiced in both
-    expected = pearson(np.array([100.0, 200.0]), np.array([110.0, 210.0]))
-    assert pearson_contours(ref, hyp) == pytest.approx(expected)
-
-
-def test_cosine_similarity():
-    a = np.array([1.0, 0.0])
-    assert cosine_similarity(a, a) == pytest.approx(1.0)
-    assert cosine_similarity(a, [0.0, 2.0]) == pytest.approx(0.0)
-    assert cosine_similarity(a, [-3.0, 0.0]) == pytest.approx(-1.0)
-    with pytest.raises(DataError):
-        cosine_similarity(a, [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

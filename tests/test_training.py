@@ -336,6 +336,23 @@ def test_checkpoint_stating_sigma_policy_loads(tmp_path):
     _assert_loads_as_if_unstated(tmp_path, sigma_policy="ratio", sigma_value=1.0)
 
 
+def test_checkpoint_carrying_best_eval_loads(tmp_path):
+    # older checkpoints carry a best_eval that no code read, Infinity when no
+    # in-loop evaluation ran; loading ignores it and re-saving drops it
+    state = new_train_state(make_model(seed=2), TrainConfig(batch_size=2, max_steps=3,
+                                                            eval_every=1000, checkpoint_every=1000))
+    train(state, tiny_corpus())
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(state, str(path))
+    meta, arrays = read_container(str(path))
+    assert "best_eval" not in meta["train"]
+    meta["train"]["best_eval"] = float("inf")
+    old = tmp_path / "old.ckpt"
+    write_container(str(old), meta, arrays)
+    save_checkpoint(load_checkpoint(str(old)), str(tmp_path / "again.ckpt"))
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
 _DROP = object()
 
 
