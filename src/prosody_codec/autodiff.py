@@ -17,8 +17,10 @@ of a (B, L, ...) array where a (B, L) mask is True, in row-major order, and
 the rows of a sequence, take and return packed rows and pad them
 internally from the mask.
 
-Adam keeps the parameters and both moments in flat buffers, one per kind,
-and updates them in place; the parameter dict holds views into the first.
+``flat_views`` lays a set of named arrays out in one flat buffer. The
+model's parameters, their gradient and Adam's two moments share that
+layout: a trainable leaf adds its gradient into its view of the flat
+gradient, and Adam updates the flat buffers in place.
 
 Forward values are never mutated by backward. Broadcasting follows numpy;
 gradients of broadcast operands are summed back to the operand shape.
@@ -71,9 +73,19 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``. An op's output may share its gradient with a
+    sibling (``add`` hands ``out.grad`` to both operands), so only a leaf's
+    own buffer is added into in place; a leaf without one copies ``g``."""
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if t._backward is not None:
+        t.grad = g if t.grad is None else t.grad + g
+    elif g.shape != t.data.shape:
+        raise ContractError(f"gradient of shape {g.shape} for a leaf of shape {t.data.shape}")
+    elif t.grad is None:
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _make(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tensor:
@@ -99,7 +111,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
-    """Run reverse-mode accumulation from ``out`` (scalar unless seed given)."""
+    """Run reverse-mode accumulation from ``out`` (scalar unless seed given).
+    The graph is consumed: each node drops its closure and parents once its
+    turn has passed, so a second backward through the same nodes stops there."""
     if seed is None:
         if out.data.size != 1:
             raise ContractError(
@@ -125,6 +139,9 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward()
+        # a closure refers to its own node: without this, only a cyclic
+        # collection, at some later step, frees the graph's arrays
+        node._backward, node._parents = None, ()
 
 
 # ---------------------------------------------------------------------------
@@ -673,93 +690,77 @@ def grad_check(f, x: Tensor, eps: float = 1e-6) -> float:
     return float(np.max(np.abs(g_ad - g_fd) / denom))
 
 
-class AdamState:
-    """Adam's step count and moments, over parameters laid out flat.
+def flat_views(arrays: dict[str, np.ndarray], dtype=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``arrays`` copied into one flat buffer in sorted-name order, of
+    ``dtype`` (default: their common type), and a view of that buffer per
+    name, shaped like its array, in the order of ``arrays``. The model's
+    parameters, their gradient and Adam's moments share this layout."""
+    if not arrays:
+        raise ContractError("flat_views: no arrays")
+    names = sorted(arrays)
+    flat = np.concatenate([np.ravel(arrays[k]) for k in names], dtype=dtype)
+    views, start = {}, 0
+    for name in names:
+        size = np.size(arrays[name])
+        views[name] = flat[start : start + size].reshape(np.shape(arrays[name]))
+        start += size
+    return flat, {k: views[k] for k in arrays}
 
-    ``bind`` copies a parameter dict into one flat buffer, in sorted name
-    order, and makes each entry a view into it; the two moments are flat
-    buffers of the same layout, and ``m``/``v`` map each name to its view
-    (the form a checkpoint stores). An entry replaced since the last
-    ``bind`` (a new array, not an in-place edit) is seen at the next one,
-    which lays the current values and moments out afresh; a moment with no
-    entry starts at zero.
+
+def _flat_buffer(views: dict[str, np.ndarray]) -> np.ndarray:
+    """The buffer ``flat_views`` returned with ``views``; a ContractError
+    when they are not its views."""
+    flat, names = next(iter(views.values()), np.empty(0)).base, sorted(views)
+    starts = np.cumsum([0] + [views[k].size for k in names])
+    if flat is None or flat.ndim != 1 or starts[-1] != flat.size or any(
+        views[k].base is not flat or not views[k].flags.c_contiguous
+        or views[k].ctypes.data != flat.ctypes.data + start * flat.itemsize
+        for k, start in zip(names, starts)
+    ):
+        raise ContractError("adam: the parameters are not the views of one flat_views buffer")
+    return flat
+
+
+class AdamState:
+    """Adam's step count and moments for parameters that are the views
+    ``flat_views`` returned, and the trainable leaves over them.
+
+    Both moments and the gradient share the parameters' flat layout:
+    ``m``/``v`` map each name to its view of a moment (the form a
+    checkpoint stores), and each leaf's ``grad`` is its view of ``grad``,
+    the flat gradient ``backward`` adds into.
     """
 
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    def __init__(self, params: dict[str, np.ndarray]):
         self.t: int = 0
-        self._views: dict[str, np.ndarray] = {}
-        self._layout: list[tuple[str, slice, tuple]] = []
-        self._params = self._m = self._v = None
+        self._params = _flat_buffer(params)
+        zeros = {k: np.zeros_like(p) for k, p in params.items()}
+        self._m, self.m = flat_views(zeros)
+        self._v, self.v = flat_views(zeros)
+        self.grad, grads = flat_views(zeros)
+        self.leaves = {k: Tensor(p, requires_grad=True) for k, p in params.items()}
+        for name, leaf in self.leaves.items():
+            leaf.grad = grads[name]
 
-    def bind(self, params: dict[str, np.ndarray]) -> None:
-        views = self._views
-        if len(params) == len(views) and all(views.get(k) is a for k, a in params.items()):
-            return
-        if not params:
-            raise ContractError("adam: no parameters")
-        names = sorted(params)
-        dtype = np.result_type(*params.values())
-        self._layout, start = [], 0
-        for name in names:
-            shape = np.shape(params[name])
-            size = int(np.prod(shape))
-            self._layout.append((name, slice(start, start + size), shape))
-            start += size
-        self._params = np.concatenate([np.ravel(params[k]) for k in names], dtype=dtype)
-        self._m = self._flatten(self.m, dtype, "moment")
-        self._v = self._flatten(self.v, dtype, "moment")
-        self.m, self.v = {}, {}
-        for name, span, shape in self._layout:
-            params[name] = self._params[span].reshape(shape)
-            self.m[name] = self._m[span].reshape(shape)
-            self.v[name] = self._v[span].reshape(shape)
-        self._views = dict(params)
-
-    def _flatten(self, arrays: dict, dtype, what: str) -> np.ndarray:
-        """``arrays`` concatenated in the bound layout, a missing entry as zeros."""
-        unknown = arrays.keys() - {name for name, _, _ in self._layout}
-        if unknown:
-            raise ContractError(f"adam: {what} for unknown parameter {sorted(unknown)[0]!r}")
-        parts = []
-        for name, span, shape in self._layout:
-            a = arrays.get(name)
-            if a is None:
-                a = np.zeros(span.stop - span.start, dtype=dtype)
-            elif np.shape(a) != shape:
-                raise ContractError(f"adam: {name}: {what} shape {np.shape(a)} != param shape {shape}")
-            parts.append(np.ravel(a))
-        return np.concatenate(parts, dtype=dtype)
-
-    def flat_grad(self, params: dict[str, np.ndarray], grads: dict) -> np.ndarray:
-        """Bind ``params`` and return ``grads`` concatenated in its layout, a
-        missing or None gradient as zeros. Raises NumericError, naming the
-        parameter, when any entry is not finite."""
-        self.bind(params)
-        present = {k: g for k, g in grads.items() if g is not None}
-        flat = self._flatten(present, self._params.dtype, "gradient")
-        if not np.isfinite(flat).all():
-            bad = next(k for k, g in present.items() if not np.all(np.isfinite(g)))
+    def finite_grad(self) -> np.ndarray:
+        """The flat gradient. Raises NumericError, naming the parameter, when
+        any entry is not finite."""
+        if not np.isfinite(self.grad).all():
+            bad = next(k for k, leaf in self.leaves.items() if not np.isfinite(leaf.grad).all())
             raise NumericError(f"non-finite gradient for {bad!r}")
-        return flat
+        return self.grad
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update with bias correction, in place: ``grad`` is the flat
-    gradient ``state.flat_grad`` returned for ``params``, and the moments
-    and every parameter view move in place."""
-    state.bind(params)
-    if grad.shape != state._params.shape:
-        raise ContractError(f"adam_step: flat gradient {grad.shape} != parameters {state._params.shape}")
+    """One Adam update with bias correction, in place: the flat gradient
+    ``state.grad`` moves the moments and the parameters."""
+    grad = state.grad
     state.t += 1
     t = state.t
     m, v = state._m, state._v

@@ -538,14 +538,18 @@ def _phoneme_means(contour, rms, durations):
     return f0_means, rms_means
 
 
-def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, utts) -> dict:
+def _reference_pitch(cfg: RunConfig, utts) -> list[PitchContour]:
+    """The pitch contour of each utterance's reference wav."""
     audio_paths = _audio_paths(cfg)
+    return [pitch(load_wav(audio_paths[utt.id]), cfg.features) for utt in utts]
+
+
+def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, utts, ref_pitch: list[PitchContour]) -> dict:
     mcds, vdes, gpes, ffes, psnrs = [], [], [], [], []
-    for utt in utts:
+    for utt, ref_c in zip(utts, ref_pitch):
         recon = model.reconstruct(utt)
         psnrs.append(mx.psnr_mel(utt.mel, recon))
         mcds.append(mx.mcd(utt.mel, recon))
-        ref_c = pitch(load_wav(audio_paths[utt.id]), cfg.features)
         hyp_c = pitch(vocode(recon, cfg.features), cfg.features)
         n = min(len(ref_c.f0), len(hyp_c.f0))
         vde, gpe, ffe = mx.f0_errors(
@@ -567,7 +571,7 @@ def _reconstruction_metrics(cfg: RunConfig, model: CodecModel, utts) -> dict:
 
 def _metrics_reconstruction(cfg: RunConfig, args) -> dict:
     _, model, utts = _inputs(cfg)
-    return _reconstruction_metrics(cfg, model, utts)
+    return _reconstruction_metrics(cfg, model, utts, _reference_pitch(cfg, utts))
 
 
 def _text_lines(path: str) -> list[str]:
@@ -660,9 +664,10 @@ def cmd_ablate_continuous(cfg: RunConfig, args) -> dict:
             f"{_checkpoint_path(cfg, continuous=True)} differs from {_checkpoint_path(cfg)} "
             f"in {', '.join(differences)}; retrain one of them"
         )
+    ref_pitch = _reference_pitch(cfg, utts)
     table = {
-        "discrete": _reconstruction_metrics(cfg, discrete, utts),
-        "continuous": _reconstruction_metrics(cfg, continuous, utts),
+        "discrete": _reconstruction_metrics(cfg, discrete, utts, ref_pitch),
+        "continuous": _reconstruction_metrics(cfg, continuous, utts, ref_pitch),
     }
     an.write_json(os.path.join(cfg.paths.report_dir, "ablation_continuous.json"), table)
     rows = [

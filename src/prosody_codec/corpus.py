@@ -52,10 +52,6 @@ class PhonemeVocab:
     def symbol_of(self, idx: int) -> str:
         return self._symbols[idx]
 
-    @property
-    def symbols(self) -> list[str]:
-        return list(self._symbols)
-
     def to_json(self) -> list[str]:
         return list(self._symbols)
 
@@ -96,10 +92,6 @@ class Corpus:
     utterances: list[Utterance]
     vocab: PhonemeVocab
     speakers: list[str]  # speaker names indexed by speaker_id
-
-    @property
-    def n_speakers(self) -> int:
-        return len(self.speakers)
 
     def by_id(self, utt_id: str) -> Utterance:
         for u in self.utterances:

@@ -253,7 +253,7 @@ class CodecModel:
         rng = rng if rng is not None else np.random.default_rng(0)
         if params is None:
             params = init_params(self, rng)
-        self.params = params
+        _, self.params = ad.flat_views(params, self.dtype)
         if cfg.quantization == "rvq":
             self.rvq = rvq if rvq is not None else new_rvq(
                 cfg.levels, cfg.codebook_size, cfg.code_dim,
@@ -268,7 +268,9 @@ class CodecModel:
         return {k: Tensor(v, requires_grad=train) for k, v in self.params.items()}
 
     def astype(self, dtype) -> "CodecModel":
-        self.params = {k: v.astype(dtype) for k, v in self.params.items()}
+        """The parameters laid out afresh in ``dtype``; an ``AdamState`` made
+        before still holds the old ones."""
+        _, self.params = ad.flat_views(self.params, dtype)
         self.dtype = np.dtype(dtype)
         return self
 

@@ -41,7 +41,7 @@ class TrainState:
 
 
 def new_train_state(model: CodecModel, tcfg: TrainConfig) -> TrainState:
-    return TrainState(model=model, opt=AdamState(), tcfg=tcfg)
+    return TrainState(model=model, opt=AdamState(model.params), tcfg=tcfg)
 
 
 def initialize_output_bias(model: CodecModel, utterances: list[Utterance]) -> None:
@@ -53,7 +53,7 @@ def initialize_output_bias(model: CodecModel, utterances: list[Utterance]) -> No
         total += u.mel.values.sum(axis=0)
         frames += u.mel.n_frames
     if frames:
-        model.params["mel_out.b"] = (total / frames).astype(model.dtype)
+        model.params["mel_out.b"][...] = total / frames
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +130,16 @@ def train_step(state: TrainState, batch: Batch) -> dict:
     if model.rvq is not None and not model.rvq.levels[0].initialized:
         _, _, z0 = model.encode_batch(model.param_tensors(train=False), batch)
         seed_codebooks(model.rvq, z0.data[batch.phoneme_mask], state.rng)
-    pt = model.param_tensors(train=True)
+    state.opt.grad.fill(0.0)
     try:
-        total, parts, out = compute_loss(model, pt, batch)
+        total, parts, out = compute_loss(model, state.opt.leaves, batch)
         ad.backward(total)
-        grad = state.opt.flat_grad(model.params, {name: t.grad for name, t in pt.items()})
-        grad_norm = ad.clip_global_norm(grad, tcfg.grad_clip)
+        grad_norm = ad.clip_global_norm(state.opt.finite_grad(), tcfg.grad_clip)
         lr = tcfg.learning_rate
         if tcfg.warmup_steps > 0:
             lr *= min(1.0, state.step / tcfg.warmup_steps)
         if tcfg.learning_rate > 0:
-            ad.adam_step(model.params, grad, state.opt, lr)
+            ad.adam_step(state.opt, lr)
         reinit = 0
         if model.rvq is not None:
             reinit = _codebook_updates(model, out, batch.phoneme_mask, state)
@@ -225,17 +224,17 @@ def load_checkpoint(path: str) -> TrainState:
     train_meta = meta["train"]
     _require_keys("train meta", train_meta, _TRAIN_META)
     tcfg = _section_from_meta(TrainConfig, train_meta["config"], "train.config", "train")
-    opt = AdamState()
+    opt = AdamState(model.params)
     opt.t = train_meta["adam_t"]
-    dtype = model.dtype
+    moments = {"opt.m.": opt.m, "opt.v.": opt.v}  # prefixes of one length
     for key, arr in arrays.items():
-        name = key[len("opt.m.") :]  # "opt.v." has the same length
-        if retired_param(name):
+        prefix, name = key[:6], key[6:]
+        if prefix not in moments or retired_param(name):
             continue
-        if key.startswith("opt.m."):
-            opt.m[name] = arr.astype(dtype)
-        elif key.startswith("opt.v."):
-            opt.v[name] = arr.astype(dtype)
+        moment = moments[prefix].get(name)
+        if moment is None or moment.shape != arr.shape:
+            raise DataError(f"checkpoint array {key} of shape {arr.shape} matches no parameter")
+        moment[...] = arr
     rng = np.random.default_rng(tcfg.seed)
     try:
         rng.bit_generator.state = train_meta["rng_state"]

@@ -261,6 +261,24 @@ def test_grad_accumulates_over_reused_nodes():
     np.testing.assert_allclose(x.grad, [4.0])
 
 
+@pytest.mark.parametrize("preset", [False, True])
+def test_leaf_accumulation_never_writes_a_shared_gradient(preset):
+    # add hands its output gradient to both operands: x's second contribution
+    # must not be added into the array z also received
+    x, z = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    if preset:
+        x.grad, z.grad = np.zeros(3), np.zeros(3)
+    ad.backward(ad.tsum(ad.add(ad.add(x, x), z)))
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+    np.testing.assert_array_equal(z.grad, np.ones(3))
+
+
+def test_leaf_rejects_a_wrong_shape_gradient():
+    # a leaf without a gradient buffer (Adam's leaves have one, tested below)
+    with pytest.raises(ContractError, match=r"\(3,\)"):
+        ad._accumulate(Tensor(np.ones(2), requires_grad=True), np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # grad_check contract
 
@@ -297,25 +315,34 @@ def _adam_reference(x0, grad_fn, lr, steps, b1=0.9, b2=0.999, eps=1e-8):
     return x
 
 
-def _adam(params, grads, state, lr):
-    """One step the way the trainer takes it: flat gradient, then Adam."""
-    ad.adam_step(params, state.flat_grad(params, grads), state, lr)
+def _adam_state(arrays):
+    """``arrays`` laid out flat, and an Adam state over them."""
+    _, params = ad.flat_views(arrays)
+    return params, AdamState(params)
+
+
+def _adam(state, grads, lr):
+    """One step the way the trainer takes it: the gradient in the leaves'
+    flat buffer, checked, then Adam."""
+    state.grad.fill(0.0)
+    for name, g in grads.items():
+        state.leaves[name].grad[...] = g
+    state.finite_grad()
+    ad.adam_step(state, lr)
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
-    params = {"w": RNG.normal(size=(3, 2))}
+    params, state = _adam_state({"w": RNG.normal(size=(3, 2))})
     before = params["w"].copy()
-    state = AdamState()
-    _adam(params, {"w": np.zeros((3, 2))}, state, lr=1e-2)
+    _adam(state, {"w": np.zeros((3, 2))}, lr=1e-2)
     np.testing.assert_array_equal(params["w"], before)
 
 
 def test_adam_constant_gradient_moves_monotonically():
-    params = {"w": np.zeros(1)}
-    state = AdamState()
+    params, state = _adam_state({"w": np.zeros(1)})
     values = [0.0]
     for _ in range(50):
-        _adam(params, {"w": np.ones(1) * 3.0}, state, lr=1e-2)
+        _adam(state, {"w": np.ones(1) * 3.0}, lr=1e-2)
         values.append(float(params["w"][0]))
     diffs = np.diff(values)
     assert np.all(diffs < 0)  # opposite to the gradient sign, every step
@@ -323,10 +350,9 @@ def test_adam_constant_gradient_moves_monotonically():
 
 def test_adam_matches_reference_recurrence():
     x0 = np.array([0.7, -0.3, 0.2])
-    params = {"x": x0.copy()}
-    state = AdamState()
+    params, state = _adam_state({"x": x0})
     for _ in range(200):
-        _adam(params, {"x": 2 * params["x"]}, state, lr=1e-2)
+        _adam(state, {"x": 2 * params["x"]}, lr=1e-2)
     expected = _adam_reference(x0, lambda x: 2 * x, lr=1e-2, steps=200)
     np.testing.assert_allclose(params["x"], expected, rtol=1e-12, atol=1e-15)
 
@@ -336,34 +362,19 @@ def test_flat_adam_matches_reference_per_parameter():
     # follows its own reference recurrence
     x0 = {"b": RNG.normal(size=3), "a": RNG.normal(size=(2, 3)), "c": RNG.normal(size=(1,))}
     scale = {"a": 2.0, "b": 0.5, "c": 3.0}
-    params = {k: v.copy() for k, v in x0.items()}
-    state = AdamState()
+    params, state = _adam_state(x0)
     for _ in range(200):
-        _adam(params, {k: scale[k] * params[k] for k in params}, state, lr=1e-2)
+        _adam(state, {k: scale[k] * params[k] for k in params}, lr=1e-2)
     for k in x0:
         expected = _adam_reference(x0[k], lambda x, s=scale[k]: s * x, lr=1e-2, steps=200)
         np.testing.assert_allclose(params[k], expected, rtol=1e-12, atol=1e-15)
-    # parameters and moments are views into one buffer each
-    for views in (params, state.m, state.v):
+    # parameters, moments and gradient are views into one buffer each, in
+    # sorted-name order
+    grads = {k: leaf.grad for k, leaf in state.leaves.items()}
+    for views in (params, state.m, state.v, grads):
         base = views["a"].base
         assert base is not None and all(a.base is base for a in views.values())
-
-
-def test_adam_picks_up_a_replaced_entry():
-    x0 = np.array([0.7, -0.3, 0.2])
-    params = {"x": x0.copy(), "y": np.ones(2)}
-    state = AdamState()
-    for _ in range(3):
-        _adam(params, {"x": 2 * params["x"], "y": np.ones(2)}, state, lr=1e-2)
-    moments = state.m["x"].copy(), state.v["x"].copy()
-    params["x"] = x0.copy()  # a new array, not an in-place edit
-    _adam(params, {"x": 2 * params["x"], "y": np.ones(2)}, state, lr=1e-2)
-    # the step moved the new values, carrying the moments over
-    m = 0.9 * moments[0] + 0.1 * (2 * x0)
-    v = 0.999 * moments[1] + 0.001 * (2 * x0) ** 2
-    expected = x0 - 1e-2 * (m / (1 - 0.9**4)) / (np.sqrt(v / (1 - 0.999**4)) + 1e-8)
-    np.testing.assert_allclose(params["x"], expected, rtol=1e-12)
-    assert params["x"].base is params["y"].base
+        np.testing.assert_array_equal(base, np.concatenate([views[k].ravel() for k in "abc"]))
 
 
 def test_adam_quadratic_bowl_converges():
@@ -371,28 +382,39 @@ def test_adam_quadratic_bowl_converges():
     x0 = np.array([0.1, -0.08, 0.05])
     expected = _adam_reference(x0, lambda x: 2 * x, lr=1e-2, steps=500)
     assert np.linalg.norm(expected) < 1e-3
-    params = {"x": x0.copy()}
-    state = AdamState()
+    params, state = _adam_state({"x": x0})
     for _ in range(500):
-        _adam(params, {"x": 2 * params["x"]}, state, lr=1e-2)
+        _adam(state, {"x": 2 * params["x"]}, lr=1e-2)
     assert np.linalg.norm(params["x"]) < 1e-3
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = {"w": np.ones(2)}
-    state = AdamState()
+    params, state = _adam_state({"v": np.ones(3), "w": np.ones(2)})
     with pytest.raises(NumericError, match="'w'"):
-        _adam(params, {"w": np.array([np.nan, 1.0])}, state, lr=1e-3)
+        _adam(state, {"w": np.array([np.nan, 1.0])}, lr=1e-3)
     np.testing.assert_array_equal(params["w"], np.ones(2))  # step aborted
     assert state.t == 0
 
 
 def test_adam_rejects_unknown_or_misshapen_gradient():
-    params = {"w": np.ones(2)}
+    # a gradient reaches Adam only through the leaves' views of its buffer:
+    # no leaf stands for an unknown name, and a leaf refuses a contribution
+    # of another shape, which an in-place add would broadcast
+    _, state = _adam_state({"w": np.ones(2)})
+    assert list(state.leaves) == ["w"]
+    with pytest.raises(ContractError, match=r"\(3,\)"):
+        ad._accumulate(state.leaves["w"], np.ones(3))
+    np.testing.assert_array_equal(state.grad, np.zeros(2))
+
+
+def test_adam_rejects_params_outside_the_flat_layout():
     with pytest.raises(ContractError):
-        AdamState().flat_grad(params, {"u": np.ones(2)})
+        AdamState({"w": np.ones(2)})  # not a view of a flat buffer
+    flat = np.arange(5.0)
     with pytest.raises(ContractError):
-        AdamState().flat_grad(params, {"w": np.ones(3)})
+        AdamState({"a": flat[3:], "b": flat[:3]})  # not in sorted-name order
+    with pytest.raises(ContractError):
+        AdamState({"a": flat[:3]})  # leaves part of the buffer out
 
 
 def test_clip_global_norm():

@@ -667,6 +667,21 @@ def test_ablate_continuous_trains_nothing(pipeline, tmp_path, monkeypatch):
     assert set(table) == {"discrete", "continuous"}
 
 
+def test_ablate_continuous_runs_yin_once_per_reference(pipeline, tmp_path, monkeypatch):
+    # n reference contours, shared by the two models, and one per reconstruction
+    config = _twin_config(pipeline[0], tmp_path)
+    calls = []
+
+    def pitch(*args, **kwargs):
+        calls.append(1)
+        return dsp_module.pitch(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pitch", pitch)
+    assert cli.main(["ablate-continuous", "--config", config]) == 0
+    table = json.loads((tmp_path / "reports" / "ablation_continuous.json").read_text())
+    assert len(calls) == 3 * table["discrete"]["n"] > 0
+
+
 def test_ablate_continuous_without_twin_exit_2(pipeline, tmp_path, capsys):
     config = _codec_config(pipeline[0], tmp_path)
     capsys.readouterr()

@@ -489,7 +489,7 @@ def test_write_synth_corpus_parses_back(tmp_path):
     manifest = write_synth_corpus(spec, CFG, str(tmp_path))
     corpus = parse_manifest(manifest, CFG)
     assert len(corpus.utterances) == 4
-    assert corpus.n_speakers == 2
+    assert len(corpus.speakers) == 2
     direct = synth_corpus(spec, CFG)
     for a, b in zip(corpus.utterances, direct.utterances):
         # compare in magnitude domain: the log is hypersensitive at the floor

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from prosody_codec import autodiff as ad
 from prosody_codec import training
 from prosody_codec.autodiff import Tensor
 from prosody_codec.config import FeatureConfig, ModelConfig, SynthSpec, TrainConfig
@@ -172,20 +173,33 @@ def test_step_records_carry_grad_norm_and_lr(tmp_path):
         assert r["lr"] == pytest.approx(2e-3 * min(1.0, r["step"] / 4), rel=1e-12)
 
 
-def test_replaced_param_entry_is_picked_up_by_next_step():
-    # the trainer keeps params as views into a flat buffer; an entry
-    # replaced between steps must be what the next step updates
+def test_train_step_moves_each_parameter_by_its_own_adam():
+    # the model's flat buffer, the gradient and both moments share one
+    # layout: each parameter moves as Adam on its own gradient moves it,
+    # from a fresh graph on the same batch, clipped by the same global norm
     model = make_model()
-    state = new_train_state(model, TrainConfig(batch_size=2, max_steps=5, warmup_steps=0))
+    tcfg = TrainConfig(batch_size=2, max_steps=5, warmup_steps=0, grad_clip=0.5, dead_code_every=0)
+    state = new_train_state(model, tcfg)
     batch = make_batch([make_utt("a", seed=1), make_utt("b", seed=2)])
-    train_step(state, batch)
-    replacement = model.params["mel_out.b"] + 5.0
-    model.params["mel_out.b"] = replacement.copy()
-    train_step(state, batch)
-    moved = np.abs(model.params["mel_out.b"] - replacement).max()
-    assert 0 < moved < 2 * state.tcfg.learning_rate
-    assert model.params["mel_out.b"].base is model.params["mel_out.w"].base
-    assert state.opt.m["mel_out.b"].base is state.opt.m["mel_out.w"].base
+    train_step(state, batch)  # seeds the code books and starts the moments
+    before = {k: (model.params[k].astype(np.float64), state.opt.m[k].astype(np.float64),
+                  state.opt.v[k].astype(np.float64)) for k in model.params}
+    pt = model.param_tensors(train=True)
+    total, _, _ = compute_loss(model, pt, batch)
+    ad.backward(total)
+    grads = {k: pt[k].grad.astype(np.float64) for k in pt}
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    record = train_step(state, batch)
+    assert record["grad_norm"] == pytest.approx(norm, rel=1e-5) and norm > tcfg.grad_clip
+    lr, b1, b2, t = tcfg.learning_rate, 0.9, 0.999, state.opt.t
+    assert t == 2
+    for k, (p, m, v) in before.items():
+        g = grads[k] * (tcfg.grad_clip / norm)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        expected = p - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + 1e-8)
+        np.testing.assert_allclose(state.opt.m[k], m, rtol=1e-4, atol=1e-9, err_msg=k)
+        np.testing.assert_allclose(model.params[k], expected, rtol=1e-6, atol=1e-7, err_msg=k)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +406,17 @@ def test_malformed_train_checkpoint_is_data_error(tmp_path, key, value, message)
     _edit_train_meta(meta, key, value)
     write_container(str(path), meta, arrays)
     with pytest.raises(DataError, match=message):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key", ["opt.m.no_such.w", "opt.v.mel_out.b"])
+def test_checkpoint_moment_that_fits_no_parameter_is_data_error(tmp_path, key):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(new_train_state(make_model(), TrainConfig(batch_size=2, max_steps=1)), str(path))
+    meta, arrays = read_container(str(path))
+    arrays[key] = np.zeros(7, dtype=np.float32)  # mel_out.b has 20 entries
+    write_container(str(path), meta, arrays)
+    with pytest.raises(DataError, match=f"checkpoint array {key} of shape"):
         load_checkpoint(str(path))
 
 
