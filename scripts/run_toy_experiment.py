@@ -6,13 +6,16 @@ both).
 
     python scripts/run_toy_experiment.py --workdir runs/toy [--steps 20000]
 
-All artifacts land under the workdir: data/, cache/, ckpt/, reports/.
+All artifacts land under the workdir: data/, cache/, ckpt/, reports/. After
+each stage the script prints its wall, user and system seconds.
 """
 
 import argparse
 import json
 import os
+import resource
 import sys
+from time import perf_counter
 
 from prosody_codec import cli
 
@@ -90,7 +93,13 @@ def main() -> int:
         stages.append(["ablate-continuous", "--config", config_path])
     for argv in stages:
         print(f"\n$ prosody-codec {' '.join(argv)}")
+        start, before = perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
         code = cli.main(argv)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        stage = " ".join(a for a in argv if a not in ("--config", config_path))
+        print(f"{stage}: wall {perf_counter() - start:.2f} s, "
+              f"user {after.ru_utime - before.ru_utime:.2f} s, "
+              f"system {after.ru_stime - before.ru_stime:.2f} s")
         if code != 0:
             print(f"stage failed with exit code {code}", file=sys.stderr)
             return code

@@ -3,12 +3,11 @@
 A ``Tensor`` wraps an ndarray plus an optional backward closure; calling
 ``backward`` on a scalar output walks the recorded graph once in reverse
 topological order. The ops are functions, not operators on ``Tensor``:
-elementwise ``add``/``sub``/``mul``/``div``/``power``/``absolute``/``exp``/
-``log``/``sqrt``, ``swish``, the gated linear unit ``glu``, ``matmul``
-(batched), ``linear`` (matmul and bias in one node), ``layer_norm``,
-``embedding_lookup``, ``tsum``, ``reshape``, ``transpose``, and the
-``stop_gradient``/``straight_through`` pair used by the quantizer. Backward
-passes compute only the gradients of operands that require one.
+elementwise ``add``/``sub``/``mul``/``div``/``absolute``, ``swish``, the
+gated linear unit ``glu``, ``matmul`` (batched), ``linear`` (matmul and bias
+in one node), ``layer_norm``, ``embedding_lookup``, ``tsum``, ``reshape``,
+and ``straight_through``, the quantizer's pass-through of the gradient.
+Backward passes compute only the gradients of operands that require one.
 
 Sequences of a padded batch can run packed: ``gather_rows`` takes the rows
 of a (B, L, ...) array where a (B, L) mask is True, in row-major order, and
@@ -204,56 +203,12 @@ def div(a, b) -> Tensor:
     return out
 
 
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data**p
-
-    def bwd():
-        _accumulate(a, out.grad * p * a.data ** (p - 1))
-
-    out = _make(out_data, (a,), bwd)
-    return out
-
-
 def absolute(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.abs(a.data)
 
     def bwd():
         _accumulate(a, out.grad * np.sign(a.data))
-
-    out = _make(out_data, (a,), bwd)
-    return out
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bwd():
-        _accumulate(a, out.grad * out_data)
-
-    out = _make(out_data, (a,), bwd)
-    return out
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bwd():
-        _accumulate(a, out.grad / a.data)
-
-    out = _make(out_data, (a,), bwd)
-    return out
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bwd():
-        _accumulate(a, out.grad * 0.5 / out_data)
 
     out = _make(out_data, (a,), bwd)
     return out
@@ -567,18 +522,6 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def transpose(x, axes) -> Tensor:
-    x = as_tensor(x)
-    out_data = x.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def bwd():
-        _accumulate(x, out.grad.transpose(inverse))
-
-    out = _make(out_data, (x,), bwd)
-    return out
-
-
 def _check_rows(op: str, rows: np.ndarray, mask: np.ndarray) -> None:
     """``rows`` must be the packed rows of the (B, L) ``mask``: (n, ...) with
     n its True count."""
@@ -633,16 +576,10 @@ def scatter_rows(rows, mask) -> Tensor:
 # gradient flow control
 
 
-def stop_gradient(x) -> Tensor:
-    """Pass the value through; block all gradient flow."""
-    x = as_tensor(x)
-    return Tensor(x.data, requires_grad=False)
-
-
 def straight_through(x, value) -> Tensor:
     """Forward the bits of ``value``; route the incoming gradient to ``x`` as
-    identity. Equivalent to x + stop_gradient(value - x) without the float
-    round-off of actually computing that sum."""
+    identity: x plus the constant (value - x), without the float round-off
+    of actually computing that sum."""
     x = as_tensor(x)
     value = np.asarray(value, dtype=x.data.dtype)
     if value.shape != x.data.shape:

@@ -177,15 +177,19 @@ def cmd_train(cfg: RunConfig, args) -> dict:
         model.astype(np.float64)
     checkpoint_dir = _output_dir(cfg.paths.checkpoint_dir, "paths.checkpoint_dir")
     suffix = "continuous" if args.continuous else "train"
-    log_path = os.path.join(cfg.paths.report_dir, f"{suffix}_log.jsonl")
-    if os.path.exists(log_path):
-        os.unlink(log_path)
+    # the log is reproducible; the per-step timing goes into a file of its own
+    log_path, timing_path = (os.path.join(cfg.paths.report_dir, f"{suffix}_{kind}.jsonl")
+                             for kind in ("log", "timing"))
+    for path in (log_path, timing_path):
+        if os.path.exists(path):
+            os.unlink(path)
     # the codec's checkpoints, the final one included, are written by `train`
     state = train(
         new_train_state(model, cfg.train),
         corpus,
         checkpoint_dir=None if args.continuous else checkpoint_dir,
         log_path=log_path,
+        timing_path=timing_path,
     )
     if args.continuous:
         save_checkpoint(state, _checkpoint_path(cfg, continuous=True))

@@ -14,6 +14,14 @@ def t(shape, scale=1.0):
     return Tensor(RNG.normal(0.0, scale, size=shape))
 
 
+def square(y):
+    return ad.mul(y, y)
+
+
+def cube(y):
+    return ad.mul(ad.mul(y, y), y)
+
+
 # ---------------------------------------------------------------------------
 # gradient correctness, op by op (central-difference oracle)
 
@@ -36,24 +44,20 @@ ROW_MASK = np.array([[True] * 5, [True] * 3 + [False] * 2])
 
 OP_CASES = {
     "add": ((3, 4), lambda x: ad.tsum(ad.mul(ad.add(x, CONST_A), ad.add(x, CONST_A)))),
-    "add_broadcast": ((4,), lambda x: ad.tsum(ad.power(ad.add(Tensor(CONST_A), x), 2.0))),
-    "sub": ((3, 4), lambda x: ad.tsum(ad.power(ad.sub(x, CONST_A), 3.0))),
+    "add_broadcast": ((4,), lambda x: ad.tsum(square(ad.add(Tensor(CONST_A), x)))),
+    "sub": ((3, 4), lambda x: ad.tsum(cube(ad.sub(x, CONST_A)))),
     "mul": ((3, 4), lambda x: ad.tsum(ad.mul(x, Tensor(CONST_A)))),
     "div": ((3, 4), lambda x: ad.tsum(ad.div(Tensor(CONST_A), ad.add(ad.mul(x, x), 1.0)))),
-    "power": ((5,), lambda x: ad.tsum(ad.power(ad.add(ad.mul(x, x), 0.5), 1.5))),
-    "exp": ((5,), lambda x: ad.tsum(ad.exp(ad.mul(x, 0.3)))),
-    "log": ((5,), lambda x: ad.tsum(ad.log(ad.add(ad.mul(x, x), 1.0)))),
-    "sqrt": ((5,), lambda x: ad.tsum(ad.sqrt(ad.add(ad.mul(x, x), 1.0)))),
     "swish": ((6,), lambda x: ad.tsum(ad.swish(x))),
-    "glu_value": ((3, 4), lambda a: ad.tsum(ad.power(ad.glu(a, Tensor(CONST_A)), 2.0))),
-    "glu_gate": ((3, 4), lambda g: ad.tsum(ad.power(ad.glu(Tensor(CONST_A), g), 2.0))),
+    "glu_value": ((3, 4), lambda a: ad.tsum(square(ad.glu(a, Tensor(CONST_A))))),
+    "glu_gate": ((3, 4), lambda g: ad.tsum(square(ad.glu(Tensor(CONST_A), g)))),
     "absolute": ((6,), lambda x: ad.tsum(ad.absolute(ad.add(x, 10.0)))),
-    "matmul_2d": ((3, 4), lambda x: ad.tsum(ad.power(ad.matmul(x, Tensor(CONST_B)), 2.0))),
-    "matmul_nd_2d": ((2, 3, 4), lambda x: ad.tsum(ad.power(ad.matmul(x, Tensor(CONST_B)), 2.0))),
-    "matmul_rhs": ((4, 2), lambda x: ad.tsum(ad.power(ad.matmul(Tensor(CONST_A), x), 2.0))),
+    "matmul_2d": ((3, 4), lambda x: ad.tsum(square(ad.matmul(x, Tensor(CONST_B))))),
+    "matmul_nd_2d": ((2, 3, 4), lambda x: ad.tsum(square(ad.matmul(x, Tensor(CONST_B))))),
+    "matmul_rhs": ((4, 2), lambda x: ad.tsum(square(ad.matmul(Tensor(CONST_A), x)))),
     "matmul_batched": (
         (2, 3, 4),
-        lambda x: ad.tsum(ad.power(ad.matmul(x, ad.transpose(x, (0, 2, 1))), 2.0)),
+        lambda x: ad.tsum(square(ad.matmul(x, ad.reshape(x, (2, 4, 3))))),
     ),
     "linear": ((3, 4), lambda x: ad.tsum(ad.swish(ad.linear(x, Tensor(CONST_B), Tensor(np.ones(2)))))),
     "linear_3d_x": ((2, 5, 4), lambda x: ad.tsum(ad.swish(ad.linear(x, Tensor(W_OUT), Tensor(np.ones(3)))))),
@@ -61,51 +65,53 @@ OP_CASES = {
     "linear_3d_b": ((3,), lambda b: ad.tsum(ad.swish(ad.linear(Tensor(X3), Tensor(W_OUT), b)))),
     "attention_query": (
         (7, 6),
-        lambda q: ad.tsum(ad.power(ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK, 2), 2.0)),
+        lambda q: ad.tsum(square(ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK, 2))),
     ),
     "attention_key": (
         (7, 6),
-        lambda k: ad.tsum(ad.power(ad.attention(Tensor(Q_ROWS), k, Tensor(V_ROWS), KEY_MASK, 2), 2.0)),
+        lambda k: ad.tsum(square(ad.attention(Tensor(Q_ROWS), k, Tensor(V_ROWS), KEY_MASK, 2))),
     ),
     "attention_value": (
         (7, 6),
-        lambda v: ad.tsum(ad.power(ad.attention(Tensor(Q_ROWS), Tensor(K_ROWS), v, KEY_MASK, 2), 2.0)),
+        lambda v: ad.tsum(square(ad.attention(Tensor(Q_ROWS), Tensor(K_ROWS), v, KEY_MASK, 2))),
     ),
     "layer_norm": (
         (2, 4),
-        lambda x: ad.tsum(ad.power(ad.layer_norm(x, Tensor(CONST_V4), Tensor(CONST_V4 * 0.1)), 2.0)),
+        lambda x: ad.tsum(square(ad.layer_norm(x, Tensor(CONST_V4), Tensor(CONST_V4 * 0.1)))),
     ),
     "layer_norm_gain": (
         (4,),
-        lambda g: ad.tsum(ad.power(ad.layer_norm(Tensor(CONST_A), g, Tensor(np.zeros(4))), 2.0)),
+        lambda g: ad.tsum(square(ad.layer_norm(Tensor(CONST_A), g, Tensor(np.zeros(4))))),
     ),
     "layer_norm_3d": (
         (2, 5, 4),
-        lambda x: ad.tsum(ad.power(ad.layer_norm(x, Tensor(GAIN), Tensor(CONST_V4)), 3.0)),
+        lambda x: ad.tsum(cube(ad.layer_norm(x, Tensor(GAIN), Tensor(CONST_V4)))),
     ),
     "layer_norm_3d_gain": (
         (4,),
-        lambda g: ad.tsum(ad.power(ad.layer_norm(Tensor(X3), g, Tensor(CONST_V4)), 3.0)),
+        lambda g: ad.tsum(cube(ad.layer_norm(Tensor(X3), g, Tensor(CONST_V4)))),
     ),
     "layer_norm_3d_bias": (
         (4,),
-        lambda b: ad.tsum(ad.power(ad.layer_norm(Tensor(X3), Tensor(GAIN), b), 3.0)),
+        lambda b: ad.tsum(cube(ad.layer_norm(Tensor(X3), Tensor(GAIN), b))),
     ),
     "conv1d_3d": (
         (2, 5, 4),
-        lambda x: ad.tsum(ad.power(ad.conv1d_depthwise(ad.gather_rows(x, ROW_MASK), Tensor(KERNEL), ROW_MASK), 2.0)),
+        lambda x: ad.tsum(square(ad.conv1d_depthwise(ad.gather_rows(x, ROW_MASK), Tensor(KERNEL), ROW_MASK))),
     ),
     "conv1d_kernel": (
         (3, 4),
-        lambda w: ad.tsum(ad.power(ad.conv1d_depthwise(Tensor(CONV_INPUT[ROW_MASK]), w, ROW_MASK), 2.0)),
+        lambda w: ad.tsum(square(ad.conv1d_depthwise(Tensor(CONV_INPUT[ROW_MASK]), w, ROW_MASK))),
     ),
-    "gather_rows": ((2, 5, 4), lambda x: ad.tsum(ad.power(ad.gather_rows(x, ROW_MASK), 3.0))),
-    "scatter_rows": ((8, 4), lambda x: ad.tsum(ad.power(ad.mul(ad.scatter_rows(x, ROW_MASK), Tensor(X3)), 3.0))),
-    "embedding": ((4, 3), lambda tab: ad.tsum(ad.power(ad.embedding_lookup(tab, TABLE_IDS), 2.0))),
-    "tsum_axis": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=1), 2.0))),
-    "tsum_keepdims": ((3, 4), lambda x: ad.tsum(ad.power(ad.tsum(x, axis=0, keepdims=True), 2.0))),
-    "reshape": ((3, 4), lambda x: ad.tsum(ad.power(ad.reshape(x, (2, 6)), 2.0))),
-    "transpose": ((2, 3, 4), lambda x: ad.tsum(ad.power(ad.transpose(x, (2, 0, 1)), 2.0))),
+    "gather_rows": ((2, 5, 4), lambda x: ad.tsum(cube(ad.gather_rows(x, ROW_MASK)))),
+    # scatter_rows is linear, so a weighted sum checks its backward exactly:
+    # the gradient is X3's valid rows. A loss whose gradient comes near zero
+    # somewhere (X3 holds 0.013) fails the relative error on round-off alone
+    "scatter_rows": ((8, 4), lambda x: ad.tsum(ad.mul(ad.scatter_rows(x, ROW_MASK), Tensor(X3)))),
+    "embedding": ((4, 3), lambda tab: ad.tsum(square(ad.embedding_lookup(tab, TABLE_IDS)))),
+    "tsum_axis": ((3, 4), lambda x: ad.tsum(square(ad.tsum(x, axis=1)))),
+    "tsum_keepdims": ((3, 4), lambda x: ad.tsum(square(ad.tsum(x, axis=0, keepdims=True)))),
+    "reshape": ((3, 4), lambda x: ad.tsum(square(ad.reshape(x, (2, 6))))),
 }
 
 
@@ -198,40 +204,27 @@ def test_shape_mismatch_raises():
 
 
 def test_matmul_shape_error_names_shapes():
-    try:
+    with pytest.raises(ContractError) as exc:
+        ad.matmul(t((2, 3, 4)), t((5, 2)))
+    assert "(2, 3, 4)" in str(exc.value) and "(5, 2)" in str(exc.value)
+
+
+def test_conv1d_shape_error_names_shapes():
+    with pytest.raises(ContractError) as exc:
         ad.conv1d_depthwise(t((8, 4)), t((3, 5)), ROW_MASK)
-    except ContractError as exc:
-        assert "(8, 4)" in str(exc) and "(3, 5)" in str(exc)
-    else:
-        pytest.fail("expected ContractError")
+    assert "(8, 4)" in str(exc.value) and "(3, 5)" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
-# stop-gradient / straight-through semantics
-
-
-def test_stop_gradient_blocks_flow():
-    x = Tensor(RNG.normal(size=5), requires_grad=True)
-    out = ad.tsum(ad.stop_gradient(ad.mul(x, x)))
-    ad.backward(out)
-    assert x.grad is None  # nothing flows through the stopped branch
-
-
-def test_stop_gradient_passthrough_path_checks_clean():
-    # only the pass-through path carries gradient; FD agrees there
-    c = RNG.normal(size=4)
-
-    def fn(x):
-        return ad.tsum(ad.power(ad.add(x, ad.stop_gradient(Tensor(c))), 2.0))
-
-    assert ad.grad_check(fn, t((4,))) < 1e-8
+# straight-through semantics
 
 
 def test_straight_through_identity():
-    # y = x + sg(q - x): forward is q, dy/dx is the identity
+    # y = x + (q - x) with the difference a constant: forward is q, dy/dx is
+    # the identity; straight_through gives the same without the round-off
     x = Tensor(RNG.normal(size=6), requires_grad=True)
     q = RNG.normal(size=6)
-    y = ad.add(x, ad.stop_gradient(ad.sub(Tensor(q), x)))
+    y = ad.add(x, Tensor(q - x.data))
     np.testing.assert_allclose(y.data, q, rtol=0, atol=1e-15)
     ad.backward(ad.tsum(y))
     np.testing.assert_array_equal(x.grad, np.ones(6))
@@ -250,7 +243,7 @@ def test_backward_does_not_corrupt_forward_values():
     x = Tensor(RNG.normal(size=(7, 6)), requires_grad=True)
     h = ad.layer_norm(ad.attention(x, x, x, KEY_MASK, 2), Tensor(np.ones(6)), Tensor(np.zeros(6)))
     snapshot = h.data.copy()
-    ad.backward(ad.tsum(ad.power(h, 2.0)))
+    ad.backward(ad.tsum(square(h)))
     np.testing.assert_array_equal(h.data, snapshot)
 
 
@@ -290,10 +283,10 @@ def test_grad_check_rejects_bad_eps():
 
 def test_grad_check_numeric_error_on_nonfinite():
     def fn(x):
-        return ad.tsum(ad.log(x))  # log of negatives -> nan
+        return ad.tsum(ad.div(1.0, x))  # 1/0 -> inf
 
     with pytest.raises(NumericError):
-        ad.grad_check(fn, Tensor(np.array([-1.0, 1.0])))
+        ad.grad_check(fn, Tensor(np.array([0.0, 1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +431,7 @@ def test_matmul_gradient_property(m, k, n):
     b = rng.normal(size=(k, n))
 
     def fn(x):
-        return ad.tsum(ad.power(ad.matmul(x, Tensor(b)), 2.0))
+        return ad.tsum(square(ad.matmul(x, Tensor(b))))
 
     assert ad.grad_check(fn, Tensor(rng.normal(size=(m, k)))) < 1e-4
 

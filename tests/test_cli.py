@@ -320,6 +320,22 @@ def test_train_emits_log_and_checkpoint(pipeline):
     assert all({"l1", "l2", "commit", "step"} <= set(r) for r in steps)
 
 
+def test_train_times_each_step_in_a_file_of_its_own(pipeline, tmp_path):
+    root, _ = pipeline
+    config = write_config(tmp_path, train={"max_steps": 4}, paths=_pipeline_data(root))
+    reports = tmp_path / "reports"
+    logs = []
+    for argv in (["train"], ["train", "--continuous"], ["train"]):
+        assert cli.main([*argv, "--config", config]) == 0
+        name = "continuous" if "--continuous" in argv else "train"
+        timing = [json.loads(line) for line in (reports / f"{name}_timing.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in timing] == [1, 2, 3, 4]  # a rerun starts the file afresh
+        assert all(r["wall_ms"] > 0 for r in timing)
+        logs.append((reports / f"{name}_log.jsonl").read_bytes())
+    assert b"wall_ms" not in logs[0] and b"wall_ms" not in logs[1]
+    assert logs[2] == logs[0]  # the log of a rerun is byte-identical
+
+
 def test_train_fills_in_only_unstated_model_sizes(pipeline, tmp_path, capsys):
     root, pipeline_config = pipeline
     data = _pipeline_data(root)

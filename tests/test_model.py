@@ -257,8 +257,30 @@ def test_loss_and_gradients_are_padding_blind():
 # packed conformer stacks against the padded computation they replace
 
 
+def _ref_exp(a):
+    """exp as a graph node; only the padded oracle needs one."""
+    out_data = np.exp(a.data)
+
+    def bwd():
+        ad._accumulate(a, out.grad * out_data)
+
+    out = ad._make(out_data, (a,), bwd)
+    return out
+
+
+def _ref_transpose(a, axes):
+    """An axis permutation as a graph node; only the padded oracle needs one."""
+    inverse = tuple(np.argsort(axes))
+
+    def bwd():
+        ad._accumulate(a, out.grad.transpose(inverse))
+
+    out = ad._make(a.data.transpose(axes), (a,), bwd)
+    return out
+
+
 def _ref_sigmoid(x):
-    return ad.div(1.0, ad.add(1.0, ad.exp(ad.mul(x, -1.0))))
+    return ad.div(1.0, ad.add(1.0, _ref_exp(ad.mul(x, -1.0))))
 
 
 def _ref_ffn(pt, prefix, x):
@@ -275,15 +297,15 @@ def _ref_attention(pt, prefix, x, mask, heads):
     dh = D // heads
 
     def split(a):
-        return ad.transpose(ad.reshape(a, (B, L, heads, dh)), (0, 2, 1, 3))
+        return _ref_transpose(ad.reshape(a, (B, L, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = (split(ad.linear(x, pt[f"{prefix}.w{c}"], pt[f"{prefix}.b{c}"])) for c in "qkv")
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), np.asarray(dh**-0.5, dtype=x.data.dtype))
+    scores = ad.mul(ad.matmul(q, _ref_transpose(k, (0, 1, 3, 2))), np.asarray(dh**-0.5, dtype=x.data.dtype))
     scores = ad.add(scores, np.where(mask, 0.0, -1e9).astype(x.data.dtype)[:, None, None, :])
-    scores = ad.sub(scores, ad.stop_gradient(Tensor(scores.data.max(axis=-1, keepdims=True))))
-    weights = ad.exp(scores)
+    scores = ad.sub(scores, Tensor(scores.data.max(axis=-1, keepdims=True)))  # a constant
+    weights = _ref_exp(scores)
     weights = ad.div(weights, ad.tsum(weights, axis=-1, keepdims=True))
-    out = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (B, L, D))
+    out = ad.reshape(_ref_transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (B, L, D))
     return ad.linear(out, pt[prefix + ".wo"], pt[prefix + ".bo"])
 
 

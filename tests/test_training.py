@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +159,26 @@ def test_usage_logged_per_level(tmp_path):
     for r in step_records:
         assert 0 <= r["usage_l1"] <= 1 and 0 <= r["usage_l2"] <= 1
         assert {"l1", "l2", "commit"} <= set(r)
+
+
+def test_timing_file_has_one_record_per_step_and_leaves_the_log_alone(tmp_path):
+    timing = tmp_path / "timing.jsonl"
+    logs = []
+    for timing_path in (None, str(timing)):
+        tcfg = TrainConfig(batch_size=2, max_steps=6, warmup_steps=3, seed=11,
+                           eval_every=3, checkpoint_every=1000)
+        log = tmp_path / f"log{len(logs)}.jsonl"
+        train(new_train_state(make_model(seed=4), tcfg), tiny_corpus(), log_path=str(log),
+              timing_path=timing_path)
+        logs.append(log.read_bytes())
+    assert logs[0] == logs[1]  # the log gets no timing, with or without the file
+    assert b"wall_ms" not in logs[1]
+    records = [json.loads(line) for line in timing.read_text().splitlines()]
+    assert [r["step"] for r in records] == list(range(1, 7))
+    keys = {"step", "wall_ms"} | ({"sys_ms", "minflt"} if training.resource else set())
+    for r in records:
+        assert set(r) == keys
+        assert r["wall_ms"] > 0 and r.get("sys_ms", 0) >= 0 and r.get("minflt", 0) >= 0
 
 
 def test_step_records_carry_grad_norm_and_lr(tmp_path):
@@ -535,3 +558,76 @@ def test_codebook_updates_match_requantizing_oracle(monkeypatch, tmp_path):
     for new_book, old_book in zip(new_state.model.rvq.levels, old_state.model.rvq.levels):
         for part in ("entries", "ema_count", "ema_sum"):
             np.testing.assert_array_equal(getattr(new_book, part), getattr(old_book, part))
+
+
+# ---------------------------------------------------------------------------
+# keeping a step's freed memory mapped
+
+# Runs in a fresh interpreter, whose allocator state no earlier test has
+# touched: 20 rounds of 20 arrays of 1 MB, each round freed at once as a
+# step's graph is, and the minor page faults of rounds 2-20.
+_REFAULT_PROBE = """
+import resource, sys
+import numpy as np
+from prosody_codec import training
+if sys.argv[1] == "keep":
+    assert training.keep_freed_memory_mapped()
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 17) for _ in range(20)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sum(faults[1:]))
+"""
+# one round touches 20 MB, about 5000 pages; kept mapped, later rounds touch
+# almost none
+_REFAULT_BOUND = 1000
+
+
+def _refaults(mode: str) -> int:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _REFAULT_PROBE, mode], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return int(run.stdout.split()[-1])
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc's malloc thresholds only")
+def test_freed_memory_stays_mapped_across_rounds():
+    assert _refaults("keep") < _REFAULT_BOUND
+    assert _refaults("default") > _REFAULT_BOUND  # the control: glibc's defaults refault
+
+
+def test_train_keeps_freed_memory_mapped(monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "keep_freed_memory_mapped", lambda: calls.append(True))
+    tcfg = TrainConfig(batch_size=2, max_steps=1, eval_every=1000, checkpoint_every=1000)
+    train(new_train_state(make_model(), tcfg), tiny_corpus())
+    assert calls == [True]
+
+
+def test_keeping_memory_mapped_is_a_silent_no_op_without_mallopt(monkeypatch):
+    def mallopt(param, value):  # present, but sets nothing
+        return 0
+
+    libc = type("Libc", (), {"mallopt": staticmethod(mallopt)})()
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
+    assert training.keep_freed_memory_mapped() is False
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: object())  # no mallopt
+    assert training.keep_freed_memory_mapped() is False
+
+    def no_glibc(name):  # macOS: the name is unknown
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr(training.os, "confstr", no_glibc)
+    assert training.keep_freed_memory_mapped() is False
+    monkeypatch.delattr(training.os, "confstr")  # Windows has no confstr
+    assert training.keep_freed_memory_mapped() is False
