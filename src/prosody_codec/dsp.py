@@ -8,7 +8,10 @@ codec and the synthetic corpus generator.
 from __future__ import annotations
 
 import functools
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,91 @@ def save_wav(path: str, audio: AudioBuffer, float32: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
+# frames split across the cores that BLAS leaves free
+
+_MIN_ROWS = 16  # no thread gets a range of fewer frames than this
+# the variables OpenBLAS reads its thread count from, in its order; unset, it
+# uses every core
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _frame_cores() -> int:
+    """The usable cores less those that BLAS's own threads hold.
+
+    After each call, OpenBLAS's worker threads spin for ≈0.13 s, so a frame
+    range on their core runs at half speed: on 2 cores with 2 BLAS threads,
+    reconstruct + vocode + pitch took 12% longer split in two than on one
+    thread, and 20% less time with BLAS at one thread.
+    """
+    usable = _usable_cores()
+    blas = usable
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = min(int(value), usable)
+            break
+    return usable - blas + 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(_usable_cores() - 1, 1),
+                                       thread_name_prefix="dsp-rows")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_rows(kernel, n_rows: int) -> None:
+    """Run ``kernel(start, stop)`` on contiguous ranges that cover rows 0..n_rows.
+
+    There is one range per core that BLAS leaves free (:func:`_frame_cores`)
+    and none shorter than ``_MIN_ROWS``: the first runs on the calling
+    thread, the others on a thread pool made on first use. With one such
+    core, or too few rows, this is ``kernel(0, n_rows)``.
+    A kernel treats each row on its own and writes into preallocated arrays,
+    so the result does not depend on the split; whatever mixes rows runs on
+    the calling thread after the join. Kernels call only this module's
+    private functions, because the tracer that wraps its public names is not
+    thread-safe, and never call ``_by_rows``. An exception raised in a range
+    is raised here once every range has finished.
+    """
+    n = min(_frame_cores(), n_rows // _MIN_ROWS)
+    if n <= 1:
+        kernel(0, n_rows)
+        return
+    bounds = [n_rows * i // n for i in range(n + 1)]
+    pool = _executor()
+    futures = [pool.submit(kernel, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        kernel(0, bounds[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits; the other ranges write into the caller's arrays
+    for future in futures:
+        future.result()
+
+
+# ---------------------------------------------------------------------------
 # STFT / mel filterbank
 
 
@@ -173,25 +261,53 @@ def frame_count(n_samples: int, n_fft: int, hop: int) -> int:
 
 def stft(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     """Complex spectrogram, shape (T, n_fft//2 + 1)."""
-    frame_count(len(x), n_fft, hop)  # rejects a bad hop or too short a signal
-    frames = sliding_window_view(x, n_fft)[::hop] * _hann(n_fft)
-    return np.fft.rfft(frames, axis=1)
+    T = frame_count(len(x), n_fft, hop)  # rejects a bad hop or too short a signal
+    spec = np.empty((T, n_fft // 2 + 1), dtype=complex)
+    frames = sliding_window_view(x, n_fft)[::hop]
+    _by_rows(functools.partial(_analysis_rows, frames, _hann(n_fft), spec), T)
+    return spec
 
 
-def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
-    """Sum of the windowed (T, n) frames placed ``hop`` samples apart; length
-    (T-1)*hop + n.
+def istft(spec: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Overlap-add inverse of :func:`stft` with squared-window normalization."""
+    _require_hop(hop, "istft")
+    T = spec.shape[0]
+    blocks = _padded_rows(T, n_fft, hop)
+    _by_rows(functools.partial(_synthesis_rows, spec, _hann(n_fft), blocks), T)
+    return _overlap_add(blocks, hop, n_fft) / _ola_norm(T, n_fft, hop)
 
-    Each windowed frame is cut into r = ceil(n / hop) zero-padded blocks of
-    ``hop`` samples, and block k of every frame is added to output blocks
-    k..k+T-1 in one vectorized add. Going through k in descending order adds
-    the frames covering any one sample in ascending frame order, starting
-    from zero: the same float sums as a loop that adds frame after frame.
+
+def _analysis_rows(frames, window, spec, start: int, stop: int) -> None:
+    """``spec[start:stop]``: the rFFT of those frames times the window."""
+    np.fft.rfft(frames[start:stop] * window, axis=1, out=spec[start:stop])
+
+
+def _synthesis_rows(spec, window, blocks, start: int, stop: int) -> None:
+    """The windowed irFFT of ``spec[start:stop]`` into the first n_fft columns
+    of those rows of ``blocks`` (see :func:`_padded_rows`)."""
+    n_fft = window.shape[0]
+    rows = blocks[start:stop, :n_fft]
+    np.fft.irfft(spec[start:stop], n=n_fft, axis=1, out=rows)
+    rows *= window
+
+
+def _padded_rows(T: int, n: int, hop: int) -> np.ndarray:
+    """Zeros of shape (T, r*hop), r = ceil(n / hop): room for T frames of n
+    samples, each cut into r blocks of ``hop`` by :func:`_overlap_add`."""
+    return np.zeros((T, -(-n // hop) * hop))
+
+
+def _overlap_add(blocks: np.ndarray, hop: int, n: int) -> np.ndarray:
+    """Sum of T windowed frames of n samples placed ``hop`` samples apart,
+    from their rows in :func:`_padded_rows`; length (T-1)*hop + n.
+
+    Block k of every frame is added to output blocks k..k+T-1 in one
+    vectorized add. Going through k in descending order adds the frames
+    covering any one sample in ascending frame order, starting from zero:
+    the same float sums as a loop that adds frame after frame.
     """
-    T, n = frames.shape
-    r = -(-n // hop)
-    blocks = np.zeros((T, r * hop))
-    np.multiply(frames, window, out=blocks[:, :n])
+    T = blocks.shape[0]
+    r = blocks.shape[1] // hop
     blocks = blocks.reshape(T, r, hop)
     out = np.zeros((T - 1 + r, hop))
     for k in range(r - 1, -1, -1):
@@ -203,15 +319,9 @@ def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray
 def _ola_norm(T: int, n_fft: int, hop: int) -> np.ndarray:
     # squared-window overlap-add, clamped away from zero in the gaps
     window = _hann(n_fft)
-    squares = _overlap_add(np.broadcast_to(window, (T, n_fft)), window, hop)
-    return _read_only(np.maximum(squares, 1e-12))
-
-
-def istft(spec: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
-    """Overlap-add inverse of :func:`stft` with squared-window normalization."""
-    _require_hop(hop, "istft")
-    frames = np.fft.irfft(spec, n=n_fft, axis=1)
-    return _overlap_add(frames, _hann(n_fft), hop) / _ola_norm(spec.shape[0], n_fft, hop)
+    blocks = _padded_rows(T, n_fft, hop)
+    np.multiply(window, window, out=blocks[:, :n_fft])
+    return _read_only(np.maximum(_overlap_add(blocks, hop, n_fft), 1e-12))
 
 
 def _hz_to_mel(f):
@@ -284,7 +394,12 @@ def invert_mel(
     current estimate, ``spec * (magnitude / |spec|)``. A bin where
     ``|spec|`` is exactly zero gets phase 0, as ``angle(0)`` would give.
     ``return_errors`` adds the spectral-convergence error
-    ``||spec| - magnitude| / |magnitude|`` of each iteration.
+    ``||spec| - magnitude| / |magnitude|`` of each iteration; it is computed
+    only then.
+
+    An iteration is one row step per frame (window, rFFT, the phase update,
+    irFFT, synthesis window) split across the usable cores, then the
+    overlap-add on the calling thread.
     """
     if iterations < 1:
         raise ContractError("invert_mel: iterations must be >= 1")
@@ -294,21 +409,47 @@ def invert_mel(
     magnitude = np.maximum(mel_mag @ inv, 0.0)
     magnitude_norm = max(np.linalg.norm(magnitude), 1e-12)
 
+    T = magnitude.shape[0]
+    window, norm = _hann(n_fft), _ola_norm(T, n_fft, hop)
+    spec = np.empty((T, n_fft // 2 + 1), dtype=complex)
+    spec_mag = np.empty(spec.shape)
+    residual = np.empty(spec.shape) if return_errors else None
+    blocks = _padded_rows(T, n_fft, hop)
+    _by_rows(functools.partial(_synthesis_rows, magnitude, window, blocks), T)
+    x = _overlap_add(blocks, hop, n_fft) / norm
+    step = functools.partial(_griffin_lim_rows, sliding_window_view(x, n_fft)[::hop], window,
+                             magnitude, spec, spec_mag, residual, blocks)
     errors = []
-    x = istft(magnitude, n_fft, hop)
     for _ in range(iterations):
-        spec = stft(x, n_fft, hop)
-        spec_mag = np.abs(spec)
-        errors.append(float(np.linalg.norm(spec_mag - magnitude) / magnitude_norm))
-        silent = spec_mag == 0.0  # phase 0 there: the bin becomes its target magnitude
-        np.copyto(spec, 1.0, where=silent)
-        np.copyto(spec_mag, 1.0, where=silent)
-        spec *= np.divide(magnitude, spec_mag, out=spec_mag)
-        x = istft(spec, n_fft, hop)
+        _by_rows(step, T)
+        if return_errors:
+            errors.append(_spectral_convergence(residual, magnitude_norm))
+        np.divide(_overlap_add(blocks, hop, n_fft), norm, out=x)
     audio = AudioBuffer(samples=np.clip(x, -1.0, 1.0), sample_rate=mel.sample_rate)
     if return_errors:
         return audio, errors
     return audio
+
+
+def _griffin_lim_rows(frames, window, magnitude, spec, spec_mag, residual, blocks,
+                      start: int, stop: int) -> None:
+    """One Griffin-Lim iteration on frames start..stop, up to the overlap-add:
+    the new windowed frames go into ``blocks`` and, unless ``residual`` is
+    None, ``|spec| - magnitude`` into ``residual``."""
+    _analysis_rows(frames, window, spec, start, stop)
+    rows, rows_mag = spec[start:stop], spec_mag[start:stop]
+    np.abs(rows, out=rows_mag)
+    if residual is not None:
+        np.subtract(rows_mag, magnitude[start:stop], out=residual[start:stop])
+    silent = rows_mag == 0.0  # phase 0 there: the bin becomes its target magnitude
+    np.copyto(rows, 1.0, where=silent)
+    np.copyto(rows_mag, 1.0, where=silent)
+    rows *= np.divide(magnitude[start:stop], rows_mag, out=rows_mag)
+    _synthesis_rows(spec, window, blocks, start, stop)
+
+
+def _spectral_convergence(residual: np.ndarray, magnitude_norm: float) -> float:
+    return float(np.linalg.norm(residual) / magnitude_norm)
 
 
 def vocode(mel: MelSpectrogram, features: FeatureConfig) -> AudioBuffer:
@@ -318,6 +459,8 @@ def vocode(mel: MelSpectrogram, features: FeatureConfig) -> AudioBuffer:
 
 # ---------------------------------------------------------------------------
 # pitch and energy
+
+_YIN_BLOCK = 64  # frames per block; unblocked, 60 s (≈5k frames) needs (T, 2048) arrays of ≈80 MB
 
 
 def estimate_f0(
@@ -332,7 +475,8 @@ def estimate_f0(
 
     Cumulative-mean-normalized difference, absolute threshold on its minimum
     for voicing, parabolic interpolation around the chosen lag. Degenerate
-    frames come back unvoiced with f0 = 0.
+    frames come back unvoiced with f0 = 0. Frames are computed in blocks of
+    at most ``_YIN_BLOCK``, split across the usable cores.
     """
     _require_hop(hop_length, "estimate_f0")
     if win_length < 1:
@@ -347,54 +491,73 @@ def estimate_f0(
     if len(x) < win_length:
         return PitchContour(f0=np.zeros(0), voiced=np.zeros(0, dtype=bool))
     T = 1 + (len(x) - win_length) // hop_length
-    xpad = np.concatenate([x, np.zeros(tau_max)])
     f0 = np.zeros(T)
     voiced = np.zeros(T, dtype=bool)
+    if tau_max < tau_min:  # the window holds no lag of the f0 range: nothing is voiced
+        return PitchContour(f0=f0, voiced=voiced)
+    xpad = np.concatenate([x, np.zeros(tau_max)])
+    segs = sliding_window_view(xpad, win_length + tau_max)[::hop_length]
     n_fft = 1
     while n_fft < win_length + tau_max:
         n_fft *= 2
-    for t in range(T):
-        s = t * hop_length
-        seg = xpad[s : s + win_length + tau_max]
-        x1 = seg[:win_length]
-        energy0 = float(np.dot(x1, x1))
-        if energy0 < 1e-10:
-            continue
-        # d(tau) = e(0) + e(tau) - 2*crosscorr(tau), all via one FFT pair
-        spec_seg = np.fft.rfft(seg, n_fft)
-        spec_win = np.fft.rfft(x1, n_fft)
-        ac = np.fft.irfft(spec_seg * np.conj(spec_win), n_fft)[: tau_max + 1]
-        csum = np.concatenate([[0.0], np.cumsum(seg * seg)])
-        e_tau = csum[win_length : win_length + tau_max + 1] - csum[: tau_max + 1]
-        d = energy0 + e_tau - 2.0 * ac
-        d = np.maximum(d, 0.0)
-        # cumulative-mean normalization
-        dn = np.ones(tau_max + 1)
-        running = np.cumsum(d[1:])
-        nonzero = running > 0
-        taus = np.arange(1, tau_max + 1)
-        dn[1:][nonzero] = d[1:][nonzero] * taus[nonzero] / running[nonzero]
-        band = dn[tau_min : tau_max + 1]
-        below = np.nonzero(band < threshold)[0]
-        if below.size:
-            tau = tau_min + below[0]
-            while tau + 1 <= tau_max and dn[tau + 1] < dn[tau]:
-                tau += 1
-        else:
-            continue  # unvoiced: normalized minimum never crosses the threshold
-        # parabolic interpolation around the minimum
-        tau_hat = float(tau)
-        if 1 <= tau < tau_max:
-            a, b, c = dn[tau - 1], dn[tau], dn[tau + 1]
-            denom = a - 2 * b + c
-            if abs(denom) > 1e-12:
-                delta = 0.5 * (a - c) / denom
-                if abs(delta) < 1:
-                    tau_hat = tau + delta
-        freq = sr / tau_hat
-        f0[t] = float(np.clip(freq, f_min, f_max))
-        voiced[t] = True
+    tau_hat = np.zeros(T)
+
+    def rows(start, stop):
+        for a in range(start, stop, _YIN_BLOCK):
+            b = min(a + _YIN_BLOCK, stop)
+            tau_hat[a:b], voiced[a:b] = _yin_frames(
+                segs[a:b], win_length, tau_min, tau_max, n_fft, threshold
+            )
+
+    _by_rows(rows, T)
+    f0[voiced] = np.clip(sr / tau_hat[voiced], f_min, f_max)
     return PitchContour(f0=f0, voiced=voiced)
+
+
+def _yin_frames(segs, win_length, tau_min, tau_max, n_fft, threshold):
+    """YIN on a block of frames: the lag estimate of each and whether it is
+    voiced. Row i of ``segs`` holds frame i and the ``tau_max`` samples after
+    it; ``tau_min <= tau_max``."""
+    x1 = segs[:, :win_length]
+    energy0 = np.vecdot(x1, x1)  # np.dot of each row; einsum sums in another order
+    # d(tau) = e(0) + e(tau) - 2*crosscorr(tau), all via one FFT pair per frame
+    spec_seg = np.fft.rfft(segs, n_fft, axis=1)
+    spec_win = np.fft.rfft(x1, n_fft, axis=1)
+    # not ``spec_seg * np.conj(spec_win)``: on a block that large numpy reuses
+    # the temporary and swaps the factors, which rounds the product differently
+    np.multiply(spec_seg, np.conj(spec_win), out=spec_seg)
+    ac = np.fft.irfft(spec_seg, n_fft, axis=1)[:, : tau_max + 1]
+    csum = np.zeros((segs.shape[0], segs.shape[1] + 1))
+    np.cumsum(segs * segs, axis=1, out=csum[:, 1:])
+    e_tau = csum[:, win_length : win_length + tau_max + 1] - csum[:, : tau_max + 1]
+    d = energy0[:, None] + e_tau - 2.0 * ac
+    d = np.maximum(d, 0.0)
+    # cumulative-mean normalization
+    dn = np.ones_like(d)
+    running = np.cumsum(d[:, 1:], axis=1)
+    np.divide(d[:, 1:] * np.arange(1, tau_max + 1), running, out=dn[:, 1:], where=running > 0)
+    # voiced: energy, and a normalized value under the threshold in the band;
+    # the lag is the first such one, then downhill to the local minimum
+    below = dn[:, tau_min:] < threshold
+    voiced = (energy0 >= 1e-10) & below.any(axis=1)
+    first = tau_min + np.argmax(below, axis=1)
+    lags = np.arange(tau_max + 1)
+    stops = np.ones(d.shape, dtype=bool)
+    stops[:, :-1] = ~(dn[:, 1:] < dn[:, :-1])
+    tau = np.argmax(stops & (lags >= first[:, None]), axis=1)
+    # parabolic interpolation around the minimum; tau >= tau_min >= 2
+    frame = np.arange(len(tau))
+    inner = tau < tau_max
+    nxt = np.where(inner, tau + 1, tau)
+    a, b, c = dn[frame, tau - 1], dn[frame, tau], dn[frame, nxt]
+    denom = a - 2 * b + c
+    curved = inner & (np.abs(denom) > 1e-12)
+    delta = np.zeros(len(tau))
+    np.divide(0.5 * (a - c), denom, out=delta, where=curved)
+    shift = curved & (np.abs(delta) < 1)
+    tau_hat = tau.astype(np.float64)
+    tau_hat[shift] += delta[shift]
+    return tau_hat, voiced
 
 
 def pitch(audio: AudioBuffer, features: FeatureConfig) -> PitchContour:

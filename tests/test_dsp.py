@@ -1,4 +1,9 @@
+import os
+import signal
 import struct
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +182,20 @@ def test_invert_mel_output_length():
     assert len(audio.samples) == (mel.n_frames - 1) * CFG.hop_length + CFG.n_fft
 
 
+def test_vocode_computes_no_errors(monkeypatch):
+    mel = toy_utterance_mels(1)[0]
+    calls = []
+    real = dsp._spectral_convergence
+    monkeypatch.setattr(dsp, "_spectral_convergence",
+                        lambda *args: calls.append(1) or real(*args))
+    audio = dsp.vocode(mel, CFG)
+    assert calls == []
+    with_errors, errors = invert_mel(mel, CFG.griffin_lim_iters, return_errors=True,
+                                     floor=CFG.log_floor)
+    assert len(calls) == len(errors) == CFG.griffin_lim_iters
+    assert audio.samples.tobytes() == with_errors.samples.tobytes()
+
+
 def test_invert_mel_rejects_zero_iterations():
     mel = mel_spectrogram(sine(220.0, seconds=0.2), CFG)
     with pytest.raises(ContractError):
@@ -232,13 +251,18 @@ def _ref_invert_mel(mel, iterations, floor=1e-5):
     return np.clip(x, -1.0, 1.0), errors
 
 
-def toy_utterance_mels(n):
-    """Mels of the acceptance suite's toy corpus (harmonic tones, pitch glides)."""
+def toy_utterances(n):
+    """The acceptance suite's toy corpus (harmonic tones, pitch glides): its
+    utterances and their audio."""
     spec = SynthSpec(n_speakers=2, n_utterances=n, phoneme_inventory=10,
                      f0_ranges=[[120.0, 260.0], [140.0, 300.0]], amp_range=[0.3, 1.0],
                      segments_min=8, segments_max=14, glide_semitones=1.0, seed=7)
-    utts, _, _ = synth_utterances(spec, CFG)
-    return [u.mel for u in utts]
+    utts, audios, _ = synth_utterances(spec, CFG)
+    return utts, audios
+
+
+def toy_utterance_mels(n):
+    return [u.mel for u in toy_utterances(n)[0]]
 
 
 @pytest.mark.parametrize("T", [1, 2, 70])
@@ -278,6 +302,227 @@ def test_invert_mel_zero_bins_get_zero_phase_like_reference():
     assert np.all(np.isfinite(audio.samples))
     np.testing.assert_allclose(audio.samples, ref_x, rtol=0, atol=1e-9)
     np.testing.assert_allclose(errors, ref_errors, rtol=0, atol=1e-12)
+
+
+def _ref_estimate_f0(audio, f_min, f_max, hop_length=256, win_length=1024, threshold=0.15):
+    # the per-frame YIN loop that the blocked estimate_f0 replaced
+    sr = audio.sample_rate
+    x = audio.samples
+    tau_min = max(2, int(np.floor(sr / f_max)))
+    tau_max = int(np.ceil(sr / f_min))
+    tau_max = min(tau_max, win_length - 1)
+    if len(x) < win_length:
+        return np.zeros(0), np.zeros(0, dtype=bool)
+    T = 1 + (len(x) - win_length) // hop_length
+    xpad = np.concatenate([x, np.zeros(tau_max)])
+    f0 = np.zeros(T)
+    voiced = np.zeros(T, dtype=bool)
+    n_fft = 1
+    while n_fft < win_length + tau_max:
+        n_fft *= 2
+    for t in range(T):
+        s = t * hop_length
+        seg = xpad[s : s + win_length + tau_max]
+        x1 = seg[:win_length]
+        energy0 = float(np.dot(x1, x1))
+        if energy0 < 1e-10:
+            continue
+        spec_seg = np.fft.rfft(seg, n_fft)
+        spec_win = np.fft.rfft(x1, n_fft)
+        ac = np.fft.irfft(spec_seg * np.conj(spec_win), n_fft)[: tau_max + 1]
+        csum = np.concatenate([[0.0], np.cumsum(seg * seg)])
+        e_tau = csum[win_length : win_length + tau_max + 1] - csum[: tau_max + 1]
+        d = energy0 + e_tau - 2.0 * ac
+        d = np.maximum(d, 0.0)
+        dn = np.ones(tau_max + 1)
+        running = np.cumsum(d[1:])
+        nonzero = running > 0
+        taus = np.arange(1, tau_max + 1)
+        dn[1:][nonzero] = d[1:][nonzero] * taus[nonzero] / running[nonzero]
+        band = dn[tau_min : tau_max + 1]
+        below = np.nonzero(band < threshold)[0]
+        if below.size:
+            tau = tau_min + below[0]
+            while tau + 1 <= tau_max and dn[tau + 1] < dn[tau]:
+                tau += 1
+        else:
+            continue
+        tau_hat = float(tau)
+        if 1 <= tau < tau_max:
+            a, b, c = dn[tau - 1], dn[tau], dn[tau + 1]
+            denom = a - 2 * b + c
+            if abs(denom) > 1e-12:
+                delta = 0.5 * (a - c) / denom
+                if abs(delta) < 1:
+                    tau_hat = tau + delta
+        freq = sr / tau_hat
+        f0[t] = float(np.clip(freq, f_min, f_max))
+        voiced[t] = True
+    return f0, voiced
+
+
+def _voiced_with_silence():
+    audio = sine(180.0, seconds=0.8)
+    samples = audio.samples.copy()
+    samples[6000:12000] = 0.0
+    return AudioBuffer(samples, audio.sample_rate)
+
+
+F0_CASES = {
+    "white_noise": (lambda: AudioBuffer(0.3 * np.random.default_rng(5).normal(size=22050)
+                                        .clip(-1, 1), 22050), {}),
+    "zero": (lambda: AudioBuffer(np.zeros(8192), 22050), {}),
+    "voiced_with_silence": (_voiced_with_silence, {}),
+    "one_window": (lambda: sine(220.0, seconds=1024 / 22050), {}),
+    # a 20-sample window gives tau_max = 19 < tau_min = floor(22050 / 600) = 36
+    "window_below_tau_min": (lambda: sine(220.0, seconds=0.3), {"win_length": 20, "hop_length": 64}),
+    "short_hop": (lambda: sine(150.0, seconds=0.5), {"hop_length": 97}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(F0_CASES))
+def test_estimate_f0_bit_identical_to_per_frame_reference(case):
+    make, kwargs = F0_CASES[case]
+    audio = make()
+    contour = estimate_f0(audio, 50.0, 600.0, **kwargs)
+    f0, voiced = _ref_estimate_f0(audio, 50.0, 600.0, **kwargs)
+    assert contour.f0.tobytes() == f0.tobytes()
+    assert np.array_equal(contour.voiced, voiced)
+
+
+def test_estimate_f0_bit_identical_to_per_frame_reference_on_toy_utterances():
+    # toy audio and its Griffin-Lim resynthesis, at the run's YIN settings
+    utts, audios = toy_utterances(6)
+    for utt, audio in zip(utts[:3], audios[:3]):
+        audios.append(invert_mel(utt.mel, 10, floor=CFG.log_floor))
+    for audio in audios:
+        contour = dsp.pitch(audio, CFG)
+        f0, voiced = _ref_estimate_f0(audio, CFG.f0_min, CFG.f0_max, hop_length=CFG.hop_length,
+                                      win_length=CFG.n_fft, threshold=CFG.yin_threshold)
+        assert voiced.any()
+        assert contour.f0.tobytes() == f0.tobytes()
+        assert np.array_equal(contour.voiced, voiced)
+
+
+# ---------------------------------------------------------------------------
+# frames split across the usable cores
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the core count _by_rows splits frames across; ranges as short as
+    one row."""
+    monkeypatch.setattr(dsp, "_MIN_ROWS", 1)
+
+    def use(n):
+        monkeypatch.setattr(dsp, "_frame_cores", lambda: n)
+
+    return use
+
+
+def _dsp_outputs(mel, audio, x):
+    samples, errors = invert_mel(mel, 4, return_errors=True, floor=CFG.log_floor)
+    spec = stft(x, CFG.n_fft, CFG.hop_length)
+    contour = estimate_f0(audio, 50.0, 600.0, hop_length=97)
+    return [samples.samples.tobytes(), np.asarray(errors).tobytes(), spec.tobytes(),
+            istft(spec, CFG.n_fft, CFG.hop_length).tobytes(), contour.f0.tobytes(),
+            contour.voiced.tobytes()]
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 40])
+def test_same_bits_at_any_core_count(cores, T):
+    mel = toy_utterance_mels(1)[0]
+    mel = MelSpectrogram(mel.values[:T], mel.hop_length, mel.n_fft, mel.sample_rate)
+    n = (T - 1) * CFG.hop_length + CFG.n_fft
+    audio = sine(190.0, seconds=n / 22050)
+    x = np.random.default_rng(T).normal(size=n)
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
+    try:
+        for n_cores in (1, 2, 3, 5):
+            cores(n_cores)
+            outputs.append(_dsp_outputs(mel, audio, x))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+@pytest.mark.parametrize("usable, env, expected", [
+    (2, {}, 1),  # BLAS spins on every core
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # OpenBLAS's own wins
+    (4, {"GOTO_NUM_THREADS": "2"}, 3),
+    (4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+])
+def test_frames_go_to_the_cores_blas_leaves_free(monkeypatch, usable, env, expected):
+    for name in dsp._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: usable)
+    assert dsp._frame_cores() == expected
+
+
+def test_split_ranges_cover_the_rows(monkeypatch):
+    monkeypatch.setattr(dsp, "_frame_cores", lambda: 3)
+    for n_rows in (0, 1, dsp._MIN_ROWS, 2 * dsp._MIN_ROWS - 1, 2 * dsp._MIN_ROWS, 100):
+        seen = []
+        dsp._by_rows(lambda a, b: seen.append((a, b)), n_rows)
+        seen.sort()
+        assert seen[0][0] == 0 and seen[-1][1] == n_rows
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(seen, seen[1:]))
+        assert len(seen) == max(1, min(3, n_rows // dsp._MIN_ROWS))
+        assert len(seen) == 1 or min(b - a for a, b in seen) >= dsp._MIN_ROWS
+
+
+def test_one_core_makes_no_pool(monkeypatch):
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(dsp, "_pool", None)
+    invert_mel(toy_utterance_mels(1)[0], 2)
+    estimate_f0(sine(220.0), 50.0, 600.0)
+    assert dsp._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_frames_with_a_pool_of_its_own(monkeypatch):
+    # the child inherits the pool object but not its threads; work handed to
+    # that pool would never run
+    monkeypatch.setattr(dsp, "_frame_cores", lambda: 2)
+    x = np.random.default_rng(0).normal(size=40000)
+    spec = stft(x, 1024, 256)
+    assert dsp._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if np.array_equal(stft(x, 1024, 256), spec) else 1)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.02)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_an_error_in_a_worker_range_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(dsp, "_frame_cores", lambda: 2)
+    done = []
+
+    def kernel(start, stop):
+        if start > 0:
+            raise ValueError(f"rows {start}..{stop}")
+        done.append(start)
+
+    with pytest.raises(ValueError, match=f"rows {dsp._MIN_ROWS}"):
+        dsp._by_rows(kernel, 2 * dsp._MIN_ROWS)
+    assert done == [0]
 
 
 def test_cached_filterbank_is_read_only():
@@ -348,6 +593,23 @@ def test_f0_voicing_consistency_invariant():
     assert np.array_equal(contour.f0 > 0, contour.voiced)
     voiced_values = contour.f0[contour.voiced]
     assert np.all((voiced_values >= 50.0) & (voiced_values <= 600.0))
+
+
+def test_f0_memory_stays_bounded_on_long_audio():
+    # one (T, n_fft) float64 array for all T frames of 60 s holds 84 MB, and
+    # a version that is not blocked holds several at once; blocks of frames
+    # keep the peak at a few MB over the padded copy of the input
+    audio = sine(200.0, seconds=60.0)
+    T = 1 + (len(audio.samples) - CFG.n_fft) // CFG.hop_length
+    unblocked_array = T * 2048 * 8
+    tracemalloc.start()
+    try:
+        contour = dsp.pitch(audio, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(contour.f0) == T and contour.voiced.all()
+    assert peak < unblocked_array / 2
 
 
 def test_f0_bad_range_rejected():
