@@ -12,7 +12,9 @@ parent checkout and once in the working tree, one run at a time; even pairs
 run the parent first, odd pairs the change first. ``BENCH_<NAME>.json`` gets
 every run, and per workload the median and quartiles of each end-to-end
 metric on each side, and how many pairs each side won on it (the better
-direction comes from ``BENCHMARK.json``). To measure on one core, run the
+direction comes from ``BENCHMARK.json``). Each run also records ``steal_s``,
+the CPU seconds a hypervisor gave other guests while it ran: a slow run with
+a high value was slowed by the machine, not by the code. To measure on one core, run the
 whole command under ``taskset -c 0``: both sides inherit the affinity.
 """
 
@@ -99,6 +101,17 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> str:
     return proc.stdout
 
 
+def steal_seconds() -> float | None:
+    """CPU time the hypervisor gave other guests so far, summed over this
+    machine's cores; None where Linux's /proc/stat does not say."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            fields = fh.readline().split()
+        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Median and quartiles per side and metric, and pairs won per metric."""
     summary = {}
@@ -150,9 +163,12 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
                 for pair in range(args.pairs):
                     for k, side in enumerate(order(pair)):
                         print(f"{workload} seed {seed} pair {pair}: {side}", file=sys.stderr, flush=True)
+                        before = steal_seconds()
                         record = parse_run(run(dirs[side], workload, seed, seconds))
+                        after = steal_seconds()
+                        steal = None if None in (before, after) else round(after - before, 3)
                         runs.append({"side": side, "pair": pair, "seed": seed, "first": k == 0,
-                                     **record})
+                                     "steal_s": steal, **record})
             out["workloads"][workload] = {"seconds": seconds, "seeds": list(args.seeds),
                                           **summarize(runs, better), "runs": runs}
     return out

@@ -147,12 +147,9 @@ def save_wav(path: str, audio: AudioBuffer, float32: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# frames split across the cores that BLAS leaves free
+# frames split across the usable cores
 
 _MIN_ROWS = 16  # no thread gets a range of fewer frames than this
-# the variables OpenBLAS reads its thread count from, in its order; unset, it
-# uses every core
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -162,24 +159,6 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _frame_cores() -> int:
-    """The usable cores less those that BLAS's own threads hold.
-
-    After each call, OpenBLAS's worker threads spin for ≈0.13 s, so a frame
-    range on their core runs at half speed: on 2 cores with 2 BLAS threads,
-    reconstruct + vocode + pitch took 12% longer split in two than on one
-    thread, and 20% less time with BLAS at one thread.
-    """
-    usable = _usable_cores()
-    blas = usable
-    for name in _BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            blas = min(int(value), usable)
-            break
-    return usable - blas + 1
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -192,9 +171,11 @@ def _executor() -> ThreadPoolExecutor:
 
 
 def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool
+    # a forked child inherits the pool object but none of its threads, and
+    # the lock as it was at the fork, held for good if a thread held it then
+    global _pool, _pool_lock
     _pool = None
+    _pool_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -204,10 +185,10 @@ if hasattr(os, "register_at_fork"):
 def _by_rows(kernel, n_rows: int) -> None:
     """Run ``kernel(start, stop)`` on contiguous ranges that cover rows 0..n_rows.
 
-    There is one range per core that BLAS leaves free (:func:`_frame_cores`)
-    and none shorter than ``_MIN_ROWS``: the first runs on the calling
-    thread, the others on a thread pool made on first use. With one such
-    core, or too few rows, this is ``kernel(0, n_rows)``.
+    There is one range per usable core and none shorter than ``_MIN_ROWS``:
+    the first runs on the calling thread, the others on a thread pool made on
+    first use. With one usable core, or too few rows, this is
+    ``kernel(0, n_rows)``.
     A kernel treats each row on its own and writes into preallocated arrays,
     so the result does not depend on the split; whatever mixes rows runs on
     the calling thread after the join. Kernels call only this module's
@@ -215,7 +196,7 @@ def _by_rows(kernel, n_rows: int) -> None:
     thread-safe, and never call ``_by_rows``. An exception raised in a range
     is raised here once every range has finished.
     """
-    n = min(_frame_cores(), n_rows // _MIN_ROWS)
+    n = min(_usable_cores(), n_rows // _MIN_ROWS)
     if n <= 1:
         kernel(0, n_rows)
         return

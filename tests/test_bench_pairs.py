@@ -62,6 +62,7 @@ def test_pairs_alternate_and_are_summarized(script, monkeypatch):
         (0, "parent", True), (0, "change", False), (1, "change", True), (1, "parent", False)]
     assert runs[0]["run"].startswith("workload resynth  seed 7") and runs[0]["env"] == {"nproc": 2}
     assert runs[0]["metrics"] == {"frames_per_s": 100.0, "peak_rss_mb": 60.0}
+    assert all("steal_s" in r for r in runs)
     assert entry["summary"]["parent"]["frames_per_s"] == {"q1": 107.5, "median": 115.0, "q3": 122.5}
     assert entry["summary"]["change"]["frames_per_s"]["median"] == 157.5
     assert entry["wins"]["frames_per_s"] == {"change": 3, "parent": 1, "ties": 0}

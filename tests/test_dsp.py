@@ -415,7 +415,7 @@ def cores(monkeypatch):
     monkeypatch.setattr(dsp, "_MIN_ROWS", 1)
 
     def use(n):
-        monkeypatch.setattr(dsp, "_frame_cores", lambda: n)
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: n)
 
     return use
 
@@ -448,27 +448,8 @@ def test_same_bits_at_any_core_count(cores, T):
     assert all(out == outputs[0] for out in outputs[1:])
 
 
-@pytest.mark.parametrize("usable, env, expected", [
-    (2, {}, 1),  # BLAS spins on every core
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-    (2, {"OMP_NUM_THREADS": "1"}, 2),
-    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # OpenBLAS's own wins
-    (4, {"GOTO_NUM_THREADS": "2"}, 3),
-    (4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
-    (2, {"OPENBLAS_NUM_THREADS": "x"}, 1),
-    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-])
-def test_frames_go_to_the_cores_blas_leaves_free(monkeypatch, usable, env, expected):
-    for name in dsp._BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(dsp, "_usable_cores", lambda: usable)
-    assert dsp._frame_cores() == expected
-
-
 def test_split_ranges_cover_the_rows(monkeypatch):
-    monkeypatch.setattr(dsp, "_frame_cores", lambda: 3)
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
     for n_rows in (0, 1, dsp._MIN_ROWS, 2 * dsp._MIN_ROWS - 1, 2 * dsp._MIN_ROWS, 100):
         seen = []
         dsp._by_rows(lambda a, b: seen.append((a, b)), n_rows)
@@ -487,32 +468,48 @@ def test_one_core_makes_no_pool(monkeypatch):
     assert dsp._pool is None
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_splits_frames_with_a_pool_of_its_own(monkeypatch):
-    # the child inherits the pool object but not its threads; work handed to
-    # that pool would never run
-    monkeypatch.setattr(dsp, "_frame_cores", lambda: 2)
-    x = np.random.default_rng(0).normal(size=40000)
-    spec = stft(x, 1024, 256)
-    assert dsp._pool is not None
+def _child_exit_code(child) -> int:
+    """Runs ``child()`` in a forked child, which exits 0 if it returns True;
+    fails the test if the child has not exited within 30 s."""
     pid = os.fork()
     if pid == 0:
-        os._exit(0 if np.array_equal(stft(x, 1024, 256), spec) else 1)
+        os._exit(0 if child() else 1)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
         done, status = os.waitpid(pid, os.WNOHANG)
         if done:
-            break
+            return os.waitstatus_to_exitcode(status)
         time.sleep(0.02)
-    else:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child hung")
-    assert os.waitstatus_to_exitcode(status) == 0
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child hung")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_frames_with_a_pool_of_its_own(monkeypatch):
+    # the child inherits the pool object but not its threads; work handed to
+    # that pool would never run
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+    x = np.random.default_rng(0).normal(size=40000)
+    spec = stft(x, 1024, 256)
+    assert dsp._pool is not None
+    assert _child_exit_code(lambda: np.array_equal(stft(x, 1024, 256), spec)) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_while_the_pool_lock_is_held_splits_frames(monkeypatch):
+    # the child's copy of a lock held at the fork would stay held for good
+    x = np.random.default_rng(1).normal(size=40000)
+    spec = stft(x, 1024, 256)
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(dsp, "_pool", None)  # the child has to make one
+    with dsp._pool_lock:
+        code = _child_exit_code(lambda: np.array_equal(stft(x, 1024, 256), spec))
+    assert code == 0
 
 
 def test_an_error_in_a_worker_range_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(dsp, "_frame_cores", lambda: 2)
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
     done = []
 
     def kernel(start, stop):
