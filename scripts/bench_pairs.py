@@ -13,9 +13,10 @@ run the parent first, odd pairs the change first. ``BENCH_<NAME>.json`` gets
 every run, and per workload the median and quartiles of each end-to-end
 metric on each side, and how many pairs each side won on it (the better
 direction comes from ``BENCHMARK.json``). Each run also records ``steal_s``,
-the CPU seconds a hypervisor gave other guests while it ran: a slow run with
-a high value was slowed by the machine, not by the code. To measure on one core, run the
-whole command under ``taskset -c 0``: both sides inherit the affinity.
+the CPU seconds a hypervisor gave other guests while it ran, its frames/s
+before ``perfbench``'s host-speed correction, and the correction's median
+factor. To measure on one core, run the whole command under ``taskset -c
+0``: both sides inherit the affinity.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -76,14 +78,20 @@ def parent_checkout(rev: str, repo: str = ROOT):
 
 
 def parse_run(stdout: str) -> dict:
-    """The run line, environment and result of one ``perfbench/run.py`` output."""
+    """The run line, environment and result of one ``perfbench/run.py`` output,
+    and, where it prints them, frames/s before its host-speed correction and
+    the median correction factor (None where absent)."""
     lines = stdout.splitlines()
     head = next(line for line in lines if line.startswith("workload "))
     env = json.loads(next(line for line in lines if line.startswith("env "))[4:])
     result = json.loads(lines[-1])
+    raw = re.search(r"uncorrected: .*?([\d.]+) frames/s", stdout)
+    factor = re.search(r"host speed factor .*?median ([\d.]+)", stdout)
     return {
         "run": head,
         "env": env,
+        "uncorrected_frames_per_s": float(raw.group(1)) if raw else None,
+        "host_speed_factor": float(factor.group(1)) if factor else None,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],

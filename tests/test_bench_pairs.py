@@ -27,6 +27,8 @@ def fake_output(workload, seed, frames_per_s, peak_rss_mb):
         f"workload {workload}  seed {seed}  trace 0  rounds 4  ops 40  loop 1.0 s  set-ups 3",
         'env {"nproc": 2}',
         "  frames_per_s   1 frames/s",
+        "  40 ops, 4 beyond p90; uncorrected: setup 0.3 s, 93.5 frames/s, op p50 9 ms, p90 9 ms",
+        "  host speed factor (time correction) over 9 samples: median 1.0500, range 0.9-1.1",
         json.dumps({"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}),
     ])
 
@@ -63,6 +65,7 @@ def test_pairs_alternate_and_are_summarized(script, monkeypatch):
     assert runs[0]["run"].startswith("workload resynth  seed 7") and runs[0]["env"] == {"nproc": 2}
     assert runs[0]["metrics"] == {"frames_per_s": 100.0, "peak_rss_mb": 60.0}
     assert all("steal_s" in r for r in runs)
+    assert runs[0]["uncorrected_frames_per_s"] == 93.5 and runs[0]["host_speed_factor"] == 1.05
     assert entry["summary"]["parent"]["frames_per_s"] == {"q1": 107.5, "median": 115.0, "q3": 122.5}
     assert entry["summary"]["change"]["frames_per_s"]["median"] == 157.5
     assert entry["wins"]["frames_per_s"] == {"change": 3, "parent": 1, "ties": 0}
