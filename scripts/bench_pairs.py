@@ -12,7 +12,9 @@ parent checkout and once in the working tree, one run at a time; even pairs
 run the parent first, odd pairs the change first. ``BENCH_<NAME>.json`` gets
 every run, and per workload the median and quartiles of each end-to-end
 metric on each side, and how many pairs each side won on it (the better
-direction comes from ``BENCHMARK.json``). Each run also records ``steal_s``,
+direction comes from ``BENCHMARK.json``), and a verdict per metric: ``worse``,
+``unresolved`` or ``ok`` (see ``verdict``; the exit code is 1 if any metric
+reads ``worse`` or any run was not correct). Each run also records ``steal_s``,
 the CPU seconds a hypervisor gave other guests while it ran, its frames/s
 before ``perfbench``'s host-speed correction, and the correction's median
 factor. To measure on one core, run the whole command under ``taskset -c
@@ -120,40 +122,56 @@ def steal_seconds() -> float | None:
         return None
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Median and quartiles per side and metric, and pairs won per metric."""
-    summary = {}
-    for side in SIDES:
-        values = {}
-        for run in runs:
-            if run["side"] == side:
-                for name, value in run["metrics"].items():
-                    values.setdefault(name, []).append(value)
-        summary[side] = {
-            name: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
-            for name, v in values.items()
-        }
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse`` if the change's median is worse than the parent's by more
+    than ``bound`` of it; else ``unresolved`` if the parent's (q3 - q1) /
+    median exceeds ``bound`` and some change run is no better than some
+    parent run; else ``ok``."""
+    sign = 1.0 if better == "higher" else -1.0
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    scale = abs(median) or 1.0
+    if sign * (median - np.median(change)) / scale > bound:
+        return "worse"
+    all_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    return "unresolved" if (q3 - q1) / scale > bound and not all_better else "ok"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Median and quartiles per side and metric, pairs won per metric, and
+    each metric's verdict under its ``better`` and ``bound`` in ``metrics``."""
+    values = {side: {} for side in SIDES}
+    for run in runs:
+        for name, value in run["metrics"].items():
+            values[run["side"]].setdefault(name, []).append(value)
+    summary = {
+        side: {name: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
+               for name, v in values[side].items()}
+        for side in SIDES
+    }
     pairs: dict[tuple, dict] = {}
     for run in runs:
         pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = run["metrics"]
-    wins = {}
-    for name, direction in better.items():
+    wins, verdicts = {}, {}
+    for name, spec in metrics.items():
         count = {"change": 0, "parent": 0, "ties": 0}
         for pair in pairs.values():
             if len(pair) < 2 or name not in pair["parent"]:
                 continue
             delta = pair["change"][name] - pair["parent"][name]
-            if direction == "lower":
+            if spec["better"] == "lower":
                 delta = -delta
             count["change" if delta > 0 else "parent" if delta < 0 else "ties"] += 1
         wins[name] = count
-    return {"summary": summary, "wins": wins}
+        if name in values["parent"] and name in values["change"]:
+            verdicts[name] = verdict(values["parent"][name], values["change"][name],
+                                     spec["better"], spec["bound"])
+    return {"summary": summary, "wins": wins, "verdicts": verdicts}
 
 
 def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
     parent = git("rev-parse", "--short", args.parent)
     out = {
@@ -178,7 +196,7 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
                         runs.append({"side": side, "pair": pair, "seed": seed, "first": k == 0,
                                      "steal_s": steal, **record})
             out["workloads"][workload] = {"seconds": seconds, "seeds": list(args.seeds),
-                                          **summarize(runs, better), "runs": runs}
+                                          **summarize(runs, metrics), "runs": runs}
     return out
 
 
@@ -197,9 +215,12 @@ def main(argv=None) -> int:
                 continue
             print(f"  {name:<14} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  change "
                   f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  change won "
-                  f"{count['change']}, parent {count['parent']}, ties {count['ties']}")
+                  f"{count['change']}, parent {count['parent']}, ties {count['ties']}: "
+                  f"{entry['verdicts'][name]}")
     print(f"wrote {path}")
-    return 0 if all(r["correct"] for e in result["workloads"].values() for r in e["runs"]) else 1
+    entries = result["workloads"].values()
+    worse = any("worse" in e["verdicts"].values() for e in entries)
+    return 0 if all(r["correct"] for e in entries for r in e["runs"]) and not worse else 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ both).
     python scripts/run_toy_experiment.py --workdir runs/toy [--steps 20000]
 
 All artifacts land under the workdir: data/, cache/, ckpt/, reports/. After
-each stage the script prints its wall, user and system seconds.
+each stage the script prints its wall, user and system seconds. The
+acceptance suite's toy fixture runs the same config and stages.
 """
 
 import argparse
@@ -46,11 +47,7 @@ def default_config(root: str, max_steps: int, seed: int) -> dict:
             "glide_semitones": 1.0,
             "seed": 7,
         },
-        "analysis": {
-            "extract_fraction": 1.0,
-            "n_path_points": 5,
-            "corridor_halfwidth": 0.18,
-        },
+        "analysis": {"extract_fraction": 1.0, "n_path_points": 5, "corridor_halfwidth": 0.18},
         "paths": {
             "manifest": os.path.join(root, "data", "manifest.jsonl"),
             "cache_dir": os.path.join(root, "cache"),
@@ -58,6 +55,42 @@ def default_config(root: str, max_steps: int, seed: int) -> dict:
             "report_dir": os.path.join(root, "reports"),
         },
     }
+
+
+def stages(config_path: str, skip_ablation: bool = False) -> list[list[str]]:
+    """The toy pipeline's commands, in the order they run."""
+    commands = [["synth-data"], ["prepare"], ["train"]]
+    commands += [["analyze", what] for what in
+                 ("usage", "entropy", "klmap", "pca", "probes", "speaker-relative")]
+    commands += [["resynth"], ["metrics", "--task", "reconstruction"]]
+    if not skip_ablation:
+        commands += [["train", "--continuous"], ["ablate-continuous"]]
+    return [[name, "--config", config_path, *rest] for name, *rest in commands]
+
+
+class StageFailed(RuntimeError):
+    def __init__(self, stage: str, code: int):
+        super().__init__(f"stage `{stage}` exited with code {code}")
+        self.code = code
+
+
+def run_stages(config_path: str, skip_ablation: bool = False) -> dict[str, dict[str, float]]:
+    """Run the stages in order; return each one's wall, user and system
+    seconds, keyed by its command without the config (e.g. ``"analyze
+    usage"``). Raises StageFailed at the first stage that exits nonzero."""
+    seconds = {}
+    for argv in stages(config_path, skip_ablation):
+        print(f"\n$ prosody-codec {' '.join(argv)}")
+        start, before = perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+        code = cli.main(argv)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        stage = " ".join(a for a in argv if a not in ("--config", config_path))
+        seconds[stage] = {"wall": perf_counter() - start, "user": after.ru_utime - before.ru_utime,
+                          "system": after.ru_stime - before.ru_stime}
+        print(f"{stage}: " + ", ".join(f"{k} {v:.2f} s" for k, v in seconds[stage].items()))
+        if code != 0:
+            raise StageFailed(stage, code)
+    return seconds
 
 
 def main() -> int:
@@ -74,35 +107,11 @@ def main() -> int:
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(default_config(root, args.steps, args.seed), fh, indent=2)
     print(f"config: {config_path}")
-
-    stages = [
-        ["synth-data", "--config", config_path],
-        ["prepare", "--config", config_path],
-        ["train", "--config", config_path],
-        ["analyze", "--config", config_path, "usage"],
-        ["analyze", "--config", config_path, "entropy"],
-        ["analyze", "--config", config_path, "klmap"],
-        ["analyze", "--config", config_path, "pca"],
-        ["analyze", "--config", config_path, "probes"],
-        ["analyze", "--config", config_path, "speaker-relative"],
-        ["resynth", "--config", config_path],
-        ["metrics", "--config", config_path, "--task", "reconstruction"],
-    ]
-    if not args.skip_ablation:
-        stages.append(["train", "--continuous", "--config", config_path])
-        stages.append(["ablate-continuous", "--config", config_path])
-    for argv in stages:
-        print(f"\n$ prosody-codec {' '.join(argv)}")
-        start, before = perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
-        code = cli.main(argv)
-        after = resource.getrusage(resource.RUSAGE_SELF)
-        stage = " ".join(a for a in argv if a not in ("--config", config_path))
-        print(f"{stage}: wall {perf_counter() - start:.2f} s, "
-              f"user {after.ru_utime - before.ru_utime:.2f} s, "
-              f"system {after.ru_stime - before.ru_stime:.2f} s")
-        if code != 0:
-            print(f"stage failed with exit code {code}", file=sys.stderr)
-            return code
+    try:
+        run_stages(config_path, args.skip_ablation)
+    except StageFailed as exc:
+        print(f"stage failed with exit code {exc.code}", file=sys.stderr)
+        return exc.code
     print(f"\nreports: {os.path.join(root, 'reports')}")
     return 0
 

@@ -5,9 +5,10 @@ shuffle-codes, transfer, analyze {usage,entropy,klmap,pca,probes,
 speaker-relative}, metrics, ablate-continuous.
 
 Only `train` trains and writes checkpoints; every other command reads them.
-Exit codes: 0 success, 1 usage/config error, 2 data or contract error,
-3 numeric error. Every command echoes the effective config into the report
-directory and is deterministic given the seeds in that config.
+Exit codes: 0 success, 1 usage/config error or an output that cannot be
+written, 2 data or contract error, 3 numeric error. Every command echoes the
+effective config into the report directory and is deterministic given the
+seeds in that config.
 """
 
 from __future__ import annotations
@@ -760,6 +761,9 @@ def dispatch(argv) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every input read raises DataError, so this is an output
+        print(f"output error: {exc}", file=sys.stderr)  # names the path(s) it failed on
+        return 1
 
 
 def main(argv=None) -> int:

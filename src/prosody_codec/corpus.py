@@ -156,8 +156,11 @@ def cached_mel(
     caller reads it without mutating it.
     """
     if cache_dir:
-        with open(audio_path, "rb") as fh:
-            audio_hash = hashlib.sha256(fh.read()).hexdigest()[:16]
+        try:
+            with open(audio_path, "rb") as fh:
+                audio_hash = hashlib.sha256(fh.read()).hexdigest()[:16]
+        except OSError as exc:
+            raise DataError(f"cannot read wav {audio_path}: {exc.strerror}") from None
         key = f"{audio_hash}-{_config_hash(cfg)}.mel"
         cache_path = os.path.join(cache_dir, key)
         if os.path.exists(cache_path):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,8 +79,11 @@ class PitchContour:
 
 def load_wav(path: str) -> AudioBuffer:
     """Read a RIFF wav file; multi-channel input is averaged to mono."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read wav {path}: {exc.strerror}") from None
     if len(raw) < 12 or raw[0:4] != b"RIFF":
         raise DataError(f"{path}: bad RIFF magic at byte 0")
     if raw[8:12] != b"WAVE":
@@ -150,8 +152,6 @@ def save_wav(path: str, audio: AudioBuffer, float32: bool = False) -> None:
 # frames split across the usable cores
 
 _MIN_ROWS = 16  # no thread gets a range of fewer frames than this
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _usable_cores() -> int:
@@ -161,34 +161,31 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _executor() -> ThreadPoolExecutor:
+def _new_pool() -> ThreadPoolExecutor:
+    # starts no thread until work is first submitted to it
+    return ThreadPoolExecutor(max_workers=max(_usable_cores() - 1, 1), thread_name_prefix="dsp-rows")
+
+
+_pool = _new_pool()
+
+
+def _new_pool_in_child() -> None:
+    # a forked child inherits the pool object but none of its threads
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(_usable_cores() - 1, 1),
-                                       thread_name_prefix="dsp-rows")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads, and
-    # the lock as it was at the fork, held for good if a thread held it then
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool_in_child)
 
 
 def _by_rows(kernel, n_rows: int) -> None:
     """Run ``kernel(start, stop)`` on contiguous ranges that cover rows 0..n_rows.
 
     There is one range per usable core and none shorter than ``_MIN_ROWS``:
-    the first runs on the calling thread, the others on a thread pool made on
-    first use. With one usable core, or too few rows, this is
-    ``kernel(0, n_rows)``.
+    the first runs on the calling thread, the others on the module's thread
+    pool, whose threads start at the first split. With one usable core, or
+    too few rows, this is ``kernel(0, n_rows)``.
     A kernel treats each row on its own and writes into preallocated arrays,
     so the result does not depend on the split; whatever mixes rows runs on
     the calling thread after the join. Kernels call only this module's
@@ -201,8 +198,7 @@ def _by_rows(kernel, n_rows: int) -> None:
         kernel(0, n_rows)
         return
     bounds = [n_rows * i // n for i in range(n + 1)]
-    pool = _executor()
-    futures = [pool.submit(kernel, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    futures = [_pool.submit(kernel, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
         kernel(0, bounds[1])
     finally:
@@ -561,6 +557,5 @@ def frame_rms(audio: AudioBuffer, hop: int, win: int) -> np.ndarray:
     x = audio.samples
     if len(x) < win:
         return np.zeros(0)
-    T = 1 + (len(x) - win) // hop
-    idx = np.arange(win)[None, :] + hop * np.arange(T)[:, None]
-    return np.sqrt(np.mean(x[idx] ** 2, axis=1))
+    frames = sliding_window_view(x, win)[::hop]
+    return np.sqrt(np.mean(frames**2, axis=1))

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as mx
+from .analysis import extraction_slice
 from .autodiff import AdamState, Tensor
 from .config import TrainConfig, section_json
 from .containers import read_container, write_container
@@ -301,11 +302,13 @@ def _usage() -> dict:
 
 
 def split_corpus(corpus: Corpus, eval_fraction: float) -> tuple[list[Utterance], list[Utterance]]:
+    """Training and eval utterances: the eval set is the trailing slice the
+    analyses read; an eval_fraction of 0 evaluates on the training set."""
     utts = corpus.utterances
     if eval_fraction <= 0:
         return list(utts), list(utts)
-    n_eval = max(1, int(round(len(utts) * eval_fraction)))
-    return list(utts[:-n_eval]), list(utts[-n_eval:])
+    eval_utts = extraction_slice(utts, eval_fraction)
+    return list(utts[: len(utts) - len(eval_utts)]), eval_utts
 
 
 def train(

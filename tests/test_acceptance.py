@@ -1,9 +1,12 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
-one PASS line. The toy pipeline (synthetic corpus -> training -> analyses ->
-continuous twin -> ablation) runs once per session through the CLI; criteria
-assert on its emitted artifacts. Run with `pytest tests/test_acceptance.py -v -s`.
+one PASS line. The toy pipeline of scripts/run_toy_experiment.py (synthetic
+corpus -> training -> analyses -> resynthesis -> continuous twin -> ablation)
+runs once per session through the CLI; criteria assert on its artifacts.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import dataclasses
+import importlib.util
 import itertools
 import json
 import os
@@ -19,7 +22,7 @@ from prosody_codec import cli
 from prosody_codec import metrics as mx
 from prosody_codec.autodiff import Tensor
 from prosody_codec.config import FeatureConfig, ModelConfig
-from prosody_codec.corpus import Batch, PhonemeVocab, Utterance, make_batch
+from prosody_codec.corpus import Batch, PhonemeVocab, Utterance, make_batch, parse_manifest
 from prosody_codec.dsp import MelSpectrogram, PitchContour
 from prosody_codec.model import (
     CodecModel,
@@ -44,67 +47,23 @@ from prosody_codec.training import compute_loss
 K_TOY = 64  # desk-config codebook size, fixed by the toy ModelConfig defaults
 
 
+# the toy experiment's config and stages
+_spec = importlib.util.spec_from_file_location("run_toy_experiment", os.path.join(
+    os.path.dirname(__file__), os.pardir, "scripts", "run_toy_experiment.py"))
+toy_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(toy_run)
+
+
 def _report(criterion: int, message: str) -> None:
     print(f"[criterion {criterion:2d}] PASS: {message}")
-
-
-def toy_config(root: str) -> dict:
-    return {
-        "features": {},  # library defaults: 22050 Hz, 1024/256, 80 mel bands
-        "model": {},  # desk defaults: dim 64, 2 layers, 2 heads, K=64, d=3, 2 levels
-        "train": {
-            "batch_size": 8,
-            "warmup_steps": 200,
-            "max_steps": 20000,
-            "target_loss_ratio": 0.03,
-            "dead_code_threshold": 0.15,
-            "dead_code_every": 20,
-            "seed": 0,
-            "eval_every": 10**6,
-            "checkpoint_every": 10**6,
-        },
-        "synth": {
-            "n_speakers": 2,
-            "n_utterances": 32,
-            "phoneme_inventory": 10,
-            "f0_ranges": [[120.0, 260.0], [140.0, 300.0]],
-            "amp_range": [0.3, 1.0],
-            "segments_min": 8,
-            "segments_max": 14,
-            "duration_min": 4,
-            "duration_max": 10,
-            "glide_semitones": 1.0,
-            "seed": 7,
-        },
-        "analysis": {
-            "extract_fraction": 1.0,
-            "n_path_points": 5,
-            "corridor_halfwidth": 0.18,
-        },
-        "paths": {
-            "manifest": os.path.join(root, "data", "manifest.jsonl"),
-            "cache_dir": os.path.join(root, "cache"),
-            "checkpoint_dir": os.path.join(root, "ckpt"),
-            "report_dir": os.path.join(root, "reports"),
-        },
-    }
 
 
 @pytest.fixture(scope="session")
 def toy(tmp_path_factory):
     root = tmp_path_factory.mktemp("toy_run")
-    config = root / "config.json"
-    config.write_text(json.dumps(toy_config(str(root))))
-    cfg_path = str(config)
-    assert cli.main(["synth-data", "--config", cfg_path]) == 0
-    assert cli.main(["prepare", "--config", cfg_path]) == 0
-    t0 = time.monotonic()
-    assert cli.main(["train", "--config", cfg_path]) == 0
-    train_seconds = time.monotonic() - t0
-    for what in ("usage", "entropy", "pca", "probes", "speaker-relative"):
-        assert cli.main(["analyze", "--config", cfg_path, what]) == 0
-    assert cli.main(["train", "--continuous", "--config", cfg_path]) == 0
-    assert cli.main(["ablate-continuous", "--config", cfg_path]) == 0
+    cfg_path = str(root / "config.json")
+    (root / "config.json").write_text(json.dumps(toy_run.default_config(str(root), 20000, 0)))
+    seconds = toy_run.run_stages(cfg_path)
     reports = root / "reports"
 
     def load(name):
@@ -114,15 +73,22 @@ def toy(tmp_path_factory):
         "root": root,
         "config": cfg_path,
         "reports": reports,
-        "train_seconds": train_seconds,
+        "train_seconds": seconds["train"]["wall"],
         "summary": load("train_summary.json"),
         "usage": load("usage.json"),
         "entropy": load("entropy.json"),
-        "pca": load("pca.json"),
         "speaker_relative": load("speaker_relative_f0.json"),
         "ablation": load("ablation_continuous.json"),
         "log": [json.loads(l) for l in (reports / "train_log.jsonl").read_text().splitlines()],
     }
+
+
+def _toy_model_and_utterance(toy):
+    """The trained toy model and the first utterance of its corpus."""
+    model = load_model(str(toy["root"] / "ckpt" / "latest.ckpt"))
+    corpus = parse_manifest(str(toy["root"] / "data" / "manifest.jsonl"), model.features,
+                            cache_dir=str(toy["root"] / "cache"), cache_write=False)
+    return model, corpus.utterances[0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +372,8 @@ def test_criterion_5_toy_training(toy):
 
 def test_criterion_6_disentanglement(toy):
     # architectural half: encoder codes are bit-identical under relabeling
-    model = load_model(str(toy["root"] / "ckpt" / "latest.ckpt"))
-    from prosody_codec.corpus import parse_manifest
-
-    corpus = parse_manifest(
-        str(toy["root"] / "data" / "manifest.jsonl"),
-        model.features,
-        cache_dir=str(toy["root"] / "cache"),
-        cache_write=False,
-    )
-    utt = corpus.utterances[0]
-    relabeled = Utterance(
-        id=utt.id, speaker_id=1 - utt.speaker_id, phonemes=utt.phonemes,
-        durations=utt.durations, mel=utt.mel, transcript=utt.transcript,
-    )
+    model, utt = _toy_model_and_utterance(toy)
+    relabeled = dataclasses.replace(utt, speaker_id=1 - utt.speaker_id)
     a = model.encode_utterance(utt)
     b = model.encode_utterance(relabeled)
     assert np.array_equal(a.indices, b.indices)
@@ -443,7 +397,7 @@ def test_criterion_7_pc1_probes_monotone_per_speaker(toy):
     report = toy["speaker_relative"]
     path = report["path"]
     assert len(path) >= 5, f"PC1 path has only {len(path)} codes"
-    cfg = toy_config(str(toy["root"]))
+    cfg = toy_run.default_config(str(toy["root"]), 20000, 0)
     rhos = {}
     for s, (speaker, f0s) in enumerate(sorted(report["f0_by_speaker"].items())):
         values = [(i, f) for i, f in enumerate(f0s) if f != "" and f is not None]
@@ -611,14 +565,7 @@ def test_criterion_12_determinism(toy, tmp_path):
     assert first == second
 
     # checkpoint round trip preserves forward outputs bit-exactly
-    model = load_model(str(toy["root"] / "ckpt" / "latest.ckpt"))
-    from prosody_codec.corpus import parse_manifest
-
-    corpus = parse_manifest(
-        str(toy["root"] / "data" / "manifest.jsonl"), model.features,
-        cache_dir=str(toy["root"] / "cache"), cache_write=False,
-    )
-    utt = corpus.utterances[0]
+    model, utt = _toy_model_and_utterance(toy)
     out_a = model.reconstruct(utt)
     resaved = tmp_path / "resaved.ckpt"
     save_model(model, str(resaved))
@@ -630,22 +577,16 @@ def test_criterion_12_determinism(toy, tmp_path):
     for run in range(2):
         run_root = tmp_path / f"mini{run}"
         os.makedirs(run_root / "data", exist_ok=True)
-        cfg = toy_config(str(run_root))
-        cfg["train"]["max_steps"] = 40
+        cfg = toy_run.default_config(str(run_root), 40, 0)
         cfg["train"]["target_loss_ratio"] = 0.0
-        cfg["synth"]["n_utterances"] = 6
-        cfg["synth"]["segments_min"] = 3
-        cfg["synth"]["segments_max"] = 5
+        cfg["synth"].update(n_utterances=6, segments_min=3, segments_max=5)
         mini = run_root / "config.json"
         mini.write_text(json.dumps(cfg))
-        assert cli.main(["synth-data", "--config", str(mini)]) == 0
-        assert cli.main(["train", "--config", str(mini)]) == 0
-        digests.append(
-            (
-                (run_root / "ckpt" / "latest.ckpt").read_bytes(),
-                (run_root / "reports" / "train_log.jsonl").read_bytes(),
-            )
-        )
+        synth_data, _prepare, train = toy_run.stages(str(mini))[:3]
+        assert cli.main(synth_data) == 0
+        assert cli.main(train) == 0
+        digests.append(((run_root / "ckpt" / "latest.ckpt").read_bytes(),
+                        (run_root / "reports" / "train_log.jsonl").read_bytes()))
     assert digests[0] == digests[1]
     _report(12, "re-run reports, mels, checkpoints byte-identical; "
                 "round trip preserves forward outputs bit-exactly")

@@ -71,7 +71,20 @@ def test_pairs_alternate_and_are_summarized(script, monkeypatch):
     assert entry["wins"]["frames_per_s"] == {"change": 3, "parent": 1, "ties": 0}
     # lower is better for memory
     assert entry["wins"]["peak_rss_mb"] == {"change": 1, "parent": 2, "ties": 1}
+    assert entry["verdicts"] == {"frames_per_s": "ok", "peak_rss_mb": "ok"}
     assert result["parent_commit"] == "abc1234"
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    ([100, 100, 100, 100], [70, 71, 72, 73], "higher", "worse"),  # median 30% lower
+    ([10, 10, 10], [13, 13, 13], "lower", "worse"),
+    ([10, 10, 10], [12, 12, 12], "lower", "ok"),  # 20% worse, within the bound
+    ([50, 100, 150, 200], [120, 130, 140, 150], "higher", "unresolved"),  # parent IQR 60%
+    ([50, 100, 150, 200], [201, 210, 220, 230], "higher", "ok"),  # every change run better
+    ([0.3, 0.3], [0.3, 0.3], "lower", "ok"),
+])
+def test_verdict(script, parent, change, better, expected):
+    assert script.verdict(parent, change, better, 0.25) == expected
 
 
 def _git(repo, *args):

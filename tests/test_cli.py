@@ -11,9 +11,9 @@ from prosody_codec import cli
 from prosody_codec import corpus as corpus_module
 from prosody_codec import dsp as dsp_module
 from prosody_codec import model as model_module
-from prosody_codec.config import RunConfig, dumps_config, load_config, loads_config
+from prosody_codec.config import dumps_config, load_config, loads_config
 from prosody_codec.containers import read_container, write_container
-from prosody_codec.errors import ConfigError
+from prosody_codec.errors import ConfigError, DataError
 
 
 def micro_config(root, **overrides):
@@ -630,6 +630,30 @@ def test_metrics_intelligibility_empty_text_exit_2(tmp_path, capsys):
     assert "--ref and --hyp have no non-blank lines" in capsys.readouterr().err
 
 
+def test_unwritable_output_exit_1(tmp_path, capsys):
+    config = write_config(tmp_path)
+    (tmp_path / "text.txt").write_text("a b\n")
+    blocker = tmp_path / "reports" / "metrics_intelligibility.json"
+    blocker.mkdir(parents=True)
+    text = str(tmp_path / "text.txt")
+    assert cli.main(["metrics", "--config", config, "--task", "intelligibility",
+                     "--ref", text, "--hyp", text]) == 1
+    err = capsys.readouterr().err
+    assert f"output error: [Errno 21] Is a directory: {str(blocker)!r}" in err and "Traceback" not in err
+
+
+def test_unreadable_wav_exit_2(pipeline, tmp_path, monkeypatch, capsys):
+    _, config = pipeline
+    ids = cli._audio_paths(load_config(config))
+    monkeypatch.setattr(cli, "_audio_paths", lambda cfg: dict.fromkeys(ids, str(tmp_path)))
+    capsys.readouterr()
+    assert cli.main(["metrics", "--config", config, "--task", "reconstruction"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: cannot read wav {tmp_path}: Is a directory" in err and "Traceback" not in err
+    with pytest.raises(DataError, match=re.escape(f"cannot read wav {tmp_path}: Is a directory")):
+        corpus_module.cached_mel(str(tmp_path), load_config(config).features, str(tmp_path))
+
+
 def test_negative_shuffle_seed_exit_1(capsys):
     assert cli.main(["shuffle-codes", "--config", "unread.json", "--seed", "-1"]) == 1
     assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
@@ -733,15 +757,3 @@ def test_synth_pair_that_is_not_two_numbers_exit_1(tmp_path, capsys):
     config = write_config(tmp_path, synth={"f0_ranges": [5, 6]})
     assert cli.main(["synth-data", "--config", config]) == 1
     assert "synth.f0_ranges[0]: must be [low, high]" in capsys.readouterr().err
-
-
-def test_toy_experiment_config_loads(tmp_path):
-    # scripts/run_toy_experiment.py writes its config for the CLI to read
-    import importlib.util
-
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_toy_experiment.py")
-    spec = importlib.util.spec_from_file_location("run_toy_experiment", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    cfg = loads_config(json.dumps(script.default_config(str(tmp_path), 10, 0)))
-    assert cfg.train.max_steps == 10

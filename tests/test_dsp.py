@@ -460,29 +460,15 @@ def test_split_ranges_cover_the_rows(monkeypatch):
         assert len(seen) == 1 or min(b - a for a, b in seen) >= dsp._MIN_ROWS
 
 
-def test_one_core_makes_no_pool(monkeypatch):
+def test_one_usable_core_starts_no_thread(monkeypatch):
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("work was handed to a thread")
+
     monkeypatch.setattr(dsp, "_usable_cores", lambda: 1)
-    monkeypatch.setattr(dsp, "_pool", None)
+    monkeypatch.setattr(dsp, "_pool", NoPool())
     invert_mel(toy_utterance_mels(1)[0], 2)
     estimate_f0(sine(220.0), 50.0, 600.0)
-    assert dsp._pool is None
-
-
-def _child_exit_code(child) -> int:
-    """Runs ``child()`` in a forked child, which exits 0 if it returns True;
-    fails the test if the child has not exited within 30 s."""
-    pid = os.fork()
-    if pid == 0:
-        os._exit(0 if child() else 1)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.02)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    pytest.fail("the forked child hung")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -492,20 +478,20 @@ def test_a_forked_child_splits_frames_with_a_pool_of_its_own(monkeypatch):
     monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
     x = np.random.default_rng(0).normal(size=40000)
     spec = stft(x, 1024, 256)
-    assert dsp._pool is not None
-    assert _child_exit_code(lambda: np.array_equal(stft(x, 1024, 256), spec)) == 0
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_while_the_pool_lock_is_held_splits_frames(monkeypatch):
-    # the child's copy of a lock held at the fork would stay held for good
-    x = np.random.default_rng(1).normal(size=40000)
-    spec = stft(x, 1024, 256)
-    monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(dsp, "_pool", None)  # the child has to make one
-    with dsp._pool_lock:
-        code = _child_exit_code(lambda: np.array_equal(stft(x, 1024, 256), spec))
-    assert code == 0
+    parent_pool = dsp._pool
+    pid = os.fork()
+    if pid == 0:  # exits 0 if its own pool gives the parent's bits
+        os._exit(0 if dsp._pool is not parent_pool and np.array_equal(stft(x, 1024, 256), spec) else 1)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.02)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child hung")
 
 
 def test_an_error_in_a_worker_range_reaches_the_caller(monkeypatch):
@@ -639,6 +625,11 @@ def test_rms_framing_matches_mel():
     mel = mel_spectrogram(audio, CFG)
     rms = frame_rms(audio, CFG.hop_length, CFG.n_fft)
     assert len(rms) == mel.n_frames
+    # frame t covers samples t*hop .. t*hop+win; the tail shorter than a hop is dropped
+    x = np.random.default_rng(5).normal(size=1000) * 0.1
+    rms = frame_rms(AudioBuffer(x, 8000), 97, 300)
+    expected = [np.sqrt(np.mean(x[t : t + 300] ** 2)) for t in range(0, 701, 97)]
+    np.testing.assert_allclose(rms, expected, rtol=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
