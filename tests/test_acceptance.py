@@ -83,6 +83,14 @@ def toy(tmp_path_factory):
     }
 
 
+def test_toy_runner_stops_at_the_first_failing_stage(tmp_path):
+    cfg = toy_run.default_config(str(tmp_path), 20000, 0)
+    cfg["synth"]["n_speakers"] = 0
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    with pytest.raises(toy_run.StageFailed, match="stage `synth-data` exited with code 1"):
+        toy_run.run_stages(str(tmp_path / "config.json"))
+
+
 def _toy_model_and_utterance(toy):
     """The trained toy model and the first utterance of its corpus."""
     model = load_model(str(toy["root"] / "ckpt" / "latest.ckpt"))

@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from prosody_codec import analysis as an
 from prosody_codec import autodiff as ad
 from prosody_codec import training
 from prosody_codec.autodiff import Tensor
@@ -250,17 +249,6 @@ def test_evaluate_never_touches_ema_state():
     evaluate(model, [make_utt()])
     for book, before in zip(model.rvq.levels, counts):
         np.testing.assert_array_equal(book.ema_count, before)
-
-
-def test_eval_set_is_the_trailing_slice_the_analyses_read():
-    corpus = tiny_corpus()
-    ids = lambda utts: [u.id for u in utts]
-    for fraction in (0.1, 0.3, 0.5, 0.9):
-        train_utts, eval_utts = training.split_corpus(corpus, fraction)
-        assert ids(eval_utts) == ids(an.extraction_slice(corpus.utterances, fraction))
-        assert ids(train_utts + eval_utts) == ids(corpus.utterances)
-    train_utts, eval_utts = training.split_corpus(corpus, 0.0)  # evaluates on the training set
-    assert ids(train_utts) == ids(eval_utts) == ids(corpus.utterances)
 
 
 # ---------------------------------------------------------------------------
