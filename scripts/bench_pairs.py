@@ -16,7 +16,8 @@ direction comes from ``BENCHMARK.json``), and a verdict per metric: ``worse``,
 ``unresolved`` or ``ok`` (see ``verdict``). Each run also records ``steal_s``,
 the CPU seconds a hypervisor gave other guests while it ran, its frames/s
 before ``perfbench``'s host-speed correction, and the correction's median
-factor. To measure on one core, run the whole command under ``taskset -c
+factor; per workload, these two get the same median, quartiles and pairs
+won, printed under the corrected frames/s. To measure on one core, run the whole command under ``taskset -c
 0``: both sides inherit the affinity.
 """
 
@@ -135,36 +136,68 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "unresolved" if (q3 - q1) / scale > bound and not all_better else "ok"
 
 
+UNCORRECTED = ("uncorrected_frames_per_s", "host_speed_factor")
+
+
+def _metrics(run: dict) -> dict:
+    return run["metrics"]
+
+
+def _uncorrected(run: dict) -> dict:
+    return {name: run.get(name) for name in UNCORRECTED}
+
+
+def _values(runs: list[dict], get) -> dict[str, dict[str, list[float]]]:
+    """Per side and name, the values ``get(run)`` maps names to; None skipped."""
+    values = {side: {} for side in SIDES}
+    for run in runs:
+        for name, value in get(run).items():
+            if value is not None:
+                values[run["side"]].setdefault(name, []).append(value)
+    return values
+
+
+def _quartiles(values: dict[str, dict[str, list[float]]]) -> dict:
+    return {side: {name: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
+                   for name, v in values[side].items()}
+            for side in SIDES}
+
+
+def _wins(runs: list[dict], get, name: str, better: str) -> dict[str, int]:
+    """Pairs each side won on ``name``, over the pairs where both sides have it."""
+    pairs: dict[tuple, dict] = {}
+    for run in runs:
+        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = get(run)
+    count = {"change": 0, "parent": 0, "ties": 0}
+    for pair in pairs.values():
+        if len(pair) < 2 or pair["parent"].get(name) is None or pair["change"].get(name) is None:
+            continue
+        delta = pair["change"][name] - pair["parent"][name]
+        if better == "lower":
+            delta = -delta
+        count["change" if delta > 0 else "parent" if delta < 0 else "ties"] += 1
+    return count
+
+
 def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     """Median and quartiles per side and metric, pairs won per metric, and
     each metric's verdict under its ``better`` and ``bound`` in ``metrics``."""
-    values = {side: {} for side in SIDES}
-    for run in runs:
-        for name, value in run["metrics"].items():
-            values[run["side"]].setdefault(name, []).append(value)
-    summary = {
-        side: {name: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
-               for name, v in values[side].items()}
-        for side in SIDES
-    }
-    pairs: dict[tuple, dict] = {}
-    for run in runs:
-        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = run["metrics"]
-    wins, verdicts = {}, {}
-    for name, spec in metrics.items():
-        count = {"change": 0, "parent": 0, "ties": 0}
-        for pair in pairs.values():
-            if len(pair) < 2 or name not in pair["parent"]:
-                continue
-            delta = pair["change"][name] - pair["parent"][name]
-            if spec["better"] == "lower":
-                delta = -delta
-            count["change" if delta > 0 else "parent" if delta < 0 else "ties"] += 1
-        wins[name] = count
-        if name in values["parent"] and name in values["change"]:
-            verdicts[name] = verdict(values["parent"][name], values["change"][name],
-                                     spec["better"], spec["bound"])
-    return {"summary": summary, "wins": wins, "verdicts": verdicts}
+    values = _values(runs, _metrics)
+    wins = {name: _wins(runs, _metrics, name, spec["better"]) for name, spec in metrics.items()}
+    verdicts = {name: verdict(values["parent"][name], values["change"][name], spec["better"],
+                              spec["bound"])
+                for name, spec in metrics.items()
+                if name in values["parent"] and name in values["change"]}
+    return {"summary": _quartiles(values), "wins": wins, "verdicts": verdicts}
+
+
+def summarize_uncorrected(runs: list[dict]) -> dict:
+    """The same median, quartiles and pairs won for each run's frames/s
+    before the host-speed correction and for the correction's median factor,
+    over the runs that report them. The higher value wins a pair: for the
+    factor, that is the side whose host read as faster."""
+    return {"summary": _quartiles(_values(runs, _uncorrected)),
+            "wins": {name: _wins(runs, _uncorrected, name, "higher") for name in UNCORRECTED}}
 
 
 def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
@@ -195,8 +228,21 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
                         runs.append({"side": side, "pair": pair, "seed": seed, "first": k == 0,
                                      "steal_s": steal, **record})
             out["workloads"][workload] = {"seconds": seconds, "seeds": list(args.seeds),
-                                          **summarize(runs, metrics), "runs": runs}
+                                          **summarize(runs, metrics),
+                                          "uncorrected": summarize_uncorrected(runs), "runs": runs}
     return out
+
+
+def summary_line(name: str, summary: dict, wins: dict) -> str | None:
+    """``name``: each side's median [q1, q3] and the pairs won; None where a
+    side has no value."""
+    p, c = summary["parent"].get(name), summary["change"].get(name)
+    if p is None or c is None:
+        return None
+    count = wins[name]
+    return (f"  {name:<14} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  change "
+            f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  change won "
+            f"{count['change']}, parent {count['parent']}, ties {count['ties']}")
 
 
 def main(argv=None) -> int:
@@ -208,14 +254,17 @@ def main(argv=None) -> int:
         fh.write("\n")
     for workload, entry in result["workloads"].items():
         print(f"{workload}:")
-        for name, count in entry["wins"].items():
-            p, c = entry["summary"]["parent"].get(name), entry["summary"]["change"].get(name)
-            if p is None or c is None:
+        for name in entry["wins"]:
+            line = summary_line(name, entry["summary"], entry["wins"])
+            if line is None:
                 continue
-            print(f"  {name:<14} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  change "
-                  f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  change won "
-                  f"{count['change']}, parent {count['parent']}, ties {count['ties']}: "
-                  f"{entry['verdicts'][name]}")
+            print(f"{line}: {entry['verdicts'][name]}")
+            if name == "frames_per_s":  # the correction's side of the claim
+                for raw in UNCORRECTED:
+                    line = summary_line(raw, entry["uncorrected"]["summary"],
+                                        entry["uncorrected"]["wins"])
+                    if line is not None:
+                        print(f"  {line}")
     print(f"wrote {path}")
     return 0 if all(r["correct"] for e in result["workloads"].values() for r in e["runs"]) else 1
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -198,7 +200,8 @@ def cmd_train(cfg: RunConfig, args) -> dict:
         "steps": state.step,
         "loss_at_100": state.loss_at_100,
         "eval": evaluate(model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)),
-        "checkpoint": _checkpoint_path(cfg, args.continuous),
+        # relative, so that runs in different directories write the same bytes
+        "checkpoint": os.path.relpath(_checkpoint_path(cfg, args.continuous), cfg.paths.report_dir),
         "vocab_size": len(corpus.vocab),
         "n_speakers": len(corpus.speakers),
     }
@@ -733,10 +736,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _command_words(argv) -> list[str]:
+    """The command line without its ``--config`` path."""
+    words, skip = [], False
+    for word in argv:
+        if not skip and word != "--config" and not word.startswith("--config="):
+            words.append(word)
+        skip = word == "--config"
+    return words
+
+
 def dispatch(argv) -> int:
     """Parse, load the run config, run the command, then echo the config it
-    ran with as ``effective_config.json`` and print its payload as one JSON
-    line. Errors map to the exit codes in the module docstring."""
+    ran with as ``effective_config.json``, append the command, its wall time
+    and the sha256 of that config to ``run_log.jsonl`` in the report
+    directory, and print its payload as one JSON line. Errors map to the
+    exit codes in the module docstring."""
+    start = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -747,9 +763,18 @@ def dispatch(argv) -> int:
         cfg = load_config(args.config)
         _output_dir(cfg.paths.report_dir, "paths.report_dir")
         payload = args.func(cfg, args)
-        echo = os.path.join(cfg.paths.report_dir, "effective_config.json")
-        with open(echo, "w", encoding="utf-8") as fh:
-            fh.write(dumps_config(cfg))
+        effective = dumps_config(cfg)
+        with open(os.path.join(cfg.paths.report_dir, "effective_config.json"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(effective)
+        record = {
+            "command": " ".join(_command_words(argv)),
+            "seconds": round(time.perf_counter() - start, 3),
+            "config_sha": hashlib.sha256(effective.encode("utf-8")).hexdigest(),
+        }
+        # timing goes here, never into the reports that reruns compare
+        with open(os.path.join(cfg.paths.report_dir, "run_log.jsonl"), "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
         print(json.dumps(payload))
         return 0
     except ConfigError as exc:

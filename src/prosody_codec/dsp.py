@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -151,7 +152,7 @@ def save_wav(path: str, audio: AudioBuffer, float32: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # frames split across the usable cores
 
-_MIN_ROWS = 16  # no thread gets a range of fewer frames than this
+_MIN_ROWS = 16  # no thread gets a range of fewer rows (frames or blocks) than this
 
 
 def _usable_cores() -> int:
@@ -167,12 +168,15 @@ def _new_pool() -> ThreadPoolExecutor:
 
 
 _pool = _new_pool()
+_region_lock = threading.Lock()  # held while a region's parts occupy the pool's threads
 
 
 def _new_pool_in_child() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool
+    # a forked child inherits the pool object but none of its threads, and
+    # the lock as it was, held or not
+    global _pool, _region_lock
     _pool = _new_pool()
+    _region_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -206,6 +210,62 @@ def _by_rows(kernel, n_rows: int) -> None:
             future.exception()  # waits; the other ranges write into the caller's arrays
     for future in futures:
         future.result()
+
+
+def _no_wait() -> None:
+    pass
+
+
+def _in_region(part, n_rows: int) -> None:
+    """Run ``part(wait, start, stop)`` on contiguous ranges that cover rows
+    0..n_rows, all at the same time, as one parallel region.
+
+    Parts step in rounds: ``wait()`` returns once every part has called it
+    as often, so each part must call it the same number of times. Ranges are
+    cut as in :func:`_by_rows`, the first on the calling thread, but there
+    are never more parts than the pool has threads plus one, since a part
+    left in the pool's queue would hold the others at their first wait.
+    While another thread's region holds the pool, and with one part, this
+    is ``part(wait, 0, n_rows)`` with a ``wait`` that returns at once.
+    A part that raises breaks the barrier, so every other part raises
+    ``BrokenBarrierError`` at its next wait; once all have returned, the
+    first part's own exception is raised here.
+    """
+    n = min(_usable_cores(), n_rows // _MIN_ROWS)
+    if n > 1:
+        n = min(n, _pool._max_workers + 1)
+    if n <= 1 or not _region_lock.acquire(blocking=False):
+        part(_no_wait, 0, n_rows)
+        return
+    barrier = threading.Barrier(n)
+
+    def run(start, stop):
+        try:
+            part(barrier.wait, start, stop)
+        except BaseException:
+            barrier.abort()
+            raise
+
+    bounds = [n_rows * i // n for i in range(n + 1)]
+    futures, broken = [], None
+    try:
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            futures.append(_pool.submit(run, a, b))
+        run(0, bounds[1])
+    except threading.BrokenBarrierError as exc:
+        broken = exc  # a part in the pool raised; its exception goes first
+    except BaseException:
+        barrier.abort()  # frees the parts already submitted if a submit failed
+        raise
+    finally:
+        for future in futures:
+            future.exception()  # waits; the parts write into the caller's arrays
+        _region_lock.release()
+    for future in futures:
+        if not isinstance(future.exception(), threading.BrokenBarrierError):
+            future.result()
+    if broken is not None:
+        raise broken
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +311,7 @@ def istft(spec: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     T = spec.shape[0]
     blocks = _padded_rows(T, n_fft, hop)
     _by_rows(functools.partial(_synthesis_rows, spec, _hann(n_fft), blocks), T)
-    return _overlap_add(blocks, hop, n_fft) / _ola_norm(T, n_fft, hop)
+    return _signal(_overlap_add(blocks, hop), T, n_fft, hop) / _ola_norm(T, n_fft, hop)
 
 
 def _analysis_rows(frames, window, spec, start: int, stop: int) -> None:
@@ -268,28 +328,44 @@ def _synthesis_rows(spec, window, blocks, start: int, stop: int) -> None:
     rows *= window
 
 
+def _blocks_per_frame(n: int, hop: int) -> int:
+    """r = ceil(n / hop): the hop-sized blocks a frame of n samples reaches."""
+    return -(-n // hop)
+
+
 def _padded_rows(T: int, n: int, hop: int) -> np.ndarray:
     """Zeros of shape (T, r*hop), r = ceil(n / hop): room for T frames of n
     samples, each cut into r blocks of ``hop`` by :func:`_overlap_add`."""
-    return np.zeros((T, -(-n // hop) * hop))
+    return np.zeros((T, _blocks_per_frame(n, hop) * hop))
 
 
-def _overlap_add(blocks: np.ndarray, hop: int, n: int) -> np.ndarray:
-    """Sum of T windowed frames of n samples placed ``hop`` samples apart,
-    from their rows in :func:`_padded_rows`; length (T-1)*hop + n.
+def _overlap_add(blocks: np.ndarray, hop: int, first: int = 0, start: int = 0,
+                 stop: int | None = None) -> np.ndarray:
+    """Blocks start..stop, shape (stop - start, hop), of the sum of windowed
+    frames placed ``hop`` samples apart, from the rows of frames first,
+    first + 1, ... in :func:`_padded_rows`. The rows must hold every frame
+    that reaches those blocks. By default, all T - 1 + r blocks of the sum
+    of T frames; :func:`_signal` cuts the signal from them.
 
-    Block k of every frame is added to output blocks k..k+T-1 in one
-    vectorized add. Going through k in descending order adds the frames
-    covering any one sample in ascending frame order, starting from zero:
-    the same float sums as a loop that adds frame after frame.
+    Block k of every frame is added to its output block in one vectorized
+    add. Going through k in descending order adds the frames covering any
+    one sample in ascending frame order, starting from zero: the same float
+    sums as a loop that adds frame after frame, over any range of blocks.
     """
-    T = blocks.shape[0]
-    r = blocks.shape[1] // hop
-    blocks = blocks.reshape(T, r, hop)
-    out = np.zeros((T - 1 + r, hop))
-    for k in range(r - 1, -1, -1):
-        out[k : k + T] += blocks[:, k]
-    return out.reshape(-1)[: (T - 1) * hop + n]
+    n_rows, r = blocks.shape[0], blocks.shape[1] // hop
+    stop = first + n_rows - 1 + r if stop is None else stop
+    blocks = blocks.reshape(n_rows, r, hop)
+    out = np.zeros((stop - start, hop))
+    for k in range(r - 1, -1, -1):  # output block j gets block k of frame j - k
+        a, b = max(start, first + k), min(stop, first + n_rows + k)
+        if a < b:
+            out[a - start : b - start] += blocks[a - k - first : b - k - first, k]
+    return out
+
+
+def _signal(blocks: np.ndarray, T: int, n: int, hop: int) -> np.ndarray:
+    """The (T-1)*hop + n samples of T frames of n from their overlap-added blocks."""
+    return blocks.reshape(-1)[: (T - 1) * hop + n]
 
 
 @functools.lru_cache(maxsize=16)
@@ -298,7 +374,7 @@ def _ola_norm(T: int, n_fft: int, hop: int) -> np.ndarray:
     window = _hann(n_fft)
     blocks = _padded_rows(T, n_fft, hop)
     np.multiply(window, window, out=blocks[:, :n_fft])
-    return _read_only(np.maximum(_overlap_add(blocks, hop, n_fft), 1e-12))
+    return _read_only(np.maximum(_signal(_overlap_add(blocks, hop), T, n_fft, hop), 1e-12))
 
 
 def _hz_to_mel(f):
@@ -374,9 +450,13 @@ def invert_mel(
     ``||spec| - magnitude| / |magnitude|`` of each iteration; it is computed
     only then.
 
-    An iteration is one row step per frame (window, rFFT, the phase update,
-    irFFT, synthesis window) split across the usable cores, then the
-    overlap-add on the calling thread.
+    The first synthesis and all iterations run as one parallel region (see
+    :func:`_in_region`) over the T - 1 + r hop-sized blocks of the output,
+    r = ceil(n_fft / hop): each part computes the frames that reach its
+    blocks, overlap-adds and normalises only those blocks, then waits for
+    the others; see :func:`_griffin_lim_part`. Every block sums the same
+    frames in the same order as on one core, so the bits do not depend on
+    the split.
     """
     if iterations < 1:
         raise ContractError("invert_mel: iterations must be >= 1")
@@ -387,42 +467,65 @@ def invert_mel(
     magnitude_norm = max(np.linalg.norm(magnitude), 1e-12)
 
     T = magnitude.shape[0]
-    window, norm = _hann(n_fft), _ola_norm(T, n_fft, hop)
-    spec = np.empty((T, n_fft // 2 + 1), dtype=complex)
-    spec_mag = np.empty(spec.shape)
-    residual = np.empty(spec.shape) if return_errors else None
-    blocks = _padded_rows(T, n_fft, hop)
-    _by_rows(functools.partial(_synthesis_rows, magnitude, window, blocks), T)
-    x = _overlap_add(blocks, hop, n_fft) / norm
-    step = functools.partial(_griffin_lim_rows, sliding_window_view(x, n_fft)[::hop], window,
-                             magnitude, spec, spec_mag, residual, blocks)
+    norm = _ola_norm(T, n_fft, hop)
+    # round i writes signal and residual i % 2 and reads the other signal
+    signals = np.empty((2, norm.shape[0]))
+    residuals = np.empty((2,) + magnitude.shape) if return_errors else None
     errors = []
-    for _ in range(iterations):
-        _by_rows(step, T)
-        if return_errors:
-            errors.append(_spectral_convergence(residual, magnitude_norm))
-        np.divide(_overlap_add(blocks, hop, n_fft), norm, out=x)
-    audio = AudioBuffer(samples=np.clip(x, -1.0, 1.0), sample_rate=mel.sample_rate)
+
+    def part(wait, start, stop):
+        for i in _griffin_lim_part(magnitude, _hann(n_fft), norm, hop, signals, residuals,
+                                   iterations, start, stop):
+            wait()
+            if i and residuals is not None and start == 0:  # the calling thread
+                errors.append(_spectral_convergence(residuals[i % 2], magnitude_norm))
+
+    _in_region(part, T - 1 + _blocks_per_frame(n_fft, hop))
+    audio = AudioBuffer(samples=np.clip(signals[iterations % 2], -1.0, 1.0),
+                        sample_rate=mel.sample_rate)
     if return_errors:
         return audio, errors
     return audio
 
 
-def _griffin_lim_rows(frames, window, magnitude, spec, spec_mag, residual, blocks,
-                      start: int, stop: int) -> None:
-    """One Griffin-Lim iteration on frames start..stop, up to the overlap-add:
-    the new windowed frames go into ``blocks`` and, unless ``residual`` is
-    None, ``|spec| - magnitude`` into ``residual``."""
-    _analysis_rows(frames, window, spec, start, stop)
-    rows, rows_mag = spec[start:stop], spec_mag[start:stop]
-    np.abs(rows, out=rows_mag)
-    if residual is not None:
-        np.subtract(rows_mag, magnitude[start:stop], out=residual[start:stop])
-    silent = rows_mag == 0.0  # phase 0 there: the bin becomes its target magnitude
-    np.copyto(rows, 1.0, where=silent)
-    np.copyto(rows_mag, 1.0, where=silent)
-    rows *= np.divide(magnitude[start:stop], rows_mag, out=rows_mag)
-    _synthesis_rows(spec, window, blocks, start, stop)
+def _griffin_lim_part(magnitude, window, norm, hop, signals, residuals, iterations,
+                      start: int, stop: int):
+    """Griffin-Lim on output blocks start..stop of :func:`invert_mel`, one
+    round per step of the generator, which yields the round's number.
+
+    Round 0 synthesises from ``magnitude``; round i >= 1 is iteration i,
+    which analyses ``signals[(i - 1) % 2]``. Each round writes the blocks'
+    samples of ``signals[i % 2]`` and, unless ``residuals`` is None,
+    ``|spec| - magnitude`` of the frames that start in those blocks into
+    ``residuals[i % 2]``. The part computes every frame that reaches its
+    blocks: those they start and the r - 1 before, which the part to its
+    left computes too.
+    """
+    n_fft = window.shape[0]
+    T = magnitude.shape[0]
+    first, last = max(start - _blocks_per_frame(n_fft, hop) + 1, 0), min(stop, T)
+    n_rows, own = last - first, slice(start - first, None)  # own: the frames it starts
+    target = magnitude[first:last]
+    frames = [sliding_window_view(x, n_fft)[::hop][first:last] for x in signals]
+    spec = np.empty((n_rows, target.shape[1]), dtype=complex)
+    spec_mag = np.empty(spec.shape)
+    blocks = _padded_rows(n_rows, n_fft, hop)
+    lo, hi = start * hop, min(stop * hop, norm.shape[0])
+    _synthesis_rows(target, window, blocks, 0, n_rows)
+    for i in range(iterations + 1):
+        if i:
+            _analysis_rows(frames[(i - 1) % 2], window, spec, 0, n_rows)
+            np.abs(spec, out=spec_mag)
+            if residuals is not None:
+                np.subtract(spec_mag[own], target[own], out=residuals[i % 2, start:last])
+            silent = spec_mag == 0.0  # phase 0 there: the bin becomes its target magnitude
+            np.copyto(spec, 1.0, where=silent)
+            np.copyto(spec_mag, 1.0, where=silent)
+            spec *= np.divide(target, spec_mag, out=spec_mag)
+            _synthesis_rows(spec, window, blocks, 0, n_rows)
+        out = _overlap_add(blocks, hop, first, start, stop).reshape(-1)[: hi - lo]
+        np.divide(out, norm[lo:hi], out=signals[i % 2, lo:hi])
+        yield i
 
 
 def _spectral_convergence(residual: np.ndarray, magnitude_norm: float) -> float:

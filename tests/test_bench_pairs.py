@@ -20,17 +20,20 @@ def script():
     return module
 
 
-def fake_output(workload, seed, frames_per_s, peak_rss_mb):
+def fake_output(workload, seed, frames_per_s, peak_rss_mb, uncorrected=93.5, factor=1.05):
+    """A run's output; ``uncorrected`` or ``factor`` None leaves out its line."""
     metrics = {"frames_per_s": {"value": frames_per_s, "unit": "frames/s"},
                "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
-    return "\n".join([
+    lines = [
         f"workload {workload}  seed {seed}  trace 0  rounds 4  ops 40  loop 1.0 s  set-ups 3",
         'env {"nproc": 2}',
         "  frames_per_s   1 frames/s",
-        "  40 ops, 4 beyond p90; uncorrected: setup 0.3 s, 93.5 frames/s, op p50 9 ms, p90 9 ms",
-        "  host speed factor (time correction) over 9 samples: median 1.0500, range 0.9-1.1",
+        f"  40 ops, 4 beyond p90; uncorrected: setup 0.3 s, {uncorrected} frames/s, op p50 9 ms, "
+        "p90 9 ms",
+        f"  host speed factor (time correction) over 9 samples: median {factor}, range 0.9-1.1",
         json.dumps({"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}),
-    ])
+    ]
+    return "\n".join(line for line in lines if "None" not in line)
 
 
 def test_pairs_alternate_and_are_summarized(script, monkeypatch):
@@ -73,6 +76,44 @@ def test_pairs_alternate_and_are_summarized(script, monkeypatch):
     assert entry["wins"]["peak_rss_mb"] == {"change": 1, "parent": 2, "ties": 1}
     assert entry["verdicts"] == {"frames_per_s": "ok", "peak_rss_mb": "ok"}
     assert result["parent_commit"] == "abc1234"
+
+
+def test_uncorrected_frames_and_correction_factors_are_summarized(script, monkeypatch, tmp_path,
+                                                                  capsys):
+    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
+    # per pair: parent then change (uncorrected frames/s, factor); the change
+    # run of pair 1 printed neither, so that pair counts for neither
+    raw = {"parent": iter([(90.0, 1.0), (95.0, 1.1), (100.0, 1.2)]),
+           "change": iter([(120.0, 0.8), (None, None), (110.0, 1.2)])}
+
+    def run(checkout, workload, seed, seconds):
+        side = "parent" if checkout == "/parent" else "change"
+        return fake_output(workload, seed, 100.0, 60.0, *next(raw[side]))
+
+    @contextlib.contextmanager
+    def checkout(rev):
+        yield "/parent"
+
+    args = script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads", "resynth",
+                              "--seeds", "7", "--pairs", "3", "--seconds", "2"])
+    result = script.bench(args, run=run, checkout=checkout)
+    entry = result["workloads"]["resynth"]["uncorrected"]
+    assert entry["summary"]["parent"]["uncorrected_frames_per_s"] == {
+        "q1": 92.5, "median": 95.0, "q3": 97.5}
+    assert entry["summary"]["change"]["uncorrected_frames_per_s"]["median"] == 115.0
+    assert entry["summary"]["change"]["host_speed_factor"]["median"] == 1.0
+    assert entry["wins"]["uncorrected_frames_per_s"] == {"change": 2, "parent": 0, "ties": 0}
+    assert entry["wins"]["host_speed_factor"] == {"change": 0, "parent": 1, "ties": 1}
+
+    monkeypatch.setattr(script, "ROOT", str(tmp_path))
+    monkeypatch.setattr(script, "bench", lambda args: result)
+    assert script.main(["--parent", "HEAD~1", "--name", "x", "--workloads", "resynth",
+                        "--seeds", "7", "--pairs", "3"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(printed) if line.strip().startswith("frames_per_s"))
+    assert printed[at + 1].split()[:3] == ["uncorrected_frames_per_s", "parent", "95"]
+    assert printed[at + 2].split()[:3] == ["host_speed_factor", "parent", "1.1"]
+    assert (tmp_path / "BENCH_x.json").exists()
 
 
 @pytest.mark.parametrize("parent, change, better, expected", [

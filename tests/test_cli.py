@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -132,6 +133,39 @@ def test_effective_config_echo_roundtrips(pipeline):
     cfg = load_config(str(echoed))
     assert load_config(str(echoed)) == cfg
     assert cfg.model.vocab_size > 0  # train echoes the inferred sizes
+
+
+def test_each_successful_command_appends_to_the_run_log(tmp_path):
+    config = write_config(tmp_path)
+    os.makedirs(tmp_path / "data")
+    assert cli.main(["synth-data", "--config", config]) == 0
+    assert cli.main(["prepare", f"--config={config}"]) == 0
+    assert cli.main(["resynth", "--config", config]) == 2  # no checkpoint yet: no record
+    reports = tmp_path / "reports"
+    records = [json.loads(line) for line in (reports / "run_log.jsonl").read_text().splitlines()]
+    assert [r["command"] for r in records] == ["synth-data", "prepare"]
+    sha = hashlib.sha256((reports / "effective_config.json").read_bytes()).hexdigest()
+    assert all(r["seconds"] >= 0 and r["config_sha"] == sha for r in records)
+    assert all(set(r) == {"command", "seconds", "config_sha"} for r in records)
+
+
+def test_train_summaries_are_the_same_bytes_in_any_directory(tmp_path):
+    summaries = []
+    for run in ("a", "b"):
+        root = tmp_path / run / "nested" if run == "b" else tmp_path / run
+        root.mkdir(parents=True)
+        config = write_config(root)
+        os.makedirs(root / "data")
+        assert cli.main(["synth-data", "--config", config]) == 0
+        for extra in ([], ["--continuous"]):
+            assert cli.main(["train", "--config", config, *extra]) == 0
+        reports = root / "reports"
+        for name in ("train_summary.json", "train_summary_continuous.json"):
+            checkpoint = json.loads((reports / name).read_text())["checkpoint"]
+            assert (reports / checkpoint).is_file()
+        summaries.append([(reports / name).read_bytes()
+                          for name in ("train_summary.json", "train_summary_continuous.json")])
+    assert summaries[0] == summaries[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
+import contextlib
 import os
 import signal
 import struct
 import sys
+import threading
 import time
 import tracemalloc
+import traceback
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from prosody_codec import dsp
 from prosody_codec.config import FeatureConfig, SynthSpec
@@ -304,6 +309,72 @@ def test_invert_mel_zero_bins_get_zero_phase_like_reference():
     np.testing.assert_allclose(errors, ref_errors, rtol=0, atol=1e-12)
 
 
+# the row-split Griffin-Lim that the parallel region replaced: every iteration
+# splits the frames' row step across the cores, then overlap-adds all blocks
+# on the calling thread; kept as the oracle the region must match bit for bit
+
+
+def _rows_overlap_add(blocks, hop, n):
+    T = blocks.shape[0]
+    r = blocks.shape[1] // hop
+    blocks = blocks.reshape(T, r, hop)
+    out = np.zeros((T - 1 + r, hop))
+    for k in range(r - 1, -1, -1):
+        out[k : k + T] += blocks[:, k]
+    return out.reshape(-1)[: (T - 1) * hop + n]
+
+
+def _rows_griffin_lim_step(frames, window, magnitude, spec, spec_mag, residual, blocks,
+                           start, stop):
+    dsp._analysis_rows(frames, window, spec, start, stop)
+    rows, rows_mag = spec[start:stop], spec_mag[start:stop]
+    np.abs(rows, out=rows_mag)
+    np.subtract(rows_mag, magnitude[start:stop], out=residual[start:stop])
+    silent = rows_mag == 0.0
+    np.copyto(rows, 1.0, where=silent)
+    np.copyto(rows_mag, 1.0, where=silent)
+    rows *= np.divide(magnitude[start:stop], rows_mag, out=rows_mag)
+    dsp._synthesis_rows(spec, window, blocks, start, stop)
+
+
+def _rows_invert_mel(mel, iterations, floor=1e-5):
+    n_fft, hop = mel.n_fft, mel.hop_length
+    inv = dsp._filterbank_pinv(mel.n_mels, n_fft, mel.sample_rate)
+    mel_mag = np.maximum(np.exp(mel.values) - floor, 0.0)
+    magnitude = np.maximum(mel_mag @ inv, 0.0)
+    magnitude_norm = max(np.linalg.norm(magnitude), 1e-12)
+    T = magnitude.shape[0]
+    window = dsp._hann(n_fft)
+    squares = dsp._padded_rows(T, n_fft, hop)
+    np.multiply(window, window, out=squares[:, :n_fft])
+    norm = np.maximum(_rows_overlap_add(squares, hop, n_fft), 1e-12)
+    spec = np.empty((T, n_fft // 2 + 1), dtype=complex)
+    spec_mag, residual = np.empty(spec.shape), np.empty(spec.shape)
+    blocks = dsp._padded_rows(T, n_fft, hop)
+    dsp._by_rows(lambda a, b: dsp._synthesis_rows(magnitude, window, blocks, a, b), T)
+    x = _rows_overlap_add(blocks, hop, n_fft) / norm
+    frames = sliding_window_view(x, n_fft)[::hop]
+    errors = []
+    for _ in range(iterations):
+        dsp._by_rows(lambda a, b: _rows_griffin_lim_step(frames, window, magnitude, spec, spec_mag,
+                                                         residual, blocks, a, b), T)
+        errors.append(float(np.linalg.norm(residual) / magnitude_norm))
+        np.divide(_rows_overlap_add(blocks, hop, n_fft), norm, out=x)
+    return np.clip(x, -1.0, 1.0), errors
+
+
+def _inversion_bytes(samples, errors):
+    return samples.tobytes() + np.asarray(errors).tobytes()
+
+
+def test_invert_mel_bit_identical_to_row_split_on_toy_utterances():
+    for mel in toy_utterance_mels(3):
+        audio, errors = invert_mel(mel, CFG.griffin_lim_iters, return_errors=True,
+                                   floor=CFG.log_floor)
+        expected = _rows_invert_mel(mel, CFG.griffin_lim_iters, floor=CFG.log_floor)
+        assert _inversion_bytes(audio.samples, errors) == _inversion_bytes(*expected)
+
+
 def _ref_estimate_f0(audio, f_min, f_max, hop_length=256, win_length=1024, threshold=0.15):
     # the per-frame YIN loop that the blocked estimate_f0 replaced
     sr = audio.sample_rate
@@ -410,14 +481,28 @@ def test_estimate_f0_bit_identical_to_per_frame_reference_on_toy_utterances():
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Sets the core count _by_rows splits frames across; ranges as short as
-    one row."""
+    """Sets the core count dsp splits frames across, with a pool of as many
+    threads as that takes; ranges as short as one row."""
     monkeypatch.setattr(dsp, "_MIN_ROWS", 1)
+    pools = {}
 
     def use(n):
         monkeypatch.setattr(dsp, "_usable_cores", lambda: n)
+        monkeypatch.setattr(dsp, "_pool", pools.setdefault(n, ThreadPoolExecutor(max(n - 1, 1))))
 
-    return use
+    yield use
+    for pool in pools.values():
+        pool.shutdown()
+
+
+@contextlib.contextmanager
+def _switching_often():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _dsp_outputs(mel, audio, x):
@@ -437,15 +522,51 @@ def test_same_bits_at_any_core_count(cores, T):
     audio = sine(190.0, seconds=n / 22050)
     x = np.random.default_rng(T).normal(size=n)
     outputs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
-    try:
+    with _switching_often():
         for n_cores in (1, 2, 3, 5):
             cores(n_cores)
             outputs.append(_dsp_outputs(mel, audio, x))
-    finally:
-        sys.setswitchinterval(interval)
     assert all(out == outputs[0] for out in outputs[1:])
+
+
+@pytest.mark.parametrize("hop", [256, 300, 1024, 1500])
+def test_invert_mel_bit_identical_to_row_split_in_any_region(cores, hop):
+    # 300 does not divide n_fft; 1024 and 1500 leave no overlap (r = 1); with
+    # 5 parts and few frames, parts own fewer blocks than the r - 1 frames
+    # they borrow from their left neighbour
+    mel = toy_utterance_mels(1)[0]
+    mels = {T: MelSpectrogram(mel.values[:T], hop, mel.n_fft, mel.sample_rate)
+            for T in (1, 2, 3, 4, 5, 7, 40)}
+    expected = {T: _inversion_bytes(*_rows_invert_mel(m, 6, floor=CFG.log_floor))
+                for T, m in mels.items()}
+    with _switching_often():
+        for n_cores in (1, 2, 3, 5):
+            cores(n_cores)
+            for T, m in mels.items():
+                audio, errors = invert_mel(m, 6, return_errors=True, floor=CFG.log_floor)
+                assert _inversion_bytes(audio.samples, errors) == expected[T], (n_cores, T)
+
+
+def test_region_parts_cover_the_rows_and_wait_together(cores):
+    cores(3)
+    for n_rows in (1, 2, 3, 10):
+        n_parts = min(3, n_rows)
+        seen, arrived, together = [], [], []
+
+        def part(wait, start, stop):
+            seen.append((start, stop))
+            for i in range(4):
+                arrived.append(i)
+                wait()
+                together.append(arrived.count(i) == n_parts)  # no part is a round behind
+
+        with _switching_often():
+            dsp._in_region(part, n_rows)
+        seen.sort()
+        assert seen[0][0] == 0 and seen[-1][1] == n_rows
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(seen, seen[1:]))
+        assert len(seen) == n_parts
+        assert len(together) == 4 * n_parts and all(together)
 
 
 def test_split_ranges_cover_the_rows(monkeypatch):
@@ -471,7 +592,34 @@ def test_one_usable_core_starts_no_thread(monkeypatch):
     estimate_f0(sine(220.0), 50.0, 600.0)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _in_child(check, seconds=30):
+    """Runs ``check()`` in a forked child; its exit code: 0 if it returned
+    true, 1 if false, 2 if it raised. A child still running after
+    ``seconds``, as one that waits for good would be, fails the test."""
+    pid = os.fork()
+    if pid == 0:
+        code = 2
+        try:
+            code = 0 if check() else 1
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.02)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child hung")
+
+
+@needs_fork
 def test_a_forked_child_splits_frames_with_a_pool_of_its_own(monkeypatch):
     # the child inherits the pool object but not its threads; work handed to
     # that pool would never run
@@ -479,19 +627,89 @@ def test_a_forked_child_splits_frames_with_a_pool_of_its_own(monkeypatch):
     x = np.random.default_rng(0).normal(size=40000)
     spec = stft(x, 1024, 256)
     parent_pool = dsp._pool
-    pid = os.fork()
-    if pid == 0:  # exits 0 if its own pool gives the parent's bits
-        os._exit(0 if dsp._pool is not parent_pool and np.array_equal(stft(x, 1024, 256), spec) else 1)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            assert os.waitstatus_to_exitcode(status) == 0
-            return
-        time.sleep(0.02)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    pytest.fail("the forked child hung")
+    assert _in_child(lambda: dsp._pool is not parent_pool
+                     and np.array_equal(stft(x, 1024, 256), spec)) == 0
+
+
+def _inverts_like_row_split(mel, expected):
+    audio, errors = invert_mel(mel, 10, return_errors=True, floor=CFG.log_floor)
+    return _inversion_bytes(audio.samples, errors) == expected
+
+
+@needs_fork
+def test_region_parts_never_outnumber_the_pool_threads(monkeypatch):
+    # 5 usable cores and a pool of 1 thread: 5 parts would wait for good on
+    # the parts left in the pool's queue
+    mel = toy_utterance_mels(1)[0]
+    expected = _inversion_bytes(*_rows_invert_mel(mel, 10, floor=CFG.log_floor))
+    monkeypatch.setattr(dsp, "_MIN_ROWS", 1)
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 5)
+
+    def check():
+        dsp._pool = ThreadPoolExecutor(1)
+        return _inverts_like_row_split(mel, expected)
+
+    assert _in_child(check) == 0
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["pool", "caller"])
+def test_a_failing_part_ends_the_region(monkeypatch, where):
+    mel = toy_utterance_mels(1)[0]
+    expected = _inversion_bytes(*_rows_invert_mel(mel, 10, floor=CFG.log_floor))
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+    real = dsp._analysis_rows
+    calls = []
+
+    def failing(*args):  # the third iteration of the chosen part raises
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError(f"the part on the {where} failed")
+        return real(*args)
+
+    def check():
+        dsp._pool = ThreadPoolExecutor(1)
+        dsp._analysis_rows = failing
+        try:
+            invert_mel(mel, 10, floor=CFG.log_floor)
+        except ValueError as exc:  # the part's own error, not the broken barrier
+            raised = str(exc) == f"the part on the {where} failed"
+        else:
+            return False
+        dsp._analysis_rows = real
+        # the same one-thread pool runs the next region's second part
+        return raised and len(calls) == 3 and _inverts_like_row_split(mel, expected)
+
+    assert _in_child(check) == 0
+
+
+@needs_fork
+def test_a_region_runs_as_one_part_while_another_holds_the_pool(monkeypatch):
+    # the first region's parts hold both pool threads until the second has
+    # returned; parts of the second left in the pool's queue would never run
+    monkeypatch.setattr(dsp, "_MIN_ROWS", 1)
+    monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
+
+    def check():
+        dsp._pool = ThreadPoolExecutor(2)
+        first, second, release = [], [], threading.Event()
+
+        def held(wait, start, stop):
+            first.append((start, stop))
+            release.wait()
+            wait()
+
+        holder = threading.Thread(target=dsp._in_region, args=(held, 3))
+        holder.start()
+        while len(first) < 3:
+            time.sleep(0.001)
+        dsp._in_region(lambda wait, start, stop: second.append((start, stop)) or wait(), 3)
+        release.set()
+        holder.join()
+        return sorted(first) == [(0, 1), (1, 2), (2, 3)] and second == [(0, 3)]
+
+    assert _in_child(check) == 0
 
 
 def test_an_error_in_a_worker_range_reaches_the_caller(monkeypatch):
