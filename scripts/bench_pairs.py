@@ -17,8 +17,8 @@ direction comes from ``BENCHMARK.json``), and a verdict per metric: ``worse``,
 the CPU seconds a hypervisor gave other guests while it ran, its frames/s
 before ``perfbench``'s host-speed correction, and the correction's median
 factor; per workload, these two get the same median, quartiles and pairs
-won, printed under the corrected frames/s. To measure on one core, run the whole command under ``taskset -c
-0``: both sides inherit the affinity.
+won, printed under the corrected frames/s. To measure on one core, run the
+whole command under ``taskset -c 0``: both sides inherit the affinity.
 """
 
 from __future__ import annotations

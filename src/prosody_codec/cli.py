@@ -201,7 +201,8 @@ def cmd_train(cfg: RunConfig, args) -> dict:
         "loss_at_100": state.loss_at_100,
         "eval": evaluate(model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)),
         # relative, so that runs in different directories write the same bytes
-        "checkpoint": os.path.relpath(_checkpoint_path(cfg, args.continuous), cfg.paths.report_dir),
+        "checkpoint": os.path.relpath(_checkpoint_path(cfg, args.continuous),
+                                      cfg.paths.report_dir),
         "vocab_size": len(corpus.vocab),
         "n_speakers": len(corpus.speakers),
     }
