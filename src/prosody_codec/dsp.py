@@ -229,7 +229,9 @@ def _in_region(part, n_rows: int) -> None:
     is ``part(wait, 0, n_rows)`` with a ``wait`` that returns at once.
     A part that raises breaks the barrier, so every other part raises
     ``BrokenBarrierError`` at its next wait; once all have returned, the
-    first part's own exception is raised here.
+    first part's own exception is raised here. Like ``_by_rows`` kernels,
+    parts call only private functions and never ``_by_rows`` or
+    ``_in_region``, whose work would queue behind the waiting parts.
     """
     n = min(_usable_cores(), n_rows // _MIN_ROWS)
     if n > 1:
