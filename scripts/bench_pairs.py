@@ -102,12 +102,17 @@ def parse_run(stdout: str) -> dict:
 
 
 def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> str:
+    """The output of one run in ``checkout``. A run that ends without its
+    result line, having printed nothing or part of its output, raises a
+    RuntimeError naming the checkout, command, exit code and stderr's tail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if not proc.stdout.strip():
-        raise RuntimeError(f"{checkout}: {' '.join(cmd[1:])} printed nothing (exit "
-                           f"{proc.returncode}):\n{proc.stderr[-2000:]}")
+    try:
+        parse_run(proc.stdout)
+    except (StopIteration, ValueError, LookupError, TypeError):  # no run, env or result line
+        raise RuntimeError(f"{checkout}: {' '.join(cmd[1:])} printed no result line (exit "
+                           f"{proc.returncode}):\n{proc.stderr[-2000:]}") from None
     return proc.stdout
 
 

@@ -252,10 +252,10 @@ def select_path_codes(
     axis: int,
     n_points: int,
     corridor_halfwidth: float,
-    center: float | None = None,
 ) -> list[int]:
-    """Codes lying in a corridor around one principal axis, picked nearest to
-    evenly spaced positions along it; returned ordered by the on-axis value."""
+    """Codes lying in a corridor around one principal axis, centred on the
+    codes' median off-axis value, picked nearest to evenly spaced positions
+    along it; returned ordered by the on-axis value."""
     if axis not in (1, 2):
         raise ContractError("select_path_codes: axis must be 1 or 2")
     if n_points < 2:
@@ -265,8 +265,7 @@ def select_path_codes(
         raise ContractError("select_path_codes: projection has fewer than 2 components")
     on = coords[:, axis - 1]
     off = coords[:, 2 - axis]
-    if center is None:
-        center = float(np.median(off))
+    center = float(np.median(off))
     candidates = np.nonzero(np.abs(off - center) <= corridor_halfwidth)[0]
     if candidates.size == 0:
         raise DataError(

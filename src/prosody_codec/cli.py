@@ -18,12 +18,15 @@ import copy
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
 
+from . import __version__
 from . import analysis as an
+from . import dsp
 from . import metrics as mx
 from .config import MEL_FIELDS, RunConfig, dumps_config, load_config, section_json
 from .corpus import (
@@ -747,12 +750,27 @@ def _command_words(argv) -> list[str]:
     return words
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The versions and thread settings a run's timing depends on."""
+    threads = {name: os.environ.get(name) for name in _THREAD_VARIABLES}
+    threads["dsp_cores"] = dsp._usable_cores()  # the cores dsp splits frames across
+    return {
+        "versions": {"prosody_codec": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        "threads": threads,
+    }
+
+
 def dispatch(argv) -> int:
     """Parse, load the run config, run the command, then echo the config it
-    ran with as ``effective_config.json``, append the command, its wall time
-    and the sha256 of that config to ``run_log.jsonl`` in the report
-    directory, and print its payload as one JSON line. Errors map to the
-    exit codes in the module docstring."""
+    ran with as ``effective_config.json``, append the command, its wall time,
+    the sha256 of that config and the run's environment (see
+    :func:`_environment`) to ``run_log.jsonl`` in the report directory, and
+    print its payload as one JSON line. Errors map to the exit codes in the
+    module docstring."""
     start = time.perf_counter()
     parser = build_parser()
     try:
@@ -772,6 +790,7 @@ def dispatch(argv) -> int:
             "command": " ".join(_command_words(argv)),
             "seconds": round(time.perf_counter() - start, 3),
             "config_sha": hashlib.sha256(effective.encode("utf-8")).hexdigest(),
+            **_environment(),
         }
         # timing goes here, never into the reports that reruns compare
         with open(os.path.join(cfg.paths.report_dir, "run_log.jsonl"), "a", encoding="utf-8") as fh:

@@ -183,54 +183,33 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool_in_child)
 
 
-def _by_rows(kernel, n_rows: int) -> None:
-    """Run ``kernel(start, stop)`` on contiguous ranges that cover rows 0..n_rows.
-
-    There is one range per usable core and none shorter than ``_MIN_ROWS``:
-    the first runs on the calling thread, the others on the module's thread
-    pool, whose threads start at the first split. With one usable core, or
-    too few rows, this is ``kernel(0, n_rows)``.
-    A kernel treats each row on its own and writes into preallocated arrays,
-    so the result does not depend on the split; whatever mixes rows runs on
-    the calling thread after the join. Kernels call only this module's
-    private functions, because the tracer that wraps its public names is not
-    thread-safe, and never call ``_by_rows``. An exception raised in a range
-    is raised here once every range has finished.
-    """
-    n = min(_usable_cores(), n_rows // _MIN_ROWS)
-    if n <= 1:
-        kernel(0, n_rows)
-        return
-    bounds = [n_rows * i // n for i in range(n + 1)]
-    futures = [_pool.submit(kernel, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
-    try:
-        kernel(0, bounds[1])
-    finally:
-        for future in futures:
-            future.exception()  # waits; the other ranges write into the caller's arrays
-    for future in futures:
-        future.result()
-
-
 def _no_wait() -> None:
     pass
 
 
 def _in_region(part, n_rows: int) -> None:
     """Run ``part(wait, start, stop)`` on contiguous ranges that cover rows
-    0..n_rows, all at the same time, as one parallel region.
+    0..n_rows, all at the same time, as one parallel region. This is the
+    only code that hands work to the module's thread pool, whose threads
+    start at the first split.
+
+    There is one range per usable core and none shorter than ``_MIN_ROWS``,
+    but never more than the pool has threads plus one, since a part left in
+    the pool's queue would hold the others at their first wait. The first
+    range runs on the calling thread. With one part, and while another
+    thread's region holds the pool, this is ``part(wait, 0, n_rows)`` with a
+    ``wait`` that returns at once.
 
     Parts step in rounds: ``wait()`` returns once every part has called it
-    as often, so each part must call it the same number of times. Ranges are
-    cut as in :func:`_by_rows`, the first on the calling thread, but there
-    are never more parts than the pool has threads plus one, since a part
-    left in the pool's queue would hold the others at their first wait.
-    While another thread's region holds the pool, and with one part, this
-    is ``part(wait, 0, n_rows)`` with a ``wait`` that returns at once.
-    A part that raises breaks the barrier, so every other part raises
-    ``BrokenBarrierError`` at its next wait; once all have returned, the
-    first part's own exception is raised here. Like ``_by_rows`` kernels,
-    parts call only private functions and never ``_by_rows`` or
+    as often, so each part calls it the same number of times; a part that
+    only treats its own rows never calls it. A part writes only its own rows
+    of the caller's arrays and reads another part's rows only after a wait,
+    so the result does not depend on the split; the caller reads them all
+    after the region. A part that raises breaks the barrier, so every other
+    part raises ``BrokenBarrierError`` at its next wait; once all have
+    returned, the part's own exception is raised here, the calling thread's
+    first. Parts call only this module's private functions, because the
+    tracer that wraps its public names is not thread-safe, and never
     ``_in_region``, whose work would queue behind the waiting parts.
     """
     n = min(_usable_cores(), n_rows // _MIN_ROWS)
@@ -303,7 +282,8 @@ def stft(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     T = frame_count(len(x), n_fft, hop)  # rejects a bad hop or too short a signal
     spec = np.empty((T, n_fft // 2 + 1), dtype=complex)
     frames = sliding_window_view(x, n_fft)[::hop]
-    _by_rows(functools.partial(_analysis_rows, frames, _hann(n_fft), spec), T)
+    window = _hann(n_fft)
+    _in_region(lambda wait, start, stop: _analysis_rows(frames, window, spec, start, stop), T)
     return spec
 
 
@@ -312,7 +292,8 @@ def istft(spec: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     _require_hop(hop, "istft")
     T = spec.shape[0]
     blocks = _padded_rows(T, n_fft, hop)
-    _by_rows(functools.partial(_synthesis_rows, spec, _hann(n_fft), blocks), T)
+    window = _hann(n_fft)
+    _in_region(lambda wait, start, stop: _synthesis_rows(spec, window, blocks, start, stop), T)
     return _signal(_overlap_add(blocks, hop), T, n_fft, hop) / _ola_norm(T, n_fft, hop)
 
 
@@ -584,14 +565,14 @@ def estimate_f0(
         n_fft *= 2
     tau_hat = np.zeros(T)
 
-    def rows(start, stop):
+    def rows(wait, start, stop):
         for a in range(start, stop, _YIN_BLOCK):
             b = min(a + _YIN_BLOCK, stop)
             tau_hat[a:b], voiced[a:b] = _yin_frames(
                 segs[a:b], win_length, tau_min, tau_max, n_fft, threshold
             )
 
-    _by_rows(rows, T)
+    _in_region(rows, T)
     f0[voiced] = np.clip(sr / tau_hat[voiced], f_min, f_max)
     return PitchContour(f0=f0, voiced=voiced)
 

@@ -297,11 +297,13 @@ def test_path_axis2_uses_other_axis():
 
 
 def test_path_empty_corridor_suggests_widening():
-    proj, entries = grid_projection()
+    # 4 grid rows: the off-axis median lies midway between the middle two,
+    # 1/3 from each, so a narrower corridor holds no entry
+    xs, ys = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-1, 1, 4))
+    entries = np.stack([xs.ravel(), ys.ravel(), np.zeros(36)], axis=1)
+    proj = pca_codes(entries + 1e-9 * RNG.normal(size=entries.shape))
     with pytest.raises(DataError, match="widen"):
-        select_path_codes(
-            proj, entries, axis=1, n_points=2, corridor_halfwidth=1e-9, center=100.0
-        )
+        select_path_codes(proj, entries, axis=1, n_points=2, corridor_halfwidth=0.3)
 
 
 # ---------------------------------------------------------------------------

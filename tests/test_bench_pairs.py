@@ -20,7 +20,8 @@ def script():
     return module
 
 
-def fake_output(workload, seed, frames_per_s, peak_rss_mb, uncorrected=93.5, factor=1.05):
+def fake_output(workload, seed, frames_per_s, peak_rss_mb, uncorrected=93.5, factor=1.05,
+                correct=True):
     """A run's output; ``uncorrected`` or ``factor`` None leaves out its line."""
     metrics = {"frames_per_s": {"value": frames_per_s, "unit": "frames/s"},
                "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
@@ -31,7 +32,7 @@ def fake_output(workload, seed, frames_per_s, peak_rss_mb, uncorrected=93.5, fac
         f"  40 ops, 4 beyond p90; uncorrected: setup 0.3 s, {uncorrected} frames/s, op p50 9 ms, "
         "p90 9 ms",
         f"  host speed factor (time correction) over 9 samples: median {factor}, range 0.9-1.1",
-        json.dumps({"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}),
+        json.dumps({"correct": correct, "attempted": 40, "failed": 0, "metrics": metrics}),
     ]
     return "\n".join(line for line in lines if "None" not in line)
 
@@ -114,6 +115,36 @@ def test_uncorrected_frames_and_correction_factors_are_summarized(script, monkey
     assert printed[at + 1].split()[:3] == ["uncorrected_frames_per_s", "parent", "95"]
     assert printed[at + 2].split()[:3] == ["host_speed_factor", "parent", "1.1"]
     assert (tmp_path / "BENCH_x.json").exists()
+
+
+def test_a_run_that_dies_before_its_result_line_names_itself(script, monkeypatch):
+    # the parent's run reports an incorrect result, and the series goes on;
+    # the change's run dies after printing its first lines
+    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
+    outputs = iter([
+        (0, fake_output("resynth", 7, 100.0, 60.0, correct=False), ""),
+        (1, "workload resynth\nenv {}\nrunning...\n", "Traceback ...\nMemoryError\n"),
+    ])
+    calls = []
+
+    def run(cmd, cwd, **kwargs):
+        calls.append(cwd)
+        code, stdout, stderr = next(outputs)
+        return subprocess.CompletedProcess(cmd, code, stdout, stderr)
+
+    @contextlib.contextmanager
+    def checkout(rev):
+        yield "/parent"
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    args = script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads", "resynth",
+                              "--seeds", "7", "--pairs", "1", "--seconds", "2"])
+    with pytest.raises(RuntimeError) as info:
+        script.bench(args, checkout=checkout)
+    assert calls == ["/parent", script.ROOT]
+    message = str(info.value)
+    assert message.startswith(f"{script.ROOT}: perfbench/run.py --workload resynth --seed 7")
+    assert "(exit 1)" in message and message.endswith("MemoryError\n")
 
 
 @pytest.mark.parametrize("parent, change, better, expected", [

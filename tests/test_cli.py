@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import platform
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import prosody_codec
 from prosody_codec import analysis as an
 from prosody_codec import cli
 from prosody_codec import corpus as corpus_module
@@ -146,7 +148,17 @@ def test_each_successful_command_appends_to_the_run_log(tmp_path):
     assert [r["command"] for r in records] == ["synth-data", "prepare"]
     sha = hashlib.sha256((reports / "effective_config.json").read_bytes()).hexdigest()
     assert all(r["seconds"] >= 0 and r["config_sha"] == sha for r in records)
-    assert all(set(r) == {"command", "seconds", "config_sha"} for r in records)
+    assert all(set(r) == {"command", "seconds", "config_sha", "versions", "threads"}
+               for r in records)
+    assert records[0]["versions"] == {"prosody_codec": prosody_codec.__version__,
+                                      "numpy": np.__version__,
+                                      "python": platform.python_version()}
+    assert records[0]["threads"] == {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
+        "dsp_cores": dsp_module._usable_cores(),
+    }
 
 
 def test_train_summaries_are_the_same_bytes_in_any_directory(tmp_path):

@@ -351,13 +351,14 @@ def _rows_invert_mel(mel, iterations, floor=1e-5):
     spec = np.empty((T, n_fft // 2 + 1), dtype=complex)
     spec_mag, residual = np.empty(spec.shape), np.empty(spec.shape)
     blocks = dsp._padded_rows(T, n_fft, hop)
-    dsp._by_rows(lambda a, b: dsp._synthesis_rows(magnitude, window, blocks, a, b), T)
+    dsp._in_region(lambda wait, a, b: dsp._synthesis_rows(magnitude, window, blocks, a, b), T)
     x = _rows_overlap_add(blocks, hop, n_fft) / norm
     frames = sliding_window_view(x, n_fft)[::hop]
     errors = []
     for _ in range(iterations):
-        dsp._by_rows(lambda a, b: _rows_griffin_lim_step(frames, window, magnitude, spec, spec_mag,
-                                                         residual, blocks, a, b), T)
+        dsp._in_region(lambda wait, a, b: _rows_griffin_lim_step(frames, window, magnitude, spec,
+                                                                 spec_mag, residual, blocks, a, b),
+                       T)
         errors.append(float(np.linalg.norm(residual) / magnitude_norm))
         np.divide(_rows_overlap_add(blocks, hop, n_fft), norm, out=x)
     return np.clip(x, -1.0, 1.0), errors
@@ -570,15 +571,19 @@ def test_region_parts_cover_the_rows_and_wait_together(cores):
 
 
 def test_split_ranges_cover_the_rows(monkeypatch):
+    # parts that never wait, as the STFT's and YIN's; 3 cores and a pool of
+    # 2 threads, so the pool does not cap the parts
     monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
-    for n_rows in (0, 1, dsp._MIN_ROWS, 2 * dsp._MIN_ROWS - 1, 2 * dsp._MIN_ROWS, 100):
-        seen = []
-        dsp._by_rows(lambda a, b: seen.append((a, b)), n_rows)
-        seen.sort()
-        assert seen[0][0] == 0 and seen[-1][1] == n_rows
-        assert all(prev[1] == nxt[0] for prev, nxt in zip(seen, seen[1:]))
-        assert len(seen) == max(1, min(3, n_rows // dsp._MIN_ROWS))
-        assert len(seen) == 1 or min(b - a for a, b in seen) >= dsp._MIN_ROWS
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(dsp, "_pool", pool)
+        for n_rows in (0, 1, dsp._MIN_ROWS, 2 * dsp._MIN_ROWS - 1, 2 * dsp._MIN_ROWS, 100):
+            seen = []
+            dsp._in_region(lambda wait, a, b: seen.append((a, b)), n_rows)
+            seen.sort()
+            assert seen[0][0] == 0 and seen[-1][1] == n_rows
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(seen, seen[1:]))
+            assert len(seen) == max(1, min(3, n_rows // dsp._MIN_ROWS))
+            assert len(seen) == 1 or min(b - a for a, b in seen) >= dsp._MIN_ROWS
 
 
 def test_one_usable_core_starts_no_thread(monkeypatch):
@@ -590,6 +595,7 @@ def test_one_usable_core_starts_no_thread(monkeypatch):
     monkeypatch.setattr(dsp, "_pool", NoPool())
     invert_mel(toy_utterance_mels(1)[0], 2)
     estimate_f0(sine(220.0), 50.0, 600.0)
+    istft(stft(sine(220.0).samples, CFG.n_fft, CFG.hop_length), CFG.n_fft, CFG.hop_length)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -713,16 +719,20 @@ def test_a_region_runs_as_one_part_while_another_holds_the_pool(monkeypatch):
 
 
 def test_an_error_in_a_worker_range_reaches_the_caller(monkeypatch):
+    # a part that never waits breaks the barrier for nobody: the pool part's
+    # own error reaches the caller, and the caller's part runs to its end
     monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
     done = []
 
-    def kernel(start, stop):
+    def part(wait, start, stop):
         if start > 0:
             raise ValueError(f"rows {start}..{stop}")
         done.append(start)
 
-    with pytest.raises(ValueError, match=f"rows {dsp._MIN_ROWS}"):
-        dsp._by_rows(kernel, 2 * dsp._MIN_ROWS)
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(dsp, "_pool", pool)
+        with pytest.raises(ValueError, match=f"rows {dsp._MIN_ROWS}"):
+            dsp._in_region(part, 2 * dsp._MIN_ROWS)
     assert done == [0]
 
 
