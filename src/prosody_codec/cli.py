@@ -14,7 +14,6 @@ seeds in that config.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import os
@@ -45,6 +44,7 @@ from .quantizer import CodeSequence, usage_stats
 from .training import (
     evaluate,
     new_train_state,
+    one_blas_thread,
     reconstruction_scores,
     save_checkpoint,
     score_report,
@@ -166,11 +166,8 @@ def cmd_train(cfg: RunConfig, args) -> dict:
     # a size of 0 is taken from the corpus; CodecModel checks a stated one
     cfg.model.vocab_size = cfg.model.vocab_size or len(corpus.vocab)
     cfg.model.n_speakers = cfg.model.n_speakers or len(corpus.speakers)
-    mcfg = copy.deepcopy(cfg.model)
-    if args.continuous:
-        mcfg.quantization = "none"
     model = CodecModel(
-        mcfg,
+        cfg.model,
         cfg.features,
         corpus.vocab,
         corpus.speakers,
@@ -178,6 +175,7 @@ def cmd_train(cfg: RunConfig, args) -> dict:
         beta=cfg.train.commitment_beta,
         ema_decay=cfg.train.ema_decay,
         ema_epsilon=cfg.train.ema_epsilon,
+        quantized=not args.continuous,
     )
     if cfg.train.dtype == "float64":
         model.astype(np.float64)
@@ -657,7 +655,7 @@ def cmd_metrics(cfg: RunConfig, args) -> dict:
 def _twin_differences(discrete: CodecModel, continuous: CodecModel) -> list[str]:
     """What the two trained models differ in, apart from the quantizer."""
     ours, theirs = section_json(discrete.cfg), section_json(continuous.cfg)
-    fields = [f"model.{k}" for k in ours if k != "quantization" and ours[k] != theirs[k]]
+    fields = [f"model.{k}" for k in ours if ours[k] != theirs[k]]
     if discrete.vocab != continuous.vocab:
         fields.append("vocab")
     if discrete.speakers != continuous.speakers:
@@ -750,17 +748,14 @@ def _command_words(argv) -> list[str]:
     return words
 
 
-_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _environment() -> dict:
-    """The versions and thread settings a run's timing depends on."""
-    threads = {name: os.environ.get(name) for name in _THREAD_VARIABLES}
-    threads["dsp_cores"] = dsp._usable_cores()  # the cores dsp splits frames across
+def _environment(blas_threads: int | None) -> dict:
+    """The versions and thread counts a run's timing depends on:
+    ``blas_threads`` as :func:`one_blas_thread` read it back, and the cores
+    dsp splits frames across."""
     return {
         "versions": {"prosody_codec": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
-        "threads": threads,
+        "threads": {"blas": blas_threads, "dsp_cores": dsp._usable_cores()},
     }
 
 
@@ -770,7 +765,8 @@ def dispatch(argv) -> int:
     the sha256 of that config and the run's environment (see
     :func:`_environment`) to ``run_log.jsonl`` in the report directory, and
     print its payload as one JSON line. Errors map to the exit codes in the
-    module docstring."""
+    module docstring. BLAS runs on one thread."""
+    blas_threads = one_blas_thread()
     start = time.perf_counter()
     parser = build_parser()
     try:
@@ -790,7 +786,7 @@ def dispatch(argv) -> int:
             "command": " ".join(_command_words(argv)),
             "seconds": round(time.perf_counter() - start, 3),
             "config_sha": hashlib.sha256(effective.encode("utf-8")).hexdigest(),
-            **_environment(),
+            **_environment(blas_threads),
         }
         # timing goes here, never into the reports that reruns compare
         with open(os.path.join(cfg.paths.report_dir, "run_log.jsonl"), "a", encoding="utf-8") as fh:

@@ -61,7 +61,6 @@ class ModelConfig:
     code_dim: int = 3
     n_speakers: int = 0  # 0 = infer from corpus
     vocab_size: int = 0  # 0 = infer from corpus
-    quantization: str = "rvq"  # rvq | none
 
     def validate(self, prefix: str = "model") -> None:
         _require(self.model_dim > 0, f"{prefix}.model_dim", "must be positive")
@@ -78,13 +77,7 @@ class ModelConfig:
         _require(self.codebook_size >= 2, f"{prefix}.codebook_size", "must be >= 2")
         _require(self.n_speakers >= 0, f"{prefix}.n_speakers", "must be >= 0")
         _require(self.vocab_size >= 0, f"{prefix}.vocab_size", "must be >= 0")
-        _require(
-            self.quantization in ("rvq", "none"),
-            f"{prefix}.quantization",
-            "must be rvq|none",
-        )
-        if self.quantization == "rvq":
-            _require(self.levels >= 1, f"{prefix}.levels", "must be >= 1 when quantization=rvq")
+        _require(self.levels >= 1, f"{prefix}.levels", "must be >= 1")
 
 
 @dataclass

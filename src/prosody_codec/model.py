@@ -235,7 +235,9 @@ class CodecModel:
         beta: float = 0.25,
         ema_decay: float = 0.99,
         ema_epsilon: float = 1e-5,
+        quantized: bool = True,
     ):
+        """``quantized=False`` builds the continuous twin, with no quantizer."""
         cfg.validate("model")
         for name, declared, actual in (
             ("vocab_size", cfg.vocab_size, len(vocab)),
@@ -254,13 +256,12 @@ class CodecModel:
         if params is None:
             params = init_params(self, rng)
         _, self.params = ad.flat_views(params, self.dtype)
-        if cfg.quantization == "rvq":
+        self.rvq = None
+        if quantized:
             self.rvq = rvq if rvq is not None else new_rvq(
                 cfg.levels, cfg.codebook_size, cfg.code_dim,
                 beta=beta, decay=ema_decay, epsilon=ema_epsilon, rng=rng,
             )
-        else:
-            self.rvq = None
 
     # -- parameter plumbing
 
@@ -435,7 +436,7 @@ class CodecModel:
 # ---------------------------------------------------------------------------
 # checkpoints (model part)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def model_arrays(model: CodecModel) -> dict[str, np.ndarray]:
@@ -503,17 +504,11 @@ def _section_from_meta(cls, data, key: str, prefix: str):
         raise DataError(f"checkpoint {key}: {exc}") from None
 
 
-def retired_param(name: str) -> bool:
-    """A parameter older checkpoints carry and no code reads: the gain and
-    bias of an attention norm that was never applied. Loading drops it."""
-    return name.split(".")[2:] in (["attn", "norm", "gain"], ["attn", "norm", "bias"])
-
-
 def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
     """Rebuild a model from checkpoint meta and arrays. A missing key or
     array, a config value the run-config parser rejects, or (checked by
     ``CodecModel``) a parameter the config does not imply by name or shape
-    is a DataError."""
+    is a DataError. A null ``rvq`` section makes the continuous twin."""
     from .corpus import PhonemeVocab
     from .quantizer import Codebook
 
@@ -525,32 +520,18 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
     _require_keys("meta", meta, {"model_config": dict, "feature_config": dict, "vocab": [str],
                                  "speakers": [str], "dtype": str, "rvq": (dict, type(None))})
     features = _section_from_meta(FeatureConfig, meta["feature_config"], "feature_config", "features")
-    # Keys older checkpoints store in model_config and no code reads: the
-    # value each must hold to load (None: any), and what that value is.
-    retired = {
-        "n_mels": (features.n_mels, f"feature_config n_mels {features.n_mels}"),
-        "sigma_policy": ("ratio", "the one resampling rule, 'ratio'"),
-        "sigma_value": (None, None),  # read only by the retired policies
-    }
-    model_config = dict(meta["model_config"])
-    for key, (required, what) in retired.items():
-        value = model_config.pop(key, required)
-        if required is not None and value != required:
-            raise DataError(f"checkpoint model_config: {key} {value!r:.60} differs from {what}")
-    cfg = _section_from_meta(ModelConfig, model_config, "model_config", "model")
+    cfg = _section_from_meta(ModelConfig, meta["model_config"], "model_config", "model")
     vocab = PhonemeVocab.from_json(meta["vocab"])
     if meta["dtype"] not in ("float32", "float64"):
         raise DataError(f"checkpoint dtype: expected float32 or float64, got {meta['dtype']!r}")
     dtype = np.dtype(meta["dtype"])
-    params = {
-        k[len("param.") :]: v.astype(dtype)
-        for k, v in arrays.items()
-        if k.startswith("param.") and not retired_param(k[len("param.") :])
-    }
+    params = {k[len("param.") :]: v.astype(dtype) for k, v in arrays.items() if k.startswith("param.")}
     rvq = None
-    if (meta["rvq"] is None) != (cfg.quantization == "none"):
-        raise DataError(f"checkpoint rvq: {meta['rvq']!r:.60} with quantization {cfg.quantization}")
-    if meta["rvq"] is not None:
+    if meta["rvq"] is None:
+        stray = sorted(k for k in arrays if k.startswith("rvq."))
+        if stray:
+            raise DataError(f"checkpoint rvq: null, but the arrays hold {', '.join(stray)}")
+    else:
         _require_keys("rvq meta", meta["rvq"], {"beta": NUMBER, "levels": [dict]})
         if len(meta["rvq"]["levels"]) != cfg.levels:
             raise DataError(f"checkpoint rvq: {len(meta['rvq']['levels'])} levels, the config {cfg.levels}")
@@ -575,9 +556,8 @@ def _model_from_parts(meta: dict, arrays: dict[str, np.ndarray]) -> CodecModel:
                 )
             )
         rvq = RVQ(levels=books, beta=meta["rvq"]["beta"])
-    return CodecModel(
-        cfg, features, vocab, meta["speakers"], params=params, rvq=rvq
-    )
+    return CodecModel(cfg, features, vocab, meta["speakers"], params=params, rvq=rvq,
+                      quantized=rvq is not None)
 
 
 def load_model(path: str) -> CodecModel:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import glob
 import json
 import os
 from dataclasses import dataclass
@@ -23,14 +24,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as mx
-from .analysis import extraction_slice
+from .analysis import entropy_nats, extraction_slice
 from .autodiff import AdamState, Tensor
 from .config import TrainConfig, section_json
 from .containers import read_container, write_container
 from .corpus import Batch, Corpus, Utterance, inference_batches, make_batch
 from .errors import ContractError, DataError, NumericError
 from .model import (NUMBER, CodecModel, _model_from_parts, _require_keys, _section_from_meta,
-                    model_arrays, model_meta, retired_param)
+                    model_arrays, model_meta)
 # quantize_level is unused here; perfbench/layers.py still wraps training.quantize_level
 from .quantizer import ema_update, quantize_level, reinit_dead_codes, seed_codebooks
 
@@ -165,8 +166,10 @@ def train_step(state: TrainState, batch: Batch) -> dict:
         if out["codes"] is not None:
             k = model.cfg.codebook_size
             for l in range(model.rvq.n_levels):
-                idx = out["codes"].indices[..., l][batch.phoneme_mask]
-                record[f"usage_l{l + 1}"] = float(np.unique(idx).size) / k
+                counts = np.bincount(out["codes"].indices[..., l][batch.phoneme_mask], minlength=k)
+                record[f"usage_l{l + 1}"] = float(np.count_nonzero(counts)) / k
+                # exp of the entropy of the batch's code histogram
+                record[f"perplexity_l{l + 1}"] = float(np.exp(entropy_nats(counts / counts.sum())))
         return record
     except NumericError as exc:
         return {"step": state.step, "skipped": True, "error": str(exc)}
@@ -238,7 +241,7 @@ def load_checkpoint(path: str) -> TrainState:
     moments = {"opt.m.": opt.m, "opt.v.": opt.v}  # prefixes of one length
     for key, arr in arrays.items():
         prefix, name = key[:6], key[6:]
-        if prefix not in moments or retired_param(name):
+        if prefix not in moments:
             continue
         moment = moments[prefix].get(name)
         if moment is None or moment.shape != arr.shape:
@@ -291,6 +294,44 @@ def keep_freed_memory_mapped() -> bool:
     return bool(mmap_set and trim_set)
 
 
+# the thread-count functions of numpy's bundled OpenBLAS: the scipy-openblas
+# build of numpy's wheels, then OpenBLAS's own names
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def one_blas_thread() -> int | None:
+    """Run numpy's OpenBLAS on one thread in this process, so that float
+    results do not depend on how BLAS splits a product, and no idle BLAS
+    worker spins on the core a ``dsp`` part runs on. Call it before the
+    process's first multithreaded BLAS call: a worker that is already
+    spinning keeps spinning. Returns the thread count OpenBLAS reads back.
+    Where it finds no OpenBLAS it can set (another BLAS, a numpy without
+    bundled libraries), it does nothing, returns None and never raises."""
+    base = os.path.dirname(np.__file__)
+    # numpy's wheels bundle their libraries in numpy.libs beside the package
+    # (Linux, Windows) or in numpy/.dylibs (macOS)
+    paths = sorted(glob.glob(os.path.join(base + ".libs", "*openblas*"))
+                   + glob.glob(os.path.join(base, ".dylibs", "*openblas*")))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_FUNCTIONS:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is None or getter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter(1)
+            return int(getter())
+    return None
+
+
 def _usage() -> dict:
     """Wall clock, and where available this process's system time and minor
     page faults so far."""
@@ -323,7 +364,9 @@ def train(
     ``log_path`` gets the step and eval records, which a fixed seed
     reproduces byte for byte. ``timing_path``, if given, gets one record per
     step of what ``train_step`` cost: ``wall_ms``, and where the platform
-    reports them ``sys_ms`` and ``minflt`` (minor page faults)."""
+    reports them ``sys_ms`` and ``minflt`` (minor page faults). BLAS runs on
+    one thread (see :func:`one_blas_thread`)."""
+    one_blas_thread()
     keep_freed_memory_mapped()
     tcfg = state.tcfg
     train_utts, eval_utts = split_corpus(corpus, tcfg.eval_fraction)

@@ -17,6 +17,7 @@ from prosody_codec import model as model_module
 from prosody_codec.config import dumps_config, load_config, loads_config
 from prosody_codec.containers import read_container, write_container
 from prosody_codec.errors import ConfigError, DataError
+from prosody_codec.training import one_blas_thread
 
 
 def micro_config(root, **overrides):
@@ -153,12 +154,9 @@ def test_each_successful_command_appends_to_the_run_log(tmp_path):
     assert records[0]["versions"] == {"prosody_codec": prosody_codec.__version__,
                                       "numpy": np.__version__,
                                       "python": platform.python_version()}
-    assert records[0]["threads"] == {
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
-        "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
-        "dsp_cores": dsp_module._usable_cores(),
-    }
+    # the count OpenBLAS reads back after the command set it, None without OpenBLAS
+    assert records[0]["threads"] == {"blas": one_blas_thread(), "dsp_cores": dsp_module._usable_cores()}
+    assert records[0]["threads"]["blas"] in (1, None)
 
 
 def test_train_summaries_are_the_same_bytes_in_any_directory(tmp_path):
@@ -267,9 +265,10 @@ def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
         ("model_config", "model_dim", True, "model.model_dim: expected int, got bool"),
         ("feature_config", "log_floor", "1", "features.log_floor: expected number"),
         ("feature_config", "hop_length", 64.5, "features.hop_length: expected int, got float"),
-        ("model_config", "n_mels", 30, "n_mels 30 differs from feature_config n_mels 20"),
-        ("model_config", "sigma_policy", "fixed", "sigma_policy 'fixed' differs from the one resampling rule"),
-        ("model_config", "sigma_policy", "learnable", "sigma_policy 'learnable' differs from the one resampling rule"),
+        # keys that format 1 stated: a format-2 file stating one is malformed
+        ("model_config", "n_mels", 20, "model.n_mels: unknown key"),
+        ("model_config", "sigma_policy", "ratio", "model.sigma_policy: unknown key"),
+        ("model_config", "quantization", "rvq", "model.quantization: unknown key"),
     ],
 )
 def test_checkpoint_config_value_exit_2(pipeline, tmp_path, capsys, section, key, value, message):
@@ -403,13 +402,20 @@ def test_train_fills_in_only_unstated_model_sizes(pipeline, tmp_path, capsys):
 
 def test_analyze_usage_on_continuous_checkpoint_exit_2(pipeline, tmp_path, capsys):
     root, _ = pipeline
-    config = write_config(
-        tmp_path, model={"quantization": "none"}, train={"max_steps": 2}, paths=_pipeline_data(root)
-    )
-    assert cli.main(["train", "--config", config]) == 0
+    config = write_config(tmp_path, train={"max_steps": 2}, paths=_pipeline_data(root))
+    assert cli.main(["train", "--continuous", "--config", config]) == 0
+    ckpt = tmp_path / "ckpt"
+    (ckpt / "latest.ckpt").write_bytes((ckpt / "continuous.ckpt").read_bytes())
     capsys.readouterr()
     assert cli.main(["analyze", "--config", config, "usage"]) == 2
     assert "analyze usage: model has no quantizer" in capsys.readouterr().err
+
+
+def test_config_stating_model_quantization_exit_1(tmp_path, capsys):
+    # `train --continuous` is the one way to make the twin without a quantizer
+    config = write_config(tmp_path, model={"quantization": "none"})
+    assert cli.main(["train", "--config", config]) == 1
+    assert "model.quantization: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -780,6 +786,20 @@ def test_ablate_continuous_with_stale_twin_exit_2(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["ablate-continuous", "--config", config]) == 2
     assert "in model.model_dim; retrain one of them" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["resynth"], ["analyze", "usage"], ["ablate-continuous"]])
+def test_checkpoint_of_format_1_exit_2(pipeline, tmp_path, capsys, command):
+    # format 1 stated model_config.quantization; such a file must be retrained
+    config = _twin_config(pipeline[0], tmp_path)
+    path = str(tmp_path / "ckpt" / "latest.ckpt")
+    meta, arrays = read_container(path)
+    meta["format_version"] = 1
+    meta["model_config"]["quantization"] = "rvq"
+    write_container(path, meta, arrays)
+    capsys.readouterr()
+    assert cli.main([*command, "--config", config]) == 2
+    assert "checkpoint format version mismatch: expected 2, found 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -30,10 +30,11 @@ def tiny_feat():
     return FeatureConfig(n_mels=20)
 
 
-def make_model(seed=0, cfg=None, dtype=None):
+def make_model(seed=0, cfg=None, dtype=None, quantized=True):
     vocab = PhonemeVocab([f"p{i}" for i in range(6)])
     model = CodecModel(
-        cfg or TINY, tiny_feat(), vocab, ["s0", "s1"], rng=np.random.default_rng(seed)
+        cfg or TINY, tiny_feat(), vocab, ["s0", "s1"], rng=np.random.default_rng(seed),
+        quantized=quantized,
     )
     if dtype is not None:
         model.astype(dtype)
@@ -447,7 +448,7 @@ def test_batch_matches_one_at_a_time():
         assert np.array_equal(seq.indices, single.indices)
         assert recon.values.shape == utt.mel.values.shape
         np.testing.assert_allclose(recon.values, model.reconstruct(utt).values, rtol=1e-5, atol=1e-5)
-    continuous = make_model(seed=2, cfg=dataclasses.replace(TINY, quantization="none"))
+    continuous = make_model(seed=2, quantized=False)
     for utt, recon in zip(utts, continuous.reconstruct_batch(batch)):
         single = continuous.reconstruct(utt)
         np.testing.assert_allclose(recon.values, single.values, rtol=1e-5, atol=1e-5)
@@ -620,11 +621,11 @@ def test_model_config_sizes_must_match(tmp_path):
         with pytest.raises(ContractError, match=f"model.{key} is {wrong}"):
             load_model(str(path))
         save_model(model, str(path))
-    # older checkpoints also state the band count in model_config
+    # feature_config alone states the band count
     meta, arrays = read_container(str(path))
-    meta["model_config"]["n_mels"] = 30
+    meta["model_config"]["n_mels"] = 20
     write_container(str(path), meta, arrays)
-    with pytest.raises(DataError, match="model_config: n_mels 30 differs from feature_config n_mels 20"):
+    with pytest.raises(DataError, match="checkpoint model_config: model.n_mels: unknown key"):
         load_model(str(path))
 
 
@@ -635,15 +636,18 @@ def test_reconstruct_rejects_mel_width_mismatch():
 
 def test_checkpoint_version_mismatch(tmp_path):
     from prosody_codec.containers import read_container, write_container
+    from prosody_codec.config import TrainConfig
+    from prosody_codec.training import load_checkpoint, new_train_state, save_checkpoint
 
-    model = make_model()
-    path = tmp_path / "model.ckpt"
-    save_model(model, str(path))
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(new_train_state(make_model(), TrainConfig()), str(path))
     meta, arrays = read_container(str(path))
-    meta["format_version"] = 99
-    write_container(str(path), meta, arrays)
-    with pytest.raises(DataError, match="expected 1, found 99"):
-        load_model(str(path))
+    for version in (1, 99):  # 1 stated model.quantization and the retired keys
+        meta["format_version"] = version
+        write_container(str(path), meta, arrays)
+        for load in (load_model, load_checkpoint):
+            with pytest.raises(DataError, match=f"version mismatch: expected 2, found {version}$"):
+                load(str(path))
 
 
 def _corrupt(meta, arrays, case):
@@ -718,7 +722,7 @@ def _set(*path_and_value):
         (_set("rvq", "levels", [5, 5]), r"rvq meta: levels: unexpected value \[5, 5\]"),
         (_set("rvq", "beta", None), "rvq meta: beta: unexpected value None"),
         (_set("rvq", "levels", 0, "initialized", 1), "rvq level 0 meta: initialized: unexpected value 1"),
-        (_set("rvq", None), "rvq: None with quantization rvq"),
+        (_set("rvq", None), "rvq: null, but the arrays hold rvq.l0.ema_count, rvq.l0.ema_sum"),
         (_set("model_config", "levels", 3), "rvq: 2 levels, the config 3"),
         (_set("model_config", "codebook_size", 9), r"codebook 0 has shape \(8, 3\), the config needs \(9, 3\)"),
         (_drop("dtype"), "meta lacks dtype"),
@@ -757,5 +761,5 @@ def test_layer_count_mismatch_rejected_before_building_spec_table(tmp_path, monk
 
 def test_continuous_checkpoint_without_rvq_meta_loads(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_model(make_model(cfg=dataclasses.replace(TINY, quantization="none")), str(path))
+    save_model(make_model(quantized=False), str(path))
     assert load_model(str(path)).rvq is None

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -158,7 +161,29 @@ def test_usage_logged_per_level(tmp_path):
     assert step_records
     for r in step_records:
         assert 0 <= r["usage_l1"] <= 1 and 0 <= r["usage_l2"] <= 1
+        assert 1 <= r["perplexity_l1"] <= TINY.codebook_size and 1 <= r["perplexity_l2"] <= TINY.codebook_size
         assert {"l1", "l2", "commit"} <= set(r)
+
+
+def test_perplexity_is_exp_entropy_of_the_batch_code_histogram(monkeypatch):
+    outputs = []
+    compute = training.compute_loss
+
+    def keep_output(*args):
+        result = compute(*args)
+        outputs.append(result[2])
+        return result
+
+    monkeypatch.setattr(training, "compute_loss", keep_output)
+    batch = make_batch(tiny_corpus().utterances)
+    record = train_step(new_train_state(make_model(), TrainConfig(batch_size=4, max_steps=1)), batch)
+    (out,) = outputs
+    for l in range(TINY.levels):
+        codes = out["codes"].indices[..., l][batch.phoneme_mask].tolist()
+        n = len(codes)
+        entropy = -sum(c / n * math.log(c / n) for c in Counter(codes).values())
+        assert record[f"perplexity_l{l + 1}"] == pytest.approx(math.exp(entropy), rel=1e-12)
+        assert record[f"usage_l{l + 1}"] == len(set(codes)) / TINY.codebook_size
 
 
 def test_timing_file_has_one_record_per_step_and_leaves_the_log_alone(tmp_path):
@@ -316,61 +341,6 @@ def test_checkpoint_meta_is_written_through_section_json(tmp_path):
     assert meta["train"]["config"] == dataclasses.asdict(state.tcfg)
     save_checkpoint(load_checkpoint(str(path)), str(tmp_path / "again.ckpt"))
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
-
-
-def test_checkpoint_with_retired_attention_norm_loads(tmp_path):
-    # older checkpoints carry attn.norm.gain/bias, which no code reads, and
-    # their Adam moments; loading drops them
-    state = new_train_state(make_model(seed=2), TrainConfig(batch_size=2, max_steps=3,
-                                                            eval_every=1000, checkpoint_every=1000))
-    train(state, tiny_corpus())
-    path = tmp_path / "state.ckpt"
-    save_checkpoint(state, str(path))
-    meta, arrays = read_container(str(path))
-    for stack in ("penc", "menc", "dec"):
-        for name, value in (("gain", 1.0), ("bias", 0.0)):
-            key = f"{stack}.l0.attn.norm.{name}"
-            arrays["param." + key] = np.full(16, value, dtype=np.float32)
-            arrays["opt.m." + key] = arrays["opt.v." + key] = np.zeros(16, dtype=np.float32)
-    old = tmp_path / "old.ckpt"
-    write_container(str(old), meta, arrays)
-    assert load_model(str(old)).params.keys() == state.model.params.keys()
-    loaded = load_checkpoint(str(old))
-    save_checkpoint(loaded, str(tmp_path / "again.ckpt"))
-    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
-    assert "total" in train_step(loaded, make_batch(tiny_corpus().utterances[:2]))
-
-
-def _assert_loads_as_if_unstated(tmp_path, **stated):
-    """A training checkpoint whose model_config also states ``stated`` loads,
-    reconstructs bit-identically and re-saves byte-identically to one that
-    does not."""
-    state = new_train_state(make_model(seed=2), TrainConfig(batch_size=2, max_steps=3,
-                                                            eval_every=1000, checkpoint_every=1000))
-    train(state, tiny_corpus())
-    path = tmp_path / "state.ckpt"
-    save_checkpoint(state, str(path))
-    meta, arrays = read_container(str(path))
-    meta["model_config"].update(stated)
-    old = tmp_path / "old.ckpt"
-    write_container(str(old), meta, arrays)
-    utt = tiny_corpus().utterances[0]
-    np.testing.assert_array_equal(load_model(str(old)).reconstruct(utt).values,
-                                  state.model.reconstruct(utt).values)
-    save_checkpoint(load_checkpoint(str(old)), str(tmp_path / "again.ckpt"))
-    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
-
-
-def test_checkpoint_stating_model_n_mels_loads(tmp_path):
-    # older checkpoints state the band count in model_config as well as in
-    # feature_config; loading drops the model's copy
-    _assert_loads_as_if_unstated(tmp_path, n_mels=FEAT.n_mels)
-
-
-def test_checkpoint_stating_sigma_policy_loads(tmp_path):
-    # older checkpoints state the resampling policy and its spread in
-    # model_config; 'ratio', the one rule left, loads and drops both
-    _assert_loads_as_if_unstated(tmp_path, sigma_policy="ratio", sigma_value=1.0)
 
 
 def test_checkpoint_carrying_best_eval_loads(tmp_path):
@@ -612,6 +582,74 @@ def test_train_keeps_freed_memory_mapped(monkeypatch):
     tcfg = TrainConfig(batch_size=2, max_steps=1, eval_every=1000, checkpoint_every=1000)
     train(new_train_state(make_model(), tcfg), tiny_corpus())
     assert calls == [True]
+
+
+# A few train steps at the toy's model size, where a GEMM's float results
+# depend on how many threads BLAS splits it across
+_BLAS_PROBE = r"""
+import sys
+
+import numpy as np
+
+from prosody_codec import training
+from prosody_codec.config import FeatureConfig, ModelConfig, SynthSpec, TrainConfig
+from prosody_codec.corpus import synth_corpus
+from prosody_codec.model import CodecModel
+
+out = sys.argv[1]
+features = FeatureConfig()
+corpus = synth_corpus(SynthSpec(n_utterances=8, seed=1), features)
+model = CodecModel(ModelConfig(), features, corpus.vocab, corpus.speakers, rng=np.random.default_rng(0))
+tcfg = TrainConfig(batch_size=8, max_steps=4, warmup_steps=2, eval_every=1000, checkpoint_every=1000)
+training.train(training.new_train_state(model, tcfg), corpus, checkpoint_dir=out,
+               log_path=out + "/train_log.jsonl")
+"""
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _probe_at(tmp_path, threads: str | None) -> tuple[str, str]:
+    out = tmp_path / f"threads_{threads}"
+    out.mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(out)], env=env,
+                   capture_output=True, text=True, timeout=300, check=True)
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("latest.ckpt", "train_log.jsonl"))
+
+
+def test_train_gives_the_same_bits_at_any_blas_thread_count(tmp_path):
+    # parameters, codebooks and Adam moments are in the checkpoint
+    one = _probe_at(tmp_path, "1")
+    assert _probe_at(tmp_path, "2") == one
+    assert _probe_at(tmp_path, None) == one
+
+
+def test_train_runs_blas_on_one_thread(monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "one_blas_thread", lambda: calls.append(True))
+    tcfg = TrainConfig(batch_size=2, max_steps=1, eval_every=1000, checkpoint_every=1000)
+    train(new_train_state(make_model(), tcfg), tiny_corpus())
+    assert calls == [True]
+
+
+def test_one_blas_thread_reads_back_one_or_finds_no_openblas():
+    assert training.one_blas_thread() in (1, None)
+
+
+def test_one_blas_thread_is_a_silent_no_op_without_a_settable_openblas(monkeypatch, tmp_path):
+    def unloadable(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(training.ctypes, "CDLL", unloadable)
+    assert training.one_blas_thread() is None
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda path: object())  # no thread functions
+    assert training.one_blas_thread() is None
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))  # no bundled libraries
+    assert training.one_blas_thread() is None
 
 
 def test_keeping_memory_mapped_is_a_silent_no_op_without_mallopt(monkeypatch):
