@@ -622,22 +622,12 @@ def _probe_at(tmp_path, threads: str | None) -> tuple[str, str]:
 
 
 def test_train_gives_the_same_bits_at_any_blas_thread_count(tmp_path):
+    if training.one_blas_thread() is None:
+        pytest.skip("no OpenBLAS whose thread count the package can set")
     # parameters, codebooks and Adam moments are in the checkpoint
     one = _probe_at(tmp_path, "1")
     assert _probe_at(tmp_path, "2") == one
     assert _probe_at(tmp_path, None) == one
-
-
-def test_train_runs_blas_on_one_thread(monkeypatch):
-    calls = []
-    monkeypatch.setattr(training, "one_blas_thread", lambda: calls.append(True))
-    tcfg = TrainConfig(batch_size=2, max_steps=1, eval_every=1000, checkpoint_every=1000)
-    train(new_train_state(make_model(), tcfg), tiny_corpus())
-    assert calls == [True]
-
-
-def test_one_blas_thread_reads_back_one_or_finds_no_openblas():
-    assert training.one_blas_thread() in (1, None)
 
 
 def test_one_blas_thread_is_a_silent_no_op_without_a_settable_openblas(monkeypatch, tmp_path):
