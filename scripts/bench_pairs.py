@@ -1,24 +1,32 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, written as a BENCH file.
 
-    python scripts/bench_pairs.py --parent REV --name NAME \\
+    python scripts/bench_pairs.py (--parent REV | --null) --name NAME \\
         --workloads resynth [train encode] --seeds 71 [72 ...] --pairs 10 \\
         [--seconds 30] [--description TEXT]
 
 Run from the repository root. REV is checked out with ``git worktree add``
-into a temporary directory, which is removed again however the run ends. For
-each workload, seed and pair, ``perfbench/run.py --trace 0`` runs once in the
-parent checkout and once in the working tree, one run at a time; even pairs
-run the parent first, odd pairs the change first. ``BENCH_<NAME>.json`` gets
-every run, and per workload the median and quartiles of each end-to-end
-metric on each side, and how many pairs each side won on it (the better
-direction comes from ``BENCHMARK.json``), and a verdict per metric: ``worse``,
-``unresolved`` or ``ok`` (see ``verdict``). Each run also records ``steal_s``,
-the CPU seconds a hypervisor gave other guests while it ran, its frames/s
-before ``perfbench``'s host-speed correction, and the correction's median
-factor; per workload, these two get the same median, quartiles and pairs
-won, printed under the corrected frames/s. To measure on one core, run the
-whole command under ``taskset -c 0``: both sides inherit the affinity.
+into a temporary directory, which is removed again however the run ends.
+``--null`` runs both sides from the working tree instead: the pairs then
+show how far two runs of the same code land apart. For each workload, seed
+and pair, ``perfbench/run.py --trace 0`` runs once in the parent checkout
+and once in the working tree, one run at a time; even pairs run the parent
+first, odd pairs the change first. ``BENCH_<NAME>.json`` gets every run, and
+per workload the median and quartiles of each end-to-end metric on each
+side, and how many pairs each side won on it (the better direction comes
+from ``BENCHMARK.json``), and a verdict per metric: ``worse``,
+``unresolved`` or ``ok`` (see ``verdict``). Each run also records
+``steal_s``, the CPU seconds a hypervisor gave other guests while it ran,
+its frames/s before ``perfbench``'s host-speed correction, the correction's
+median factor, and the user and system CPU seconds and minor page faults of
+its process, in total and per op (set-up included); per workload, the
+uncorrected frames/s and the factor get the same median, quartiles and
+pairs won, printed under the corrected frames/s. Per workload and pair, the
+file also holds the log-ratio change/parent of frames/s, corrected and
+uncorrected, and of ``op_ms_p50``, with their median, central 90% and the
+one-sided sign test of the change being better. To measure on one core,
+run the whole command under ``taskset -c 0``: both sides inherit the
+affinity.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -40,7 +50,10 @@ SIDES = ("parent", "change")
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", required=True, help="git revision to compare against")
+    side = p.add_mutually_exclusive_group(required=True)
+    side.add_argument("--parent", help="git revision to compare against")
+    side.add_argument("--null", action="store_true",
+                      help="run both sides from the working tree")
     p.add_argument("--name", required=True, help="writes BENCH_<name>.json at the repository root")
     p.add_argument("--workloads", nargs="+", required=True, choices=["train", "resynth", "encode"])
     p.add_argument("--seeds", nargs="+", type=int, required=True)
@@ -51,6 +64,8 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
+    if args.null:
+        args.parent = "HEAD"
     return args
 
 
@@ -77,6 +92,12 @@ def parent_checkout(rev: str, repo: str = ROOT):
             git("worktree", "remove", "--force", path, cwd=repo)
         git("worktree", "prune", cwd=repo)
         os.rmdir(tmp)
+
+
+@contextlib.contextmanager
+def working_tree(rev: str):
+    """The working tree, whatever ``rev`` is: the parent side of a null run."""
+    yield ROOT
 
 
 def parse_run(stdout: str) -> dict:
@@ -114,6 +135,17 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> str:
         raise RuntimeError(f"{checkout}: {' '.join(cmd[1:])} printed no result line (exit "
                            f"{proc.returncode}):\n{proc.stderr[-2000:]}") from None
     return proc.stdout
+
+
+def cpu_cost(before, after, run_line: str) -> dict:
+    """User and system CPU seconds and minor page faults between two
+    ``getrusage(RUSAGE_CHILDREN)`` readings around one run, and each per op
+    by the op count of its run line."""
+    cost = {"user_s": round(after.ru_utime - before.ru_utime, 3),
+            "sys_s": round(after.ru_stime - before.ru_stime, 3),
+            "minflt": after.ru_minflt - before.ru_minflt}
+    ops = int(re.search(r"\bops (\d+)", run_line).group(1))
+    return {**cost, **{f"{k}_per_op": v / ops if ops else None for k, v in cost.items()}}
 
 
 def steal_seconds() -> float | None:
@@ -205,7 +237,48 @@ def summarize_uncorrected(runs: list[dict]) -> dict:
             "wins": {name: _wins(runs, _uncorrected, name, "higher") for name in UNCORRECTED}}
 
 
-def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
+RATIOS = {"frames_per_s": "higher", "uncorrected_frames_per_s": "higher", "op_ms_p50": "lower"}
+
+
+def _readouts(run: dict) -> dict:
+    return {**run["metrics"], "uncorrected_frames_per_s": run.get("uncorrected_frames_per_s")}
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """One-sided sign test: the chance of at least ``wins`` of ``wins +
+    losses`` fair coin flips."""
+    n = wins + losses
+    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
+
+
+def log_ratios(runs: list[dict]) -> dict:
+    """Per readout in ``RATIOS``: log(change / parent) of each pair in which
+    both sides have it, in pair order, with their median, central 90% (5th
+    and 95th percentiles) and the one-sided sign test that the change is
+    better (``sign_p``)."""
+    pairs: dict[tuple, dict] = {}
+    for run in runs:
+        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = _readouts(run)
+    out = {}
+    for name, better in RATIOS.items():
+        ratios = [math.log(p["change"][name] / p["parent"][name]) for p in pairs.values()
+                  if len(p) == 2 and p["change"].get(name) and p["parent"].get(name)]
+        if not ratios:
+            continue
+        sign = 1.0 if better == "higher" else -1.0
+        p5, median, p95 = np.percentile(ratios, [5, 50, 95]).tolist()
+        out[name] = {"pairs": ratios, "median": median, "p5": p5, "p95": p95,
+                     "sign_p": sign_test(sum(sign * r > 0 for r in ratios),
+                                         sum(sign * r < 0 for r in ratios))}
+    return out
+
+
+def bench(args, run=perfbench, checkout=None) -> dict:
+    """Every pair of runs and their summaries. ``checkout(rev)`` gives the
+    parent side's directory; by default a worktree of ``args.parent``, or,
+    for a null run, the working tree."""
+    if checkout is None:
+        checkout = working_tree if args.null else parent_checkout
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
@@ -216,6 +289,7 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
         "parent_commit": parent,
         "change_commit": git("rev-parse", "--short", "HEAD"),
         "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "null": args.null,
         "workloads": {},
     }
     with checkout(args.parent) as parent_dir:
@@ -226,15 +300,17 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
                 for pair in range(args.pairs):
                     for k, side in enumerate(order(pair)):
                         print(f"{workload} seed {seed} pair {pair}: {side}", file=sys.stderr, flush=True)
-                        before = steal_seconds()
+                        before, usage = steal_seconds(), resource.getrusage(resource.RUSAGE_CHILDREN)
                         record = parse_run(run(dirs[side], workload, seed, seconds))
                         after = steal_seconds()
+                        cpu = cpu_cost(usage, resource.getrusage(resource.RUSAGE_CHILDREN), record["run"])
                         steal = None if None in (before, after) else round(after - before, 3)
                         runs.append({"side": side, "pair": pair, "seed": seed, "first": k == 0,
-                                     "steal_s": steal, **record})
+                                     "steal_s": steal, "cpu": cpu, **record})
             out["workloads"][workload] = {"seconds": seconds, "seeds": list(args.seeds),
                                           **summarize(runs, metrics),
-                                          "uncorrected": summarize_uncorrected(runs), "runs": runs}
+                                          "uncorrected": summarize_uncorrected(runs),
+                                          "log_ratios": log_ratios(runs), "runs": runs}
     return out
 
 
@@ -270,6 +346,10 @@ def main(argv=None) -> int:
                                         entry["uncorrected"]["wins"])
                     if line is not None:
                         print(f"  {line}")
+        for name, r in entry["log_ratios"].items():
+            print(f"  log(change/parent) {name}: median {r['median']:+.4f}, 90% "
+                  f"[{r['p5']:+.4f}, {r['p95']:+.4f}] over {len(r['pairs'])} pairs, "
+                  f"sign test p {r['sign_p']:.3g}")
     print(f"wrote {path}")
     return 0 if all(r["correct"] for e in result["workloads"].values() for r in e["runs"]) else 1
 

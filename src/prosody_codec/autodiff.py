@@ -3,26 +3,33 @@
 A ``Tensor`` wraps an ndarray plus an optional backward closure; calling
 ``backward`` on a scalar output walks the recorded graph once in reverse
 topological order. The ops are functions, not operators on ``Tensor``:
-elementwise ``add``/``sub``/``mul``/``div``/``absolute``, ``swish``, the
-gated linear unit ``glu``, ``matmul`` (batched), ``linear`` (matmul and bias
-in one node), ``layer_norm``, ``embedding_lookup``, ``tsum``, ``reshape``,
-and ``straight_through``, the quantizer's pass-through of the gradient.
-Backward passes compute only the gradients of operands that require one.
+elementwise ``add``/``sub``/``mul``/``div``/``absolute``, ``matmul``
+(batched), ``linear`` (matmul and bias in one node), ``layer_norm``,
+``embedding_lookup``, ``tsum``, ``reshape``, and ``straight_through``, the
+quantizer's pass-through of the gradient. ``node`` makes a node of a
+forward value, its parents and a backward closure that hands each parent's
+gradient to ``accumulate``.
+
+The arithmetic of ``linear``, ``layer_norm``, swish, the gated linear unit,
+the depthwise convolution and multi-head attention lives in kernels, plain
+numpy ``*_fwd`` and ``*_bwd`` functions that the nodes here and the fused
+module nodes of ``model.py`` both call: each op's math has one
+implementation.
 
 Sequences of a padded batch can run packed: ``gather_rows`` takes the rows
 of a (B, L, ...) array where a (B, L) mask is True, in row-major order, and
-``scatter_rows`` puts them back, with zeros elsewhere. Multi-head
-``attention`` with a key mask and ``conv1d_depthwise``, the two ops that mix
-the rows of a sequence, take and return packed rows and pad them
-internally from the mask.
+``scatter_rows`` puts them back, with zeros elsewhere. The attention and
+depthwise-convolution kernels, which mix the rows of a sequence, take and
+return packed rows.
 
 ``flat_views`` lays a set of named arrays out in one flat buffer. The
 model's parameters, their gradient and Adam's two moments share that
 layout: a trainable leaf adds its gradient into its view of the flat
 gradient, and Adam updates the flat buffers in place.
 
-Forward values are never mutated by backward. Broadcasting follows numpy;
-gradients of broadcast operands are summed back to the operand shape.
+Forward values are never mutated by backward, and neither is a gradient a
+backward receives. Broadcasting follows numpy; gradients of broadcast
+operands are summed back to the operand shape.
 """
 
 from __future__ import annotations
@@ -71,11 +78,12 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``. An op's output may share its gradient with a
+def accumulate(t: Tensor, g: np.ndarray | None) -> None:
+    """Add ``g`` to ``t.grad``; a None ``g``, or a ``t`` that requires no
+    gradient, adds nothing. An op's output may share its gradient with a
     sibling (``add`` hands ``out.grad`` to both operands), so only a leaf's
     own buffer is added into in place; a leaf without one copies ``g``."""
-    if not t.requires_grad:
+    if g is None or not t.requires_grad:
         return
     if t._backward is not None:
         t.grad = g if t.grad is None else t.grad + g
@@ -87,7 +95,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tensor:
+def node(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tensor:
     parents = tuple(parents)
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -115,32 +123,31 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
     turn has passed, so a second backward through the same nodes stops there."""
     if seed is None:
         if out.data.size != 1:
-            raise ContractError(
-                f"backward: output has shape {out.data.shape}, expected scalar (or pass seed)"
-            )
+            raise ContractError(f"backward: output has shape {out.data.shape}, expected a scalar "
+                                "(or pass seed)")
         seed = np.ones_like(out.data)
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(out, False)]
     while stack:
-        node, processed = stack.pop()
+        t, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in visited:
+        if id(t) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        visited.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     out.grad = np.asarray(seed, dtype=out.data.dtype).reshape(out.data.shape)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward()
+    for t in reversed(topo):
+        if t._backward is not None and t.grad is not None:
+            t._backward()
         # a closure refers to its own node: without this, only a cyclic
         # collection, at some later step, frees the graph's arrays
-        node._backward, node._parents = None, ()
+        t._backward, t._parents = None, ()
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +160,11 @@ def add(a, b) -> Tensor:
 
     def bwd():
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+            accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+            accumulate(b, _unbroadcast(out.grad, b.data.shape))
 
-    out = _make(out_data, (a, b), bwd)
+    out = node(out_data, (a, b), bwd)
     return out
 
 
@@ -167,11 +174,11 @@ def sub(a, b) -> Tensor:
 
     def bwd():
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+            accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
+            accumulate(b, _unbroadcast(-out.grad, b.data.shape))
 
-    out = _make(out_data, (a, b), bwd)
+    out = node(out_data, (a, b), bwd)
     return out
 
 
@@ -181,11 +188,11 @@ def mul(a, b) -> Tensor:
 
     def bwd():
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
+            accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
-    out = _make(out_data, (a, b), bwd)
+    out = node(out_data, (a, b), bwd)
     return out
 
 
@@ -195,11 +202,11 @@ def div(a, b) -> Tensor:
 
     def bwd():
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
+            accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
+            accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
 
-    out = _make(out_data, (a, b), bwd)
+    out = node(out_data, (a, b), bwd)
     return out
 
 
@@ -208,10 +215,16 @@ def absolute(a) -> Tensor:
     out_data = np.abs(a.data)
 
     def bwd():
-        _accumulate(a, out.grad * np.sign(a.data))
+        accumulate(a, out.grad * np.sign(a.data))
 
-    out = _make(out_data, (a,), bwd)
+    out = node(out_data, (a,), bwd)
     return out
+
+
+# ---------------------------------------------------------------------------
+# kernels, on plain arrays. A forward returns its output and, where its
+# backward needs more than the inputs, what it kept; a backward takes the
+# output's gradient, never writes to it, and returns the inputs' gradients.
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -223,43 +236,177 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def swish(a) -> Tensor:
-    """x * sigmoid(x)."""
-    a = as_tensor(a)
-    s = _sigmoid(a.data)
-    out_data = a.data * s
-
-    def bwd():
-        # d(x s)/dx = s + x s (1 - s) = s (1 + x - out)
-        d = a.data + 1.0
-        d -= out_data
-        d *= s
-        d *= out.grad
-        _accumulate(a, d)
-
-    out = _make(out_data, (a,), bwd)
-    return out
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """The sum over the rows of a 2-D array, as one matrix-vector product."""
+    return np.ones(a.shape[0], dtype=a.dtype) @ a
 
 
-def glu(a, g) -> Tensor:
-    """The gated linear unit a * sigmoid(g), as one node."""
-    a, g = as_tensor(a), as_tensor(g)
-    if a.data.shape != g.data.shape:
-        raise ContractError(f"glu: incompatible shapes {a.data.shape} and {g.data.shape}")
-    s = _sigmoid(g.data)
-    out_data = a.data * s
+def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x @ w (+ b): one GEMM over the flattened leading axes of ``x`` (..., k)
+    against ``w`` (k, n), the bias (n,) added in place."""
+    k, n = w.shape
+    y = x.reshape(-1, k) @ w
+    if b is not None:
+        y += b
+    return y.reshape(x.shape[:-1] + (n,))
 
-    def bwd():
-        if a.requires_grad:
-            _accumulate(a, out.grad * s)
-        if g.requires_grad:
-            d = out.grad * a.data
-            d *= s
-            d *= 1.0 - s
-            _accumulate(g, d)
 
-    out = _make(out_data, (a, g), bwd)
-    return out
+def linear_bwd(g, x, w, need=(True, True, True)):
+    """The gradients of x, w and the bias, each None where ``need`` says so."""
+    k, n = w.shape
+    g2 = g.reshape(-1, n)
+    return ((g2 @ w.T).reshape(x.shape) if need[0] else None,
+            x.reshape(-1, k).T @ g2 if need[1] else None,
+            _column_sums(g2) if need[2] else None)
+
+
+def layer_norm_fwd(x, gain, bias, eps: float = 1e-5):
+    """The last axis (n) normalized to zero mean / unit variance, scaled by
+    ``gain`` (n,) and shifted by ``bias`` (n,); kept: the normalized input
+    and the inverse standard deviation per row."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    out = xhat * gain
+    out += bias
+    return out, (xhat, inv_std)
+
+
+def layer_norm_bwd(g, gain, kept):
+    """The gradients of x, gain and bias."""
+    xhat, inv_std = kept
+    n = gain.shape[0]
+    g2 = g.reshape(-1, n)
+    xhat2 = xhat.reshape(-1, n)
+    gx = g2 * xhat2
+    ggain = _column_sums(gx)
+    # with d = g * gain: dx = inv_std * (d - mean(d) - xhat * mean(d * xhat))
+    mean_d = (g2 @ gain)[:, None] / n
+    mean_dx = (gx @ gain)[:, None] / n
+    dx = g2 * gain
+    dx -= mean_d
+    np.multiply(xhat2, mean_dx, out=gx)
+    dx -= gx
+    dx *= inv_std.reshape(-1, 1)
+    return dx.reshape(xhat.shape), ggain, _column_sums(g2)
+
+
+def swish_fwd(x):
+    """x * sigmoid(x); kept: the sigmoid."""
+    s = _sigmoid(x)
+    return x * s, s
+
+
+def swish_bwd(g, x, s, out):
+    # d(x s)/dx = s + x s (1 - s) = s (1 + x - out)
+    d = x + 1.0
+    d -= out
+    d *= s
+    d *= g
+    return d
+
+
+def glu_fwd(a, gate):
+    """The gated linear unit a * sigmoid(gate); kept: the sigmoid."""
+    s = _sigmoid(gate)
+    return a * s, s
+
+
+def glu_bwd(g, a, s):
+    """The gradients of a and the gate."""
+    ggate = g * a
+    ggate *= s
+    ggate *= 1.0 - s
+    return g * s, ggate
+
+
+def dwconv_fwd(x, w, mask):
+    """Depthwise 1-D convolution along each sequence, 'same' padding.
+
+    ``x``: (n, C), the packed rows of the (B, L) ``mask`` (see
+    ``gather_rows``); ``w``: (k, C), one filter per channel. A tap outside
+    the sequence reads zero. Returns (n, C); kept: the padded input.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ContractError(f"depthwise conv: incompatible shapes {x.shape} and {w.shape}")
+    _check_rows("depthwise conv", x, mask)
+    k, left, (B, L), C = w.shape[0], (w.shape[0] - 1) // 2, mask.shape, x.shape[1]
+    xpad = np.zeros((B, L + k - 1, C), dtype=x.dtype)
+    xpad[:, left : left + L][mask] = x
+    full = np.zeros((B, L, C), dtype=x.dtype)
+    tap = np.empty_like(full)
+    for j in range(k):
+        np.multiply(xpad[:, j : j + L], w[j], out=tap)
+        full += tap
+    return full[mask], xpad
+
+
+def dwconv_bwd(g, w, xpad, mask):
+    """The gradients of x and w."""
+    k, L, left = w.shape[0], mask.shape[1], (w.shape[0] - 1) // 2
+    g = _pad(g, mask)
+    gw = np.empty_like(w)
+    for j in range(k):
+        gw[j] = np.einsum("blc,blc->c", g, xpad[:, j : j + L])
+    gxpad = np.zeros_like(xpad)
+    tap = np.empty_like(g)
+    for j in range(k):
+        np.multiply(g, w[j], out=tap)
+        gxpad[:, j : j + L] += tap
+    return gxpad[:, left : left + L][mask], gw
+
+
+_MASKED_SCORE = -1e9  # the score of a padded key, before the softmax
+
+
+def _heads(rows, mask, heads):
+    """Packed rows (n, D) -> (B, H, L, D / H), padded rows zero."""
+    return _pad(rows, mask).reshape(*mask.shape, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a, mask):
+    """(B, H, L, dh) -> the packed rows (n, H dh) of the (B, L) ``mask``."""
+    return a.transpose(0, 2, 1, 3)[mask].reshape(-1, a.shape[1] * a.shape[3])
+
+
+def attention_fwd(q, k, v, key_mask, heads: int):
+    """Multi-head scaled dot-product self-attention.
+
+    ``q``, ``k``, ``v``: (n, D), the packed rows of the (B, L) ``key_mask``
+    (see ``gather_rows``), split along D into ``heads`` slices of dh = D /
+    heads. Per sequence and head, softmax(q k^T / sqrt(dh)) v, where only the
+    sequence's own rows are keys. Returns (n, D) with the heads merged back
+    in order; kept: the padded heads and the attention weights.
+    """
+    key_mask = np.asarray(key_mask, dtype=bool)
+    shape = q.shape
+    if (len(shape) != 2 or k.shape != shape or v.shape != shape or key_mask.ndim != 2
+            or shape[0] != np.count_nonzero(key_mask) or heads < 1 or shape[1] % heads):
+        raise ContractError(f"attention: incompatible shapes q {shape}, k {k.shape}, v {v.shape} "
+                            f"and key mask {key_mask.shape} for {heads} heads")
+    scale = np.asarray((shape[1] // heads) ** -0.5, dtype=q.dtype)
+    qh, kh, vh = (_heads(a, key_mask, heads) for a in (q, k, v))
+    weights = qh @ kh.transpose(0, 1, 3, 2)  # (B, H, L queries, L keys)
+    weights *= scale
+    np.copyto(weights, np.asarray(_MASKED_SCORE, dtype=weights.dtype), where=~key_mask[:, None, None, :])
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return _merge_heads(weights @ vh, key_mask), (key_mask, scale, qh, kh, vh, weights)
+
+
+def attention_bwd(g, kept):
+    """The gradients of q, k and v."""
+    key_mask, scale, qh, kh, vh, weights = kept
+    g = _heads(g, key_mask, qh.shape[1])
+    gv = _merge_heads(weights.transpose(0, 1, 3, 2) @ g, key_mask)
+    # softmax backward; a padded key has weight 0, so its score gets 0
+    ds = g @ vh.transpose(0, 1, 3, 2)
+    ds -= (ds * weights).sum(axis=-1, keepdims=True)
+    ds *= weights
+    ds *= scale
+    return _merge_heads(ds @ kh, key_mask), _merge_heads(ds.transpose(0, 1, 3, 2) @ qh, key_mask), gv
 
 
 # ---------------------------------------------------------------------------
@@ -269,30 +416,22 @@ def glu(a, g) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 1 or b.data.ndim < 1 or a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else -1]:
-        raise ContractError(
-            f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
-        )
+        raise ContractError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
     out_data = a.data @ b.data
 
     def bwd():
         g = out.grad
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    out = _make(out_data, (a, b), bwd)
+    out = node(out_data, (a, b), bwd)
     return out
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """The sum over the rows of a 2-D array, as one matrix-vector product."""
-    return np.ones(a.shape[0], dtype=a.dtype) @ a
-
-
 def linear(x, w, b=None) -> Tensor:
-    """x @ w (+ b) as one node: one GEMM over the flattened leading axes of
-    ``x`` (..., k) against ``w`` (k, n), the bias (n,) added in place."""
+    """x @ w (+ b) as one node; see ``linear_fwd``."""
     x, w = as_tensor(x), as_tensor(w)
     b = None if b is None else as_tensor(b)
     if (
@@ -305,171 +444,31 @@ def linear(x, w, b=None) -> Tensor:
             f"linear: incompatible shapes {x.data.shape}, {w.data.shape} and "
             f"{None if b is None else b.data.shape}"
         )
-    k, n = w.data.shape
-    x2 = x.data.reshape(-1, k)
-    y = x2 @ w.data
-    if b is not None:
-        y += b.data
-    out_data = y.reshape(x.data.shape[:-1] + (n,))
+    parents = (x, w) if b is None else (x, w, b)
+    out_data = linear_fwd(x.data, w.data, None if b is None else b.data)
 
     def bwd():
-        g2 = out.grad.reshape(-1, n)
-        if x.requires_grad:
-            _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            _accumulate(w, x2.T @ g2)
-        if b is not None and b.requires_grad:
-            _accumulate(b, _column_sums(g2))
+        need = (x.requires_grad, w.requires_grad, b is not None and b.requires_grad)
+        for p, g in zip(parents, linear_bwd(out.grad, x.data, w.data, need)):
+            accumulate(p, g)
 
-    out = _make(out_data, (x, w) if b is None else (x, w, b), bwd)
-    return out
-
-
-_MASKED_SCORE = -1e9  # the score of a padded key, before the softmax
-
-
-def attention(q, k, v, key_mask, heads: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention as one node.
-
-    ``q``, ``k``, ``v``: (n, D), the packed rows of the (B, L) ``key_mask``
-    (see ``gather_rows``), split along D into ``heads`` slices of dh = D /
-    heads. Per sequence and head, softmax(q k^T / sqrt(dh)) v, where only the
-    sequence's own rows are keys. Returns (n, D) with the heads merged back
-    in order.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    key_mask = np.asarray(key_mask, dtype=bool)
-    shape = q.data.shape
-    if (
-        len(shape) != 2
-        or k.data.shape != shape
-        or v.data.shape != shape
-        or key_mask.ndim != 2
-        or shape[0] != np.count_nonzero(key_mask)
-        or heads < 1
-        or shape[1] % heads
-    ):
-        raise ContractError(
-            f"attention: incompatible shapes q {shape}, k {k.data.shape}, v {v.data.shape} "
-            f"and key mask {key_mask.shape} for {heads} heads"
-        )
-    (B, L), D = key_mask.shape, shape[1]
-    dh = D // heads
-    scale = np.asarray(dh**-0.5, dtype=q.data.dtype)
-
-    def split(rows):  # (n, D) -> (B, H, L, dh), padded rows zero
-        return _pad(rows, key_mask).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(a):  # (B, H, L, dh) -> (n, D), the valid rows
-        return a.transpose(0, 2, 1, 3)[key_mask].reshape(-1, D)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    weights = qh @ kh.transpose(0, 1, 3, 2)  # (B, H, L queries, L keys)
-    weights *= scale
-    np.copyto(weights, np.asarray(_MASKED_SCORE, dtype=weights.dtype), where=~key_mask[:, None, None, :])
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out_data = merge(weights @ vh)
-
-    def bwd():
-        g = split(out.grad)
-        if v.requires_grad:
-            _accumulate(v, merge(weights.transpose(0, 1, 3, 2) @ g))
-        if q.requires_grad or k.requires_grad:
-            # softmax backward; a padded key has weight 0, so its score gets 0
-            ds = g @ vh.transpose(0, 1, 3, 2)
-            ds -= (ds * weights).sum(axis=-1, keepdims=True)
-            ds *= weights
-            ds *= scale
-            if q.requires_grad:
-                _accumulate(q, merge(ds @ kh))
-            if k.requires_grad:
-                _accumulate(k, merge(ds.transpose(0, 1, 3, 2) @ qh))
-
-    out = _make(out_data, (q, k, v), bwd)
+    out = node(out_data, parents, bwd)
     return out
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis (n) to zero mean / unit variance, then scale
-    by ``gain`` (n,) and shift by ``bias`` (n,)."""
+    """``layer_norm_fwd`` as one node."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
-        raise ContractError(
-            f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must be ({n},)"
-        )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
-    xhat *= inv_std
-    out_data = xhat * gain.data
-    out_data += bias.data
+        raise ContractError(f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must be ({n},)")
+    out_data, kept = layer_norm_fwd(x.data, gain.data, bias.data, eps)
 
     def bwd():
-        g2 = out.grad.reshape(-1, n)
-        xhat2 = xhat.reshape(-1, n)
-        if bias.requires_grad:
-            _accumulate(bias, _column_sums(g2))
-        gx = g2 * xhat2
-        if gain.requires_grad:
-            _accumulate(gain, _column_sums(gx))
-        if x.requires_grad:
-            # with d = g * gain: dx = inv_std * (d - mean(d) - xhat * mean(d * xhat))
-            mean_d = (g2 @ gain.data)[:, None] / n
-            mean_dx = (gx @ gain.data)[:, None] / n
-            dx = g2 * gain.data
-            dx -= mean_d
-            np.multiply(xhat2, mean_dx, out=gx)
-            dx -= gx
-            dx *= inv_std.reshape(-1, 1)
-            _accumulate(x, dx.reshape(x.data.shape))
+        for p, g in zip((x, gain, bias), layer_norm_bwd(out.grad, gain.data, kept)):
+            accumulate(p, g)
 
-    out = _make(out_data, (x, gain, bias), bwd)
-    return out
-
-
-def conv1d_depthwise(x, w, mask) -> Tensor:
-    """Depthwise 1-D convolution along each sequence, 'same' padding.
-
-    ``x``: (n, C), the packed rows of the (B, L) ``mask`` (see
-    ``gather_rows``); ``w``: (k, C), one filter per channel. A tap outside
-    the sequence reads zero. Returns (n, C).
-    """
-    x, w = as_tensor(x), as_tensor(w)
-    mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-        raise ContractError(
-            f"conv1d_depthwise: incompatible shapes {x.data.shape} and {w.data.shape}"
-        )
-    _check_rows("conv1d_depthwise", x.data, mask)
-    k = w.data.shape[0]
-    left = (k - 1) // 2
-    (B, L), C = mask.shape, x.data.shape[1]
-    xpad = np.zeros((B, L + k - 1, C), dtype=x.data.dtype)
-    xpad[:, left : left + L][mask] = x.data
-    full = np.zeros((B, L, C), dtype=x.data.dtype)
-    tap = np.empty_like(full)
-    for j in range(k):
-        np.multiply(xpad[:, j : j + L], w.data[j], out=tap)
-        full += tap
-    out_data = full[mask]
-
-    def bwd():
-        g = _pad(out.grad, mask)
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for j in range(k):
-                gw[j] = np.einsum("blc,blc->c", g, xpad[:, j : j + L])
-            _accumulate(w, gw)
-        if x.requires_grad:
-            gxpad = np.zeros_like(xpad)
-            for j in range(k):
-                np.multiply(g, w.data[j], out=tap)
-                gxpad[:, j : j + L] += tap
-            _accumulate(x, gxpad[:, left : left + L][mask])
-
-    out = _make(out_data, (x, w), bwd)
+    out = node(out_data, (x, gain, bias), bwd)
     return out
 
 
@@ -478,17 +477,15 @@ def embedding_lookup(table, ids) -> Tensor:
     table = as_tensor(table)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ContractError(
-            f"embedding_lookup: index out of range for table of {table.data.shape[0]} rows"
-        )
+        raise ContractError(f"embedding_lookup: index out of range for table of {table.data.shape[0]} rows")
     out_data = table.data[ids]
 
     def bwd():
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids.ravel(), out.grad.reshape(-1, table.data.shape[1]))
-        _accumulate(table, gt)
+        accumulate(table, gt)
 
-    out = _make(out_data, (table,), bwd)
+    out = node(out_data, (table,), bwd)
     return out
 
 
@@ -505,9 +502,9 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, axes)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+        accumulate(x, np.broadcast_to(g, x.data.shape).copy())
 
-    out = _make(out_data, (x,), bwd)
+    out = node(out_data, (x,), bwd)
     return out
 
 
@@ -516,9 +513,9 @@ def reshape(x, shape) -> Tensor:
     out_data = x.data.reshape(shape)
 
     def bwd():
-        _accumulate(x, out.grad.reshape(x.data.shape))
+        accumulate(x, out.grad.reshape(x.data.shape))
 
-    out = _make(out_data, (x,), bwd)
+    out = node(out_data, (x,), bwd)
     return out
 
 
@@ -550,9 +547,9 @@ def gather_rows(x, mask) -> Tensor:
     out_data = x.data[mask]
 
     def bwd():
-        _accumulate(x, _pad(out.grad, mask))
+        accumulate(x, _pad(out.grad, mask))
 
-    out = _make(out_data, (x,), bwd)
+    out = node(out_data, (x,), bwd)
     return out
 
 
@@ -566,9 +563,9 @@ def scatter_rows(rows, mask) -> Tensor:
     out_data = _pad(rows.data, mask)
 
     def bwd():
-        _accumulate(rows, out.grad[mask])
+        accumulate(rows, out.grad[mask])
 
-    out = _make(out_data, (rows,), bwd)
+    out = node(out_data, (rows,), bwd)
     return out
 
 
@@ -583,14 +580,12 @@ def straight_through(x, value) -> Tensor:
     x = as_tensor(x)
     value = np.asarray(value, dtype=x.data.dtype)
     if value.shape != x.data.shape:
-        raise ContractError(
-            f"straight_through: value shape {value.shape} != input shape {x.data.shape}"
-        )
+        raise ContractError(f"straight_through: value shape {value.shape} != input shape {x.data.shape}")
 
     def bwd():
-        _accumulate(x, out.grad)
+        accumulate(x, out.grad)
 
-    out = _make(value, (x,), bwd)
+    out = node(value, (x,), bwd)
     return out
 
 
@@ -688,33 +683,37 @@ class AdamState:
         return self.grad
 
 
-def adam_step(
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+_ADAM_SLICE = 1 << 16  # elements per slice of adam_step: its arrays stay in cache
+
+
+def adam_step(state: AdamState, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8) -> None:
     """One Adam update with bias correction, in place: the flat gradient
-    ``state.grad`` moves the moments and the parameters."""
-    grad = state.grad
+    ``state.grad`` moves the moments and the parameters. Each slice of the
+    flat buffers goes through all of the update while it is in cache; every
+    element sees the same operations in the same order as in one pass."""
     state.t += 1
     t = state.t
-    m, v = state._m, state._v
-    m *= beta1
-    scratch = grad * (1.0 - beta1)
-    m += scratch
-    v *= beta2
-    np.multiply(grad, grad, out=scratch)
-    scratch *= 1.0 - beta2
-    v += scratch
-    denom = v / (1.0 - beta2**t)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(m, 1.0 - beta1**t, out=scratch)
-    scratch *= lr
-    scratch /= denom
-    state._params -= scratch
+    scratch = np.empty(min(_ADAM_SLICE, state.grad.size), dtype=state.grad.dtype)
+    denom = np.empty_like(scratch)
+    for start in range(0, state.grad.size, _ADAM_SLICE):
+        part = slice(start, start + _ADAM_SLICE)
+        grad, m, v = state.grad[part], state._m[part], state._v[part]
+        s, d = scratch[: grad.size], denom[: grad.size]
+        m *= beta1
+        np.multiply(grad, 1.0 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.multiply(grad, grad, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.divide(v, 1.0 - beta2**t, out=d)
+        np.sqrt(d, out=d)
+        d += eps
+        np.divide(m, 1.0 - beta1**t, out=s)
+        s *= lr
+        s /= d
+        state._params[part] -= s
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:

@@ -120,40 +120,95 @@ def _check_params(model: CodecModel, params: dict[str, np.ndarray]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# conformer blocks
+# conformer blocks: each module is one node whose backward runs the kernels
+# of its steps in reverse order, with the arithmetic and the order of
+# gradient additions that the same steps as separate nodes would have
 
 
-def _ffn(pt: dict, prefix: str, x: Tensor) -> Tensor:
-    h = ad.layer_norm(x, pt[prefix + ".norm.gain"], pt[prefix + ".norm.bias"])
-    h = ad.linear(h, pt[prefix + ".w1"], pt[prefix + ".b1"])
-    h = ad.swish(h)
-    return ad.linear(h, pt[prefix + ".w2"], pt[prefix + ".b2"])
+def _params(pt: dict, prefix: str, names: str) -> list[Tensor]:
+    return [pt[prefix + name] for name in names.split()]
 
 
-def _attention(pt: dict, prefix: str, x: Tensor, mask: np.ndarray, heads: int) -> Tensor:
-    q = ad.linear(x, pt[prefix + ".wq"], pt[prefix + ".bq"])
-    k = ad.linear(x, pt[prefix + ".wk"], pt[prefix + ".bk"])
-    v = ad.linear(x, pt[prefix + ".wv"], pt[prefix + ".bv"])
-    out = ad.attention(q, k, v, mask, heads)  # each row attends within its own sequence
-    return ad.linear(out, pt[prefix + ".wo"], pt[prefix + ".bo"])
+def ffn_module(pt: dict, prefix: str, x: Tensor) -> Tensor:
+    """Feed-forward module on rows ``x`` (n, D): norm → linear → swish →
+    linear → ×0.5, as one node."""
+    params = _params(pt, prefix, ".norm.gain .norm.bias .w1 .b1 .w2 .b2")
+    gain, bias, w1, b1, w2, b2 = (p.data for p in params)
+    h, norm = ad.layer_norm_fwd(x.data, gain, bias)
+    u = ad.linear_fwd(h, w1, b1)
+    a, s = ad.swish_fwd(u)
+    half = np.asarray(0.5, dtype=x.data.dtype)
+    y = ad.linear_fwd(a, w2, b2)
+    y *= half
+
+    def bwd():
+        ga, gw2, gb2 = ad.linear_bwd(out.grad * half, a, w2)
+        gh, gw1, gb1 = ad.linear_bwd(ad.swish_bwd(ga, u, s, a), h, w1)
+        gx, ggain, gbias = ad.layer_norm_bwd(gh, gain, norm)
+        for t, g in zip([x, *params], (gx, ggain, gbias, gw1, gb1, gw2, gb2)):
+            ad.accumulate(t, g)
+
+    out = ad.node(y, [x, *params], bwd)
+    return out
 
 
-def _conv_module(pt: dict, prefix: str, x: Tensor, mask: np.ndarray) -> Tensor:
-    h = ad.layer_norm(x, pt[prefix + ".norm.gain"], pt[prefix + ".norm.bias"])
-    a = ad.linear(h, pt[prefix + ".in_a.w"], pt[prefix + ".in_a.b"])
-    g = ad.linear(h, pt[prefix + ".in_g.w"], pt[prefix + ".in_g.b"])
-    h = ad.conv1d_depthwise(ad.glu(a, g), pt[prefix + ".dw"], mask)
-    h = ad.swish(h)
-    return ad.linear(h, pt[prefix + ".out.w"], pt[prefix + ".out.b"])
+def attention_module(pt: dict, prefix: str, x: Tensor, mask: np.ndarray, heads: int) -> Tensor:
+    """Self-attention module on the packed rows ``x`` (n, D) of the (B, L)
+    ``mask``: q/k/v projections → attention within each sequence → output
+    projection, as one node. Its backward adds the input gradients of the
+    q, k and v projections to ``x``'s gradient one at a time, in that order."""
+    params = _params(pt, prefix, ".wq .bq .wk .bk .wv .bv .wo .bo")
+    projections = [params[i : i + 2] for i in (0, 2, 4)]
+    wo, bo = params[6].data, params[7].data
+    o, kept = ad.attention_fwd(*(ad.linear_fwd(x.data, w.data, b.data) for w, b in projections),
+                               mask, heads)
+
+    def bwd():
+        go, gwo, gbo = ad.linear_bwd(out.grad, o, wo)
+        for (w, b), g in zip(projections, ad.attention_bwd(go, kept)):
+            for t, gt in zip((x, w, b), ad.linear_bwd(g, x.data, w.data)):
+                ad.accumulate(t, gt)
+        ad.accumulate(params[6], gwo)
+        ad.accumulate(params[7], gbo)
+
+    out = ad.node(ad.linear_fwd(o, wo, bo), [x, *params], bwd)
+    return out
+
+
+def conv_module(pt: dict, prefix: str, x: Tensor, mask: np.ndarray) -> Tensor:
+    """Convolution module on the packed rows ``x`` (n, D) of the (B, L)
+    ``mask``: norm → two linears → GLU → depthwise conv along each sequence
+    → swish → linear, as one node."""
+    params = _params(pt, prefix, ".norm.gain .norm.bias .in_a.w .in_a.b .in_g.w .in_g.b .dw .out.w .out.b")
+    gain, bias, wa, ba, wg, bg, dw, wo, bo = (p.data for p in params)
+    h, norm = ad.layer_norm_fwd(x.data, gain, bias)
+    a = ad.linear_fwd(h, wa, ba)
+    gated, sg = ad.glu_fwd(a, ad.linear_fwd(h, wg, bg))
+    c, xpad = ad.dwconv_fwd(gated, dw, mask)
+    sw, s = ad.swish_fwd(c)
+
+    def bwd():
+        gsw, gwo, gbo = ad.linear_bwd(out.grad, sw, wo)
+        ggated, gdw = ad.dwconv_bwd(ad.swish_bwd(gsw, c, s, sw), dw, xpad, mask)
+        ga, ggate = ad.glu_bwd(ggated, a, sg)
+        gha, gwa, gba = ad.linear_bwd(ga, h, wa)
+        ghg, gwg, gbg = ad.linear_bwd(ggate, h, wg)
+        gx, ggain, gbias = ad.layer_norm_bwd(gha + ghg, gain, norm)
+        for t, g in zip([x, *params], (gx, ggain, gbias, gwa, gba, gwg, gbg, gdw, gwo, gbo)):
+            ad.accumulate(t, g)
+
+    out = ad.node(ad.linear_fwd(sw, wo, bo), [x, *params], bwd)
+    return out
 
 
 def conformer_block(pt: dict, prefix: str, x: Tensor, mask: np.ndarray, heads: int) -> Tensor:
     """One conformer block on packed rows ``x`` (n, D): the valid rows of
-    the (B, L) ``mask``, as ``ad.gather_rows`` takes them."""
-    x = ad.add(x, ad.mul(_ffn(pt, prefix + "ffn1", x), 0.5))
-    x = ad.add(x, _attention(pt, prefix + "attn", x, mask, heads))
-    x = ad.add(x, _conv_module(pt, prefix + "conv", x, mask))
-    x = ad.add(x, ad.mul(_ffn(pt, prefix + "ffn2", x), 0.5))
+    the (B, L) ``mask``, as ``ad.gather_rows`` takes them. Nine nodes: four
+    modules, their residual adds and the final norm."""
+    x = ad.add(x, ffn_module(pt, prefix + "ffn1", x))
+    x = ad.add(x, attention_module(pt, prefix + "attn", x, mask, heads))
+    x = ad.add(x, conv_module(pt, prefix + "conv", x, mask))
+    x = ad.add(x, ffn_module(pt, prefix + "ffn2", x))
     return ad.layer_norm(x, pt[prefix + "final.norm.gain"], pt[prefix + "final.norm.bias"])
 
 

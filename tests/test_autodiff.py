@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosody_codec import autodiff as ad
+from prosody_codec import model as md
 from prosody_codec.autodiff import AdamState, Tensor
+from prosody_codec.config import FeatureConfig, ModelConfig
+from prosody_codec.corpus import PhonemeVocab
 from prosody_codec.errors import ContractError, NumericError
 
 RNG = np.random.default_rng(1234)
@@ -29,6 +32,40 @@ def steep(y):
     gradient a case's loss sends into the op never comes near zero, where
     grad_check's relative error would read round-off."""
     return ad.add(y, cube(y))
+
+
+def kernel_node(inputs, fwd, bwd):
+    """A node over the Tensors ``inputs`` from a kernel pair: ``fwd(*arrays)``
+    returns (output, kept) and ``bwd(grad, arrays, output, kept)`` the
+    inputs' gradients. Only the model's module nodes call these kernels, so
+    this checks each one's gradient apart from the others."""
+    arrays = [t.data for t in inputs]
+    out_data, kept = fwd(*arrays)
+
+    def backward():
+        for t, g in zip(inputs, bwd(out.grad, arrays, out_data, kept)):
+            ad.accumulate(t, g)
+
+    out = ad.node(out_data, inputs, backward)
+    return out
+
+
+def swish(x):
+    return kernel_node([x], ad.swish_fwd, lambda g, a, out, s: [ad.swish_bwd(g, a[0], s, out)])
+
+
+def glu(a, gate):
+    return kernel_node([a, gate], ad.glu_fwd, lambda g, a, out, s: ad.glu_bwd(g, a[0], s))
+
+
+def dwconv(x, w, mask):
+    return kernel_node([x, w], lambda x, w: ad.dwconv_fwd(x, w, mask),
+                       lambda g, a, out, xpad: ad.dwconv_bwd(g, a[1], xpad, mask))
+
+
+def attention(q, k, v, mask, heads):
+    return kernel_node([q, k, v], lambda *qkv: ad.attention_fwd(*qkv, mask, heads),
+                       lambda g, a, out, kept: ad.attention_bwd(g, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +94,9 @@ OP_CASES = {
     "sub": ((3, 4), lambda x: ad.tsum(steep(ad.sub(x, CONST_A)))),
     "mul": ((3, 4), lambda x: ad.tsum(ad.mul(x, Tensor(CONST_A)))),
     "div": ((3, 4), lambda x: ad.tsum(ad.div(Tensor(CONST_A), ad.add(ad.mul(x, x), 1.0)))),
-    "swish": ((6,), lambda x: ad.tsum(ad.swish(x))),
-    "glu_value": ((3, 4), lambda a: ad.tsum(steep(ad.glu(a, Tensor(CONST_A))))),
-    "glu_gate": ((3, 4), lambda g: ad.tsum(steep(ad.glu(Tensor(CONST_A), g)))),
+    "swish": ((6,), lambda x: ad.tsum(swish(x))),
+    "glu_value": ((3, 4), lambda a: ad.tsum(steep(glu(a, Tensor(CONST_A))))),
+    "glu_gate": ((3, 4), lambda g: ad.tsum(steep(glu(Tensor(CONST_A), g)))),
     "absolute": ((6,), lambda x: ad.tsum(ad.absolute(ad.add(x, 10.0)))),
     "matmul_2d": ((3, 4), lambda x: ad.tsum(steep(ad.matmul(x, Tensor(CONST_B))))),
     "matmul_nd_2d": ((2, 3, 4), lambda x: ad.tsum(steep(ad.matmul(x, Tensor(CONST_B))))),
@@ -74,15 +111,15 @@ OP_CASES = {
     "linear_3d_b": ((3,), lambda b: ad.tsum(steep(ad.linear(Tensor(X3), Tensor(W_OUT), b)))),
     "attention_query": (
         (7, 6),
-        lambda q: ad.tsum(steep(ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK, 2))),
+        lambda q: ad.tsum(steep(attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK, 2))),
     ),
     "attention_key": (
         (7, 6),
-        lambda k: ad.tsum(steep(ad.attention(Tensor(Q_ROWS), k, Tensor(V_ROWS), KEY_MASK, 2))),
+        lambda k: ad.tsum(steep(attention(Tensor(Q_ROWS), k, Tensor(V_ROWS), KEY_MASK, 2))),
     ),
     "attention_value": (
         (7, 6),
-        lambda v: ad.tsum(steep(ad.attention(Tensor(Q_ROWS), Tensor(K_ROWS), v, KEY_MASK, 2))),
+        lambda v: ad.tsum(steep(attention(Tensor(Q_ROWS), Tensor(K_ROWS), v, KEY_MASK, 2))),
     ),
     "layer_norm": (
         (2, 4),
@@ -106,11 +143,11 @@ OP_CASES = {
     ),
     "conv1d_3d": (
         (2, 5, 4),
-        lambda x: ad.tsum(steep(ad.conv1d_depthwise(ad.gather_rows(x, ROW_MASK), Tensor(KERNEL), ROW_MASK))),
+        lambda x: ad.tsum(steep(dwconv(ad.gather_rows(x, ROW_MASK), Tensor(KERNEL), ROW_MASK))),
     ),
     "conv1d_kernel": (
         (3, 4),
-        lambda w: ad.tsum(steep(ad.conv1d_depthwise(Tensor(CONV_INPUT[ROW_MASK]), w, ROW_MASK))),
+        lambda w: ad.tsum(steep(dwconv(Tensor(CONV_INPUT[ROW_MASK]), w, ROW_MASK))),
     ),
     "gather_rows": ((2, 5, 4), lambda x: ad.tsum(steep(ad.gather_rows(x, ROW_MASK)))),
     # scatter_rows is linear, so a weighted sum checks its backward exactly:
@@ -137,6 +174,113 @@ def test_op_gradient_matches_finite_differences(name):
     assert err < 1e-4, f"{name}: rel err {err}"
 
 
+# ---------------------------------------------------------------------------
+# gradient correctness of the model's module nodes: the input and every
+# parameter, on the packed rows of two sequences (5 and 3 positions)
+
+_TINY = md.CodecModel(ModelConfig(model_dim=4, layers=1, heads=2, ffn_mult=2, conv_kernel=3,
+                                  codebook_size=8, code_dim=3, levels=2),
+                      FeatureConfig(n_mels=20), PhonemeVocab(["p0"]), ["s0"])
+_MODULE_RNG = np.random.default_rng(4321)
+MODULE_PARAMS = {name: _MODULE_RNG.normal(0.0, 0.7, size=p.shape)
+                 for name, p in sorted(_TINY.params.items()) if name.startswith("penc.l0.")}
+MODULE_ROWS = _MODULE_RNG.normal(size=(int(ROW_MASK.sum()), 4))
+MODULES = {
+    "ffn1": lambda pt, x: md.ffn_module(pt, "penc.l0.ffn1", x),
+    "attn": lambda pt, x: md.attention_module(pt, "penc.l0.attn", x, ROW_MASK, 2),
+    "conv": lambda pt, x: md.conv_module(pt, "penc.l0.conv", x, ROW_MASK),
+}
+MODULE_CASES = [(module, wrt) for module in MODULES
+                for wrt in ["input", *(n for n in MODULE_PARAMS if n.startswith(f"penc.l0.{module}."))]]
+
+
+def module_loss(module, wrt):
+    """The module's output through ``steep``, summed, as a function of the
+    input (``wrt`` "input") or of one parameter; everything else constant."""
+
+    def fn(probe):
+        pt = {name: Tensor(value) for name, value in MODULE_PARAMS.items()}
+        x = Tensor(MODULE_ROWS)
+        if wrt == "input":
+            x = probe
+        else:
+            pt[wrt] = probe
+        return ad.tsum(steep(MODULES[module](pt, x)))
+
+    return fn, MODULE_ROWS if wrt == "input" else MODULE_PARAMS[wrt]
+
+
+@pytest.mark.parametrize("module, wrt", MODULE_CASES)
+def test_module_gradient_matches_finite_differences(module, wrt):
+    fn, start = module_loss(module, wrt)
+    if wrt.endswith("attn.bk"):
+        # a key bias shifts all of a query's scores alike, and the softmax
+        # does not see a shift: the true gradient is zero
+        probe = Tensor(start.copy(), requires_grad=True)
+        value = fn(probe)
+        ad.backward(value)
+        scale = abs(value.data.item())
+        assert np.max(np.abs(probe.grad)) < 1e-12 * scale
+        assert abs(fn(Tensor(start + 0.5)).data.item() - value.data.item()) < 1e-12 * scale
+        return
+    err = ad.grad_check(fn, Tensor(start), eps=1e-6)
+    assert err < 1e-4, f"{module} w.r.t. {wrt}: rel err {err}"
+
+
+def test_block_input_gradient_matches_finite_differences():
+    # each module's output gradient is also its residual's: a module node
+    # that wrote into it would corrupt the input's gradient
+    pt = {name: Tensor(value) for name, value in MODULE_PARAMS.items()}
+    err = ad.grad_check(lambda x: ad.tsum(steep(md.conformer_block(pt, "penc.l0.", x, ROW_MASK, 2))),
+                        Tensor(MODULE_ROWS), eps=1e-6)
+    assert err < 1e-4
+
+
+def composed_block(pt, prefix, x, mask, heads):
+    """The conformer block with every step of its modules a node of its
+    own, as the model built it before the module nodes."""
+
+    def ffn(p, x):
+        h = ad.layer_norm(x, pt[p + ".norm.gain"], pt[p + ".norm.bias"])
+        h = swish(ad.linear(h, pt[p + ".w1"], pt[p + ".b1"]))
+        return ad.mul(ad.linear(h, pt[p + ".w2"], pt[p + ".b2"]), 0.5)
+
+    def attn(p, x):
+        q, k, v = (ad.linear(x, pt[f"{p}.w{c}"], pt[f"{p}.b{c}"]) for c in "qkv")
+        return ad.linear(attention(q, k, v, mask, heads), pt[p + ".wo"], pt[p + ".bo"])
+
+    def conv(p, x):
+        h = ad.layer_norm(x, pt[p + ".norm.gain"], pt[p + ".norm.bias"])
+        a, g = (ad.linear(h, pt[f"{p}.in_{c}.w"], pt[f"{p}.in_{c}.b"]) for c in "ag")
+        h = swish(dwconv(glu(a, g), pt[p + ".dw"], mask))
+        return ad.linear(h, pt[p + ".out.w"], pt[p + ".out.b"])
+
+    x = ad.add(x, ffn(prefix + "ffn1", x))
+    x = ad.add(x, attn(prefix + "attn", x))
+    x = ad.add(x, conv(prefix + "conv", x))
+    x = ad.add(x, ffn(prefix + "ffn2", x))
+    return ad.layer_norm(x, pt[prefix + "final.norm.gain"], pt[prefix + "final.norm.bias"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_module_nodes_give_the_bits_of_separate_nodes(dtype):
+    # forward values and every gradient, bit for bit: a module node computes
+    # what its steps computed as nodes, and adds to its input's gradient in
+    # the same order (the attention module: q, k, then v, after the residual)
+    rng = np.random.default_rng(99)
+    probe = rng.normal(size=MODULE_ROWS.shape).astype(dtype)
+    results = []
+    for block in (md.conformer_block, composed_block):
+        pt = {name: Tensor(value.astype(dtype), requires_grad=True) for name, value in MODULE_PARAMS.items()}
+        x = Tensor(MODULE_ROWS.astype(dtype), requires_grad=True)
+        hidden = ad.mul(x, 1.5)  # an inner node: its gradient is summed like a block input's
+        out = block(pt, "penc.l0.", hidden, ROW_MASK, 2)
+        ad.backward(ad.tsum(ad.mul(out, probe)))
+        results.append([out.data, x.grad, *(t.grad for t in pt.values())])
+    for fused, composed in zip(*results):
+        assert fused.dtype == dtype and fused.tobytes() == composed.tobytes()
+
+
 def test_grad_check_analytic_quadratic():
     # f(x) = sum(x^2) at [1, 2, 3]: gradient is [2, 4, 6]
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
@@ -150,28 +294,27 @@ def test_grad_check_analytic_quadratic():
 def test_attention_uniform_weights_average_values():
     # equal keys give every key of a sequence the same weight: each output
     # row is the mean of its own sequence's value rows, whatever the queries
-    out = ad.attention(Tensor(Q_ROWS), Tensor(np.ones((7, 6))), Tensor(V_ROWS), KEY_MASK, 2)
+    out, _ = ad.attention_fwd(Q_ROWS, np.ones((7, 6)), V_ROWS, KEY_MASK, 2)
     rows = np.cumsum([0, *KEY_MASK.sum(axis=1)])
     for b in range(2):
         mean = V_ATT[b][KEY_MASK[b]].mean(axis=0)
-        np.testing.assert_allclose(out.data[rows[b] : rows[b + 1]], np.broadcast_to(mean, (KEY_MASK[b].sum(), 6)), atol=1e-12)
+        np.testing.assert_allclose(out[rows[b] : rows[b + 1]], np.broadcast_to(mean, (KEY_MASK[b].sum(), 6)), atol=1e-12)
 
 
 def test_attention_shape_error_names_shapes():
-    q = Tensor(Q_ROWS)
     with pytest.raises(ContractError, match=r"\(7, 6\)"):
-        ad.attention(q, Tensor(K_ROWS[:6]), Tensor(V_ROWS), KEY_MASK, 2)
+        ad.attention_fwd(Q_ROWS, K_ROWS[:6], V_ROWS, KEY_MASK, 2)
     with pytest.raises(ContractError):
-        ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK, 4)  # 6 is not a multiple of 4
+        ad.attention_fwd(Q_ROWS, K_ROWS, V_ROWS, KEY_MASK, 4)  # 6 is not a multiple of 4
     with pytest.raises(ContractError):
-        ad.attention(q, Tensor(K_ROWS), Tensor(V_ROWS), KEY_MASK[:, :3], 2)  # 6 valid rows, not 7
+        ad.attention_fwd(Q_ROWS, K_ROWS, V_ROWS, KEY_MASK[:, :3], 2)  # 6 valid rows, not 7
     with pytest.raises(ContractError):
-        ad.attention(Tensor(Q_ATT), Tensor(K_ATT), Tensor(V_ATT), KEY_MASK, 2)  # padded, not packed
+        ad.attention_fwd(Q_ATT, K_ATT, V_ATT, KEY_MASK, 2)  # padded, not packed
 
 
 def test_packed_row_ops_reject_rows_of_another_mask():
     with pytest.raises(ContractError, match=r"\(7, 4\)"):
-        ad.conv1d_depthwise(Tensor(np.ones((7, 4))), Tensor(KERNEL), ROW_MASK)
+        ad.dwconv_fwd(np.ones((7, 4)), KERNEL, ROW_MASK)
     with pytest.raises(ContractError):
         ad.scatter_rows(Tensor(np.ones((7, 4))), ROW_MASK)
     with pytest.raises(ContractError):
@@ -189,10 +332,10 @@ def test_scatter_rows_inverts_gather_rows():
 def test_conv1d_rows_do_not_reach_across_sequences():
     # one row's value moves only the outputs of its own sequence
     x = CONV_INPUT[ROW_MASK]
-    base = ad.conv1d_depthwise(Tensor(x), Tensor(KERNEL), ROW_MASK).data
+    base, _ = ad.dwconv_fwd(x, KERNEL, ROW_MASK)
     bumped = x.copy()
     bumped[4] += 1.0  # the last row of sequence 0
-    moved = ad.conv1d_depthwise(Tensor(bumped), Tensor(KERNEL), ROW_MASK).data != base
+    moved = ad.dwconv_fwd(bumped, KERNEL, ROW_MASK)[0] != base
     assert moved[3:5].all() and not moved[5:].any()
 
 
@@ -226,7 +369,7 @@ def test_matmul_shape_error_names_shapes():
 
 def test_conv1d_shape_error_names_shapes():
     with pytest.raises(ContractError) as exc:
-        ad.conv1d_depthwise(t((8, 4)), t((3, 5)), ROW_MASK)
+        ad.dwconv_fwd(t((8, 4)).data, t((3, 5)).data, ROW_MASK)
     assert "(8, 4)" in str(exc.value) and "(3, 5)" in str(exc.value)
 
 
@@ -255,11 +398,19 @@ def test_straight_through_op_bit_exact():
 
 
 def test_backward_does_not_corrupt_forward_values():
-    x = Tensor(RNG.normal(size=(7, 6)), requires_grad=True)
-    h = ad.layer_norm(ad.attention(x, x, x, KEY_MASK, 2), Tensor(np.ones(6)), Tensor(np.zeros(6)))
-    snapshot = h.data.copy()
-    ad.backward(ad.tsum(square(h)))
-    np.testing.assert_array_equal(h.data, snapshot)
+    # module nodes keep forward arrays for their backward, which must only read them
+    pt = {name: Tensor(value.copy(), requires_grad=True) for name, value in MODULE_PARAMS.items()}
+    x = Tensor(MODULE_ROWS.copy(), requires_grad=True)
+    outs = [module(pt, x) for module in MODULES.values()]
+    outs.append(md.conformer_block(pt, "penc.l0.", x, ROW_MASK, 2))
+    values = [x, *pt.values(), *outs]
+    snapshot = [v.data.copy() for v in values]
+    loss = ad.tsum(square(outs[0]))
+    for out in outs[1:]:
+        loss = ad.add(loss, ad.tsum(square(out)))
+    ad.backward(loss)
+    for v, before in zip(values, snapshot):
+        np.testing.assert_array_equal(v.data, before)
 
 
 def test_grad_accumulates_over_reused_nodes():
@@ -284,7 +435,7 @@ def test_leaf_accumulation_never_writes_a_shared_gradient(preset):
 def test_leaf_rejects_a_wrong_shape_gradient():
     # a leaf without a gradient buffer (Adam's leaves have one, tested below)
     with pytest.raises(ContractError, match=r"\(3,\)"):
-        ad._accumulate(Tensor(np.ones(2), requires_grad=True), np.ones(3))
+        ad.accumulate(Tensor(np.ones(2), requires_grad=True), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +562,7 @@ def test_adam_rejects_unknown_or_misshapen_gradient():
     _, state = _adam_state({"w": np.ones(2)})
     assert list(state.leaves) == ["w"]
     with pytest.raises(ContractError, match=r"\(3,\)"):
-        ad._accumulate(state.leaves["w"], np.ones(3))
+        ad.accumulate(state.leaves["w"], np.ones(3))
     np.testing.assert_array_equal(state.grad, np.zeros(2))
 
 
@@ -465,7 +616,7 @@ def test_attention_weights_simplex_property(scores, n_pad):
     key_scores = np.concatenate([scores[:first], scores])
     q = np.ones((n, n))
     k = np.repeat(key_scores[:, None] / np.sqrt(n), n, axis=1)  # D = n, one head
-    out = ad.attention(Tensor(q), Tensor(k), Tensor(np.eye(n)), mask, 1).data
+    out, _ = ad.attention_fwd(q, k, np.eye(n), mask, 1)
     assert np.all(out >= 0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
     assert np.all(out[:first, first:] == 0) and np.all(out[first:, :first] == 0)

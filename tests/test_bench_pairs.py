@@ -4,8 +4,10 @@ runs, the summary it writes, and the parent checkout it always removes."""
 import contextlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
+import types
 
 import pytest
 
@@ -21,10 +23,12 @@ def script():
 
 
 def fake_output(workload, seed, frames_per_s, peak_rss_mb, uncorrected=93.5, factor=1.05,
-                correct=True):
+                correct=True, op_ms_p50=None):
     """A run's output; ``uncorrected`` or ``factor`` None leaves out its line."""
     metrics = {"frames_per_s": {"value": frames_per_s, "unit": "frames/s"},
                "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
+    if op_ms_p50 is not None:
+        metrics["op_ms_p50"] = {"value": op_ms_p50, "unit": "ms"}
     lines = [
         f"workload {workload}  seed {seed}  trace 0  rounds 4  ops 40  loop 1.0 s  set-ups 3",
         'env {"nproc": 2}',
@@ -181,3 +185,84 @@ def test_parent_checkout_is_removed_even_after_an_error(script, tmp_path):
             raise RuntimeError("a run failed")
     assert not os.path.exists(os.path.dirname(path))
     assert len(_git(repo, "worktree", "list").splitlines()) == 1
+
+
+def test_null_runs_both_sides_from_the_working_tree(script, monkeypatch):
+    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
+    dirs = []
+
+    def run(checkout, workload, seed, seconds):
+        dirs.append(checkout)
+        return fake_output(workload, seed, 100.0, 60.0)
+
+    args = script.parse_args(["--null", "--name", "x", "--workloads", "train", "--seeds", "5",
+                              "--pairs", "2", "--seconds", "2"])
+    assert args.parent == "HEAD"
+    result = script.bench(args, run=run)
+    assert dirs == [script.ROOT] * 4 and result["null"] is True
+    assert not script.bench(script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads",
+                                               "train", "--seeds", "5", "--pairs", "1"]),
+                            run=run, checkout=lambda rev: contextlib.nullcontext("/p"))["null"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--parent", "HEAD~1", "--null"]])
+def test_parent_or_null_but_not_both(script, argv):
+    with pytest.raises(SystemExit):
+        script.parse_args([*argv, "--name", "x", "--workloads", "train", "--seeds", "5", "--pairs", "1"])
+
+
+def test_log_ratios_per_pair_with_median_band_and_sign_test(script, monkeypatch):
+    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
+    # per pair, parent then change: (frames/s, uncorrected frames/s, op p50 ms);
+    # the change is faster in pairs 0-2, slower in pair 3, and its
+    # uncorrected reading is missing in pair 2
+    values = {"parent": iter([(100.0, 90.0, 10.0), (100.0, 90.0, 10.0), (200.0, 90.0, 10.0),
+                              (100.0, 90.0, 10.0)]),
+              "change": iter([(110.0, 99.0, 9.0), (120.0, 108.0, 8.0), (300.0, None, 5.0),
+                              (90.0, 81.0, 11.0)])}
+
+    def run(checkout, workload, seed, seconds):
+        frames, raw, p50 = next(values["parent" if checkout == "/parent" else "change"])
+        return fake_output(workload, seed, frames, 60.0, uncorrected=raw, op_ms_p50=p50)
+
+    args = script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads", "train",
+                              "--seeds", "5", "--pairs", "4", "--seconds", "2"])
+    ratios = script.bench(args, run=run, checkout=lambda rev: contextlib.nullcontext("/parent"))[
+        "workloads"]["train"]["log_ratios"]
+    frames = ratios["frames_per_s"]
+    expected = [math.log(1.1), math.log(1.2), math.log(1.5), math.log(0.9)]
+    assert frames["pairs"] == pytest.approx(expected)
+    assert frames["median"] == pytest.approx((math.log(1.1) + math.log(1.2)) / 2)
+    assert frames["p5"] == pytest.approx(math.log(0.9) + 0.15 * (math.log(1.1) - math.log(0.9)))
+    assert frames["p95"] == pytest.approx(math.log(1.2) + 0.85 * (math.log(1.5) - math.log(1.2)))
+    assert frames["sign_p"] == pytest.approx(5 / 16)  # 3 or 4 wins of 4
+    assert ratios["uncorrected_frames_per_s"]["pairs"] == pytest.approx(
+        [math.log(1.1), math.log(1.2), math.log(0.9)])
+    assert ratios["uncorrected_frames_per_s"]["sign_p"] == pytest.approx(4 / 8)
+    # a lower op time is better: the change wins the pairs whose ratio is below 1
+    assert ratios["op_ms_p50"]["pairs"] == pytest.approx(
+        [math.log(0.9), math.log(0.8), math.log(0.5), math.log(1.1)])
+    assert ratios["op_ms_p50"]["sign_p"] == pytest.approx(5 / 16)
+    assert script.sign_test(8, 0) == pytest.approx(1 / 256) and script.sign_test(0, 3) == 1.0
+
+
+def test_each_run_records_its_cpu_time_and_faults(script, monkeypatch):
+    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
+    # RUSAGE_CHILDREN readings: each run adds 2 + k user and 0.5 system
+    # seconds and 100 k faults, k = 1, 2 in run order
+    readings = iter([(0.0, 0.0, 0), (3.0, 0.5, 100), (3.0, 0.5, 100), (7.0, 1.0, 300)])
+
+    def getrusage(who):
+        assert who == script.resource.RUSAGE_CHILDREN
+        user, system, faults = next(readings)
+        return types.SimpleNamespace(ru_utime=user, ru_stime=system, ru_minflt=faults)
+
+    monkeypatch.setattr(script.resource, "getrusage", getrusage)
+    args = script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads", "train",
+                              "--seeds", "5", "--pairs", "1", "--seconds", "2"])
+    runs = script.bench(args, run=lambda checkout, workload, seed, seconds: fake_output(
+        workload, seed, 100.0, 60.0), checkout=lambda rev: contextlib.nullcontext("/p"))[
+        "workloads"]["train"]["runs"]
+    assert runs[0]["cpu"] == {"user_s": 3.0, "sys_s": 0.5, "minflt": 100, "user_s_per_op": 3.0 / 40,
+                              "sys_s_per_op": 0.5 / 40, "minflt_per_op": 100 / 40}
+    assert runs[1]["cpu"]["user_s"] == 4.0 and runs[1]["cpu"]["minflt_per_op"] == 200 / 40

@@ -263,9 +263,9 @@ def _ref_exp(a):
     out_data = np.exp(a.data)
 
     def bwd():
-        ad._accumulate(a, out.grad * out_data)
+        ad.accumulate(a, out.grad * out_data)
 
-    out = ad._make(out_data, (a,), bwd)
+    out = ad.node(out_data, (a,), bwd)
     return out
 
 
@@ -274,9 +274,9 @@ def _ref_transpose(a, axes):
     inverse = tuple(np.argsort(axes))
 
     def bwd():
-        ad._accumulate(a, out.grad.transpose(inverse))
+        ad.accumulate(a, out.grad.transpose(inverse))
 
-    out = ad._make(a.data.transpose(axes), (a,), bwd)
+    out = ad.node(a.data.transpose(axes), (a,), bwd)
     return out
 
 
