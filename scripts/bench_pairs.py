@@ -240,10 +240,6 @@ def summarize_uncorrected(runs: list[dict]) -> dict:
 RATIOS = {"frames_per_s": "higher", "uncorrected_frames_per_s": "higher", "op_ms_p50": "lower"}
 
 
-def _readouts(run: dict) -> dict:
-    return {**run["metrics"], "uncorrected_frames_per_s": run.get("uncorrected_frames_per_s")}
-
-
 def sign_test(wins: int, losses: int) -> float:
     """One-sided sign test: the chance of at least ``wins`` of ``wins +
     losses`` fair coin flips."""
@@ -258,7 +254,8 @@ def log_ratios(runs: list[dict]) -> dict:
     better (``sign_p``)."""
     pairs: dict[tuple, dict] = {}
     for run in runs:
-        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = _readouts(run)
+        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = {
+            **run["metrics"], "uncorrected_frames_per_s": run.get("uncorrected_frames_per_s")}
     out = {}
     for name, better in RATIOS.items():
         ratios = [math.log(p["change"][name] / p["parent"][name]) for p in pairs.values()

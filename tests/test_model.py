@@ -454,6 +454,22 @@ def test_batch_matches_one_at_a_time():
         np.testing.assert_allclose(recon.values, single.values, rtol=1e-5, atol=1e-5)
 
 
+def test_a_conformer_block_is_nine_nodes():
+    # the FFN, attention and conv modules are one node each: four module
+    # nodes, their four residual adds and the final norm
+    model = make_model()
+    mask = np.array([[True] * 4, [True] * 2 + [False] * 2])
+    x = Tensor(np.ones((6, TINY.model_dim), dtype=model.dtype), requires_grad=True)
+    out = md.conformer_block(model.param_tensors(train=True), "dec.l0.", x, mask, TINY.heads)
+    nodes, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if t._backward is not None and id(t) not in nodes:  # leaves have no backward
+            nodes.add(id(t))
+            stack.extend(t._parents)
+    assert len(nodes) == 9
+
+
 def test_each_conformer_stack_runs_once(monkeypatch):
     calls = []
     real = md.conformer_stack
