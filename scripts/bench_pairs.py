@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, written as a BENCH file.
 
-    python scripts/bench_pairs.py (--parent REV | --null) --name NAME \\
+    python scripts/bench_pairs.py --parent REV --name NAME \\
         --workloads resynth [train encode] --seeds 71 [72 ...] --pairs 10 \\
         [--seconds 30] [--description TEXT]
 
 Run from the repository root. REV is checked out with ``git worktree add``
 into a temporary directory, which is removed again however the run ends.
-``--null`` runs both sides from the working tree instead: the pairs then
-show how far two runs of the same code land apart. For each workload, seed
-and pair, ``perfbench/run.py --trace 0`` runs once in the parent checkout
+With ``--parent HEAD`` on a tree without uncommitted edits, both sides run
+the same code: such null pairs show how far two runs land apart. For each
+workload, seed and pair, ``perfbench/run.py --trace 0`` runs once in the parent checkout
 and once in the working tree, one run at a time; even pairs run the parent
 first, odd pairs the change first. ``BENCH_<NAME>.json`` gets every run, and
 per workload the median and quartiles of each end-to-end metric on each
@@ -50,10 +50,7 @@ SIDES = ("parent", "change")
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    side = p.add_mutually_exclusive_group(required=True)
-    side.add_argument("--parent", help="git revision to compare against")
-    side.add_argument("--null", action="store_true",
-                      help="run both sides from the working tree")
+    p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--name", required=True, help="writes BENCH_<name>.json at the repository root")
     p.add_argument("--workloads", nargs="+", required=True, choices=["train", "resynth", "encode"])
     p.add_argument("--seeds", nargs="+", type=int, required=True)
@@ -64,8 +61,6 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
-    if args.null:
-        args.parent = "HEAD"
     return args
 
 
@@ -92,12 +87,6 @@ def parent_checkout(rev: str, repo: str = ROOT):
             git("worktree", "remove", "--force", path, cwd=repo)
         git("worktree", "prune", cwd=repo)
         os.rmdir(tmp)
-
-
-@contextlib.contextmanager
-def working_tree(rev: str):
-    """The working tree, whatever ``rev`` is: the parent side of a null run."""
-    yield ROOT
 
 
 def parse_run(stdout: str) -> dict:
@@ -200,18 +189,22 @@ def _quartiles(values: dict[str, dict[str, list[float]]]) -> dict:
             for side in SIDES}
 
 
-def _wins(runs: list[dict], get, name: str, better: str) -> dict[str, int]:
-    """Pairs each side won on ``name``, over the pairs where both sides have it."""
+def _pairs(runs: list[dict], get, name: str) -> list[tuple[float, float]]:
+    """(parent, change) values of ``name`` in each pair where both sides
+    have it, in pair order."""
     pairs: dict[tuple, dict] = {}
     for run in runs:
-        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = get(run)
+        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = get(run).get(name)
+    return [(pair["parent"], pair["change"]) for pair in pairs.values()
+            if pair.get("parent") is not None and pair.get("change") is not None]
+
+
+def _wins(runs: list[dict], get, name: str, better: str) -> dict[str, int]:
+    """Pairs each side won on ``name``, over the pairs where both sides have it."""
+    sign = 1.0 if better == "higher" else -1.0
     count = {"change": 0, "parent": 0, "ties": 0}
-    for pair in pairs.values():
-        if len(pair) < 2 or pair["parent"].get(name) is None or pair["change"].get(name) is None:
-            continue
-        delta = pair["change"][name] - pair["parent"][name]
-        if better == "lower":
-            delta = -delta
+    for parent, change in _pairs(runs, get, name):
+        delta = sign * (change - parent)
         count["change" if delta > 0 else "parent" if delta < 0 else "ties"] += 1
     return count
 
@@ -247,35 +240,29 @@ def sign_test(wins: int, losses: int) -> float:
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
 
 
+def _readouts(run: dict) -> dict:
+    return {**run["metrics"], "uncorrected_frames_per_s": run.get("uncorrected_frames_per_s")}
+
+
 def log_ratios(runs: list[dict]) -> dict:
     """Per readout in ``RATIOS``: log(change / parent) of each pair in which
     both sides have it, in pair order, with their median, central 90% (5th
     and 95th percentiles) and the one-sided sign test that the change is
-    better (``sign_p``)."""
-    pairs: dict[tuple, dict] = {}
-    for run in runs:
-        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = {
-            **run["metrics"], "uncorrected_frames_per_s": run.get("uncorrected_frames_per_s")}
+    better (``sign_p``) over the pairs each side won."""
     out = {}
     for name, better in RATIOS.items():
-        ratios = [math.log(p["change"][name] / p["parent"][name]) for p in pairs.values()
-                  if len(p) == 2 and p["change"].get(name) and p["parent"].get(name)]
+        ratios = [math.log(change / parent) for parent, change in _pairs(runs, _readouts, name)
+                  if parent > 0 and change > 0]
         if not ratios:
             continue
-        sign = 1.0 if better == "higher" else -1.0
         p5, median, p95 = np.percentile(ratios, [5, 50, 95]).tolist()
+        wins = _wins(runs, _readouts, name, better)
         out[name] = {"pairs": ratios, "median": median, "p5": p5, "p95": p95,
-                     "sign_p": sign_test(sum(sign * r > 0 for r in ratios),
-                                         sum(sign * r < 0 for r in ratios))}
+                     "sign_p": sign_test(wins["change"], wins["parent"])}
     return out
 
 
-def bench(args, run=perfbench, checkout=None) -> dict:
-    """Every pair of runs and their summaries. ``checkout(rev)`` gives the
-    parent side's directory; by default a worktree of ``args.parent``, or,
-    for a null run, the working tree."""
-    if checkout is None:
-        checkout = working_tree if args.null else parent_checkout
+def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
@@ -286,7 +273,6 @@ def bench(args, run=perfbench, checkout=None) -> dict:
         "parent_commit": parent,
         "change_commit": git("rev-parse", "--short", "HEAD"),
         "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "null": args.null,
         "workloads": {},
     }
     with checkout(args.parent) as parent_dir:

@@ -187,30 +187,6 @@ def test_parent_checkout_is_removed_even_after_an_error(script, tmp_path):
     assert len(_git(repo, "worktree", "list").splitlines()) == 1
 
 
-def test_null_runs_both_sides_from_the_working_tree(script, monkeypatch):
-    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
-    dirs = []
-
-    def run(checkout, workload, seed, seconds):
-        dirs.append(checkout)
-        return fake_output(workload, seed, 100.0, 60.0)
-
-    args = script.parse_args(["--null", "--name", "x", "--workloads", "train", "--seeds", "5",
-                              "--pairs", "2", "--seconds", "2"])
-    assert args.parent == "HEAD"
-    result = script.bench(args, run=run)
-    assert dirs == [script.ROOT] * 4 and result["null"] is True
-    assert not script.bench(script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads",
-                                               "train", "--seeds", "5", "--pairs", "1"]),
-                            run=run, checkout=lambda rev: contextlib.nullcontext("/p"))["null"]
-
-
-@pytest.mark.parametrize("argv", [[], ["--parent", "HEAD~1", "--null"]])
-def test_parent_or_null_but_not_both(script, argv):
-    with pytest.raises(SystemExit):
-        script.parse_args([*argv, "--name", "x", "--workloads", "train", "--seeds", "5", "--pairs", "1"])
-
-
 def test_log_ratios_per_pair_with_median_band_and_sign_test(script, monkeypatch):
     monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
     # per pair, parent then change: (frames/s, uncorrected frames/s, op p50 ms);
