@@ -9,24 +9,22 @@ Run from the repository root. REV is checked out with ``git worktree add``
 into a temporary directory, which is removed again however the run ends.
 With ``--parent HEAD`` on a tree without uncommitted edits, both sides run
 the same code: such null pairs show how far two runs land apart. For each
-workload, seed and pair, ``perfbench/run.py --trace 0`` runs once in the parent checkout
-and once in the working tree, one run at a time; even pairs run the parent
-first, odd pairs the change first. ``BENCH_<NAME>.json`` gets every run, and
-per workload the median and quartiles of each end-to-end metric on each
-side, and how many pairs each side won on it (the better direction comes
-from ``BENCHMARK.json``), and a verdict per metric: ``worse``,
-``unresolved`` or ``ok`` (see ``verdict``). Each run also records
-``steal_s``, the CPU seconds a hypervisor gave other guests while it ran,
-its frames/s before ``perfbench``'s host-speed correction, the correction's
-median factor, and the user and system CPU seconds and minor page faults of
-its process, in total and per op (set-up included); per workload, the
-uncorrected frames/s and the factor get the same median, quartiles and
-pairs won, printed under the corrected frames/s. Per workload and pair, the
-file also holds the log-ratio change/parent of frames/s, corrected and
-uncorrected, and of ``op_ms_p50``, with their median, central 90% and the
-one-sided sign test of the change being better. To measure on one core,
-run the whole command under ``taskset -c 0``: both sides inherit the
-affinity.
+workload, seed and pair, ``perfbench/run.py --trace 0`` runs once in the
+parent checkout and once in the working tree, one run at a time; even pairs
+run the parent first, odd pairs the change first.
+
+Each run records its metrics, ``steal_s`` (the CPU seconds a hypervisor gave
+other guests while it ran), its frames/s before ``perfbench``'s host-speed
+correction, the correction's median factor, and in ``cpu`` the user and
+system CPU seconds and minor page faults of its process, in total and per op
+(set-up included). ``BENCH_<NAME>.json`` holds per workload ``seconds``,
+``seeds``, ``runs`` and ``readouts``: one entry for each number the runs
+report (see ``readouts``), with each side's median and quartiles, the pairs
+each side won, the per-pair log-ratio change/parent with its median, central
+90% and one-sided sign test, and, for a metric ``BENCHMARK.json`` bounds, a
+verdict: ``worse``, ``unresolved`` or ``ok`` (see ``verdict``). The script
+prints one line per readout. To measure on one core, run the whole command
+under ``taskset -c 0``: both sides inherit the affinity.
 """
 
 from __future__ import annotations
@@ -162,77 +160,6 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "unresolved" if (q3 - q1) / scale > bound and not all_better else "ok"
 
 
-UNCORRECTED = ("uncorrected_frames_per_s", "host_speed_factor")
-
-
-def _metrics(run: dict) -> dict:
-    return run["metrics"]
-
-
-def _uncorrected(run: dict) -> dict:
-    return {name: run.get(name) for name in UNCORRECTED}
-
-
-def _values(runs: list[dict], get) -> dict[str, dict[str, list[float]]]:
-    """Per side and name, the values ``get(run)`` maps names to; None skipped."""
-    values = {side: {} for side in SIDES}
-    for run in runs:
-        for name, value in get(run).items():
-            if value is not None:
-                values[run["side"]].setdefault(name, []).append(value)
-    return values
-
-
-def _quartiles(values: dict[str, dict[str, list[float]]]) -> dict:
-    return {side: {name: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
-                   for name, v in values[side].items()}
-            for side in SIDES}
-
-
-def _pairs(runs: list[dict], get, name: str) -> list[tuple[float, float]]:
-    """(parent, change) values of ``name`` in each pair where both sides
-    have it, in pair order."""
-    pairs: dict[tuple, dict] = {}
-    for run in runs:
-        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = get(run).get(name)
-    return [(pair["parent"], pair["change"]) for pair in pairs.values()
-            if pair.get("parent") is not None and pair.get("change") is not None]
-
-
-def _wins(runs: list[dict], get, name: str, better: str) -> dict[str, int]:
-    """Pairs each side won on ``name``, over the pairs where both sides have it."""
-    sign = 1.0 if better == "higher" else -1.0
-    count = {"change": 0, "parent": 0, "ties": 0}
-    for parent, change in _pairs(runs, get, name):
-        delta = sign * (change - parent)
-        count["change" if delta > 0 else "parent" if delta < 0 else "ties"] += 1
-    return count
-
-
-def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
-    """Median and quartiles per side and metric, pairs won per metric, and
-    each metric's verdict under its ``better`` and ``bound`` in ``metrics``."""
-    values = _values(runs, _metrics)
-    wins = {name: _wins(runs, _metrics, name, spec["better"]) for name, spec in metrics.items()}
-    verdicts = {name: verdict(values["parent"][name], values["change"][name], spec["better"],
-                              spec["bound"])
-                for name, spec in metrics.items()
-                if name in values["parent"] and name in values["change"]}
-    return {"summary": _quartiles(values), "wins": wins, "verdicts": verdicts}
-
-
-def summarize_uncorrected(runs: list[dict]) -> dict:
-    """The same median, quartiles and pairs won for each run's frames/s
-    before the host-speed correction and for the correction's median factor,
-    over the runs that report them. The higher value wins a pair: for the
-    factor, that is the side whose host read as faster."""
-    return {"summary": _quartiles(_values(runs, _uncorrected)),
-            "wins": {name: _wins(runs, _uncorrected, name, "higher") for name in UNCORRECTED}}
-
-
-RATIOS = {"frames_per_s": "higher", "uncorrected_frames_per_s": "higher", "op_ms_p50": "lower"}
-
-
 def sign_test(wins: int, losses: int) -> float:
     """One-sided sign test: the chance of at least ``wins`` of ``wins +
     losses`` fair coin flips."""
@@ -240,25 +167,60 @@ def sign_test(wins: int, losses: int) -> float:
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
 
 
-def _readouts(run: dict) -> dict:
-    return {**run["metrics"], "uncorrected_frames_per_s": run.get("uncorrected_frames_per_s")}
+# the better direction of the readouts BENCHMARK.json does not list; the
+# host-speed factor's higher side is the one whose host read as faster
+BETTER = {"uncorrected_frames_per_s": "higher", "host_speed_factor": "higher",
+          "cpu_s_per_op": "lower", "minflt_per_op": "lower"}
 
 
-def log_ratios(runs: list[dict]) -> dict:
-    """Per readout in ``RATIOS``: log(change / parent) of each pair in which
-    both sides have it, in pair order, with their median, central 90% (5th
-    and 95th percentiles) and the one-sided sign test that the change is
-    better (``sign_p``) over the pairs each side won."""
+def readouts(run: dict) -> dict:
+    """Every number one run reports, by name: its end-to-end metrics, its
+    frames/s before the host-speed correction and the correction's median
+    factor, and its user + system CPU seconds and minor page faults per op.
+    A number the run lacks is None; runs of older BENCH files have no ``cpu``."""
+    cpu = run.get("cpu") or {}
+    user, system = cpu.get("user_s_per_op"), cpu.get("sys_s_per_op")
+    return {**run["metrics"],
+            "uncorrected_frames_per_s": run.get("uncorrected_frames_per_s"),
+            "host_speed_factor": run.get("host_speed_factor"),
+            "cpu_s_per_op": None if user is None or system is None else user + system,
+            "minflt_per_op": cpu.get("minflt_per_op")}
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per readout that both sides report: each side's ``q1``, ``median`` and
+    ``q3``, the pairs each side won (``wins``), and ``log_ratio``: log(change
+    / parent) of each pair where both are positive, in pair order, with their
+    median, central 90% (``p5``, ``p95``) and the one-sided sign test of the
+    change being better (``sign_p``), or None without such a pair. A readout
+    that ``metrics`` bounds also gets its ``verdict``."""
+    specs = {**metrics, **{name: {"better": b} for name, b in BETTER.items()}}
+    pairs: dict[tuple, dict] = {}
+    for run in runs:
+        pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = readouts(run)
     out = {}
-    for name, better in RATIOS.items():
-        ratios = [math.log(change / parent) for parent, change in _pairs(runs, _readouts, name)
-                  if parent > 0 and change > 0]
-        if not ratios:
+    for name, spec in specs.items():
+        parent, change = ([pair[side][name] for pair in pairs.values()
+                           if pair.get(side, {}).get(name) is not None] for side in SIDES)
+        if not parent or not change:
             continue
-        p5, median, p95 = np.percentile(ratios, [5, 50, 95]).tolist()
-        wins = _wins(runs, _readouts, name, better)
-        out[name] = {"pairs": ratios, "median": median, "p5": p5, "p95": p95,
-                     "sign_p": sign_test(wins["change"], wins["parent"])}
+        entry = {side: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
+                 for side, v in zip(SIDES, (parent, change))}
+        both = [(pair["parent"][name], pair["change"][name]) for pair in pairs.values()
+                if all(pair.get(side, {}).get(name) is not None for side in SIDES)]
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        deltas = [sign * (c - p) for p, c in both]
+        wins = {"change": sum(d > 0 for d in deltas), "parent": sum(d < 0 for d in deltas),
+                "ties": sum(d == 0 for d in deltas)}
+        ratios = [math.log(c / p) for p, c in both if p > 0 and c > 0]
+        entry["wins"], entry["log_ratio"] = wins, None
+        if ratios:
+            p5, median, p95 = np.percentile(ratios, [5, 50, 95]).tolist()
+            entry["log_ratio"] = {"pairs": ratios, "median": median, "p5": p5, "p95": p95,
+                                  "sign_p": sign_test(wins["change"], wins["parent"])}
+        if "bound" in spec:
+            entry["verdict"] = verdict(parent, change, spec["better"], spec["bound"])
+        out[name] = entry
     return out
 
 
@@ -291,22 +253,21 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
                         runs.append({"side": side, "pair": pair, "seed": seed, "first": k == 0,
                                      "steal_s": steal, "cpu": cpu, **record})
             out["workloads"][workload] = {"seconds": seconds, "seeds": list(args.seeds),
-                                          **summarize(runs, metrics),
-                                          "uncorrected": summarize_uncorrected(runs),
-                                          "log_ratios": log_ratios(runs), "runs": runs}
+                                          "readouts": summarize(runs, metrics), "runs": runs}
     return out
 
 
-def summary_line(name: str, summary: dict, wins: dict) -> str | None:
-    """``name``: each side's median [q1, q3] and the pairs won; None where a
-    side has no value."""
-    p, c = summary["parent"].get(name), summary["change"].get(name)
-    if p is None or c is None:
-        return None
-    count = wins[name]
-    return (f"  {name:<14} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  change "
-            f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  change won "
-            f"{count['change']}, parent {count['parent']}, ties {count['ties']}")
+def summary_line(name: str, entry: dict) -> str:
+    """``name``: each side's median [q1, q3], the pairs won, the log-ratio's
+    median, central 90% and sign test, and the verdict where there is one."""
+    p, c, won, ratio = entry["parent"], entry["change"], entry["wins"], entry["log_ratio"]
+    line = (f"  {name:<24} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  change "
+            f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  change won {won['change']}, "
+            f"parent {won['parent']}, ties {won['ties']}")
+    if ratio is not None:
+        line += (f"; log(change/parent) {ratio['median']:+.4f} [{ratio['p5']:+.4f}, "
+                 f"{ratio['p95']:+.4f}], sign p {ratio['sign_p']:.3g}")
+    return line + (f": {entry['verdict']}" if "verdict" in entry else "")
 
 
 def main(argv=None) -> int:
@@ -318,21 +279,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     for workload, entry in result["workloads"].items():
         print(f"{workload}:")
-        for name in entry["wins"]:
-            line = summary_line(name, entry["summary"], entry["wins"])
-            if line is None:
-                continue
-            print(f"{line}: {entry['verdicts'][name]}")
-            if name == "frames_per_s":  # the correction's side of the claim
-                for raw in UNCORRECTED:
-                    line = summary_line(raw, entry["uncorrected"]["summary"],
-                                        entry["uncorrected"]["wins"])
-                    if line is not None:
-                        print(f"  {line}")
-        for name, r in entry["log_ratios"].items():
-            print(f"  log(change/parent) {name}: median {r['median']:+.4f}, 90% "
-                  f"[{r['p5']:+.4f}, {r['p95']:+.4f}] over {len(r['pairs'])} pairs, "
-                  f"sign test p {r['sign_p']:.3g}")
+        for name, readout in entry["readouts"].items():
+            print(summary_line(name, readout))
     print(f"wrote {path}")
     return 0 if all(r["correct"] for e in result["workloads"].values() for r in e["runs"]) else 1
 

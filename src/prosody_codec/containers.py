@@ -93,6 +93,8 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
         if not isinstance(name, str) or dtype not in _DTYPES:
             raise DataError(f"{path}: array {name!r} has unsupported dtype {dtype!r}")
+        if name in arrays:
+            raise DataError(f"{path}: array {name!r} is named twice")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise DataError(f"{path}: array {name!r} has a bad shape {shape!r}")
         count = math.prod(shape)

@@ -236,6 +236,9 @@ def load_checkpoint(path: str) -> TrainState:
     train_meta = meta["train"]
     _require_keys("train meta", train_meta, _TRAIN_META)
     tcfg = _section_from_meta(TrainConfig, train_meta["config"], "train.config", "train")
+    for key in ("step", "adam_t"):  # a negative adam_t makes Adam's bias correction NaN
+        if train_meta[key] < 0:
+            raise DataError(f"checkpoint train meta: {key}: must be >= 0, got {train_meta[key]}")
     opt = AdamState(model.params)
     opt.t = train_meta["adam_t"]
     moments = {"opt.m.": opt.m, "opt.v.": opt.v}  # prefixes of one length
@@ -247,6 +250,10 @@ def load_checkpoint(path: str) -> TrainState:
         if moment is None or moment.shape != arr.shape:
             raise DataError(f"checkpoint array {key} of shape {arr.shape} matches no parameter")
         moment[...] = arr
+    missing = [prefix + name for prefix, moment in moments.items() for name in moment
+               if prefix + name not in arrays]
+    if missing:
+        raise DataError(f"checkpoint lacks Adam moments {', '.join(missing)}")
     rng = np.random.default_rng(tcfg.seed)
     try:
         rng.bit_generator.state = train_meta["rng_state"]

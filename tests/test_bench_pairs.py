@@ -41,18 +41,22 @@ def fake_output(workload, seed, frames_per_s, peak_rss_mb, uncorrected=93.5, fac
     return "\n".join(line for line in lines if "None" not in line)
 
 
-def test_pairs_alternate_and_are_summarized(script, monkeypatch):
+def test_pairs_alternate_and_are_summarized(script, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
     calls = []
     # parent runs read 100, 110, 120, 130 frames/s; the change 1.5x those,
-    # except in pair 3, where the parent wins; memory is equal in pair 0
+    # except in pair 3, where the parent wins; memory is equal in pair 0;
+    # per pair (uncorrected frames/s, correction factor): the change run of
+    # pair 1 printed neither, so that pair counts for neither
     speeds = {"parent": iter([100.0, 110.0, 120.0, 130.0]), "change": iter([150.0, 165.0, 180.0, 100.0])}
     memory = {"parent": iter([60.0, 60.0, 60.0, 60.0]), "change": iter([60.0, 62.0, 58.0, 61.0])}
+    raw = {"parent": iter([(90.0, 1.0), (95.0, 1.1), (100.0, 1.2), (105.0, 1.0)]),
+           "change": iter([(120.0, 0.8), (None, None), (110.0, 1.2), (100.0, 1.1)])}
 
     def run(checkout, workload, seed, seconds):
         side = "parent" if checkout == "/parent" else "change"
         calls.append((side, workload, seed, seconds))
-        return fake_output(workload, seed, next(speeds[side]), next(memory[side]))
+        return fake_output(workload, seed, next(speeds[side]), next(memory[side]), *next(raw[side]))
 
     @contextlib.contextmanager
     def checkout(rev):
@@ -67,57 +71,43 @@ def test_pairs_alternate_and_are_summarized(script, monkeypatch):
                                             "parent", "change", "change", "parent"]
     assert {c[1:] for c in calls} == {("resynth", 7, 2.0)}
     entry = result["workloads"]["resynth"]
+    assert set(entry) == {"seconds", "seeds", "readouts", "runs"}
     runs = entry["runs"]
     assert [(r["pair"], r["side"], r["first"]) for r in runs[:4]] == [
         (0, "parent", True), (0, "change", False), (1, "change", True), (1, "parent", False)]
     assert runs[0]["run"].startswith("workload resynth  seed 7") and runs[0]["env"] == {"nproc": 2}
     assert runs[0]["metrics"] == {"frames_per_s": 100.0, "peak_rss_mb": 60.0}
     assert all("steal_s" in r for r in runs)
-    assert runs[0]["uncorrected_frames_per_s"] == 93.5 and runs[0]["host_speed_factor"] == 1.05
-    assert entry["summary"]["parent"]["frames_per_s"] == {"q1": 107.5, "median": 115.0, "q3": 122.5}
-    assert entry["summary"]["change"]["frames_per_s"]["median"] == 157.5
-    assert entry["wins"]["frames_per_s"] == {"change": 3, "parent": 1, "ties": 0}
+    assert runs[0]["uncorrected_frames_per_s"] == 90.0 and runs[0]["host_speed_factor"] == 1.0
+    readouts = entry["readouts"]
+    frames = readouts["frames_per_s"]
+    assert frames["parent"] == {"q1": 107.5, "median": 115.0, "q3": 122.5}
+    assert frames["change"]["median"] == 157.5
+    assert frames["wins"] == {"change": 3, "parent": 1, "ties": 0}
+    assert frames["log_ratio"]["pairs"] == pytest.approx([math.log(1.5)] * 3 + [math.log(100 / 130)])
     # lower is better for memory
-    assert entry["wins"]["peak_rss_mb"] == {"change": 1, "parent": 2, "ties": 1}
-    assert entry["verdicts"] == {"frames_per_s": "ok", "peak_rss_mb": "ok"}
+    assert readouts["peak_rss_mb"]["wins"] == {"change": 1, "parent": 2, "ties": 1}
+    assert {name: r["verdict"] for name, r in readouts.items() if "verdict" in r} == {
+        "frames_per_s": "ok", "peak_rss_mb": "ok"}
+    # the higher correction factor wins a pair: its side's host read as faster
+    uncorrected, factor = readouts["uncorrected_frames_per_s"], readouts["host_speed_factor"]
+    assert uncorrected["parent"] == {"q1": 93.75, "median": 97.5, "q3": 101.25}
+    assert uncorrected["change"]["median"] == 110.0 and factor["change"]["median"] == 1.1
+    assert uncorrected["wins"] == {"change": 2, "parent": 1, "ties": 0}
+    assert factor["wins"] == {"change": 1, "parent": 1, "ties": 1}
+    assert len(uncorrected["log_ratio"]["pairs"]) == 3
     assert result["parent_commit"] == "abc1234"
-
-
-def test_uncorrected_frames_and_correction_factors_are_summarized(script, monkeypatch, tmp_path,
-                                                                  capsys):
-    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
-    # per pair: parent then change (uncorrected frames/s, factor); the change
-    # run of pair 1 printed neither, so that pair counts for neither
-    raw = {"parent": iter([(90.0, 1.0), (95.0, 1.1), (100.0, 1.2)]),
-           "change": iter([(120.0, 0.8), (None, None), (110.0, 1.2)])}
-
-    def run(checkout, workload, seed, seconds):
-        side = "parent" if checkout == "/parent" else "change"
-        return fake_output(workload, seed, 100.0, 60.0, *next(raw[side]))
-
-    @contextlib.contextmanager
-    def checkout(rev):
-        yield "/parent"
-
-    args = script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads", "resynth",
-                              "--seeds", "7", "--pairs", "3", "--seconds", "2"])
-    result = script.bench(args, run=run, checkout=checkout)
-    entry = result["workloads"]["resynth"]["uncorrected"]
-    assert entry["summary"]["parent"]["uncorrected_frames_per_s"] == {
-        "q1": 92.5, "median": 95.0, "q3": 97.5}
-    assert entry["summary"]["change"]["uncorrected_frames_per_s"]["median"] == 115.0
-    assert entry["summary"]["change"]["host_speed_factor"]["median"] == 1.0
-    assert entry["wins"]["uncorrected_frames_per_s"] == {"change": 2, "parent": 0, "ties": 0}
-    assert entry["wins"]["host_speed_factor"] == {"change": 0, "parent": 1, "ties": 1}
 
     monkeypatch.setattr(script, "ROOT", str(tmp_path))
     monkeypatch.setattr(script, "bench", lambda args: result)
     assert script.main(["--parent", "HEAD~1", "--name", "x", "--workloads", "resynth",
-                        "--seeds", "7", "--pairs", "3"]) == 0
-    printed = capsys.readouterr().out.splitlines()
-    at = next(i for i, line in enumerate(printed) if line.strip().startswith("frames_per_s"))
-    assert printed[at + 1].split()[:3] == ["uncorrected_frames_per_s", "parent", "95"]
-    assert printed[at + 2].split()[:3] == ["host_speed_factor", "parent", "1.1"]
+                        "--seeds", "7", "--pairs", "4"]) == 0
+    printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:-1]}
+    assert set(printed) == set(readouts)
+    assert printed["frames_per_s"].split()[1:3] == ["parent", "115"]
+    assert printed["frames_per_s"].endswith("sign p 0.312: ok")
+    assert printed["uncorrected_frames_per_s"].split()[1:3] == ["parent", "97.5"]
+    assert printed["host_speed_factor"].endswith("sign p 0.75")
     assert (tmp_path / "BENCH_x.json").exists()
 
 
@@ -203,8 +193,9 @@ def test_log_ratios_per_pair_with_median_band_and_sign_test(script, monkeypatch)
 
     args = script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads", "train",
                               "--seeds", "5", "--pairs", "4", "--seconds", "2"])
-    ratios = script.bench(args, run=run, checkout=lambda rev: contextlib.nullcontext("/parent"))[
-        "workloads"]["train"]["log_ratios"]
+    readouts = script.bench(args, run=run, checkout=lambda rev: contextlib.nullcontext("/parent"))[
+        "workloads"]["train"]["readouts"]
+    ratios = {name: readout["log_ratio"] for name, readout in readouts.items()}
     frames = ratios["frames_per_s"]
     expected = [math.log(1.1), math.log(1.2), math.log(1.5), math.log(0.9)]
     assert frames["pairs"] == pytest.approx(expected)
@@ -242,3 +233,32 @@ def test_each_run_records_its_cpu_time_and_faults(script, monkeypatch):
     assert runs[0]["cpu"] == {"user_s": 3.0, "sys_s": 0.5, "minflt": 100, "user_s_per_op": 3.0 / 40,
                               "sys_s_per_op": 0.5 / 40, "minflt_per_op": 100 / 40}
     assert runs[1]["cpu"]["user_s"] == 4.0 and runs[1]["cpu"]["minflt_per_op"] == 200 / 40
+    readout = script.readouts(runs[0])
+    assert readout["cpu_s_per_op"] == 3.5 / 40 and readout["minflt_per_op"] == 100 / 40
+    del runs[0]["cpu"]  # runs of older BENCH files have no cpu readings
+    assert script.readouts(runs[0])["cpu_s_per_op"] is None
+    assert script.readouts(runs[0])["minflt_per_op"] is None
+
+
+@pytest.mark.parametrize("name", ["BENCH_null_train.json", "BENCH_fused_modules_encode_resynth.json"])
+def test_stored_runs_give_their_stored_summary_again(script, name):
+    # files written before the readouts table: summary, wins and verdicts of
+    # the end-to-end metrics, the uncorrected block and three log-ratios
+    root = os.path.dirname(PATH)
+    with open(os.path.join(root, os.pardir, name), encoding="utf-8") as fh:
+        stored = json.load(fh)
+    with open(os.path.join(root, os.pardir, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    for entry in stored["workloads"].values():
+        readouts = script.summarize(entry["runs"], metrics)
+        for block in (entry, entry["uncorrected"]):
+            for metric, wins in block["wins"].items():
+                assert readouts[metric]["wins"] == wins
+                for side in script.SIDES:
+                    assert readouts[metric][side] == block["summary"][side][metric]
+        assert {m: readouts[m]["verdict"] for m in entry["verdicts"]} == entry["verdicts"]
+        for metric, ratio in entry["log_ratios"].items():
+            ours = readouts[metric]["log_ratio"]
+            assert ours["pairs"] == pytest.approx(ratio["pairs"], rel=0, abs=1e-12)
+            for key in ("median", "p5", "p95", "sign_p"):
+                assert ours[key] == pytest.approx(ratio[key], rel=0, abs=1e-12)

@@ -607,6 +607,7 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
         ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": [-1]}]}, r"bad shape \[-1\]"),
         ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": ["2"]}]}, "bad shape"),
         ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": [2**40, 2**40]}]}, "truncated array"),
+        ({"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": [0]}] * 2}, "array 'a' is named twice"),
     ],
 )
 def test_container_header_must_describe_the_arrays(tmp_path, header, message):

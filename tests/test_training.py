@@ -363,9 +363,11 @@ def test_checkpoint_carrying_best_eval_loads(tmp_path):
 _DROP = object()
 
 
-def _edit_train_meta(meta, key, value):
+def _edit_train_checkpoint(meta, arrays, key, value):
     if key is None:
         meta["train"] = value
+    elif key.startswith("opt."):
+        del arrays[key]
     elif value is _DROP:
         del meta["train"][key]
     elif key.startswith("config."):
@@ -390,13 +392,16 @@ def _edit_train_meta(meta, key, value):
         ("rng_state", {"a": 1}, "train meta: rng_state: ValueError"),
         ("rng_state", 5, "train meta: rng_state: unexpected value 5"),
         (None, [1], r"meta: train: unexpected value \[1\]"),
+        ("step", -1, "train meta: step: must be >= 0, got -1"),
+        ("adam_t", -3, "train meta: adam_t: must be >= 0, got -3"),
+        ("opt.m.mel_out.b", _DROP, "checkpoint lacks Adam moments opt.m.mel_out.b$"),
     ],
 )
 def test_malformed_train_checkpoint_is_data_error(tmp_path, key, value, message):
     path = tmp_path / "state.ckpt"
     save_checkpoint(new_train_state(make_model(), TrainConfig(batch_size=2, max_steps=1)), str(path))
     meta, arrays = read_container(str(path))
-    _edit_train_meta(meta, key, value)
+    _edit_train_checkpoint(meta, arrays, key, value)
     write_container(str(path), meta, arrays)
     with pytest.raises(DataError, match=message):
         load_checkpoint(str(path))
