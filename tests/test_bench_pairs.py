@@ -111,6 +111,43 @@ def test_pairs_alternate_and_are_summarized(script, monkeypatch, tmp_path, capsy
     assert (tmp_path / "BENCH_x.json").exists()
 
 
+def test_uncorrected_frames_and_correction_factors_are_summarized(script, monkeypatch, tmp_path,
+                                                                  capsys):
+    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
+    # per pair: parent then change (uncorrected frames/s, factor); the change
+    # run of pair 1 printed neither, so that pair counts for neither
+    raw = {"parent": iter([(90.0, 1.0), (95.0, 1.1), (100.0, 1.2)]),
+           "change": iter([(120.0, 0.8), (None, None), (110.0, 1.2)])}
+
+    def run(checkout, workload, seed, seconds):
+        side = "parent" if checkout == "/parent" else "change"
+        return fake_output(workload, seed, 100.0, 60.0, *next(raw[side]))
+
+    @contextlib.contextmanager
+    def checkout(rev):
+        yield "/parent"
+
+    args = script.parse_args(["--parent", "HEAD~1", "--name", "x", "--workloads", "resynth",
+                              "--seeds", "7", "--pairs", "3", "--seconds", "2"])
+    result = script.bench(args, run=run, checkout=checkout)
+    readouts = result["workloads"]["resynth"]["readouts"]
+    uncorrected, factor = readouts["uncorrected_frames_per_s"], readouts["host_speed_factor"]
+    assert uncorrected["parent"] == {"q1": 92.5, "median": 95.0, "q3": 97.5}
+    assert uncorrected["change"]["median"] == 115.0
+    assert factor["change"]["median"] == 1.0
+    assert uncorrected["wins"] == {"change": 2, "parent": 0, "ties": 0}
+    assert factor["wins"] == {"change": 0, "parent": 1, "ties": 1}
+
+    monkeypatch.setattr(script, "ROOT", str(tmp_path))
+    monkeypatch.setattr(script, "bench", lambda args: result)
+    assert script.main(["--parent", "HEAD~1", "--name", "x", "--workloads", "resynth",
+                        "--seeds", "7", "--pairs", "3"]) == 0
+    printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:-1]}
+    assert printed["uncorrected_frames_per_s"].split()[1:3] == ["parent", "95"]
+    assert printed["host_speed_factor"].split()[1:3] == ["parent", "1.1"]
+    assert (tmp_path / "BENCH_x.json").exists()
+
+
 def test_a_run_that_dies_before_its_result_line_names_itself(script, monkeypatch):
     # the parent's run reports an incorrect result, and the series goes on;
     # the change's run dies after printing its first lines
