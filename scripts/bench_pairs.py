@@ -22,9 +22,12 @@ system CPU seconds and minor page faults of its process, in total and per op
 report (see ``readouts``), with each side's median and quartiles, the pairs
 each side won, the per-pair log-ratio change/parent with its median, central
 90% and one-sided sign test, and, for a metric ``BENCHMARK.json`` bounds, a
-verdict: ``worse``, ``unresolved`` or ``ok`` (see ``verdict``). The script
-prints one line per readout. To measure on one core, run the whole command
-under ``taskset -c 0``: both sides inherit the affinity.
+verdict: ``worse``, ``unresolved`` or ``ok`` (see ``verdict``). Each
+readout with null pairs (see ``null_ratios``: every ``BENCH_null_<workload>``
+file at the repository root, pooled) also gets the central 90% of their
+log-ratios and ``gain`` (see ``judge``), the verdict on a claimed speed-up.
+The script prints one line per readout. To measure on one core, run the
+whole command under ``taskset -c 0``: both sides inherit the affinity.
 """
 
 from __future__ import annotations
@@ -188,12 +191,13 @@ def readouts(run: dict) -> dict:
 
 
 def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
-    """Per readout that both sides report: each side's ``q1``, ``median`` and
-    ``q3``, the pairs each side won (``wins``), and ``log_ratio``: log(change
-    / parent) of each pair where both are positive, in pair order, with their
-    median, central 90% (``p5``, ``p95``) and the one-sided sign test of the
-    change being better (``sign_p``), or None without such a pair. A readout
-    that ``metrics`` bounds also gets its ``verdict``."""
+    """Per readout that both sides report: its ``better`` direction, each
+    side's ``q1``, ``median`` and ``q3``, the pairs each side won (``wins``),
+    and ``log_ratio``: log(change / parent) of each pair where both are
+    positive, in pair order, with their median, central 90% (``p5``,
+    ``p95``) and the one-sided sign test of the change being better
+    (``sign_p``), or None without such a pair. A readout that ``metrics``
+    bounds also gets its ``verdict``."""
     specs = {**metrics, **{name: {"better": b} for name, b in BETTER.items()}}
     pairs: dict[tuple, dict] = {}
     for run in runs:
@@ -213,7 +217,7 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
         wins = {"change": sum(d > 0 for d in deltas), "parent": sum(d < 0 for d in deltas),
                 "ties": sum(d == 0 for d in deltas)}
         ratios = [math.log(c / p) for p, c in both if p > 0 and c > 0]
-        entry["wins"], entry["log_ratio"] = wins, None
+        entry["better"], entry["wins"], entry["log_ratio"] = spec["better"], wins, None
         if ratios:
             p5, median, p95 = np.percentile(ratios, [5, 50, 95]).tolist()
             entry["log_ratio"] = {"pairs": ratios, "median": median, "p5": p5, "p95": p95,
@@ -222,6 +226,41 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
             entry["verdict"] = verdict(parent, change, spec["better"], spec["bound"])
         out[name] = entry
     return out
+
+
+def null_ratios(workload: str, root: str) -> dict[str, list[float]]:
+    """Per readout, the per-pair log-ratios of ``workload`` in every
+    ``BENCH_null_<workload>.json`` and ``BENCH_null_<workload>_<tag>.json``
+    in ``root``, pooled in file-name order. Null files come from
+    ``--parent HEAD`` on a clean tree: both sides run the same code."""
+    pooled: dict[str, list[float]] = {}
+    for name in sorted(os.listdir(root)):
+        if not re.fullmatch(rf"BENCH_null_{workload}(_\w+)?\.json", name):
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            runs = json.load(fh)["workloads"][workload]["runs"]
+        # a log-ratio does not depend on the better direction
+        metrics = {metric: {"better": "higher"} for run in runs for metric in run["metrics"]}
+        for readout, entry in summarize(runs, metrics).items():
+            if entry["log_ratio"] is not None:
+                pooled.setdefault(readout, []).extend(entry["log_ratio"]["pairs"])
+    return pooled
+
+
+def judge(readouts: dict, null: dict[str, list[float]]) -> None:
+    """Adds to each readout with a log-ratio and null pairs in ``null``:
+    ``null``, the central 90% (``p5``, ``p95``) of those pairs and their
+    count, and ``gain``, true only when the change's median log-ratio lies
+    beyond that band on the readout's better side and its sign test gives
+    p < 0.05."""
+    for name, entry in readouts.items():
+        ratio, pairs = entry["log_ratio"], null.get(name)
+        if ratio is None or not pairs:
+            continue
+        p5, p95 = np.percentile(pairs, [5, 95]).tolist()
+        beyond = ratio["median"] > p95 if entry["better"] == "higher" else ratio["median"] < p5
+        entry["null"] = {"p5": p5, "p95": p95, "pairs": len(pairs)}
+        entry["gain"] = beyond and ratio["sign_p"] < 0.05
 
 
 def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
@@ -259,7 +298,8 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
 
 def summary_line(name: str, entry: dict) -> str:
     """``name``: each side's median [q1, q3], the pairs won, the log-ratio's
-    median, central 90% and sign test, and the verdict where there is one."""
+    median, central 90% and sign test, the null band and gain, and the
+    verdict, each where there is one."""
     p, c, won, ratio = entry["parent"], entry["change"], entry["wins"], entry["log_ratio"]
     line = (f"  {name:<24} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  change "
             f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  change won {won['change']}, "
@@ -267,12 +307,18 @@ def summary_line(name: str, entry: dict) -> str:
     if ratio is not None:
         line += (f"; log(change/parent) {ratio['median']:+.4f} [{ratio['p5']:+.4f}, "
                  f"{ratio['p95']:+.4f}], sign p {ratio['sign_p']:.3g}")
+    if "null" in entry:
+        null = entry["null"]
+        line += (f"; null [{null['p5']:+.4f}, {null['p95']:+.4f}] of {null['pairs']} pairs, "
+                 f"gain {'yes' if entry['gain'] else 'no'}")
     return line + (f": {entry['verdict']}" if "verdict" in entry else "")
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     result = bench(args)
+    for workload, entry in result["workloads"].items():
+        judge(entry["readouts"], null_ratios(workload, ROOT))
     path = os.path.join(ROOT, f"BENCH_{args.name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)

@@ -263,9 +263,17 @@ def linear_bwd(g, x, w, need=(True, True, True)):
 def layer_norm_fwd(x, gain, bias, eps: float = 1e-5):
     """The last axis (n) normalized to zero mean / unit variance, scaled by
     ``gain`` (n,) and shifted by ``bias`` (n,); kept: the normalized input
-    and the inverse standard deviation per row."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    and the inverse standard deviation per row. The mean and the variance
+    are summed and divided as ``np.mean`` does it (same bits), without its
+    Python wrapper, in one buffer per row that ends as the inverse std."""
+    n = np.intp(x.shape[-1])
+    stat = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(stat, n, out=stat, casting="unsafe")
+    xhat = x - stat
+    np.add.reduce(np.square(xhat), axis=-1, keepdims=True, out=stat)
+    np.true_divide(stat, n, out=stat, casting="unsafe")
+    stat += eps
+    inv_std = np.divide(1.0, np.sqrt(stat, out=stat), out=stat)
     xhat *= inv_std
     out = xhat * gain
     out += bias

@@ -24,7 +24,7 @@ from .containers import read_container, write_container
 from .corpus import Batch, Utterance
 from .dsp import MelSpectrogram
 from .errors import ConfigError, ContractError, DataError
-from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward
+from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward, rvq_quantize
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -311,6 +311,7 @@ class CodecModel:
         if params is None:
             params = init_params(self, rng)
         _, self.params = ad.flat_views(params, self.dtype)
+        self._constants: dict[str, Tensor] = {}
         self.rvq = None
         if quantized:
             self.rvq = rvq if rvq is not None else new_rvq(
@@ -321,7 +322,16 @@ class CodecModel:
     # -- parameter plumbing
 
     def param_tensors(self, train: bool = True) -> dict[str, Tensor]:
-        return {k: Tensor(v, requires_grad=train) for k, v in self.params.items()}
+        """One Tensor per parameter: fresh trainable leaves, or for inference
+        constants built once and kept while the entry of ``params`` is still
+        the same array (an in-place update shows through; a swapped entry
+        or ``astype`` gets a new one)."""
+        if train:
+            return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
+        held = self._constants
+        self._constants = {k: t if (t := held.get(k)) is not None and t.data is v else Tensor(v)
+                           for k, v in self.params.items()}
+        return dict(self._constants)
 
     def astype(self, dtype) -> "CodecModel":
         """The parameters laid out afresh in ``dtype``; an ``AdamState`` made
@@ -394,7 +404,7 @@ class CodecModel:
         """Per-utterance code sequences; no decoder runs."""
         self._require_rvq("encode")
         _, _, z = self.encode_batch(self.param_tensors(train=False), batch)
-        codes, _, _ = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
+        codes, _ = rvq_quantize(self.rvq, z.data)
         return self._sequences(codes, batch)
 
     def reconstruct_batch(self, batch: Batch) -> list[MelSpectrogram]:
@@ -403,7 +413,7 @@ class CodecModel:
         pt = self.param_tensors(train=False)
         ling, w, latent = self.encode_batch(pt, batch)
         if self.rvq is not None:
-            _, latent, _ = rvq_forward(self.rvq, latent, mask=batch.phoneme_mask)
+            latent = self._latent(rvq_quantize(self.rvq, latent.data)[1])
         return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
 
     def codes_and_reconstructions(
@@ -415,8 +425,8 @@ class CodecModel:
         self._require_rvq("reconstruct")
         pt = self.param_tensors(train=False)
         ling, w, z = self.encode_batch(pt, batch)
-        codes, latent, _ = rvq_forward(self.rvq, z, mask=batch.phoneme_mask)
-        full = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
+        codes, vectors = rvq_quantize(self.rvq, z.data)
+        full = self._mels(self.decode_batch(pt, batch, self._latent(vectors), ling, w), batch)
         partial = None
         if level1:
             latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))

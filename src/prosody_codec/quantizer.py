@@ -115,6 +115,51 @@ class CodeSequence:
 # quantization
 
 
+_PAIRWISE_BLOCK = 128  # numpy's pairwise summation splits runs longer than this
+
+
+def squared_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """(..., K) squared Euclidean distances of each row of ``x`` (..., d) to
+    each row of ``entries`` (K, d), one coordinate plane at a time.
+
+    The planes are added in the order numpy's pairwise sum gives to
+    ``(diff * diff).sum(axis=-1)``, ``diff = x[..., None, :] - entries``,
+    over its contiguous axis of d terms: one after the other below 8, eight
+    interleaved partial sums up to 128, halves (rounded down to a multiple
+    of 8) beyond. So the bits are those of that expression, without its
+    (..., K, d) array.
+    """
+
+    def plane(j):
+        t = np.subtract(x[..., j, None], entries[:, j])
+        return np.multiply(t, t, out=t)
+
+    def pairwise(lo, n):
+        if n < 8:
+            acc = plane(lo)
+            for j in range(lo + 1, lo + n):
+                acc += plane(j)
+            return acc
+        if n <= _PAIRWISE_BLOCK:
+            r = [plane(lo + j) for j in range(8)]
+            end = lo + n - n % 8
+            for i in range(lo + 8, end, 8):
+                for j in range(8):
+                    r[j] += plane(i + j)
+            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+                r[a] += r[b]
+            for j in range(end, lo + n):
+                r[0] += plane(j)
+            return r[0]
+        half = n // 2
+        half -= half % 8
+        acc = pairwise(lo, half)
+        acc += pairwise(lo + half, n - half)
+        return acc
+
+    return pairwise(0, x.shape[-1])
+
+
 def quantize_level(book: Codebook, x: np.ndarray):
     """Nearest entry per row of ``x`` (squared Euclidean, ties -> lowest index).
 
@@ -125,15 +170,33 @@ def quantize_level(book: Codebook, x: np.ndarray):
         raise ContractError(
             f"quantize_level: input dim {x.shape[-1]} != codebook dim {book.dim}"
         )
-    diff = x[..., None, :] - book.entries  # (..., K, d)
-    dist = (diff * diff).sum(axis=-1)
+    dist = squared_distances(x, book.entries)
     indices = np.argmin(dist, axis=-1)
     quantized = book.entries[indices]
     return indices, quantized, x - quantized
 
 
+def rvq_quantize(rvq: RVQ, x: np.ndarray) -> tuple[CodeSequence, np.ndarray]:
+    """Cascade quantization of ``x`` (..., d), with no graph: each level
+    quantizes the residual the previous one left, kept in x's dtype.
+    Returns the codes (..., L) and the float64 sum of the selected entries.
+    Inference calls this; ``rvq_forward`` adds the training graph."""
+    x = np.asarray(x)
+    if x.shape[-1] != rvq.dim:
+        raise ContractError(f"rvq_quantize: input dim {x.shape[-1]} != {rvq.dim}")
+    residual = x
+    quantized_sum = np.zeros(x.shape, dtype=np.float64)
+    indices_per_level = []
+    for book in rvq.levels:
+        idx, q, _ = quantize_level(book, residual)
+        indices_per_level.append(idx)
+        quantized_sum += q
+        residual = residual - q.astype(x.dtype)
+    return CodeSequence(indices=np.stack(indices_per_level, axis=-1)), quantized_sum
+
+
 def rvq_forward(rvq: RVQ, x, mask: np.ndarray | None = None):
-    """Cascade quantization with straight-through output.
+    """``rvq_quantize`` with straight-through output and the commitment term.
 
     ``x``: Tensor or array shaped (..., d). Returns
     (CodeSequence, output Tensor, commitment Tensor). The output's forward
@@ -143,8 +206,7 @@ def rvq_forward(rvq: RVQ, x, mask: np.ndarray | None = None):
     to ``mask`` (positions) when given.
     """
     x = ad.as_tensor(x)
-    if x.data.shape[-1] != rvq.dim:
-        raise ContractError(f"rvq_forward: input dim {x.data.shape[-1]} != {rvq.dim}")
+    codes, quantized_sum = rvq_quantize(rvq, x.data)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != x.data.shape[:-1]:
@@ -156,14 +218,11 @@ def rvq_forward(rvq: RVQ, x, mask: np.ndarray | None = None):
         denom = float(np.prod(x.data.shape[:-1])) if x.data.ndim > 1 else 1.0
 
     residual = x
-    quantized_sum = np.zeros(x.data.shape, dtype=np.float64)
-    indices_per_level = []
     commit_terms = []
-    for book in rvq.levels:
-        idx, q, _ = quantize_level(book, residual.data)
-        indices_per_level.append(idx)
-        quantized_sum = quantized_sum + q
-        # keep the graph in the caller's dtype; codebook math stays float64
+    for l, book in enumerate(rvq.levels):
+        # the entries rvq_quantize chose; the graph's residuals repeat its
+        # arithmetic in the caller's dtype, codebook math stays float64
+        q = book.entries[codes.indices[..., l]]
         delta = ad.sub(residual, q.astype(x.data.dtype))
         sq = ad.tsum(ad.mul(delta, delta), axis=-1, keepdims=True)
         if weight is not None:
@@ -175,7 +234,7 @@ def rvq_forward(rvq: RVQ, x, mask: np.ndarray | None = None):
         commitment = ad.add(commitment, term)
     commitment = ad.mul(commitment, rvq.beta / rvq.n_levels)
     output = ad.straight_through(x, quantized_sum)
-    return CodeSequence(indices=np.stack(indices_per_level, axis=-1)), output, commitment
+    return codes, output, commitment
 
 
 def decode_vectors(rvq: RVQ, indices: np.ndarray, level1_only: bool = False) -> np.ndarray:

@@ -353,6 +353,33 @@ def test_layer_norm_zero_mean_unit_variance():
     np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-4)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [3, 64, 80])
+def test_layer_norm_statistics_give_the_bits_of_np_mean(dtype, width):
+    # the kernel sums and divides without np.mean's wrapper; its output and
+    # what it keeps must be the np.mean composition's, bit for bit. Row 0 is
+    # constant, so its normalized values are zero; a negative gain and a
+    # -0.0 bias then make some outputs -0.0, whose sign must survive
+    rng = np.random.default_rng(width)
+    x = (rng.normal(size=(2, 5, width)) * 3.0 + 1.5).astype(dtype)
+    x[0, 0] = 0.25
+    gain = rng.normal(size=width).astype(dtype)
+    gain[0] = -1.0
+    bias = rng.normal(size=width).astype(dtype)
+    bias[:2] = -0.0
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat *= inv_std
+    out = xhat * gain
+    out += bias
+    got, (got_xhat, got_inv_std) = ad.layer_norm_fwd(x, gain, bias)
+    assert np.signbit(out[0, 0, 0]) and out[0, 0, 0] == 0.0
+    for want, have in ((out, got), (xhat, got_xhat), (inv_std, got_inv_std)):
+        assert have.dtype == want.dtype == dtype and have.shape == want.shape
+        assert np.array_equal(have, want)
+        assert np.array_equal(np.signbit(have), np.signbit(want))
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(ContractError):
         ad.matmul(t((3, 4)), t((3, 4)))  # inner dims disagree -> numpy raises ValueError

@@ -9,6 +9,7 @@ import os
 import subprocess
 import types
 
+import numpy as np
 import pytest
 
 PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
@@ -298,3 +299,74 @@ def test_stored_runs_give_their_stored_summary_again(script, name):
             assert ours["pairs"] == pytest.approx(ratio["pairs"], rel=0, abs=1e-12)
             for key in ("median", "p5", "p95", "sign_p"):
                 assert ours[key] == pytest.approx(ratio[key], rel=0, abs=1e-12)
+
+
+def test_a_gain_lies_beyond_the_pooled_null_band_with_a_sign_test(script, monkeypatch, tmp_path,
+                                                                  capsys):
+    monkeypatch.setattr(script, "git", lambda *args, **kwargs: "abc1234" if "rev-parse" in args else "")
+
+    def series(workload, pairs):
+        """A bench result from per-pair (parent, change) outputs, each
+        (frames/s, op p50 ms, uncorrected frames/s)."""
+        values = {side: iter([pair[k] for pair in pairs]) for k, side in enumerate(script.SIDES)}
+
+        def run(checkout, workload, seed, seconds):
+            frames, p50, raw = next(values["parent" if checkout == "/parent" else "change"])
+            return fake_output(workload, seed, frames, 60.0, uncorrected=raw, op_ms_p50=p50)
+
+        args = script.parse_args(["--parent", "HEAD", "--name", "x", "--workloads", workload,
+                                  "--seeds", "5", "--pairs", str(len(pairs)), "--seconds", "2"])
+        return script.bench(args, run=run, checkout=lambda rev: contextlib.nullcontext("/parent"))
+
+    # null pairs: frames/s ratios 0.97-1.05, op p50 and memory equal, the
+    # uncorrected reading spread wider; two files pooled, and a third whose
+    # name only starts like them left out
+    null = {"BENCH_null_encode.json": [0.98, 1.0, 1.02, 1.04],
+            "BENCH_null_encode_2.json": [0.97, 1.01, 1.03, 1.05],
+            "BENCH_null_encoder.json": [2.0, 2.0, 2.0, 2.0]}
+    for name, ratios in null.items():
+        result = series("encode", [((100.0, 10.0, 93.5), (100.0 * r, 10.0, 93.5 * (2 * r - 1)))
+                                   for r in ratios])
+        (tmp_path / name).write_text(json.dumps(result))
+    pooled = [math.log(r) for r in null["BENCH_null_encode.json"] + null["BENCH_null_encode_2.json"]]
+    # the change: frames/s 1.1x in 9 of 10 pairs (beyond the band, sign p
+    # 11/1024); op p50 0.9x in 6 pairs and 1.05x in 4 (beyond, but sign p
+    # 0.38); uncorrected 94 against 93.5 in every pair (sign p 1/1024, but
+    # inside its band)
+    change = series("encode", [((100.0, 10.0, 93.5), (110.0 if i < 9 else 95.0,
+                                                      9.0 if i < 6 else 10.5, 94.0))
+                               for i in range(10)])
+    monkeypatch.setattr(script, "ROOT", str(tmp_path))
+    monkeypatch.setattr(script, "bench", lambda args: change)
+    assert script.main(["--parent", "HEAD~1", "--name", "x", "--workloads", "encode",
+                        "--seeds", "5", "--pairs", "10"]) == 0
+    readouts = json.loads((tmp_path / "BENCH_x.json").read_text())["workloads"]["encode"]["readouts"]
+    frames, p50, raw = (readouts[k] for k in ("frames_per_s", "op_ms_p50", "uncorrected_frames_per_s"))
+    p5, p95 = np.percentile(pooled, [5, 95])
+    assert frames["null"] == {"p5": pytest.approx(p5), "p95": pytest.approx(p95), "pairs": 8}
+    assert frames["log_ratio"]["median"] == pytest.approx(math.log(1.1))
+    assert frames["log_ratio"]["sign_p"] == pytest.approx(11 / 1024) and frames["gain"] is True
+    assert p50["better"] == "lower" and p50["null"] == {"p5": 0.0, "p95": 0.0, "pairs": 8}
+    assert p50["log_ratio"]["median"] < 0.0 and p50["log_ratio"]["sign_p"] > 0.05
+    assert p50["gain"] is False
+    assert raw["log_ratio"]["sign_p"] < 0.05 and raw["null"]["p95"] > math.log(94.0 / 93.5)
+    assert raw["gain"] is False
+    assert readouts["peak_rss_mb"]["gain"] is False and readouts["host_speed_factor"]["gain"] is False
+    printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:-1]}
+    assert printed["frames_per_s"].endswith(f"; null [{p5:+.4f}, {p95:+.4f}] of 8 pairs, gain yes: ok")
+    assert printed["op_ms_p50"].endswith("of 8 pairs, gain no: ok")
+
+
+def test_a_lower_is_better_readout_gains_only_below_its_band(script):
+    # judge() on its own: the same median log-ratio and sign test are a
+    # gain for a higher-is-better readout above the band, and not for a
+    # lower-is-better one; a readout without null pairs gets neither key
+    ratio = {"median": 0.2, "sign_p": 0.01, "pairs": [0.2] * 8, "p5": 0.2, "p95": 0.2}
+    readouts = {"a": {"better": "higher", "log_ratio": dict(ratio)},
+                "b": {"better": "lower", "log_ratio": dict(ratio)},
+                "c": {"better": "higher", "log_ratio": dict(ratio)},
+                "d": {"better": "lower", "log_ratio": {**ratio, "median": -0.2}}}
+    script.judge(readouts, {"a": [-0.1, 0.1], "b": [-0.1, 0.1], "d": [-0.1, 0.1]})
+    assert readouts["a"]["gain"] is True and readouts["b"]["gain"] is False
+    assert readouts["d"]["gain"] is True
+    assert "null" not in readouts["c"] and "gain" not in readouts["c"]

@@ -454,6 +454,64 @@ def test_batch_matches_one_at_a_time():
         np.testing.assert_allclose(recon.values, single.values, rtol=1e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inference_gives_the_codes_and_mels_of_the_training_forward(monkeypatch, dtype):
+    # codes_batch, reconstruct_batch and codes_and_reconstructions quantize
+    # through rvq_quantize alone: bitwise what rvq_forward gives inside the
+    # training forward on the same padded batch, without calling it
+    model = make_model(seed=4, dtype=dtype)
+    utts = [make_utt(f"u{i}", speaker=i % 2, n=n, per=per, seed=20 + i)
+            for i, (n, per) in enumerate([(3, 4), (6, 2), (5, 3)])]
+    batch = make_batch(utts)
+    out = model.forward_batch(model.param_tensors(train=False), batch)
+    codes = [seq.indices for seq in model._sequences(out["codes"], batch)]
+    mels = [mel.values for mel in model._mels(out["pred"], batch)]
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("inference built the commitment graph")
+
+    monkeypatch.setattr(md, "rvq_forward", no_graph)
+    both_codes, both_mels, _ = model.codes_and_reconstructions(batch, level1=False)
+    for got in ([s.indices for s in model.codes_batch(batch)], [s.indices for s in both_codes]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, codes, strict=True))
+    for got in ([m.values for m in model.reconstruct_batch(batch)], [m.values for m in both_mels]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, mels, strict=True))
+
+
+def test_inference_tensors_follow_the_parameters():
+    # the inference Tensors are built once and reused while each entry of
+    # model.params is the same array: an in-place Adam step shows through,
+    # a swapped entry and astype get new Tensors. After each change the
+    # reconstructions equal those of a model built from copies
+    model = make_model(seed=6)
+    batch = make_batch([make_utt("a", seed=1), make_utt("b", speaker=1, n=5, per=3, seed=2)])
+
+    def check():
+        pt = model.param_tensors(train=False)
+        assert pt.keys() == model.params.keys()
+        assert all(pt[k].data is v and not pt[k].requires_grad for k, v in model.params.items())
+        copied = CodecModel(model.cfg, model.features, model.vocab, model.speakers,
+                            params={k: v.copy() for k, v in model.params.items()}, rvq=model.rvq)
+        for a, b in zip(model.reconstruct_batch(batch), copied.reconstruct_batch(batch), strict=True):
+            assert np.array_equal(a.values, b.values)
+        return pt
+
+    first = check()
+    assert all(t is first[k] for k, t in model.param_tensors(train=False).items())
+    before = [m.values for m in model.reconstruct_batch(batch)]
+    state = ad.AdamState(model.params)
+    state.grad[:] = np.linspace(-1.0, 1.0, state.grad.size)
+    ad.adam_step(state, lr=0.05)
+    assert all(t is first[k] for k, t in check().items())
+    assert not np.array_equal(model.reconstruct_batch(batch)[0].values, before[0])
+    model.params["mel_out.b"] = model.params["mel_out.b"] + 1.0
+    swapped = check()
+    assert swapped["mel_out.b"] is not first["mel_out.b"]
+    assert all(swapped[k] is first[k] for k in first if k != "mel_out.b")
+    model.astype(np.float64)
+    assert all(t.data.dtype == np.float64 for t in check().values())
+
+
 def test_a_conformer_block_is_nine_nodes():
     # the FFN, attention and conv modules are one node each: four module
     # nodes, their four residual adds and the final norm

@@ -16,7 +16,9 @@ from prosody_codec.quantizer import (
     quantize_level,
     reinit_dead_codes,
     rvq_forward,
+    rvq_quantize,
     seed_codebooks,
+    squared_distances,
     usage_stats,
 )
 
@@ -67,6 +69,29 @@ def test_quantize_matches_bruteforce_oracle():
     for i in range(len(x)):
         dists = [float(((x[i] - e) ** 2).sum()) for e in book.entries]
         assert idx[i] == int(np.argmin(dists))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 129, 300])
+def test_distances_by_plane_give_the_bits_of_the_summed_squares(d):
+    # one plane at a time, in the order of numpy's pairwise sum: sequential
+    # below 8 terms, 8 partial sums from 8, halves past 128. Float32 rows
+    # against float64 entries, as rvq_forward quantizes a float32 model's
+    # latents; entries 2 and 9 are equal and row (0, 0) is that entry
+    # exactly, so the tie must go to the lower index
+    rng = np.random.default_rng(d)
+    entries = rng.normal(size=(12, d)).astype(np.float32).astype(np.float64)
+    entries[9] = entries[2]
+    x = rng.normal(size=(3, 5, d)).astype(np.float32)
+    x[0, 0] = entries[9]
+    diff = x[..., None, :] - entries
+    summed = (diff * diff).sum(axis=-1)
+    dist = squared_distances(x, entries)
+    assert dist.dtype == summed.dtype == np.float64
+    assert np.array_equal(dist, summed)
+    idx, q, residual = quantize_level(book_from(entries), x)
+    assert np.array_equal(idx, np.argmin(summed, axis=-1))
+    assert idx[0, 0] == 2 and dist[0, 0, 2] == dist[0, 0, 9] == 0.0
+    assert np.array_equal(q, entries[idx]) and np.array_equal(residual, x - entries[idx])
 
 
 def test_quantize_dim_mismatch():
