@@ -7,6 +7,7 @@ from prosody_codec import autodiff as ad
 from prosody_codec.autodiff import Tensor
 from prosody_codec.errors import ContractError
 from prosody_codec.quantizer import (
+    RVQ,
     Codebook,
     CodeSequence,
     decode_vectors,
@@ -92,6 +93,23 @@ def test_distances_by_plane_give_the_bits_of_the_summed_squares(d):
     assert np.array_equal(idx, np.argmin(summed, axis=-1))
     assert idx[0, 0] == 2 and dist[0, 0, 2] == dist[0, 0, 9] == 0.0
     assert np.array_equal(q, entries[idx]) and np.array_equal(residual, x - entries[idx])
+
+
+def test_each_level_quantizes_the_residual_in_the_callers_dtype():
+    # a float32 latent leaves x - float32(q1) to level 2, not the float64
+    # x - q1; level 2's two entries lie either side of the midpoint of the
+    # two, so only the float32 residual picks the lower one
+    x = np.array([[0.1]], dtype=np.float32)
+    r32 = float((x - np.float32(1 / 3))[0, 0])
+    r64 = float(x[0, 0]) - 1 / 3
+    mid = (r32 + r64) / 2
+    assert r32 < mid < r64
+    rvq = RVQ(levels=[book_from([[1 / 3], [5.0]]), book_from([[mid - 0.5], [mid + 0.5]])])
+    codes, total = rvq_quantize(rvq, x)
+    assert codes.indices.tolist() == [[0, 0]]
+    assert total.dtype == np.float64 and total[0, 0] == 1 / 3 + (mid - 0.5)
+    forward_codes, out, _ = rvq_forward(rvq, Tensor(x))
+    assert forward_codes.indices.tolist() == [[0, 0]] and out.data.dtype == np.float32
 
 
 def test_quantize_dim_mismatch():
