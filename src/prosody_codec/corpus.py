@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,20 +394,28 @@ def _phoneme_timbres(rng: np.random.Generator, inventory: int, n_harmonics: int)
     return weights / weights.max(axis=1, keepdims=True)
 
 
+def synth_vocab(spec: SynthSpec) -> PhonemeVocab:
+    """The synthetic corpus's vocabulary, ``ph0`` .. ``ph<inventory-1>``.
+    Validates ``spec`` first, so a caller that takes it before synthesizing
+    rejects a bad spec before any other work."""
+    spec.validate()
+    return PhonemeVocab([f"ph{p}" for p in range(spec.phoneme_inventory)])
+
+
 def synth_utterances(
     spec: SynthSpec, cfg: FeatureConfig
-) -> tuple[list[Utterance], list[AudioBuffer], PhonemeVocab]:
+) -> Iterator[tuple[Utterance, AudioBuffer]]:
     """Deterministic harmonic-tone corpus: phoneme = timbre, speaker = F0
-    range, per-segment pitch and amplitude are the 'prosody' to encode."""
-    spec.validate()
+    range, per-segment pitch and amplitude are the 'prosody' to encode.
+
+    Yields each utterance with its audio as soon as it is made, so a caller
+    holds one waveform at a time. Nothing runs, ``spec`` is not validated
+    either, until the first item is taken."""
+    vocab = synth_vocab(spec)
     rng = np.random.default_rng(spec.seed)
     timbres = _phoneme_timbres(rng, spec.phoneme_inventory, spec.n_harmonics)
-    symbols = [f"ph{p}" for p in range(spec.phoneme_inventory)]
-    vocab = PhonemeVocab(symbols)
     sr = cfg.sample_rate
     hop, n_fft = cfg.hop_length, cfg.n_fft
-    utterances: list[Utterance] = []
-    audios: list[AudioBuffer] = []
     for idx in range(spec.n_utterances):
         speaker = idx % spec.n_speakers
         f_lo, f_hi = spec.f0_ranges[speaker]
@@ -448,39 +457,37 @@ def synth_utterances(
         wave = amp_track * wave / max(np.abs(wave).max(), 1e-9)
         audio = AudioBuffer(samples=wave, sample_rate=sr)
         mel = mel_spectrogram(audio, cfg)
-        assert mel.n_frames == total_frames
-        phone_symbols = [symbols[p] for p in phones]
-        utterances.append(
-            Utterance(
-                id=f"synth{idx:04d}",
-                speaker_id=speaker,
-                phonemes=np.array([vocab.id_of(s) for s in phone_symbols]),
-                durations=durations.astype(np.int64),
-                mel=mel,
-                transcript=" ".join(phone_symbols),
-            )
-        )
-        audios.append(audio)
-    return utterances, audios, vocab
+        # ids after PAD, as synth_vocab lays them out; Utterance raises
+        # ContractError if the mel's frame count is not the durations' sum
+        phonemes = phones + 1
+        yield Utterance(
+            id=f"synth{idx:04d}",
+            speaker_id=speaker,
+            phonemes=phonemes,
+            durations=durations.astype(np.int64),
+            mel=mel,
+            transcript=" ".join(vocab.symbol_of(p) for p in phonemes),
+        ), audio
 
 
 def synth_corpus(spec: SynthSpec, cfg: FeatureConfig) -> Corpus:
-    utterances, _, vocab = synth_utterances(spec, cfg)
+    vocab = synth_vocab(spec)
     return Corpus(
-        utterances=utterances,
+        utterances=[utt for utt, _ in synth_utterances(spec, cfg)],
         vocab=vocab,
         speakers=[f"spk{s}" for s in range(spec.n_speakers)],
     )
 
 
 def write_synth_corpus(spec: SynthSpec, cfg: FeatureConfig, out_dir: str) -> str:
-    """Emit wav files plus a manifest; returns the manifest path."""
-    utterances, audios, vocab = synth_utterances(spec, cfg)
+    """Emit wav files plus a manifest; returns the manifest path. Each wav is
+    written as it is synthesized."""
+    vocab = synth_vocab(spec)
     os.makedirs(out_dir, exist_ok=True)
     from .dsp import save_wav
 
     records = []
-    for utt, audio in zip(utterances, audios):
+    for utt, audio in synth_utterances(spec, cfg):
         wav_name = f"{utt.id}.wav"
         save_wav(os.path.join(out_dir, wav_name), audio, float32=True)
         records.append(

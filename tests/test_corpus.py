@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from prosody_codec.corpus import (
     read_mel,
     reconcile_durations,
     synth_corpus,
+    synth_utterances,
+    synth_vocab,
     write_manifest,
     write_mel,
     write_synth_corpus,
@@ -30,7 +33,7 @@ from prosody_codec.dsp import (
     mel_filterbank,
     save_wav,
 )
-from prosody_codec.errors import ContractError, DataError
+from prosody_codec.errors import ConfigError, ContractError, DataError
 
 CFG = FeatureConfig()
 
@@ -473,11 +476,8 @@ def test_synth_speaker_f0_ranges_separate():
         f0_ranges=[[100.0, 150.0], [200.0, 300.0]],
         seed=4,
     )
-    from prosody_codec.corpus import synth_utterances
-
-    utts, audios, _ = synth_utterances(spec, CFG)
     mean_f0 = {0: [], 1: []}
-    for utt, audio in zip(utts, audios):
+    for utt, audio in synth_utterances(spec, CFG):
         contour = estimate_f0(audio, 50.0, 600.0)
         if contour.voiced.any():
             mean_f0[utt.speaker_id].append(float(contour.f0[contour.voiced].mean()))
@@ -496,6 +496,73 @@ def test_write_synth_corpus_parses_back(tmp_path):
         np.testing.assert_allclose(
             np.exp(a.mel.values), np.exp(b.mel.values), rtol=1e-3, atol=1e-5
         )
+
+
+def test_synth_corpus_keeps_what_the_generator_yields():
+    spec = SynthSpec(n_speakers=2, n_utterances=5, glide_semitones=1.0, seed=6)
+    corpus = synth_corpus(spec, CFG)
+    yielded = [utt for utt, _ in synth_utterances(spec, CFG)]
+    assert corpus.vocab == synth_vocab(spec)
+    assert [u.id for u in corpus.utterances] == [u.id for u in yielded]
+    for a, b in zip(corpus.utterances, yielded):
+        assert a.phonemes.tobytes() == b.phonemes.tobytes()
+        assert a.durations.tobytes() == b.durations.tobytes()
+        assert a.mel.values.tobytes() == b.mel.values.tobytes()
+        assert a.transcript == b.transcript
+
+
+def test_write_synth_corpus_rejects_a_bad_spec_before_creating_its_directory(tmp_path):
+    out_dir = tmp_path / "data"
+    with pytest.raises(ConfigError, match="n_utterances"):
+        write_synth_corpus(SynthSpec(n_utterances=0), CFG, str(out_dir))
+    assert not out_dir.exists()
+    with pytest.raises(ConfigError, match="n_utterances"):
+        synth_corpus(SynthSpec(n_utterances=0), CFG)
+
+
+def test_synth_mel_one_frame_short_is_a_contract_error(monkeypatch):
+    from prosody_codec import corpus as corpus_module
+
+    real = corpus_module.mel_spectrogram
+
+    def short(audio, cfg):
+        mel = real(audio, cfg)
+        return MelSpectrogram(mel.values[:-1], mel.hop_length, mel.n_fft, mel.sample_rate)
+
+    monkeypatch.setattr(corpus_module, "mel_spectrogram", short)
+    with pytest.raises(ContractError, match="synth0000"):
+        synth_corpus(SynthSpec(n_utterances=2), CFG)
+
+
+def _peak_bytes(make, n):
+    """tracemalloc's peak while ``make`` synthesizes n utterances of one
+    fixed length, and what it returned."""
+    spec = SynthSpec(n_speakers=1, n_utterances=n, f0_ranges=[[120.0, 240.0]],
+                     segments_min=6, segments_max=6, duration_min=8, duration_max=8, seed=3)
+    tracemalloc.start()
+    try:
+        result = make(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_synthesis_memory_does_not_grow_with_the_corpus(tmp_path):
+    # every utterance has the same working set, so holding one waveform at a
+    # time keeps the peak flat; each extra waveform held adds ~100 KB
+    def write(n):
+        return lambda spec: write_synth_corpus(spec, CFG, str(tmp_path / str(n)))
+
+    _peak_bytes(write(1), 1)  # fill the mel filterbank cache
+    small, _ = _peak_bytes(write(8), 8)
+    large, _ = _peak_bytes(write(64), 64)
+    assert large - small < 0.5e6
+
+    small, few = _peak_bytes(lambda spec: synth_corpus(spec, CFG), 8)
+    large, many = _peak_bytes(lambda spec: synth_corpus(spec, CFG), 64)
+    added_mels = sum(u.mel.values.nbytes for u in many.utterances[len(few.utterances):])
+    assert large - small <= added_mels + 0.5e6
 
 
 def test_utterance_invariant_enforced():

@@ -262,8 +262,8 @@ def toy_utterances(n):
     spec = SynthSpec(n_speakers=2, n_utterances=n, phoneme_inventory=10,
                      f0_ranges=[[120.0, 260.0], [140.0, 300.0]], amp_range=[0.3, 1.0],
                      segments_min=8, segments_max=14, glide_semitones=1.0, seed=7)
-    utts, audios, _ = synth_utterances(spec, CFG)
-    return utts, audios
+    pairs = list(synth_utterances(spec, CFG))
+    return [utt for utt, _ in pairs], [audio for _, audio in pairs]
 
 
 def toy_utterance_mels(n):
