@@ -550,7 +550,7 @@ def _peak_bytes(make, n):
 
 def test_synthesis_memory_does_not_grow_with_the_corpus(tmp_path):
     # every utterance has the same working set, so holding one waveform at a
-    # time keeps the peak flat; each extra waveform held adds ~100 KB
+    # time keeps the peak flat; each extra waveform held adds over 100 KB
     def write(n):
         return lambda spec: write_synth_corpus(spec, CFG, str(tmp_path / str(n)))
 
