@@ -1,6 +1,8 @@
 """Latent-space analysis: code usage, conditional PMFs and entropies,
 symmetric-KL maps with 2-D embedding, PCA over code vectors, and probe
-synthesis with F0/RMS measurement.
+synthesis with F0/RMS measurement; and what each `analyze` and `metrics`
+command computes from a model and its utterances, as its JSON payload and CSV
+rows.
 
 Everything here reads a frozen model; nothing mutates codebooks.
 """
@@ -14,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FeatureConfig
-from .corpus import Utterance, inference_batches
-from .dsp import AudioBuffer, frame_rms, pitch, vocode
-from .errors import ContractError, DataError
-from .metrics import pearson
-from .quantizer import CodeSequence
+from . import metrics as mx
+from .config import AnalysisConfig, FeatureConfig
+from .corpus import Corpus, PhonemeVocab, Utterance, inference_batches
+from .dsp import AudioBuffer, MelSpectrogram, PitchContour, frame_rms, load_wav, pitch, vocode
+from .errors import ConfigError, ContractError, DataError
+from .quantizer import CodeSequence, usage_stats
 
 LN = np.log
 
@@ -86,6 +88,21 @@ def conditional_pmfs(pairs, k: int, alpha: float = 0.5) -> list[ConditionalPMF]:
             ConditionalPMF(condition=cond, probs=(c + alpha) / (n + alpha * k), count=int(n))
         )
     return out
+
+
+def speaker_pairs(utterances: list[Utterance], sequences: list[CodeSequence], level: int):
+    """(speaker ID, code) for every position of one level."""
+    for utt, seq in zip(utterances, sequences):
+        for code in seq.level(level):
+            yield utt.speaker_id, int(code)
+
+
+def phoneme_pairs(utterances: list[Utterance], sequences: list[CodeSequence], level: int):
+    """(phoneme ID, code) for every non-PAD position of one level."""
+    for utt, seq in zip(utterances, sequences):
+        for ph, code in zip(utt.phonemes, seq.level(level)):
+            if ph != 0:  # PAD excluded from analysis histograms
+                yield int(ph), int(code)
 
 
 def entropy_nats(p) -> float:
@@ -309,17 +326,35 @@ def measure_probe(
 ) -> ProbeMeasurement:
     """Mean F0 over voiced frames and mean frame RMS; the PCA coordinates
     are left at zero for the caller to fill in."""
-    contour = pitch(audio, features)
-    rms = frame_rms(audio, features.hop_length, features.n_fft)
-    f0 = float(contour.f0[contour.voiced].mean()) if np.any(contour.voiced) else None
+    # a span of as many frames as samples covers every frame
+    (f0,), (rms,) = span_means(audio, [audio.samples.size], features)
     return ProbeMeasurement(
         code=int(code),
         f0=f0,
-        rms=float(rms.mean()) if rms.size else 0.0,
+        rms=0.0 if rms is None else rms,
         pc1=0.0,
         pc2=0.0,
         speaker_id=speaker_id,
     )
+
+
+def span_means(audio: AudioBuffer, durations, features: FeatureConfig) -> tuple[list, list]:
+    """Per span of ``durations`` frames: the mean F0 over its voiced frames
+    (None if it has none) and its mean frame RMS (None if it is empty or
+    runs past the last frame)."""
+    contour = pitch(audio, features)
+    rms = frame_rms(audio, features.hop_length, features.n_fft)
+    f0_means, rms_means = [], []
+    start = 0
+    for d in durations:
+        end = min(start + int(d), len(contour.f0))
+        seg_voiced = contour.voiced[start:end]
+        f0_means.append(
+            float(contour.f0[start:end][seg_voiced].mean()) if seg_voiced.any() else None
+        )
+        rms_means.append(float(rms[start:end].mean()) if end > start and len(rms) >= end else None)
+        start += int(d)
+    return f0_means, rms_means
 
 
 def probe_path(
@@ -400,17 +435,242 @@ def spearman(x, y) -> float:
             i = j + 1
         return r
 
-    return pearson(ranks(x), ranks(y))
+    return mx.pearson(ranks(x), ranks(y))
+
+
+# ---------------------------------------------------------------------------
+# the analyze commands: each returns its JSON payload and its CSV rows
+
+
+def analyze_usage(model, utterances: list[Utterance]) -> tuple[dict, list[dict]]:
+    """Share of codes used per level, reconstruction PSNR from all levels and
+    from level 1 alone, and the mean entropy of P(code_2 | code_1)."""
+    model._require_rvq("analyze usage")
+    two_levels = model.rvq.n_levels > 1
+    # one encode per batch serves the codes and both reconstructions
+    sequences, full, level1 = [], [], []
+    for chunk, batch in inference_batches(utterances):
+        codes, recons, recons_l1 = model.codes_and_reconstructions(batch, level1=two_levels)
+        sequences += codes
+        full += mx.reconstruction_scores(chunk, recons)
+        if two_levels:
+            level1 += mx.reconstruction_scores(chunk, recons_l1)
+    k = model.cfg.codebook_size
+    stats = usage_stats(sequences, k)
+    payload = {
+        "usage": {f"level{l + 1}": u for l, u in enumerate(stats.usage)},
+        "psnr_full": mx.score_report(full)["psnr"],
+        # with one level, the level-1 reconstruction is the full one
+        "psnr_level1_only": mx.score_report(level1 or full)["psnr"],
+        "mean_entropy_code2_given_code1": level_dependency(sequences, k) if two_levels else 0.0,
+        "uniform_entropy": float(np.log(k)),
+    }
+    rows = [
+        {"level": l + 1, "usage": u, "distinct": int((h > 0).sum()), "k": k}
+        for l, (u, h) in enumerate(zip(stats.usage, stats.histograms))
+    ]
+    return payload, rows
+
+
+def analyze_entropy(model, utterances: list[Utterance], sequences: list[CodeSequence],
+                    speakers: list[str], vocab: PhonemeVocab, acfg: AnalysisConfig):
+    """Entropy in nats of P(code | speaker) and P(code | phoneme) per level;
+    one row per speaker."""
+    k, alpha = model.cfg.codebook_size, acfg.smoothing_alpha
+    by_speaker, by_phoneme = {}, {}
+    for level in range(model.rvq.n_levels):
+        name = f"level{level + 1}"
+        for p in conditional_pmfs(speaker_pairs(utterances, sequences, level), k, alpha):
+            by_speaker.setdefault(speakers[p.condition], {})[name] = entropy_nats(p)
+        pmfs = conditional_pmfs(phoneme_pairs(utterances, sequences, level), k, alpha)
+        by_phoneme[name] = {vocab.symbol_of(p.condition): entropy_nats(p) for p in pmfs}
+    payload = {"speaker_entropies": by_speaker, "phoneme_entropies": by_phoneme,
+               "uniform_entropy": float(np.log(k))}
+    return payload, [{"speaker": s, **levels} for s, levels in by_speaker.items()]
+
+
+def analyze_klmap(model, utterances: list[Utterance], sequences: list[CodeSequence],
+                  vocab: PhonemeVocab, acfg: AnalysisConfig):
+    """Symmetric KL distances between the phonemes' smoothed level-1 code
+    histograms; one row per phoneme with its 2-D embedding."""
+    if acfg.smoothing_alpha <= 0:
+        raise ConfigError("analysis.smoothing_alpha: must be > 0 for the KL map")
+    pmfs = conditional_pmfs(
+        phoneme_pairs(utterances, sequences, 0), model.cfg.codebook_size, acfg.smoothing_alpha
+    )
+    dist = symmetric_kl_matrix(pmfs)
+    coords = embed_2d(
+        dist, method=acfg.embedding_method, seed=acfg.tsne_seed, perplexity=acfg.tsne_perplexity
+    )
+    labels = [vocab.symbol_of(p.condition) for p in pmfs]
+    payload = {"phonemes": labels, "distances": [[float(v) for v in row] for row in dist],
+               "method": acfg.embedding_method}
+    return payload, [{"phoneme": lbl, "x": float(c[0]), "y": float(c[1])}
+                     for lbl, c in zip(labels, coords)]
+
+
+def code_space(model, sequences: list[CodeSequence]) -> tuple[np.ndarray, PCAProjection, int]:
+    """What the PCA analyses share: the level-1 code histogram, the
+    usage-weighted PCA of the used level-1 codes and the most used level-2
+    code (0 with one level)."""
+    histograms = usage_stats(sequences, model.cfg.codebook_size).histograms
+    hist = histograms[0]
+    used = hist > 0
+    proj = pca_codes(model.rvq.levels[0].entries[used], hist[used].astype(np.float64))
+    return hist, proj, int(np.argmax(histograms[1])) if len(histograms) > 1 else 0
+
+
+def probe_path_codes(model, hist: np.ndarray, proj: PCAProjection, axis: int,
+                     acfg: AnalysisConfig) -> list[int]:
+    """Path codes for probing, restricted to codes the decoder has actually
+    been trained on (count >= analysis.min_code_count, relaxed if that leaves
+    too few candidates)."""
+    floor = acfg.min_code_count
+    while floor > 0 and int((hist >= floor).sum()) < acfg.n_path_points:
+        floor -= 1
+    candidates = np.nonzero(hist >= floor)[0] if floor > 0 else np.arange(len(hist))
+    picked = select_path_codes(proj, model.rvq.levels[0].entries[candidates], axis,
+                               acfg.n_path_points, acfg.corridor_halfwidth)
+    return [int(candidates[p]) for p in picked]
+
+
+def probe_reference(corpus: Corpus, utterances: list[Utterance], acfg: AnalysisConfig) -> Utterance:
+    """The utterance probes decode on: ``analysis.reference_utterance``, or
+    else the longest of ``utterances``, which gives the probes the most
+    frames to measure."""
+    if acfg.reference_utterance:
+        return corpus.by_id(acfg.reference_utterance)
+    return max(utterances, key=lambda u: u.mel.n_frames)
+
+
+def analyze_pca(model, sequences: list[CodeSequence], acfg: AnalysisConfig):
+    """Explained variance ratios and both axes' probe paths (empty where the
+    corridor is); one row per used level-1 code with its PC coordinates."""
+    hist, proj, _ = code_space(model, sequences)
+    coords = proj.coords(model.rvq.levels[0].entries)
+    paths = {}
+    for axis in (1, 2):
+        try:
+            paths[f"axis{axis}"] = probe_path_codes(model, hist, proj, axis, acfg)
+        except DataError:
+            paths[f"axis{axis}"] = []
+    payload = {"explained_ratios": [float(r) for r in proj.ratios],
+               "top2_ratio_sum": float(proj.ratios[:2].sum()), "paths": paths}
+    return payload, [{"code": int(c), "pc1": float(coords[c, 0]), "pc2": float(coords[c, 1]),
+                      "count": int(hist[c])} for c in np.nonzero(hist)[0]]
+
+
+def analyze_probes(model, sequences: list[CodeSequence], reference: Utterance,
+                   acfg: AnalysisConfig, features: FeatureConfig):
+    """Each axis's probe path codes, and its probes' measurements as rows;
+    the rows are keyed by axis like the paths."""
+    hist, proj, level2 = code_space(model, sequences)
+    payload, rows = {}, {}
+    for axis in (1, 2):
+        path = probe_path_codes(model, hist, proj, axis, acfg)
+        measurements = probe_path(model, reference, proj, path, level2, reference.speaker_id,
+                                  features)
+        payload[f"axis{axis}"] = path
+        rows[f"axis{axis}"] = [
+            {"code": m.code, "f0": "" if m.f0 is None else m.f0, "rms": m.rms,
+             "pc1": m.pc1, "pc2": m.pc2, "speaker": m.speaker_id}
+            for m in measurements
+        ]
+    return payload, rows
+
+
+def analyze_speaker_relative(model, sequences: list[CodeSequence], reference: Utterance,
+                             speakers: list[str], acfg: AnalysisConfig, features: FeatureConfig):
+    """The PC1 probe path's F0 for every speaker ("" where unvoiced); one
+    row per path code."""
+    hist, proj, level2 = code_space(model, sequences)
+    path = probe_path_codes(model, hist, proj, 1, acfg)
+    report = speaker_relative_report(model, path, reference, list(range(len(speakers))), level2,
+                                     proj, features)
+    f0s = {speakers[s]: ["" if m.f0 is None else m.f0 for m in ms] for s, ms in report.items()}
+    rows = [{"code": code, **{s: f0[i] for s, f0 in f0s.items()}} for i, code in enumerate(path)]
+    return {"path": path, "f0_by_speaker": f0s}, rows
+
+
+# ---------------------------------------------------------------------------
+# decoding and the metrics commands
+
+
+def shuffled_decode(model, utt: Utterance, rng: np.random.Generator) -> MelSpectrogram:
+    """The utterance decoded from its own codes in a random order of positions."""
+    codes = model.encode_utterance(utt)
+    perm = rng.permutation(codes.indices.shape[0])
+    shuffled = CodeSequence(indices=codes.indices[perm])
+    return model.decode_codes(shuffled, utt.phonemes, utt.durations, utt.speaker_id)
+
+
+def transfer(model, source: Utterance, target: Utterance) -> MelSpectrogram:
+    """Prosody transfer: the source's codes decoded on the target's phonemes
+    and durations with the source speaker."""
+    if source.n_phonemes != target.n_phonemes:
+        raise ContractError(
+            f"transfer: phoneme counts differ: source {source.id!r} has "
+            f"{source.n_phonemes}, target {target.id!r} has {target.n_phonemes}"
+        )
+    codes = model.encode_utterance(source)
+    return model.decode_codes(codes, target.phonemes, target.durations, source.speaker_id)
+
+
+def transfer_scores(model, source: Utterance, target: Utterance, audio_paths: dict[str, str],
+                    features: FeatureConfig) -> dict:
+    """Pearson correlation between the source wav's and the transfer's
+    per-phoneme mean F0 and energy (the two signals have different frame
+    counts); None with fewer than 2 phonemes that have both values."""
+    out_audio = vocode(transfer(model, source, target), features)
+    src_means = span_means(load_wav(audio_paths[source.id]), source.durations, features)
+    out_means = span_means(out_audio, target.durations, features)
+    scores = {}
+    for name, src, out in zip(("pearson_f0", "pearson_energy"), src_means, out_means):
+        keep = [i for i in range(len(src)) if src[i] is not None and out[i] is not None]
+        pairs = ([src[i] for i in keep], [out[i] for i in keep])
+        scores[name] = mx.pearson(*pairs) if len(keep) >= 2 else None
+    return scores
+
+
+def reference_pitch(utterances: list[Utterance], audio_paths: dict[str, str],
+                    features: FeatureConfig) -> list[PitchContour]:
+    """The pitch contour of each utterance's reference wav."""
+    return [pitch(load_wav(audio_paths[utt.id]), features) for utt in utterances]
+
+
+def reconstruction_metrics(model, utterances: list[Utterance], ref_pitch: list[PitchContour],
+                           features: FeatureConfig) -> dict:
+    """Mean mel PSNR and MCD of the model's reconstructions, and mean VDE,
+    GPE and FFE of their vocoded pitch against ``ref_pitch``."""
+    scores = []
+    for utt, ref_c in zip(utterances, ref_pitch):
+        recon = model.reconstruct(utt)
+        hyp_c = pitch(vocode(recon, features), features)
+        n = min(len(ref_c.f0), len(hyp_c.f0))
+        f0_errors = mx.f0_errors(
+            PitchContour(ref_c.f0[:n], ref_c.voiced[:n]),
+            PitchContour(hyp_c.f0[:n], hyp_c.voiced[:n]),
+        )
+        scores.append((mx.psnr_mel(utt.mel, recon), mx.mcd(utt.mel, recon), *f0_errors))
+    means = (float(np.mean(column)) for column in zip(*scores))
+    return {**dict(zip(("psnr", "mcd", "vde", "gpe", "ffe"), means)), "n": len(utterances)}
+
+
+def intelligibility(refs: list[str], hyps: list[str]) -> dict:
+    """Mean word and character error rates over reference/hypothesis line pairs."""
+    wer, cer = zip(*(mx.wer_cer(r, h) for r, h in zip(refs, hyps)))
+    return {"wer": float(np.mean(wer)), "cer": float(np.mean(cer)), "n": len(wer)}
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
 
-def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv(path: str, rows: list[dict]) -> None:
+    """One or more rows, columns in the first row's key order."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -40,7 +40,7 @@ class FeatureConfig:
             f"{prefix}.f0_min",
             "need 0 < f0_min < f0_max < sample_rate/2",
         )
-        _require(0 < self.yin_threshold < math.inf, f"{prefix}.yin_threshold", "must be finite and > 0")
+        _require(self.yin_threshold > 0, f"{prefix}.yin_threshold", "must be > 0")
         _require(self.griffin_lim_iters >= 1, f"{prefix}.griffin_lim_iters", "must be >= 1")
 
 
@@ -110,19 +110,11 @@ class TrainConfig:
         _require(self.seed >= 0, f"{prefix}.seed", "must be >= 0")
         _require(self.eval_every >= 1, f"{prefix}.eval_every", "must be >= 1")
         _require(self.checkpoint_every >= 1, f"{prefix}.checkpoint_every", "must be >= 1")
-        _require(0 <= self.grad_clip < math.inf, f"{prefix}.grad_clip", "must be finite and >= 0")
-        _require(
-            0 <= self.dead_code_threshold < math.inf,
-            f"{prefix}.dead_code_threshold",
-            "must be finite and >= 0",
-        )
+        _require(self.grad_clip >= 0, f"{prefix}.grad_clip", "must be >= 0")
+        _require(self.dead_code_threshold >= 0, f"{prefix}.dead_code_threshold", "must be >= 0")
         _require(self.dead_code_every >= 0, f"{prefix}.dead_code_every", "must be >= 0 (0 = off)")
         _require(0 <= self.eval_fraction < 1, f"{prefix}.eval_fraction", "must be in [0, 1)")
-        _require(
-            0 <= self.target_loss_ratio < math.inf,
-            f"{prefix}.target_loss_ratio",
-            "must be finite and >= 0 (0 = off)",
-        )
+        _require(self.target_loss_ratio >= 0, f"{prefix}.target_loss_ratio", "must be >= 0 (0 = off)")
         _require(self.dtype in ("float32", "float64"), f"{prefix}.dtype", "must be float32|float64")
 
 
@@ -238,10 +230,18 @@ def _is_pair(value) -> bool:
     )
 
 
+def _finite(value) -> bool:
+    """Whether every float in ``value``, a number or nested lists of them, is finite."""
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def parse_section(cls: type, data: Any, prefix: str):
     """Build a config section from its JSON object: every key is checked
-    against the field's type, then the section validates itself. Errors
-    name the key as ``prefix.key``."""
+    against the field's type, and the numbers of a float or list field must
+    be finite (JSON parses ``Infinity`` and ``NaN``); then the section
+    validates itself. Errors name the key as ``prefix.key``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix}: expected an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -262,6 +262,8 @@ def parse_section(cls: type, data: Any, prefix: str):
             raise ConfigError(f"{prefix}.{key}: expected string, got {type(value).__name__}")
         if ftype == "list" and not isinstance(value, list):
             raise ConfigError(f"{prefix}.{key}: expected list, got {type(value).__name__}")
+        if ftype in ("float", "list") and not _finite(value):
+            raise ConfigError(f"{prefix}.{key}: must be finite")
         kwargs[key] = value
     section = cls(**kwargs)
     section.validate(prefix)

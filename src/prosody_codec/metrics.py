@@ -1,4 +1,5 @@
-"""Objective evaluation metrics: PSNR, MCD, pitch errors, correlations, WER/CER.
+"""Objective evaluation metrics: PSNR, MCD, pitch errors, correlations, WER/CER,
+and the per-utterance reconstruction scores evaluation averages.
 
 No DTW anywhere: compared sequences share ground-truth durations and are
 frame-aligned by construction.
@@ -33,6 +34,20 @@ def psnr_mel(ref, hyp) -> float:
         return PSNR_CAP_DB
     rng = float(r.max() - r.min())
     return float(10.0 * np.log10(max(rng, 1e-12) ** 2 / mse))
+
+
+def reconstruction_scores(utterances: list, recons: list) -> list[tuple[float, float]]:
+    """(L1, PSNR) of each reconstruction against its utterance's mel."""
+    return [
+        (float(np.mean(np.abs(r.values - u.mel.values))), psnr_mel(u.mel, r))
+        for u, r in zip(utterances, recons)
+    ]
+
+
+def score_report(scores: list[tuple[float, float]]) -> dict:
+    """Mean L1 and PSNR over per-utterance scores."""
+    l1s, psnrs = zip(*scores)
+    return {"l1": float(np.mean(l1s)), "psnr": float(np.mean(psnrs)), "n": len(scores)}
 
 
 def _dct_matrix(n: int) -> np.ndarray:

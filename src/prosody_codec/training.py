@@ -23,13 +23,13 @@ except ImportError:  # Windows has none: timing records then carry wall time onl
 import numpy as np
 
 from . import autodiff as ad
-from . import metrics as mx
 from .analysis import entropy_nats, extraction_slice
 from .autodiff import AdamState, Tensor
-from .config import TrainConfig, section_json
+from .config import FeatureConfig, ModelConfig, TrainConfig, section_json
 from .containers import read_container, write_container
 from .corpus import Batch, Corpus, Utterance, inference_batches, make_batch
 from .errors import ContractError, DataError, NumericError
+from .metrics import reconstruction_scores, score_report
 from .model import (NUMBER, CodecModel, _model_from_parts, _require_keys, _section_from_meta,
                     model_arrays, model_meta)
 # quantize_level is unused here; perfbench/layers.py still wraps training.quantize_level
@@ -48,6 +48,21 @@ class TrainState:
     def __post_init__(self):
         if self.rng is None:
             self.rng = np.random.default_rng(self.tcfg.seed)
+
+
+def new_model(mcfg: ModelConfig, features: FeatureConfig, tcfg: TrainConfig, corpus: Corpus,
+              quantized: bool = True) -> CodecModel:
+    """An untrained model for ``corpus``, seeded by ``tcfg.seed``, in
+    ``tcfg.dtype``. A size of 0 in ``mcfg`` is taken from the corpus and
+    written back; CodecModel checks a stated one."""
+    mcfg.vocab_size = mcfg.vocab_size or len(corpus.vocab)
+    mcfg.n_speakers = mcfg.n_speakers or len(corpus.speakers)
+    model = CodecModel(mcfg, features, corpus.vocab, corpus.speakers,
+                       rng=np.random.default_rng(tcfg.seed), beta=tcfg.commitment_beta,
+                       ema_decay=tcfg.ema_decay, ema_epsilon=tcfg.ema_epsilon, quantized=quantized)
+    if tcfg.dtype == "float64":
+        model.astype(np.float64)
+    return model
 
 
 def new_train_state(model: CodecModel, tcfg: TrainConfig) -> TrainState:
@@ -190,20 +205,6 @@ def evaluate(model: CodecModel, eval_set: list[Utterance]) -> dict:
     return score_report(scores)
 
 
-def reconstruction_scores(utterances: list[Utterance], recons: list) -> list[tuple[float, float]]:
-    """(L1, PSNR) of each reconstruction against its utterance's mel."""
-    return [
-        (float(np.mean(np.abs(r.values - u.mel.values))), mx.psnr_mel(u.mel, r))
-        for u, r in zip(utterances, recons)
-    ]
-
-
-def score_report(scores: list[tuple[float, float]]) -> dict:
-    """Mean L1 and PSNR over per-utterance scores."""
-    l1s, psnrs = zip(*scores)
-    return {"l1": float(np.mean(l1s)), "psnr": float(np.mean(psnrs)), "n": len(scores)}
-
-
 # ---------------------------------------------------------------------------
 # checkpoints (full training state)
 
@@ -339,6 +340,15 @@ def one_blas_thread() -> int | None:
     return None
 
 
+def set_up_process() -> int | None:
+    """What every command and every training run needs of the process, done
+    first: BLAS on one thread (:func:`one_blas_thread`; returns the thread
+    count it reads back) and freed memory kept mapped
+    (:func:`keep_freed_memory_mapped`)."""
+    keep_freed_memory_mapped()
+    return one_blas_thread()
+
+
 def _usage() -> dict:
     """Wall clock, and where available this process's system time and minor
     page faults so far."""
@@ -371,10 +381,9 @@ def train(
     ``log_path`` gets the step and eval records, which a fixed seed
     reproduces byte for byte. ``timing_path``, if given, gets one record per
     step of what ``train_step`` cost: ``wall_ms``, and where the platform
-    reports them ``sys_ms`` and ``minflt`` (minor page faults). BLAS runs on
-    one thread (see :func:`one_blas_thread`)."""
-    one_blas_thread()
-    keep_freed_memory_mapped()
+    reports them ``sys_ms`` and ``minflt`` (minor page faults). The process
+    is set up first (see :func:`set_up_process`)."""
+    set_up_process()
     tcfg = state.tcfg
     train_utts, eval_utts = split_corpus(corpus, tcfg.eval_fraction)
     if not train_utts:

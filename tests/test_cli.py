@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,8 @@ from prosody_codec import cli
 from prosody_codec import corpus as corpus_module
 from prosody_codec import dsp as dsp_module
 from prosody_codec import model as model_module
-from prosody_codec.config import dumps_config, load_config, loads_config
+from prosody_codec import training as training_module
+from prosody_codec.config import RunConfig, dumps_config, load_config, loads_config
 from prosody_codec.containers import read_container, write_container
 from prosody_codec.errors import ConfigError, DataError
 from prosody_codec.training import one_blas_thread
@@ -224,6 +226,41 @@ def test_config_rejects_bad_value(section, key, value):
         loads_config(json.dumps({section: {key: value}}))
 
 
+_FLOAT_FIELDS = [
+    (section.name, f.name)
+    for section in dataclasses.fields(RunConfig)
+    for f in dataclasses.fields(section.default_factory)
+    if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("section, key", _FLOAT_FIELDS)
+def test_config_rejects_non_finite_float(section, key, value):
+    # JSON parses Infinity and NaN; no float field may hold them
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be finite$"):
+        loads_config(json.dumps({section: {key: value}}))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("f0_ranges", [[120.0, float("inf")], [150.0, 300.0]]),
+        ("f0_ranges", [[120.0, 240.0], [float("nan"), 300.0]]),
+        ("amp_range", [float("-inf"), 1.0]),
+    ],
+)
+def test_config_rejects_non_finite_list_entry(key, value):
+    with pytest.raises(ConfigError, match=rf"^synth\.{key}: must be finite$"):
+        loads_config(json.dumps({"synth": {key: value}}))
+
+
+def test_infinite_learning_rate_exit_1(tmp_path, capsys):
+    config = write_config(tmp_path, train={"learning_rate": float("inf")})
+    assert cli.main(["train", "--config", config]) == 1
+    assert capsys.readouterr().err == "config error: train.learning_rate: must be finite\n"
+
+
 def test_config_zero_turns_dead_code_and_early_stop_off():
     cfg = loads_config(json.dumps({"train": {"dead_code_every": 0, "target_loss_ratio": 0}}))
     assert (cfg.train.dead_code_every, cfg.train.target_loss_ratio) == (0, 0.0)
@@ -234,6 +271,41 @@ def test_negative_synth_seed_exit_1(tmp_path, capsys):
     os.makedirs(tmp_path / "data", exist_ok=True)
     assert cli.main(["synth-data", "--config", config]) == 1
     assert "synth.seed: must be >= 0" in capsys.readouterr().err
+
+
+def test_command_sets_up_process_once(tmp_path, monkeypatch):
+    # one set-up per command: BLAS on one thread and freed memory kept mapped
+    config = write_config(tmp_path)
+    os.makedirs(tmp_path / "data", exist_ok=True)
+    calls = Counter()
+    real_set_up, real_keep = cli.set_up_process, training_module.keep_freed_memory_mapped
+
+    def counting_set_up():
+        calls["set_up_process"] += 1
+        return real_set_up()
+
+    def counting_keep():
+        calls["keep_freed_memory_mapped"] += 1
+        return real_keep()
+
+    monkeypatch.setattr(cli, "set_up_process", counting_set_up)
+    monkeypatch.setattr(training_module, "keep_freed_memory_mapped", counting_keep)
+    assert cli.main(["synth-data", "--config", config]) == 0
+    assert calls == {"set_up_process": 1, "keep_freed_memory_mapped": 1}
+
+
+def test_out_of_memory_exit_1(tmp_path, monkeypatch, capsys):
+    # the error is raised by patching, never by allocating
+    config = write_config(tmp_path)
+    os.makedirs(tmp_path / "data", exist_ok=True)
+
+    def exhausted(spec, cfg):
+        raise MemoryError("Unable to allocate 9.74 GiB for an array with shape (130756096, 10)")
+
+    monkeypatch.setattr(corpus_module, "synth_utterances", exhausted)
+    assert cli.main(["synth-data", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 9.74 GiB for an array with shape (130756096, 10)\n"
 
 
 def test_bad_grad_clip_exit_1(tmp_path, capsys):
@@ -446,7 +518,7 @@ def test_analyze_usage_encodes_once_per_batch(pipeline, monkeypatch):
     # one encode per inference batch serves the codes and both decodes
     root, config = pipeline
     calls = Counter()
-    real_stack, real_batches = model_module.conformer_stack, cli.inference_batches
+    real_stack, real_batches = model_module.conformer_stack, an.inference_batches
 
     def counting_stack(pt, stack, *args):
         calls[stack] += 1
@@ -458,7 +530,7 @@ def test_analyze_usage_encodes_once_per_batch(pipeline, monkeypatch):
             yield item
 
     monkeypatch.setattr(model_module, "conformer_stack", counting_stack)
-    monkeypatch.setattr(cli, "inference_batches", counting_batches)
+    monkeypatch.setattr(an, "inference_batches", counting_batches)
     monkeypatch.setattr(corpus_module, "INFERENCE_BATCH", 2)  # several batches
     assert cli.main(["analyze", "--config", config, "usage"]) == 0
     n = calls["batch"]
@@ -476,10 +548,55 @@ def test_code_space_histograms_match_code_counts(pipeline):
     k = model.cfg.codebook_size
     counts = [np.bincount(np.concatenate([s.level(l).ravel() for s in sequences]), minlength=k)
               for l in (0, 1)]
-    _, _, hist, _, level2, _ = cli._code_space(cfg)
+    hist, _, level2 = an.code_space(model, sequences)
     assert hist.dtype == np.int64
     np.testing.assert_array_equal(hist, counts[0])
     assert level2 == int(np.argmax(counts[1]))
+
+
+def _reference(corpus, utts, cfg):
+    return an.probe_reference(corpus, utts, cfg.analysis)
+
+
+# each command's JSON report, its CSV reports, and the analysis call that
+# computes them from (corpus, model, utterances, their codes, run config)
+_COMMAND_REPORTS = {
+    "usage": ("usage.json", ["usage.csv"], lambda c, m, u, s, cfg: an.analyze_usage(m, u)),
+    "entropy": ("entropy.json", ["entropy.csv"], lambda c, m, u, s, cfg: an.analyze_entropy(
+        m, u, s, c.speakers, c.vocab, cfg.analysis)),
+    "klmap": ("klmap.json", ["klmap_embedding.csv"], lambda c, m, u, s, cfg: an.analyze_klmap(
+        m, u, s, c.vocab, cfg.analysis)),
+    "pca": ("pca.json", ["pca_codes.csv"], lambda c, m, u, s, cfg: an.analyze_pca(
+        m, s, cfg.analysis)),
+    "probes": ("probes.json", ["probes_axis1.csv", "probes_axis2.csv"],
+               lambda c, m, u, s, cfg: an.analyze_probes(
+                   m, s, _reference(c, u, cfg), cfg.analysis, cfg.features)),
+    "speaker-relative": ("speaker_relative_f0.json", ["speaker_relative_f0.csv"],
+                         lambda c, m, u, s, cfg: an.analyze_speaker_relative(
+                             m, s, _reference(c, u, cfg), c.speakers, cfg.analysis, cfg.features)),
+    "reconstruction": ("metrics_reconstruction.json", [],
+                       lambda c, m, u, s, cfg: (an.reconstruction_metrics(
+                           m, u, an.reference_pitch(u, cli._audio_paths(cfg), cfg.features),
+                           cfg.features), [])),
+}
+
+
+@pytest.mark.parametrize("what", list(_COMMAND_REPORTS))
+def test_command_writes_what_analysis_returns(pipeline, tmp_path, what):
+    # the command only reads its inputs and writes reports: each file holds
+    # the bytes of what the analysis function returns for the same inputs
+    root, config = pipeline
+    command = ["metrics", "--task", what] if what == "reconstruction" else ["analyze", what]
+    assert cli.main([command[0], "--config", config, *command[1:]]) == 0
+    json_name, csv_names, compute = _COMMAND_REPORTS[what]
+    cfg = load_config(config)
+    corpus, model, utts = cli._inputs(cfg)
+    payload, rows = compute(corpus, model, utts, an.collect_codes(model, utts), cfg)
+    an.write_json(str(tmp_path / json_name), payload)
+    for name, csv_rows in zip(csv_names, rows.values() if isinstance(rows, dict) else [rows]):
+        an.write_csv(str(tmp_path / name), csv_rows)
+    for name in [json_name, *csv_names]:
+        assert (root / "reports" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_analyze_entropy_report(pipeline):
@@ -768,7 +885,7 @@ def test_ablate_continuous_runs_yin_once_per_reference(pipeline, tmp_path, monke
         calls.append(1)
         return dsp_module.pitch(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "pitch", pitch)
+    monkeypatch.setattr(an, "pitch", pitch)
     assert cli.main(["ablate-continuous", "--config", config]) == 0
     table = json.loads((tmp_path / "reports" / "ablation_continuous.json").read_text())
     assert len(calls) == 3 * table["discrete"]["n"] > 0
