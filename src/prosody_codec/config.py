@@ -231,17 +231,22 @@ def _is_pair(value) -> bool:
 
 
 def _finite(value) -> bool:
-    """Whether every float in ``value``, a number or nested lists of them, is finite."""
+    """Whether every number in ``value``, a number or nested lists of them,
+    is a finite float: not infinite, NaN or an integer beyond float range."""
     if isinstance(value, list):
         return all(_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+    try:
+        return not isinstance(value, (int, float)) or math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def parse_section(cls: type, data: Any, prefix: str):
     """Build a config section from its JSON object: every key is checked
     against the field's type, and the numbers of a float or list field must
-    be finite (JSON parses ``Infinity`` and ``NaN``); then the section
-    validates itself. Errors name the key as ``prefix.key``."""
+    be finite floats (JSON parses ``Infinity``, ``NaN`` and integers of any
+    size); then the section validates itself. Errors name the key as
+    ``prefix.key``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix}: expected an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -254,17 +259,15 @@ def parse_section(cls: type, data: Any, prefix: str):
             raise ConfigError(f"{prefix}.{key}: expected int, got bool")
         if ftype == "int" and not isinstance(value, int):
             raise ConfigError(f"{prefix}.{key}: expected int, got {type(value).__name__}")
-        if ftype == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{prefix}.{key}: expected number, got {type(value).__name__}")
-            value = float(value)
+        if ftype == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"{prefix}.{key}: expected number, got {type(value).__name__}")
         if ftype == "str" and not isinstance(value, str):
             raise ConfigError(f"{prefix}.{key}: expected string, got {type(value).__name__}")
         if ftype == "list" and not isinstance(value, list):
             raise ConfigError(f"{prefix}.{key}: expected list, got {type(value).__name__}")
         if ftype in ("float", "list") and not _finite(value):
             raise ConfigError(f"{prefix}.{key}: must be finite")
-        kwargs[key] = value
+        kwargs[key] = float(value) if ftype == "float" else value
     section = cls(**kwargs)
     section.validate(prefix)
     return section

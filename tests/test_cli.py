@@ -234,10 +234,11 @@ _FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), -(10**400)])
 @pytest.mark.parametrize("section, key", _FLOAT_FIELDS)
 def test_config_rejects_non_finite_float(section, key, value):
-    # JSON parses Infinity and NaN; no float field may hold them
+    # JSON parses Infinity, NaN and integers beyond the float range; no
+    # float field may hold them
     with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be finite$"):
         loads_config(json.dumps({section: {key: value}}))
 
@@ -248,6 +249,7 @@ def test_config_rejects_non_finite_float(section, key, value):
         ("f0_ranges", [[120.0, float("inf")], [150.0, 300.0]]),
         ("f0_ranges", [[120.0, 240.0], [float("nan"), 300.0]]),
         ("amp_range", [float("-inf"), 1.0]),
+        ("f0_ranges", [[120, 10**400], [150.0, 300.0]]),
     ],
 )
 def test_config_rejects_non_finite_list_entry(key, value):
