@@ -175,6 +175,11 @@ def sign_test(wins: int, losses: int) -> float:
 BETTER = {"uncorrected_frames_per_s": "higher", "host_speed_factor": "higher",
           "cpu_s_per_op": "lower", "minflt_per_op": "lower"}
 
+# readouts that describe the host, not the program: judged by no ``gain``.
+# The host-speed factor's null band is the widest of any ``train`` readout
+# (-0.31 to +0.23 over 16 pooled null pairs)
+DIAGNOSTIC = {"host_speed_factor"}
+
 
 def readouts(run: dict) -> dict:
     """Every number one run reports, by name: its end-to-end metrics, its
@@ -250,9 +255,9 @@ def null_ratios(workload: str, root: str) -> dict[str, list[float]]:
 def judge(readouts: dict, null: dict[str, list[float]]) -> None:
     """Adds to each readout with a log-ratio and null pairs in ``null``:
     ``null``, the central 90% (``p5``, ``p95``) of those pairs and their
-    count, and ``gain``, true only when the change's median log-ratio lies
-    beyond that band on the readout's better side and its sign test gives
-    p < 0.05."""
+    count, and, unless it is a ``DIAGNOSTIC`` readout, ``gain``, true only
+    when the change's median log-ratio lies beyond that band on the
+    readout's better side and its sign test gives p < 0.05."""
     for name, entry in readouts.items():
         ratio, pairs = entry["log_ratio"], null.get(name)
         if ratio is None or not pairs:
@@ -260,7 +265,8 @@ def judge(readouts: dict, null: dict[str, list[float]]) -> None:
         p5, p95 = np.percentile(pairs, [5, 95]).tolist()
         beyond = ratio["median"] > p95 if entry["better"] == "higher" else ratio["median"] < p5
         entry["null"] = {"p5": p5, "p95": p95, "pairs": len(pairs)}
-        entry["gain"] = beyond and ratio["sign_p"] < 0.05
+        if name not in DIAGNOSTIC:
+            entry["gain"] = beyond and ratio["sign_p"] < 0.05
 
 
 def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
@@ -298,8 +304,8 @@ def bench(args, run=perfbench, checkout=parent_checkout) -> dict:
 
 def summary_line(name: str, entry: dict) -> str:
     """``name``: each side's median [q1, q3], the pairs won, the log-ratio's
-    median, central 90% and sign test, the null band and gain, and the
-    verdict, each where there is one."""
+    median, central 90% and sign test, the null band and gain ("diagnostic"
+    for a readout without one), and the verdict, each where there is one."""
     p, c, won, ratio = entry["parent"], entry["change"], entry["wins"], entry["log_ratio"]
     line = (f"  {name:<24} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  change "
             f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  change won {won['change']}, "
@@ -310,7 +316,7 @@ def summary_line(name: str, entry: dict) -> str:
     if "null" in entry:
         null = entry["null"]
         line += (f"; null [{null['p5']:+.4f}, {null['p95']:+.4f}] of {null['pairs']} pairs, "
-                 f"gain {'yes' if entry['gain'] else 'no'}")
+                 + (f"gain {'yes' if entry['gain'] else 'no'}" if "gain" in entry else "diagnostic"))
     return line + (f": {entry['verdict']}" if "verdict" in entry else "")
 
 

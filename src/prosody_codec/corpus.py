@@ -21,7 +21,14 @@ import numpy as np
 
 from .config import MEL_FIELDS, FeatureConfig, SynthSpec
 from .containers import read_container, write_container
-from .dsp import AudioBuffer, MelSpectrogram, load_wav, mel_spectrogram
+from .dsp import (
+    AudioBuffer,
+    MelSpectrogram,
+    frame_count,
+    harmonic_sum,
+    load_wav,
+    mel_spectrogram,
+)
 from .errors import ContractError, DataError
 
 PAD_SYMBOL = "<pad>"
@@ -402,15 +409,10 @@ def synth_vocab(spec: SynthSpec) -> PhonemeVocab:
     return PhonemeVocab([f"ph{p}" for p in range(spec.phoneme_inventory)])
 
 
-def synth_utterances(
-    spec: SynthSpec, cfg: FeatureConfig
-) -> Iterator[tuple[Utterance, AudioBuffer]]:
-    """Deterministic harmonic-tone corpus: phoneme = timbre, speaker = F0
-    range, per-segment pitch and amplitude are the 'prosody' to encode.
-
-    Yields each utterance with its audio as soon as it is made, so a caller
-    holds one waveform at a time. Nothing runs, ``spec`` is not validated
-    either, until the first item is taken."""
+def _synth_waves(spec: SynthSpec, cfg: FeatureConfig):
+    """Each synthetic utterance as (id, speaker id, phoneme ids, durations,
+    transcript, audio), made as it is taken. The one synthesis loop, shared
+    by :func:`synth_utterances` and :func:`write_synth_corpus`."""
     vocab = synth_vocab(spec)
     rng = np.random.default_rng(spec.seed)
     timbres = _phoneme_timbres(rng, spec.phoneme_inventory, spec.n_harmonics)
@@ -436,37 +438,42 @@ def synth_utterances(
         bounds[-1] = n_samples
         f0_track = np.empty(n_samples)
         amp_track = np.empty(n_samples)
-        seg_of_sample = np.empty(n_samples, dtype=np.int64)
         for i in range(n_seg):
             sl = slice(int(bounds[i]), int(bounds[i + 1]))
             n_in = int(bounds[i + 1]) - int(bounds[i])
             drift = 2.0 ** (np.linspace(-glides[i] / 2, glides[i] / 2, n_in) / 12.0)
             f0_track[sl] = f0s[i] * drift
             amp_track[sl] = amps[i]
-            seg_of_sample[sl] = i
         # soften amplitude steps to avoid clicks
         kernel = np.ones(129) / 129.0
         amp_track = np.convolve(np.pad(amp_track, 64, mode="edge"), kernel, mode="valid")
-        phase = 2.0 * np.pi * np.cumsum(f0_track) / sr
-        wave = np.zeros(n_samples)
-        seg_timbre = timbres[phones[seg_of_sample]]  # (n_samples, H)
-        for h in range(spec.n_harmonics):
-            harmonic_freq = (h + 1) * f0_track
-            audible = harmonic_freq < sr / 2
-            wave += np.where(audible, seg_timbre[:, h], 0.0) * np.sin((h + 1) * phase)
+        wave = harmonic_sum(f0_track, timbres[phones], bounds, sr)
         wave = amp_track * wave / max(np.abs(wave).max(), 1e-9)
-        audio = AudioBuffer(samples=wave, sample_rate=sr)
-        mel = mel_spectrogram(audio, cfg)
-        # ids after PAD, as synth_vocab lays them out; Utterance raises
-        # ContractError if the mel's frame count is not the durations' sum
-        phonemes = phones + 1
+        phonemes = phones + 1  # ids after PAD, as synth_vocab lays them out
+        transcript = " ".join(vocab.symbol_of(p) for p in phonemes)
+        yield (f"synth{idx:04d}", speaker, phonemes, durations.astype(np.int64), transcript,
+               AudioBuffer(samples=wave, sample_rate=sr))
+
+
+def synth_utterances(
+    spec: SynthSpec, cfg: FeatureConfig
+) -> Iterator[tuple[Utterance, AudioBuffer]]:
+    """Deterministic harmonic-tone corpus: phoneme = timbre, speaker = F0
+    range, per-segment pitch and amplitude are the 'prosody' to encode.
+
+    Yields each utterance, its mel analysed, with its audio as soon as it is
+    made, so a caller holds one waveform at a time. Nothing runs, ``spec``
+    is not validated either, until the first item is taken."""
+    for utt_id, speaker, phonemes, durations, transcript, audio in _synth_waves(spec, cfg):
+        # Utterance raises ContractError if the mel's frame count is not the
+        # durations' sum
         yield Utterance(
-            id=f"synth{idx:04d}",
+            id=utt_id,
             speaker_id=speaker,
             phonemes=phonemes,
-            durations=durations.astype(np.int64),
-            mel=mel,
-            transcript=" ".join(vocab.symbol_of(p) for p in phonemes),
+            durations=durations,
+            mel=mel_spectrogram(audio, cfg),
+            transcript=transcript,
         ), audio
 
 
@@ -481,23 +488,28 @@ def synth_corpus(spec: SynthSpec, cfg: FeatureConfig) -> Corpus:
 
 def write_synth_corpus(spec: SynthSpec, cfg: FeatureConfig, out_dir: str) -> str:
     """Emit wav files plus a manifest; returns the manifest path. Each wav is
-    written as it is synthesized."""
-    vocab = synth_vocab(spec)
+    written as it is synthesized; no mel is analysed."""
+    synth_vocab(spec)  # a bad spec is rejected before the directory is made
     os.makedirs(out_dir, exist_ok=True)
     from .dsp import save_wav
 
     records = []
-    for utt, audio in synth_utterances(spec, cfg):
-        wav_name = f"{utt.id}.wav"
+    for utt_id, speaker, _, durations, transcript, audio in _synth_waves(spec, cfg):
+        n_frames = frame_count(len(audio.samples), cfg.n_fft, cfg.hop_length)
+        if n_frames != int(durations.sum()):
+            raise ContractError(
+                f"{utt_id}: durations sum {int(durations.sum())} != mel frames {n_frames}"
+            )
+        wav_name = f"{utt_id}.wav"
         save_wav(os.path.join(out_dir, wav_name), audio, float32=True)
         records.append(
             {
-                "id": utt.id,
+                "id": utt_id,
                 "audio": wav_name,
-                "speaker": f"spk{utt.speaker_id}",
-                "phones": " ".join(vocab.symbol_of(p) for p in utt.phonemes),
-                "durations": [int(d) for d in utt.durations],
-                "text": utt.transcript,
+                "speaker": f"spk{speaker}",
+                "phones": transcript,
+                "durations": [int(d) for d in durations],
+                "text": transcript,
             }
         )
     manifest_path = os.path.join(out_dir, "manifest.jsonl")

@@ -1,4 +1,5 @@
-"""Audio I/O and DSP: wav files, log-mel analysis and inversion, pitch, energy.
+"""Audio I/O and DSP: wav files, harmonic synthesis, log-mel analysis and
+inversion, pitch, energy.
 
 Mel frames are strictly causal windows: T = 1 + floor((len - n_fft) / hop),
 no center padding, so frame/duration bookkeeping stays exact across the
@@ -150,9 +151,9 @@ def save_wav(path: str, audio: AudioBuffer, float32: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# frames split across the usable cores
+# rows split across the usable cores
 
-_MIN_ROWS = 16  # no thread gets a range of fewer rows (frames or blocks) than this
+_MIN_ROWS = 16  # no thread gets a range of fewer rows (frames, blocks, samples) than this
 
 
 def _usable_cores() -> int:
@@ -247,6 +248,42 @@ def _in_region(part, n_rows: int) -> None:
             future.result()
     if broken is not None:
         raise broken
+
+
+# ---------------------------------------------------------------------------
+# harmonic synthesis
+
+
+def harmonic_sum(f0_track: np.ndarray, weights: np.ndarray, bounds: np.ndarray,
+                 sample_rate: int) -> np.ndarray:
+    """A harmonic tone: at each sample of segment i, the sum over harmonics
+    h = 1..H of ``weights[i, h - 1] * sin(h * phase)``, where ``phase`` is
+    2π times the running sum of ``f0_track`` over ``sample_rate``. A harmonic
+    at or above Nyquist at a sample adds 0 there. Segment i owns samples
+    ``bounds[i]`` to ``bounds[i + 1]``, and ``bounds[-1]`` is the sample count.
+
+    The samples are split across the usable cores as one parallel region
+    (see :func:`_in_region`). Each sample adds its harmonics in order,
+    starting from 0.0, so the bits do not depend on the split.
+    """
+    phase = 2.0 * np.pi * np.cumsum(f0_track) / sample_rate
+    wave = np.zeros(len(f0_track))
+    _in_region(lambda wait, start, stop: _harmonic_rows(f0_track, phase, weights, bounds,
+                                                        sample_rate / 2, wave, start, stop),
+               len(wave))
+    return wave
+
+
+def _harmonic_rows(f0_track, phase, weights, bounds, nyquist, wave, start: int, stop: int) -> None:
+    """``wave[start:stop] +=`` each harmonic of :func:`harmonic_sum` in turn."""
+    counts = np.diff(np.clip(bounds, start, stop))  # samples of each segment in the range
+    f0, out = f0_track[start:stop], wave[start:stop]
+    top = f0.max()
+    for h in range(weights.shape[1]):
+        w = np.repeat(weights[:, h], counts)
+        if (h + 1) * top >= nyquist:  # the harmonic is inaudible at some samples
+            w = np.where((h + 1) * f0 < nyquist, w, 0.0)
+        out += w * np.sin((h + 1) * phase[start:stop])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .config import FeatureConfig, ModelConfig, parse_section, section_json
 from .containers import read_container, write_container
 from .corpus import Batch, Utterance
 from .dsp import MelSpectrogram
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward, rvq_quantize
 
 # ---------------------------------------------------------------------------
@@ -31,6 +31,9 @@ from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward, 
 
 
 _STACKS = ("penc", "menc", "dec")
+
+# np.errstate around a forward whose non-finite output _mels reports
+_NONFINITE_REPORTED = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _param_specs(model: CodecModel):
@@ -411,10 +414,11 @@ class CodecModel:
         """Encode, quantize when the model has a quantizer, decode; each
         conformer stack runs once."""
         pt = self.param_tensors(train=False)
-        ling, w, latent = self.encode_batch(pt, batch)
-        if self.rvq is not None:
-            latent = self._latent(rvq_quantize(self.rvq, latent.data)[1])
-        return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
+        with np.errstate(**_NONFINITE_REPORTED):
+            ling, w, latent = self.encode_batch(pt, batch)
+            if self.rvq is not None:
+                latent = self._latent(rvq_quantize(self.rvq, latent.data)[1])
+            return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
 
     def codes_and_reconstructions(
         self, batch: Batch, level1: bool
@@ -424,13 +428,14 @@ class CodecModel:
         reconstructions, decoded from the same codes (else None)."""
         self._require_rvq("reconstruct")
         pt = self.param_tensors(train=False)
-        ling, w, z = self.encode_batch(pt, batch)
-        codes, vectors = rvq_quantize(self.rvq, z.data)
-        full = self._mels(self.decode_batch(pt, batch, self._latent(vectors), ling, w), batch)
-        partial = None
-        if level1:
-            latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
-            partial = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
+        with np.errstate(**_NONFINITE_REPORTED):
+            ling, w, z = self.encode_batch(pt, batch)
+            codes, vectors = rvq_quantize(self.rvq, z.data)
+            full = self._mels(self.decode_batch(pt, batch, self._latent(vectors), ling, w), batch)
+            partial = None
+            if level1:
+                latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
+                partial = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
         return self._sequences(codes, batch), full, partial
 
     def _sequences(self, codes: CodeSequence, batch: Batch) -> list[CodeSequence]:
@@ -440,6 +445,12 @@ class CodecModel:
         return Tensor(np.asarray(vectors).astype(self.dtype))
 
     def _mels(self, pred: Tensor, batch: Batch) -> list[MelSpectrogram]:
+        """The decoder's output as one mel per utterance. A non-finite value
+        there comes from the model, not the data: a NumericError naming the
+        batch's utterances."""
+        values = _unpad(pred.data, batch.frame_mask)
+        if not all(np.isfinite(v).all() for v in values):
+            raise NumericError(f"model output is not finite for utterances {batch.ids}")
         return [
             MelSpectrogram(
                 values=v.astype(np.float64),
@@ -447,12 +458,13 @@ class CodecModel:
                 n_fft=self.features.n_fft,
                 sample_rate=self.features.sample_rate,
             )
-            for v in _unpad(pred.data, batch.frame_mask)
+            for v in values
         ]
 
     # -- single-utterance operations: one-utterance batches through the above
 
-    def _single_batch(self, phonemes, durations, speaker_id, mel_values=None) -> Batch:
+    def _single_batch(self, phonemes, durations, speaker_id, mel_values=None,
+                      utt_id: str = "_single") -> Batch:
         """A one-utterance batch; without mel values it carries only what
         the decoder is conditioned on."""
         phonemes = np.asarray(phonemes, dtype=np.int64)
@@ -465,12 +477,14 @@ class CodecModel:
             speaker_ids=np.array([speaker_id], dtype=np.int64),
             phoneme_mask=np.ones((1, len(phonemes)), dtype=bool),
             frame_mask=np.ones((1, T), dtype=bool),
-            ids=["_single"],
+            ids=[utt_id],
         )
 
     def encode_utterance(self, utt: Utterance) -> CodeSequence:
         """Utterance -> per-phoneme code index tuples (speaker never enters)."""
-        return self.codes_batch(self._single_batch(utt.phonemes, utt.durations, 0, utt.mel.values))[0]
+        return self.codes_batch(
+            self._single_batch(utt.phonemes, utt.durations, 0, utt.mel.values, utt.id)
+        )[0]
 
     def decode_codes(self, codes: CodeSequence, phonemes, durations, speaker_id: int) -> MelSpectrogram:
         """Code sequence + conditioning -> mel with sum(durations) frames."""
@@ -488,13 +502,14 @@ class CodecModel:
             )
         batch = self._single_batch(phonemes, durations, speaker_id)
         pt = self.param_tensors(train=False)
-        ling, w, _ = self.encode_batch(pt, batch)
-        return self._mels(self.decode_batch(pt, batch, self._latent(z[None]), ling, w), batch)[0]
+        with np.errstate(**_NONFINITE_REPORTED):
+            ling, w, _ = self.encode_batch(pt, batch)
+            return self._mels(self.decode_batch(pt, batch, self._latent(z[None]), ling, w), batch)[0]
 
     def reconstruct(self, utt: Utterance, override_speaker: int | None = None) -> MelSpectrogram:
         """Encode-then-decode, optionally with a different speaker embedding."""
         speaker = utt.speaker_id if override_speaker is None else int(override_speaker)
-        batch = self._single_batch(utt.phonemes, utt.durations, speaker, utt.mel.values)
+        batch = self._single_batch(utt.phonemes, utt.durations, speaker, utt.mel.values, utt.id)
         return self.reconstruct_batch(batch)[0]
 
 

@@ -351,7 +351,7 @@ def test_a_gain_lies_beyond_the_pooled_null_band_with_a_sign_test(script, monkey
     assert p50["gain"] is False
     assert raw["log_ratio"]["sign_p"] < 0.05 and raw["null"]["p95"] > math.log(94.0 / 93.5)
     assert raw["gain"] is False
-    assert readouts["peak_rss_mb"]["gain"] is False and readouts["host_speed_factor"]["gain"] is False
+    assert readouts["peak_rss_mb"]["gain"] is False and "gain" not in readouts["host_speed_factor"]
     printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:-1]}
     assert printed["frames_per_s"].endswith(f"; null [{p5:+.4f}, {p95:+.4f}] of 8 pairs, gain yes: ok")
     assert printed["op_ms_p50"].endswith("of 8 pairs, gain no: ok")
@@ -370,3 +370,21 @@ def test_a_lower_is_better_readout_gains_only_below_its_band(script):
     assert readouts["a"]["gain"] is True and readouts["b"]["gain"] is False
     assert readouts["d"]["gain"] is True
     assert "null" not in readouts["c"] and "gain" not in readouts["c"]
+
+
+def test_the_host_speed_factor_is_a_diagnostic_without_a_gain(script):
+    # far beyond its null band with every pair won, yet no verdict: the
+    # factor describes the host, not the program
+    ratio = {"median": 0.5, "sign_p": 0.001, "pairs": [0.5] * 10, "p5": 0.5, "p95": 0.5}
+    entry = {"better": "higher", "log_ratio": ratio, "wins": {"change": 10, "parent": 0, "ties": 0},
+             "parent": {"q1": 0.9, "median": 1.0, "q3": 1.1},
+             "change": {"q1": 1.5, "median": 1.6, "q3": 1.7}}
+    readouts = {"host_speed_factor": entry, "frames_per_s": {**entry, "log_ratio": dict(ratio)}}
+    script.judge(readouts, {"host_speed_factor": [-0.3, 0.2], "frames_per_s": [-0.1, 0.1]})
+    assert "gain" not in readouts["host_speed_factor"]
+    assert readouts["host_speed_factor"]["null"] == {"p5": pytest.approx(-0.275),
+                                                     "p95": pytest.approx(0.175), "pairs": 2}
+    assert readouts["frames_per_s"]["gain"] is True
+    line = script.summary_line("host_speed_factor", readouts["host_speed_factor"])
+    assert line.endswith("of 2 pairs, diagnostic") and "gain" not in line
+    assert script.summary_line("frames_per_s", readouts["frames_per_s"]).endswith("gain yes")

@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -304,7 +305,7 @@ def test_out_of_memory_exit_1(tmp_path, monkeypatch, capsys):
     def exhausted(spec, cfg):
         raise MemoryError("Unable to allocate 9.74 GiB for an array with shape (130756096, 10)")
 
-    monkeypatch.setattr(corpus_module, "synth_utterances", exhausted)
+    monkeypatch.setattr(corpus_module, "_synth_waves", exhausted)
     assert cli.main(["synth-data", "--config", config]) == 1
     err = capsys.readouterr().err
     assert err == "out of memory: Unable to allocate 9.74 GiB for an array with shape (130756096, 10)\n"
@@ -330,6 +331,40 @@ def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["resynth", "--config", config]) == 2
     assert "mel_out.w has shape (3, 3)" in capsys.readouterr().err
+
+
+def test_diverged_checkpoint_exit_3(pipeline, tmp_path, capsys):
+    # the pipeline's data with its model, one output bias set to inf: the
+    # model's output is not finite, a numeric failure, not a data error
+    root, _ = pipeline
+    config = write_config(tmp_path, paths=_pipeline_data(root))
+    model = model_module.load_model(str(root / "ckpt" / "latest.ckpt"))
+    model.params["mel_out.b"][0] = np.inf
+    os.makedirs(tmp_path / "ckpt")
+    model_module.save_model(model, str(tmp_path / "ckpt" / "latest.ckpt"))
+    capsys.readouterr()
+    assert cli.main(["resynth", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric error: model output is not finite for utterances \['synth\d+'\]\n", err)
+
+
+def test_diverging_training_exit_3_without_warnings(tmp_path, capsys):
+    # a valid but huge learning rate: step 1 is finite, every later step is
+    # skipped, and the summary's evaluation finds the model's output not
+    # finite; no numpy warning reaches the user on the way
+    config = write_config(tmp_path, train={"learning_rate": 1e30}, synth={"n_utterances": 4})
+    os.makedirs(tmp_path / "data", exist_ok=True)
+    assert cli.main(["synth-data", "--config", config]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: model output is not finite") and err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    log = [json.loads(line) for line in open(tmp_path / "reports" / "train_log.jsonl")]
+    assert any(rec.get("skipped") for rec in log)
 
 
 @pytest.mark.parametrize(

@@ -498,6 +498,41 @@ def test_write_synth_corpus_parses_back(tmp_path):
         )
 
 
+def test_write_synth_corpus_writes_the_generators_audio_and_labels_without_mels(tmp_path,
+                                                                              monkeypatch):
+    from prosody_codec import corpus as corpus_module
+
+    # a spec whose upper harmonics cross Nyquist, so the mask is applied
+    spec = SynthSpec(n_speakers=2, n_utterances=4, f0_ranges=[[120.0, 240.0], [900.0, 1500.0]],
+                     n_harmonics=12, glide_semitones=1.0, seed=8)
+    yielded = list(synth_utterances(spec, CFG))
+    for utt, audio in yielded:
+        save_wav(str(tmp_path / f"{utt.id}.wav"), audio, float32=True)
+
+    def no_mel(audio, cfg):
+        raise AssertionError("write_synth_corpus analysed a mel")
+
+    monkeypatch.setattr(corpus_module, "mel_spectrogram", no_mel)
+    manifest = write_synth_corpus(spec, CFG, str(tmp_path / "data"))
+    records = [json.loads(line) for line in open(manifest, encoding="utf-8")]
+    assert [r["id"] for r in records] == [utt.id for utt, _ in yielded]
+    for rec, (utt, _) in zip(records, yielded):
+        written = (tmp_path / "data" / rec["audio"]).read_bytes()
+        assert written == (tmp_path / f"{utt.id}.wav").read_bytes()
+        assert rec["speaker"] == f"spk{utt.speaker_id}"
+        assert rec["phones"] == rec["text"] == utt.transcript
+        assert rec["durations"] == utt.durations.tolist()
+
+
+def test_write_synth_corpus_checks_the_frame_count(tmp_path, monkeypatch):
+    from prosody_codec import corpus as corpus_module
+
+    real = corpus_module.frame_count
+    monkeypatch.setattr(corpus_module, "frame_count", lambda n, n_fft, hop: real(n, n_fft, hop) - 1)
+    with pytest.raises(ContractError, match="synth0000: durations sum"):
+        write_synth_corpus(SynthSpec(n_utterances=2), CFG, str(tmp_path))
+
+
 def test_synth_corpus_keeps_what_the_generator_yields():
     spec = SynthSpec(n_speakers=2, n_utterances=5, glide_semitones=1.0, seed=6)
     corpus = synth_corpus(spec, CFG)

@@ -777,6 +777,48 @@ def test_estimate_f0_rejects_zero_window():
 
 
 # ---------------------------------------------------------------------------
+# harmonic synthesis
+
+
+def _ref_harmonic_sum(f0_track, weights, bounds, sr):
+    # the synthesizer's loop that harmonic_sum replaced: every harmonic masked
+    # at every sample, with weights gathered per sample; kept as the oracle
+    # harmonic_sum must match bit for bit
+    n_samples = len(f0_track)
+    seg_of_sample = np.empty(n_samples, dtype=np.int64)
+    for i in range(len(weights)):
+        seg_of_sample[int(bounds[i]) : int(bounds[i + 1])] = i
+    phase = 2.0 * np.pi * np.cumsum(f0_track) / sr
+    wave = np.zeros(n_samples)
+    seg_timbre = weights[seg_of_sample]  # (n_samples, H)
+    for h in range(weights.shape[1]):
+        harmonic_freq = (h + 1) * f0_track
+        audible = harmonic_freq < sr / 2
+        wave += np.where(audible, seg_timbre[:, h], 0.0) * np.sin((h + 1) * phase)
+    return wave
+
+
+@pytest.mark.parametrize("n_samples, f_hi", [(4099, 400.0), (10001, 1500.0)])
+def test_harmonic_sum_bit_identical_to_the_per_sample_loop_at_any_core_count(cores, n_samples,
+                                                                           f_hi):
+    sr, n_seg, n_harmonics = 16000, 9, 12
+    rng = np.random.default_rng(n_samples)
+    cuts = np.sort(rng.choice(np.arange(1, n_samples), n_seg - 1, replace=False))
+    bounds = np.concatenate([[0], cuts, [n_samples]])
+    glide = 2.0 ** (rng.uniform(-1.0, 1.0, n_samples) / 12.0)
+    f0_track = np.repeat(rng.uniform(100.0, f_hi, n_seg), np.diff(bounds)) * glide
+    weights = rng.uniform(0.0, 1.0, (n_seg, n_harmonics))
+    # at 1500 Hz the upper harmonics cross Nyquist at some samples only, so
+    # the mask is applied; at 400 Hz no harmonic reaches it
+    harmonics = np.arange(1, n_harmonics + 1)[:, None] * f0_track
+    assert np.any((harmonics >= sr / 2).any(axis=1) & (harmonics < sr / 2).any(axis=1)) == (f_hi > 1000)
+    expected = _ref_harmonic_sum(f0_track, weights, bounds, sr).tobytes()
+    for n in (1, 2, 3):
+        cores(n)
+        assert dsp.harmonic_sum(f0_track, weights, bounds, sr).tobytes() == expected
+
+
+# ---------------------------------------------------------------------------
 # pitch
 
 

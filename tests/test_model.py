@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from prosody_codec.autodiff import Tensor
 from prosody_codec.config import FeatureConfig, ModelConfig
 from prosody_codec.corpus import Batch, PhonemeVocab, Utterance, make_batch
 from prosody_codec.dsp import MelSpectrogram
-from prosody_codec.errors import ContractError, DataError
+from prosody_codec.errors import ContractError, DataError, NumericError
 from prosody_codec.model import (
     CodecModel,
     _downsample,
@@ -702,6 +703,41 @@ def test_model_config_sizes_must_match(tmp_path):
     write_container(str(path), meta, arrays)
     with pytest.raises(DataError, match="checkpoint model_config: model.n_mels: unknown key"):
         load_model(str(path))
+
+
+def test_a_non_finite_model_output_is_a_numeric_error():
+    # a diverged model, not its input: every mel-returning inference method
+    # raises NumericError naming the batch's utterances
+    model = make_model(seed=6)
+    utts = [make_utt("a", seed=1), make_utt("b", speaker=1, n=5, per=3, seed=2)]
+    batch = make_batch(utts)
+    model.params["mel_out.b"][0] = np.inf
+    with pytest.raises(NumericError, match=r"not finite for utterances \['a', 'b'\]"):
+        model.reconstruct_batch(batch)
+    with pytest.raises(NumericError, match=r"\['a', 'b'\]"):
+        model.codes_and_reconstructions(batch, level1=True)
+    with pytest.raises(NumericError, match=r"\['b'\]"):
+        model.reconstruct(utts[1])
+    code = model.encode_utterance(utts[0])
+    with pytest.raises(NumericError):
+        model.decode_codes(code, utts[0].phonemes, utts[0].durations, 0)
+
+
+def test_a_forward_that_overflows_warns_nothing():
+    # what overflows on the way to the output is reported by the
+    # NumericError alone, not by numpy warnings as well
+    model = make_model(seed=6)
+    utt = make_utt("a", seed=1)
+    code = model.encode_utterance(utt)
+    model.params["dec_proj.w"] *= np.float32(1e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(NumericError, match=r"\['a'\]"):
+            model.reconstruct_batch(make_batch([utt]))
+        with pytest.raises(NumericError):
+            model.codes_and_reconstructions(make_batch([utt]), level1=True)
+        with pytest.raises(NumericError):
+            model.decode_codes(code, utt.phonemes, utt.durations, 0)
 
 
 def test_reconstruct_rejects_mel_width_mismatch():
