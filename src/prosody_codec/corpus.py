@@ -409,7 +409,9 @@ def synth_vocab(spec: SynthSpec) -> PhonemeVocab:
     return PhonemeVocab([f"ph{p}" for p in range(spec.phoneme_inventory)])
 
 
-def _synth_waves(spec: SynthSpec, cfg: FeatureConfig):
+def _synth_waves(
+    spec: SynthSpec, cfg: FeatureConfig
+) -> Iterator[tuple[str, int, np.ndarray, np.ndarray, str, AudioBuffer]]:
     """Each synthetic utterance as (id, speaker id, phoneme ids, durations,
     transcript, audio), made as it is taken. The one synthesis loop, shared
     by :func:`synth_utterances` and :func:`write_synth_corpus`."""

@@ -152,13 +152,13 @@ def train_step(state: TrainState, batch: Batch) -> dict:
     model = state.model
     tcfg = state.tcfg
     state.step += 1
-    # a step that goes non-finite is skipped, and its record says so
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if model.rvq is not None and not model.rvq.levels[0].initialized:
-            _, _, z0 = model.encode_batch(model.param_tensors(train=False), batch)
-            seed_codebooks(model.rvq, z0.data[batch.phoneme_mask], state.rng)
-        state.opt.grad.fill(0.0)
-        try:
+    if model.rvq is not None and not model.rvq.levels[0].initialized:
+        _, _, z0 = model.encode_batch(model.param_tensors(train=False), batch)
+        seed_codebooks(model.rvq, z0.data[batch.phoneme_mask], state.rng)
+    state.opt.grad.fill(0.0)
+    try:
+        # what goes non-finite here is reported by the skip record
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             total, parts, out = compute_loss(model, state.opt.leaves, batch)
             ad.backward(total)
             grad_norm = ad.clip_global_norm(state.opt.finite_grad(), tcfg.grad_clip)
@@ -170,26 +170,26 @@ def train_step(state: TrainState, batch: Batch) -> dict:
             reinit = 0
             if model.rvq is not None:
                 reinit = _codebook_updates(model, out, batch.phoneme_mask, state)
-            record = {
-                "step": state.step,
-                "total": float(total.data),
-                "l1": parts["l1"],
-                "l2": parts["l2"],
-                "commit": parts["commitment"],
-                "reinit": reinit,
-                "grad_norm": grad_norm,
-                "lr": lr,
-            }
-            if out["codes"] is not None:
-                k = model.cfg.codebook_size
-                for l in range(model.rvq.n_levels):
-                    counts = np.bincount(out["codes"].indices[..., l][batch.phoneme_mask], minlength=k)
-                    record[f"usage_l{l + 1}"] = float(np.count_nonzero(counts)) / k
-                    # exp of the entropy of the batch's code histogram
-                    record[f"perplexity_l{l + 1}"] = float(np.exp(entropy_nats(counts / counts.sum())))
-            return record
-        except NumericError as exc:
-            return {"step": state.step, "skipped": True, "error": str(exc)}
+        record = {
+            "step": state.step,
+            "total": float(total.data),
+            "l1": parts["l1"],
+            "l2": parts["l2"],
+            "commit": parts["commitment"],
+            "reinit": reinit,
+            "grad_norm": grad_norm,
+            "lr": lr,
+        }
+        if out["codes"] is not None:
+            k = model.cfg.codebook_size
+            for l in range(model.rvq.n_levels):
+                counts = np.bincount(out["codes"].indices[..., l][batch.phoneme_mask], minlength=k)
+                record[f"usage_l{l + 1}"] = float(np.count_nonzero(counts)) / k
+                # exp of the entropy of the batch's code histogram
+                record[f"perplexity_l{l + 1}"] = float(np.exp(entropy_nats(counts / counts.sum())))
+        return record
+    except NumericError as exc:
+        return {"step": state.step, "skipped": True, "error": str(exc)}
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def test_diverging_training_exit_3_without_warnings(tmp_path, capsys):
     assert err.startswith("numeric error: model output is not finite") and err.count("\n") == 1
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    log = [json.loads(line) for line in open(tmp_path / "reports" / "train_log.jsonl")]
+    log = [json.loads(line) for line in (tmp_path / "reports" / "train_log.jsonl").read_text().splitlines()]
     assert any(rec.get("skipped") for rec in log)
 
 

@@ -514,7 +514,8 @@ def test_write_synth_corpus_writes_the_generators_audio_and_labels_without_mels(
 
     monkeypatch.setattr(corpus_module, "mel_spectrogram", no_mel)
     manifest = write_synth_corpus(spec, CFG, str(tmp_path / "data"))
-    records = [json.loads(line) for line in open(manifest, encoding="utf-8")]
+    with open(manifest, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
     assert [r["id"] for r in records] == [utt.id for utt, _ in yielded]
     for rec, (utt, _) in zip(records, yielded):
         written = (tmp_path / "data" / rec["audio"]).read_bytes()
