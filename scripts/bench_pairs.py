@@ -175,16 +175,19 @@ def sign_test(wins: int, losses: int) -> float:
 BETTER = {"uncorrected_frames_per_s": "higher", "host_speed_factor": "higher",
           "cpu_s_per_op": "lower", "minflt_per_op": "lower"}
 
-# readouts that describe the host, not the program: judged by no ``gain``.
-# The host-speed factor's null band is the widest of any ``train`` readout
-# (-0.31 to +0.23 over 16 pooled null pairs)
-DIAGNOSTIC = {"host_speed_factor"}
+# readouts judged by no ``gain``. The host-speed factor describes the host,
+# not the program; its null band is the widest of any ``train`` readout
+# (-0.31 to +0.23 over 16 pooled null pairs). The CPU seconds and page faults
+# per op include every set-up, and perfbench runs as many set-ups as fit in
+# its set-up time, so a faster set-up raises them
+DIAGNOSTIC = {"host_speed_factor", "cpu_s_per_op", "minflt_per_op"}
 
 
 def readouts(run: dict) -> dict:
     """Every number one run reports, by name: its end-to-end metrics, its
     frames/s before the host-speed correction and the correction's median
-    factor, and its user + system CPU seconds and minor page faults per op.
+    factor, and its user + system CPU seconds and minor page faults per op,
+    set-ups included.
     A number the run lacks is None; runs of older BENCH files have no ``cpu``."""
     cpu = run.get("cpu") or {}
     user, system = cpu.get("user_s_per_op"), cpu.get("sys_s_per_op")

@@ -48,16 +48,6 @@ class PCAProjection:
         return (np.asarray(vectors) - self.mean) @ self.components.T
 
 
-@dataclass
-class ProbeMeasurement:
-    code: int
-    f0: float | None  # None when the probe came back fully unvoiced
-    rms: float
-    pc1: float
-    pc2: float
-    speaker_id: int
-
-
 # ---------------------------------------------------------------------------
 # conditional statistics
 
@@ -304,40 +294,6 @@ def select_path_codes(
 # probes
 
 
-def synth_probe(
-    model, reference: Utterance, code_pair, speaker_id: int, features: FeatureConfig
-) -> AudioBuffer:
-    """Decode the reference with every position's codes replaced by one pair,
-    then invert the mel to audio with ``features``' vocoder settings."""
-    pair = np.asarray(code_pair, dtype=np.int64).ravel()
-    if model.rvq is None:
-        raise ContractError("synth_probe: model has no quantizer")
-    if pair.size != model.rvq.n_levels:
-        raise ContractError(
-            f"synth_probe: pair has {pair.size} levels, model has {model.rvq.n_levels}"
-        )
-    codes = CodeSequence(indices=np.tile(pair, (reference.n_phonemes, 1)))
-    mel = model.decode_codes(codes, reference.phonemes, reference.durations, speaker_id)
-    return vocode(mel, features)
-
-
-def measure_probe(
-    audio: AudioBuffer, code: int, features: FeatureConfig, speaker_id: int = 0
-) -> ProbeMeasurement:
-    """Mean F0 over voiced frames and mean frame RMS; the PCA coordinates
-    are left at zero for the caller to fill in."""
-    # a span of as many frames as samples covers every frame
-    (f0,), (rms,) = span_means(audio, [audio.samples.size], features)
-    return ProbeMeasurement(
-        code=int(code),
-        f0=f0,
-        rms=0.0 if rms is None else rms,
-        pc1=0.0,
-        pc2=0.0,
-        speaker_id=speaker_id,
-    )
-
-
 def span_means(audio: AudioBuffer, durations, features: FeatureConfig) -> tuple[list, list]:
     """Per span of ``durations`` frames: the mean F0 over its voiced frames
     (None if it has none) and its mean frame RMS (None if it is empty or
@@ -357,45 +313,28 @@ def span_means(audio: AudioBuffer, durations, features: FeatureConfig) -> tuple[
     return f0_means, rms_means
 
 
-def probe_path(
-    model,
-    reference: Utterance,
-    proj: PCAProjection,
-    path_codes: list[int],
-    level2_code: int,
-    speaker_id: int,
-    features: FeatureConfig,
-) -> list[ProbeMeasurement]:
-    """Synthesize and measure one probe per path code for one speaker, with
-    the vocoder and pitch settings of ``features``."""
-    out = []
+def probe_rows(model, reference: Utterance, proj: PCAProjection, path_codes: list[int],
+               level2_code: int, speaker_id: int, features: FeatureConfig) -> list[dict]:
+    """One probe per path code, in path order: the reference decoded for
+    ``speaker_id`` with every position's codes replaced by (code,
+    level2_code, ...), then vocoded with ``features``. Its row holds the
+    probe's mean F0 over voiced frames ("" if none), its mean frame RMS (0.0
+    if none) and the code's PC coordinates."""
+    model._require_rvq("probe_rows")
     entries = model.rvq.levels[0].entries
+    rows = []
     for code in path_codes:
-        pair = [code] + [level2_code] * (model.rvq.n_levels - 1)
-        audio = synth_probe(model, reference, pair, speaker_id, features)
-        m = measure_probe(audio, code, features, speaker_id)
-        c = proj.coords(entries[code][None, :])[0]
-        m.pc1, m.pc2 = float(c[0]), float(c[1])
-        out.append(m)
-    return out
-
-
-def speaker_relative_report(
-    model,
-    path_codes: list[int],
-    reference: Utterance,
-    speaker_ids: list[int],
-    level2_code: int,
-    proj: PCAProjection,
-    features: FeatureConfig,
-) -> dict[int, list[ProbeMeasurement]]:
-    """Probe the same path once per speaker; code order is preserved."""
-    if len(speaker_ids) < 2:
-        raise ContractError("speaker_relative_report: need >= 2 speakers")
-    return {
-        int(s): probe_path(model, reference, proj, path_codes, level2_code, int(s), features)
-        for s in speaker_ids
-    }
+        pair = np.array([code] + [level2_code] * (model.rvq.n_levels - 1), dtype=np.int64)
+        codes = CodeSequence(indices=np.tile(pair, (reference.n_phonemes, 1)))
+        audio = vocode(model.decode_codes(codes, reference.phonemes, reference.durations,
+                                          speaker_id), features)
+        # a span of as many frames as samples covers every frame
+        (f0,), (rms,) = span_means(audio, [audio.samples.size], features)
+        pc = proj.coords(entries[code][None, :])[0]
+        rows.append({"code": int(code), "f0": "" if f0 is None else f0,
+                     "rms": 0.0 if rms is None else rms, "pc1": float(pc[0]),
+                     "pc2": float(pc[1]), "speaker": speaker_id})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +507,9 @@ def analyze_probes(model, sequences: list[CodeSequence], reference: Utterance,
     payload, rows = {}, {}
     for axis in (1, 2):
         path = probe_path_codes(model, hist, proj, axis, acfg)
-        measurements = probe_path(model, reference, proj, path, level2, reference.speaker_id,
-                                  features)
         payload[f"axis{axis}"] = path
-        rows[f"axis{axis}"] = [
-            {"code": m.code, "f0": "" if m.f0 is None else m.f0, "rms": m.rms,
-             "pc1": m.pc1, "pc2": m.pc2, "speaker": m.speaker_id}
-            for m in measurements
-        ]
+        rows[f"axis{axis}"] = probe_rows(model, reference, proj, path, level2,
+                                         reference.speaker_id, features)
     return payload, rows
 
 
@@ -585,9 +519,10 @@ def analyze_speaker_relative(model, sequences: list[CodeSequence], reference: Ut
     row per path code."""
     hist, proj, level2 = code_space(model, sequences)
     path = probe_path_codes(model, hist, proj, 1, acfg)
-    report = speaker_relative_report(model, path, reference, list(range(len(speakers))), level2,
-                                     proj, features)
-    f0s = {speakers[s]: ["" if m.f0 is None else m.f0 for m in ms] for s, ms in report.items()}
+    if len(speakers) < 2:
+        raise ContractError("analyze_speaker_relative: need >= 2 speakers")
+    f0s = {name: [r["f0"] for r in probe_rows(model, reference, proj, path, level2, s, features)]
+           for s, name in enumerate(speakers)}
     rows = [{"code": code, **{s: f0[i] for s, f0 in f0s.items()}} for i, code in enumerate(path)]
     return {"path": path, "f0_by_speaker": f0s}, rows
 

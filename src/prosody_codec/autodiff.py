@@ -154,60 +154,36 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
 # elementwise arithmetic
 
 
-def add(a, b) -> Tensor:
+def _binary(a, b, fwd, grad_a, grad_b) -> Tensor:
+    """An elementwise node of two broadcast operands: ``fwd(a, b)`` forward;
+    ``grad_a(g, a, b)`` and ``grad_b(g, a, b)`` give each operand's gradient
+    at the output's shape, for operands that require one."""
     a, b = _pair(a, b)
-    out_data = a.data + b.data
 
     def bwd():
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(out.grad, b.data.shape))
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                accumulate(t, _unbroadcast(grad(out.grad, a.data, b.data), t.data.shape))
 
-    out = node(out_data, (a, b), bwd)
+    out = node(fwd(a.data, b.data), (a, b), bwd)
     return out
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    out_data = a.data - b.data
-
-    def bwd():
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(-out.grad, b.data.shape))
-
-    out = node(out_data, (a, b), bwd)
-    return out
+    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    out_data = a.data * b.data
-
-    def bwd():
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
-
-    out = node(out_data, (a, b), bwd)
-    return out
+    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    out_data = a.data / b.data
-
-    def bwd():
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-
-    out = node(out_data, (a, b), bwd)
-    return out
+    return _binary(a, b, lambda x, y: x / y, lambda g, x, y: g / y,
+                   lambda g, x, y: -g * x / (y * y))
 
 
 def absolute(a) -> Tensor:

@@ -32,7 +32,7 @@ from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward, 
 
 _STACKS = ("penc", "menc", "dec")
 
-# np.errstate around a forward whose non-finite output _mels reports
+# np.errstate around a forward whose non-finite output _quantize or _mels reports
 _NONFINITE_REPORTED = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
@@ -406,8 +406,9 @@ class CodecModel:
     def codes_batch(self, batch: Batch) -> list[CodeSequence]:
         """Per-utterance code sequences; no decoder runs."""
         self._require_rvq("encode")
-        _, _, z = self.encode_batch(self.param_tensors(train=False), batch)
-        codes, _ = rvq_quantize(self.rvq, z.data)
+        with np.errstate(**_NONFINITE_REPORTED):
+            _, _, z = self.encode_batch(self.param_tensors(train=False), batch)
+            codes, _ = self._quantize(z, batch)
         return self._sequences(codes, batch)
 
     def reconstruct_batch(self, batch: Batch) -> list[MelSpectrogram]:
@@ -417,7 +418,7 @@ class CodecModel:
         with np.errstate(**_NONFINITE_REPORTED):
             ling, w, latent = self.encode_batch(pt, batch)
             if self.rvq is not None:
-                latent = self._latent(rvq_quantize(self.rvq, latent.data)[1])
+                latent = self._latent(self._quantize(latent, batch)[1])
             return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
 
     def codes_and_reconstructions(
@@ -430,13 +431,21 @@ class CodecModel:
         pt = self.param_tensors(train=False)
         with np.errstate(**_NONFINITE_REPORTED):
             ling, w, z = self.encode_batch(pt, batch)
-            codes, vectors = rvq_quantize(self.rvq, z.data)
+            codes, vectors = self._quantize(z, batch)
             full = self._mels(self.decode_batch(pt, batch, self._latent(vectors), ling, w), batch)
             partial = None
             if level1:
                 latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
                 partial = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
         return self._sequences(codes, batch), full, partial
+
+    def _quantize(self, z: Tensor, batch: Batch) -> tuple[CodeSequence, np.ndarray]:
+        """``rvq_quantize`` of the encoder output. A non-finite latent at a
+        valid position comes from the model, and would quantize to some code
+        unnoticed: a NumericError naming the batch's utterances."""
+        if not np.isfinite(z.data[batch.phoneme_mask]).all():
+            raise NumericError(f"model output is not finite for utterances {batch.ids} (encoder)")
+        return rvq_quantize(self.rvq, z.data)
 
     def _sequences(self, codes: CodeSequence, batch: Batch) -> list[CodeSequence]:
         return [CodeSequence(indices=i) for i in _unpad(codes.indices, batch.phoneme_mask)]

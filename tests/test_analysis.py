@@ -16,7 +16,7 @@ from prosody_codec.analysis import (
     spearman,
     symmetric_kl_matrix,
 )
-from prosody_codec.config import FeatureConfig
+from prosody_codec.config import AnalysisConfig, FeatureConfig
 from prosody_codec.dsp import AudioBuffer
 from prosody_codec.errors import ContractError, DataError, NumericError
 from prosody_codec.quantizer import CodeSequence
@@ -316,15 +316,15 @@ def test_measure_probe_on_harmonic_standin():
     t = np.arange(n) / sr
     wave = sum(np.sin(2 * np.pi * 150.0 * (h + 1) * t) / (h + 1) for h in range(6))
     audio = AudioBuffer(0.4 * wave / np.abs(wave).max(), sr)
-    m = an.measure_probe(audio, 3, FeatureConfig())
-    assert m.f0 == pytest.approx(150.0, rel=0.03)
-    assert m.rms > 0
+    (f0,), (rms,) = an.span_means(audio, [audio.samples.size], FeatureConfig())
+    assert f0 == pytest.approx(150.0, rel=0.03)
+    assert rms > 0
 
 
 def test_measure_probe_silence_flagged():
     audio = AudioBuffer(np.zeros(22050), 22050)
-    m = an.measure_probe(audio, 3, FeatureConfig())
-    assert m.f0 is None
+    (f0,), _ = an.span_means(audio, [audio.samples.size], FeatureConfig())
+    assert f0 is None
 
 
 def test_extraction_slice_trailing():
@@ -386,30 +386,29 @@ def tiny_reference():
     )
 
 
-def test_synth_probe_shape_and_determinism():
+def test_probe_rows_deterministic():
     model = tiny_model()
     ref = tiny_reference()
-    a = an.synth_probe(model, ref, [2, 5], speaker_id=1, features=model.features)
-    b = an.synth_probe(model, ref, [2, 5], speaker_id=1, features=model.features)
-    assert np.array_equal(a.samples, b.samples)
-    expected = (ref.mel.n_frames - 1) * model.features.hop_length + model.features.n_fft
-    assert len(a.samples) == expected
-    with pytest.raises(ContractError):
-        an.synth_probe(model, ref, [2], speaker_id=0, features=model.features)  # wrong level count
+    proj = pca_codes(model.rvq.levels[0].entries)
+    a = an.probe_rows(model, ref, proj, [2, 6], 5, speaker_id=1, features=model.features)
+    b = an.probe_rows(model, ref, proj, [2, 6], 5, speaker_id=1, features=model.features)
+    assert a == b
+    assert [set(row) for row in a] == [{"code", "f0", "rms", "pc1", "pc2", "speaker"}] * 2
 
 
 def test_speaker_relative_report_structure():
     model = tiny_model()
     ref = tiny_reference()
     proj = pca_codes(model.rvq.levels[0].entries)
-    report = an.speaker_relative_report(model, [1, 4, 6], ref, [0, 1], level2_code=0, proj=proj,
-                                        features=model.features)
-    assert set(report) == {0, 1}
-    for rows in report.values():
-        assert [m.code for m in rows] == [1, 4, 6]  # code order preserved
-        for m in rows:
-            c = proj.coords(model.rvq.levels[0].entries[m.code][None, :])[0]
-            assert (m.pc1, m.pc2) == (float(c[0]), float(c[1]))
-    with pytest.raises(ContractError):
-        an.speaker_relative_report(model, [1, 4], ref, [0], level2_code=0, proj=proj,
-                                   features=model.features)
+    for speaker in (0, 1):
+        rows = an.probe_rows(model, ref, proj, [1, 4, 6], level2_code=0, speaker_id=speaker,
+                             features=model.features)
+        assert [r["code"] for r in rows] == [1, 4, 6]  # code order preserved
+        for r in rows:
+            c = proj.coords(model.rvq.levels[0].entries[r["code"]][None, :])[0]
+            assert (r["pc1"], r["pc2"], r["speaker"]) == (float(c[0]), float(c[1]), speaker)
+    sequences = [CodeSequence(indices=np.array([[c, 0] for c in range(8)]))]  # every code once
+    acfg = AnalysisConfig(n_path_points=2, min_code_count=1, corridor_halfwidth=100.0)
+    model.decode_codes = None  # the check comes before any probe is decoded
+    with pytest.raises(ContractError, match="need >= 2 speakers"):
+        an.analyze_speaker_relative(model, sequences, ref, ["s0"], acfg, model.features)

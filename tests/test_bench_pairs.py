@@ -374,17 +374,22 @@ def test_a_lower_is_better_readout_gains_only_below_its_band(script):
 
 def test_the_host_speed_factor_is_a_diagnostic_without_a_gain(script):
     # far beyond its null band with every pair won, yet no verdict: the
-    # factor describes the host, not the program
+    # factor describes the host, not the program, and the per-op CPU seconds
+    # and page faults count every set-up the run made
     ratio = {"median": 0.5, "sign_p": 0.001, "pairs": [0.5] * 10, "p5": 0.5, "p95": 0.5}
     entry = {"better": "higher", "log_ratio": ratio, "wins": {"change": 10, "parent": 0, "ties": 0},
              "parent": {"q1": 0.9, "median": 1.0, "q3": 1.1},
              "change": {"q1": 1.5, "median": 1.6, "q3": 1.7}}
-    readouts = {"host_speed_factor": entry, "frames_per_s": {**entry, "log_ratio": dict(ratio)}}
-    script.judge(readouts, {"host_speed_factor": [-0.3, 0.2], "frames_per_s": [-0.1, 0.1]})
-    assert "gain" not in readouts["host_speed_factor"]
+    lower = {**entry, "better": "lower", "log_ratio": {**ratio, "median": -0.5}}
+    readouts = {"host_speed_factor": entry, "frames_per_s": {**entry, "log_ratio": dict(ratio)},
+                "cpu_s_per_op": dict(lower), "minflt_per_op": dict(lower)}
+    script.judge(readouts, {"host_speed_factor": [-0.3, 0.2], "frames_per_s": [-0.1, 0.1],
+                            "cpu_s_per_op": [-0.1, 0.1], "minflt_per_op": [-0.1, 0.1]})
     assert readouts["host_speed_factor"]["null"] == {"p5": pytest.approx(-0.275),
                                                      "p95": pytest.approx(0.175), "pairs": 2}
     assert readouts["frames_per_s"]["gain"] is True
-    line = script.summary_line("host_speed_factor", readouts["host_speed_factor"])
-    assert line.endswith("of 2 pairs, diagnostic") and "gain" not in line
+    for name in ("host_speed_factor", "cpu_s_per_op", "minflt_per_op"):
+        assert "gain" not in readouts[name] and readouts[name]["null"]["pairs"] == 2
+        line = script.summary_line(name, readouts[name])
+        assert line.endswith("of 2 pairs, diagnostic") and "gain" not in line
     assert script.summary_line("frames_per_s", readouts["frames_per_s"]).endswith("gain yes")

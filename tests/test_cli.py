@@ -333,19 +333,42 @@ def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
     assert "mel_out.w has shape (3, 3)" in capsys.readouterr().err
 
 
-def test_diverged_checkpoint_exit_3(pipeline, tmp_path, capsys):
-    # the pipeline's data with its model, one output bias set to inf: the
-    # model's output is not finite, a numeric failure, not a data error
+def _diverged_config(pipeline, tmp_path, param: str, index) -> str:
+    """A config on the pipeline's data and its model, with ``param[index]``
+    set to inf."""
     root, _ = pipeline
     config = write_config(tmp_path, paths=_pipeline_data(root))
     model = model_module.load_model(str(root / "ckpt" / "latest.ckpt"))
-    model.params["mel_out.b"][0] = np.inf
+    model.params[param][index] = np.inf
     os.makedirs(tmp_path / "ckpt")
     model_module.save_model(model, str(tmp_path / "ckpt" / "latest.ckpt"))
+    return config
+
+
+def test_diverged_checkpoint_exit_3(pipeline, tmp_path, capsys):
+    # the pipeline's data with its model, one output bias set to inf: the
+    # model's output is not finite, a numeric failure, not a data error
+    config = _diverged_config(pipeline, tmp_path, "mel_out.b", 0)
     capsys.readouterr()
     assert cli.main(["resynth", "--config", config]) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(r"numeric error: model output is not finite for utterances \['synth\d+'\]\n", err)
+
+
+@pytest.mark.parametrize("what", ["usage", "entropy"])
+def test_diverged_encoder_checkpoint_exit_3(pipeline, tmp_path, capsys, what):
+    # the encoder's output is not finite: its latents would quantize to
+    # codes, and the reports would be written from them
+    config = _diverged_config(pipeline, tmp_path, "enc_proj.b", ...)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["analyze", what, "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric error: model output is not finite for utterances "
+                        r"\['synth\d+'(, 'synth\d+')*\] \(encoder\)\n", err)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_diverging_training_exit_3_without_warnings(tmp_path, capsys):

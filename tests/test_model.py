@@ -723,6 +723,27 @@ def test_a_non_finite_model_output_is_a_numeric_error():
         model.decode_codes(code, utts[0].phonemes, utts[0].durations, 0)
 
 
+def test_a_non_finite_encoder_output_is_a_numeric_error():
+    # a latent that is not finite would quantize to some code unnoticed:
+    # every method that quantizes raises NumericError naming the batch's
+    # utterances, with no numpy warning on the way
+    model = make_model(seed=6)
+    utts = [make_utt("a", seed=1), make_utt("b", speaker=1, n=5, per=3, seed=2)]
+    batch = make_batch(utts)
+    model.params["enc_proj.b"][...] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        for method in (model.codes_batch, model.reconstruct_batch,
+                       lambda b: model.codes_and_reconstructions(b, level1=True)):
+            with pytest.raises(NumericError,
+                               match=r"not finite for utterances \['a', 'b'\] \(encoder\)"):
+                method(batch)
+        with pytest.raises(NumericError, match=r"\['b'\] \(encoder\)"):
+            model.encode_utterance(utts[1])
+        with pytest.raises(NumericError, match=r"\['a'\] \(encoder\)"):
+            model.reconstruct(utts[0])
+
+
 def test_a_forward_that_overflows_warns_nothing():
     # what overflows on the way to the output is reported by the
     # NumericError alone, not by numpy warnings as well
