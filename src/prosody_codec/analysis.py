@@ -551,13 +551,12 @@ def transfer(model, source: Utterance, target: Utterance) -> MelSpectrogram:
     return model.decode_codes(codes, target.phonemes, target.durations, source.speaker_id)
 
 
-def transfer_scores(model, source: Utterance, target: Utterance, audio_paths: dict[str, str],
-                    features: FeatureConfig) -> dict:
+def transfer_scores(model, source: Utterance, target: Utterance, features: FeatureConfig) -> dict:
     """Pearson correlation between the source wav's and the transfer's
     per-phoneme mean F0 and energy (the two signals have different frame
     counts); None with fewer than 2 phonemes that have both values."""
     out_audio = vocode(transfer(model, source, target), features)
-    src_means = span_means(load_wav(audio_paths[source.id]), source.durations, features)
+    src_means = span_means(load_wav(source.audio_path), source.durations, features)
     out_means = span_means(out_audio, target.durations, features)
     scores = {}
     for name, src, out in zip(("pearson_f0", "pearson_energy"), src_means, out_means):
@@ -567,10 +566,9 @@ def transfer_scores(model, source: Utterance, target: Utterance, audio_paths: di
     return scores
 
 
-def reference_pitch(utterances: list[Utterance], audio_paths: dict[str, str],
-                    features: FeatureConfig) -> list[PitchContour]:
+def reference_pitch(utterances: list[Utterance], features: FeatureConfig) -> list[PitchContour]:
     """The pitch contour of each utterance's reference wav."""
-    return [pitch(load_wav(audio_paths[utt.id]), features) for utt in utterances]
+    return [pitch(load_wav(utt.audio_path), features) for utt in utterances]
 
 
 def reconstruction_metrics(model, utterances: list[Utterance], ref_pitch: list[PitchContour],

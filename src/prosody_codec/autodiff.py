@@ -658,12 +658,12 @@ class AdamState:
         for name, leaf in self.leaves.items():
             leaf.grad = grads[name]
 
-    def finite_grad(self) -> np.ndarray:
-        """The flat gradient. Raises NumericError, naming the parameter, when
-        any entry is not finite."""
+    def finite_grad(self, where: str = "") -> np.ndarray:
+        """The flat gradient. Raises NumericError, naming the parameter and
+        then ``where``, when any entry is not finite."""
         if not np.isfinite(self.grad).all():
             bad = next(k for k, leaf in self.leaves.items() if not np.isfinite(leaf.grad).all())
-            raise NumericError(f"non-finite gradient for {bad!r}")
+            raise NumericError(f"gradient of {bad!r} is not finite{where}")
         return self.grad
 
 

@@ -16,6 +16,7 @@ seeds in that config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ from . import __version__
 from . import analysis as an
 from . import dsp
 from .config import MEL_FIELDS, RunConfig, dumps_config, load_config, section_json
-from .corpus import Corpus, parse_manifest, read_manifest, record_audio, write_mel, write_synth_corpus
+from .corpus import Corpus, parse_manifest, write_mel, write_synth_corpus
 from .dsp import MelSpectrogram, save_wav, vocode
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .model import CodecModel, load_model
@@ -97,11 +98,6 @@ def _inputs(cfg: RunConfig):
         raise DataError(f"{cfg.paths.manifest} lists no utterances")
     model = _model(cfg)
     return corpus, model, an.extraction_slice(corpus.utterances, cfg.analysis.extract_fraction)
-
-
-def _audio_paths(cfg: RunConfig) -> dict[str, str]:
-    base = os.path.dirname(os.path.abspath(cfg.paths.manifest))
-    return dict(record_audio(rec, base) for _, rec in read_manifest(cfg.paths.manifest))
 
 
 def _report(cfg: RunConfig, name: str) -> str:
@@ -310,7 +306,7 @@ def cmd_analyze(cfg: RunConfig, args) -> dict:
 
 def _metrics_reconstruction(cfg: RunConfig, args) -> dict:
     _, model, utts = _inputs(cfg)
-    ref_pitch = an.reference_pitch(utts, _audio_paths(cfg), cfg.features)
+    ref_pitch = an.reference_pitch(utts, cfg.features)
     return an.reconstruction_metrics(model, utts, ref_pitch, cfg.features)
 
 
@@ -338,7 +334,7 @@ def _metrics_transfer(cfg: RunConfig, args) -> dict:
         raise ConfigError("metrics transfer: --source and --target utterance ids required")
     corpus, model, _ = _inputs(cfg)
     scores = an.transfer_scores(model, corpus.by_id(args.source), corpus.by_id(args.target),
-                                _audio_paths(cfg), cfg.features)
+                                cfg.features)
     return {**scores, "source": args.source, "target": args.target}
 
 
@@ -382,7 +378,7 @@ def cmd_ablate_continuous(cfg: RunConfig, args) -> dict:
             f"{_checkpoint_path(cfg, continuous=True)} differs from {_checkpoint_path(cfg)} "
             f"in {', '.join(differences)}; retrain one of them"
         )
-    ref_pitch = an.reference_pitch(utts, _audio_paths(cfg), cfg.features)
+    ref_pitch = an.reference_pitch(utts, cfg.features)
     table = {name: an.reconstruction_metrics(model, utts, ref_pitch, cfg.features)
              for name, model in (("discrete", discrete), ("continuous", continuous))}
     an.write_json(_report(cfg, "ablation_continuous.json"), table)
@@ -459,13 +455,30 @@ def _environment(blas_threads: int | None) -> dict:
     }
 
 
+# exit code and stderr prefix of each error a command may raise; every input
+# read raises DataError, so an OSError is an output (it names the path)
+_FAILURES = {ConfigError: (1, "config error"), DataError: (2, "data error"),
+             ContractError: (2, "data error"), NumericError: (3, "numeric error"),
+             OSError: (1, "output error"), MemoryError: (1, "out of memory")}
+
+
+def _log_run(report_dir: str, command: str, start: float, **fields) -> None:
+    """Append the command, its wall time and ``fields`` to ``run_log.jsonl``:
+    timing goes there, never into the reports that reruns compare."""
+    record = {"command": command, "seconds": round(time.perf_counter() - start, 3), **fields}
+    with open(os.path.join(report_dir, "run_log.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+
+
 def dispatch(argv) -> int:
     """Parse, load the run config, run the command, then echo the config it
     ran with as ``effective_config.json``, append the command, its wall time,
     the sha256 of that config and the run's environment (see
     :func:`_environment`) to ``run_log.jsonl`` in the report directory, and
-    print its payload as one JSON line. Errors map to the exit codes in the
-    module docstring. The process is set up first (see
+    print its payload as one JSON line. An error prints one stderr line and
+    exits as the module docstring says; once the report directory exists,
+    the command, wall time, ``exit`` and that line (``error``) go to
+    ``run_log.jsonl``. The process is set up first (see
     :func:`~prosody_codec.training.set_up_process`)."""
     blas_threads = set_up_process()
     start = time.perf_counter()
@@ -475,40 +488,27 @@ def dispatch(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    command, report_dir = " ".join(_command_words(argv)), None
     try:
         cfg = load_config(args.config)
-        _output_dir(cfg.paths.report_dir, "paths.report_dir")
+        report_dir = _output_dir(cfg.paths.report_dir, "paths.report_dir")
         payload = args.func(cfg, args)
         effective = dumps_config(cfg)
-        with open(os.path.join(cfg.paths.report_dir, "effective_config.json"), "w",
-                  encoding="utf-8") as fh:
+        with open(os.path.join(report_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
             fh.write(effective)
-        record = {
-            "command": " ".join(_command_words(argv)),
-            "seconds": round(time.perf_counter() - start, 3),
-            "config_sha": hashlib.sha256(effective.encode("utf-8")).hexdigest(),
-            **_environment(blas_threads),
-        }
-        # timing goes here, never into the reports that reruns compare
-        with open(os.path.join(cfg.paths.report_dir, "run_log.jsonl"), "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+        _log_run(report_dir, command, start,
+                 config_sha=hashlib.sha256(effective.encode("utf-8")).hexdigest(),
+                 **_environment(blas_threads))
         print(json.dumps(payload))
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, ContractError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:  # every input read raises DataError, so this is an output
-        print(f"output error: {exc}", file=sys.stderr)  # names the path(s) it failed on
-        return 1
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+        line = f"{prefix}: {exc}"
+        print(line, file=sys.stderr)
+        if report_dir is not None:
+            with contextlib.suppress(OSError):  # the line above has said what failed
+                _log_run(report_dir, command, start, exit=code, error=line)
+        return code
 
 
 def main(argv=None) -> int:

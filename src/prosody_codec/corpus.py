@@ -76,6 +76,7 @@ class Utterance:
     durations: np.ndarray  # (N,) int frame counts
     mel: MelSpectrogram
     transcript: str | None = None
+    audio_path: str | None = None  # the wav its manifest record names, if it has one
 
     def __post_init__(self):
         self.phonemes = np.asarray(self.phonemes, dtype=np.int64)
@@ -215,14 +216,6 @@ def read_mel(path: str) -> MelSpectrogram:
         raise DataError(f"{path}: {exc}") from None
 
 
-def record_audio(rec: dict, base: str) -> tuple[str, str]:
-    """A manifest record's utterance id (the audio file's stem unless the
-    record names one) and its audio path, relative paths taken from ``base``."""
-    audio = rec["audio"]
-    utt_id = str(rec.get("id", os.path.splitext(os.path.basename(audio))[0]))
-    return utt_id, audio if os.path.isabs(audio) else os.path.join(base, audio)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -291,7 +284,8 @@ def parse_manifest(
     records_of: dict[str, int] = {}  # utterance id -> the record that names it
     utterances: list[Utterance] = []
     for i, rec in read_manifest(path):
-        utt_id, audio_path = record_audio(rec, base)
+        utt_id = str(rec.get("id", os.path.splitext(os.path.basename(rec["audio"]))[0]))
+        audio_path = os.path.join(base, rec["audio"])  # an absolute path stays as it is
         if utt_id in records_of:
             raise DataError(f"record {i}: utterance id {utt_id!r} repeats record {records_of[utt_id]}")
         records_of[utt_id] = i
@@ -336,6 +330,7 @@ def parse_manifest(
                 durations=durations,
                 mel=mel,
                 transcript=rec.get("text"),
+                audio_path=audio_path,
             )
         )
     final_vocab = PhonemeVocab(symbols) if build_vocab else vocab

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import FeatureConfig
-from .errors import ContractError, DataError
+from .errors import NONFINITE_REPORTED, ContractError, DataError, NumericError
 
 _PCM16_SCALE = 32768.0
 
@@ -206,7 +206,8 @@ def _in_region(part, n_rows: int) -> None:
     only treats its own rows never calls it. A part writes only its own rows
     of the caller's arrays and reads another part's rows only after a wait,
     so the result does not depend on the split; the caller reads them all
-    after the region. A part that raises breaks the barrier, so every other
+    after the region. Every part runs under the calling thread's numpy
+    error state. A part that raises breaks the barrier, so every other
     part raises ``BrokenBarrierError`` at its next wait; once all have
     returned, the part's own exception is raised here, the calling thread's
     first. Parts call only this module's private functions, because the
@@ -220,10 +221,12 @@ def _in_region(part, n_rows: int) -> None:
         part(_no_wait, 0, n_rows)
         return
     barrier = threading.Barrier(n)
+    errs = np.geterr()  # numpy's error state is per thread: the pool's threads get the caller's
 
     def run(start, stop):
         try:
-            part(barrier.wait, start, stop)
+            with np.errstate(**errs):
+                part(barrier.wait, start, stop)
         except BaseException:
             barrier.abort()
             raise
@@ -451,6 +454,7 @@ def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> MelSpectrogram:
     )
 
 
+@np.errstate(**NONFINITE_REPORTED)  # audio that is not finite raises below
 def invert_mel(
     mel: MelSpectrogram, iterations: int, return_errors: bool = False, floor: float = 1e-5
 ):
@@ -476,7 +480,8 @@ def invert_mel(
     blocks, overlap-adds and normalises only those blocks, then waits for
     the others; see :func:`_griffin_lim_part`. Every block sums the same
     frames in the same order as on one core, so the bits do not depend on
-    the split.
+    the split. Audio that is not finite, from a mel too large to invert,
+    is a NumericError.
     """
     if iterations < 1:
         raise ContractError("invert_mel: iterations must be >= 1")
@@ -501,6 +506,8 @@ def invert_mel(
                 errors.append(_spectral_convergence(residuals[i % 2], magnitude_norm))
 
     _in_region(part, T - 1 + _blocks_per_frame(n_fft, hop))
+    if not np.isfinite(signals[iterations % 2]).all():
+        raise NumericError(f"invert_mel: audio is not finite; the mel peaks at {mel.values.max():.6g}")
     audio = AudioBuffer(samples=np.clip(signals[iterations % 2], -1.0, 1.0),
                         sample_rate=mel.sample_rate)
     if return_errors:

@@ -23,3 +23,7 @@ class ContractError(ProsodyCodecError):
 
 class NumericError(ProsodyCodecError):
     """Non-finite values where finite ones are required."""
+
+
+# np.errstate for numeric work whose non-finite result raises a NumericError
+NONFINITE_REPORTED = dict(over="ignore", invalid="ignore", divide="ignore")

@@ -23,7 +23,7 @@ from .config import FeatureConfig, ModelConfig, parse_section, section_json
 from .containers import read_container, write_container
 from .corpus import Batch, Utterance
 from .dsp import MelSpectrogram
-from .errors import ConfigError, ContractError, DataError, NumericError
+from .errors import NONFINITE_REPORTED, ConfigError, ContractError, DataError, NumericError
 from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward, rvq_quantize
 
 # ---------------------------------------------------------------------------
@@ -31,9 +31,6 @@ from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward, 
 
 
 _STACKS = ("penc", "menc", "dec")
-
-# np.errstate around a forward whose non-finite output _quantize or _mels reports
-_NONFINITE_REPORTED = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _param_specs(model: CodecModel):
@@ -406,7 +403,7 @@ class CodecModel:
     def codes_batch(self, batch: Batch) -> list[CodeSequence]:
         """Per-utterance code sequences; no decoder runs."""
         self._require_rvq("encode")
-        with np.errstate(**_NONFINITE_REPORTED):
+        with np.errstate(**NONFINITE_REPORTED):
             _, _, z = self.encode_batch(self.param_tensors(train=False), batch)
             codes, _ = self._quantize(z, batch)
         return self._sequences(codes, batch)
@@ -415,7 +412,7 @@ class CodecModel:
         """Encode, quantize when the model has a quantizer, decode; each
         conformer stack runs once."""
         pt = self.param_tensors(train=False)
-        with np.errstate(**_NONFINITE_REPORTED):
+        with np.errstate(**NONFINITE_REPORTED):
             ling, w, latent = self.encode_batch(pt, batch)
             if self.rvq is not None:
                 latent = self._latent(self._quantize(latent, batch)[1])
@@ -429,7 +426,7 @@ class CodecModel:
         reconstructions, decoded from the same codes (else None)."""
         self._require_rvq("reconstruct")
         pt = self.param_tensors(train=False)
-        with np.errstate(**_NONFINITE_REPORTED):
+        with np.errstate(**NONFINITE_REPORTED):
             ling, w, z = self.encode_batch(pt, batch)
             codes, vectors = self._quantize(z, batch)
             full = self._mels(self.decode_batch(pt, batch, self._latent(vectors), ling, w), batch)
@@ -511,7 +508,7 @@ class CodecModel:
             )
         batch = self._single_batch(phonemes, durations, speaker_id)
         pt = self.param_tensors(train=False)
-        with np.errstate(**_NONFINITE_REPORTED):
+        with np.errstate(**NONFINITE_REPORTED):
             ling, w, _ = self.encode_batch(pt, batch)
             return self._mels(self.decode_batch(pt, batch, self._latent(z[None]), ling, w), batch)[0]
 

@@ -28,7 +28,7 @@ from .autodiff import AdamState, Tensor
 from .config import FeatureConfig, ModelConfig, TrainConfig, section_json
 from .containers import read_container, write_container
 from .corpus import Batch, Corpus, Utterance, inference_batches, make_batch
-from .errors import ContractError, DataError, NumericError
+from .errors import NONFINITE_REPORTED, ContractError, DataError, NumericError
 from .metrics import reconstruction_scores, score_report
 from .model import (NUMBER, CodecModel, _model_from_parts, _require_keys, _section_from_meta,
                     model_arrays, model_meta)
@@ -95,21 +95,19 @@ def masked_l1_l2(pred: Tensor, target: np.ndarray, frame_mask: np.ndarray):
     return l1, l2
 
 
-def compute_loss(model: CodecModel, pt: dict, batch: Batch, bypass: bool = False):
+def compute_loss(model: CodecModel, pt: dict, batch: Batch, bypass: bool = False, where: str = ""):
     """total = masked mean |err| + masked mean err^2 + commitment.
 
     Returns (total Tensor, parts dict of floats, forward dict). The
     commitment part arrives from the quantizer already weighted by beta.
+    A total that is not finite raises NumericError naming the utterances, then ``where``.
     """
     out = model.forward_batch(pt, batch, bypass=bypass)
-    pred = out["pred"]
-    l1, l2 = masked_l1_l2(pred, batch.mels, batch.frame_mask)
+    l1, l2 = masked_l1_l2(out["pred"], batch.mels, batch.frame_mask)
     commitment = out["commitment"]
     total = ad.add(ad.add(l1, l2), commitment)
-    if not np.all(np.isfinite(total.data)):
-        per_utt = np.abs(pred.data - batch.mels).sum(axis=(1, 2))
-        bad = [batch.ids[b] for b in range(len(batch.ids)) if not np.isfinite(per_utt[b])]
-        raise NumericError(f"non-finite loss; offending utterances: {bad or batch.ids}")
+    if not np.isfinite(total.data):
+        raise NumericError(f"loss is not finite for utterances {batch.ids}{where}")
     parts = {
         "l1": float(l1.data),
         "l2": float(l2.data),
@@ -147,49 +145,48 @@ def _codebook_updates(model: CodecModel, out: dict, mask: np.ndarray, state: Tra
 
 
 def train_step(state: TrainState, batch: Batch) -> dict:
-    """Forward, backward, Adam, EMA codebook update. A numeric failure skips
-    the step (counter still advances)."""
+    """Forward, backward, Adam, EMA codebook update; returns the step's log
+    record. A loss or gradient that is not finite is a NumericError naming
+    the step and the batch's utterances, raised before Adam runs."""
     model = state.model
     tcfg = state.tcfg
     state.step += 1
-    if model.rvq is not None and not model.rvq.levels[0].initialized:
-        _, _, z0 = model.encode_batch(model.param_tensors(train=False), batch)
-        seed_codebooks(model.rvq, z0.data[batch.phoneme_mask], state.rng)
     state.opt.grad.fill(0.0)
-    try:
-        # what goes non-finite here is reported by the skip record
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total, parts, out = compute_loss(model, state.opt.leaves, batch)
-            ad.backward(total)
-            grad_norm = ad.clip_global_norm(state.opt.finite_grad(), tcfg.grad_clip)
-            lr = tcfg.learning_rate
-            if tcfg.warmup_steps > 0:
-                lr *= min(1.0, state.step / tcfg.warmup_steps)
-            if tcfg.learning_rate > 0:
-                ad.adam_step(state.opt, lr)
-            reinit = 0
-            if model.rvq is not None:
-                reinit = _codebook_updates(model, out, batch.phoneme_mask, state)
-        record = {
-            "step": state.step,
-            "total": float(total.data),
-            "l1": parts["l1"],
-            "l2": parts["l2"],
-            "commit": parts["commitment"],
-            "reinit": reinit,
-            "grad_norm": grad_norm,
-            "lr": lr,
-        }
-        if out["codes"] is not None:
-            k = model.cfg.codebook_size
-            for l in range(model.rvq.n_levels):
-                counts = np.bincount(out["codes"].indices[..., l][batch.phoneme_mask], minlength=k)
-                record[f"usage_l{l + 1}"] = float(np.count_nonzero(counts)) / k
-                # exp of the entropy of the batch's code histogram
-                record[f"perplexity_l{l + 1}"] = float(np.exp(entropy_nats(counts / counts.sum())))
-        return record
-    except NumericError as exc:
-        return {"step": state.step, "skipped": True, "error": str(exc)}
+    where = f" at step {state.step}"
+    with np.errstate(**NONFINITE_REPORTED):
+        if model.rvq is not None and not model.rvq.levels[0].initialized:
+            _, _, z0 = model.encode_batch(model.param_tensors(train=False), batch)
+            seed_codebooks(model.rvq, z0.data[batch.phoneme_mask], state.rng)
+        total, parts, out = compute_loss(model, state.opt.leaves, batch, where=where)
+        ad.backward(total)
+        grad = state.opt.finite_grad(f" for utterances {batch.ids}{where}")
+        grad_norm = ad.clip_global_norm(grad, tcfg.grad_clip)
+        lr = tcfg.learning_rate
+        if tcfg.warmup_steps > 0:
+            lr *= min(1.0, state.step / tcfg.warmup_steps)
+        if tcfg.learning_rate > 0:
+            ad.adam_step(state.opt, lr)
+        reinit = 0
+        if model.rvq is not None:
+            reinit = _codebook_updates(model, out, batch.phoneme_mask, state)
+    record = {
+        "step": state.step,
+        "total": float(total.data),
+        "l1": parts["l1"],
+        "l2": parts["l2"],
+        "commit": parts["commitment"],
+        "reinit": reinit,
+        "grad_norm": grad_norm,
+        "lr": lr,
+    }
+    if out["codes"] is not None:
+        k = model.cfg.codebook_size
+        for l in range(model.rvq.n_levels):
+            counts = np.bincount(out["codes"].indices[..., l][batch.phoneme_mask], minlength=k)
+            record[f"usage_l{l + 1}"] = float(np.count_nonzero(counts)) / k
+            # exp of the entropy of the batch's code histogram
+            record[f"perplexity_l{l + 1}"] = float(np.exp(entropy_nats(counts / counts.sum())))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +375,10 @@ def train(
     log_path: str | None = None,
     timing_path: str | None = None,
 ) -> TrainState:
-    """Run the loop until max_steps or the early-stop target.
+    """Run the loop until max_steps or the early-stop target. A step whose
+    loss or gradient is not finite ends it with that NumericError (see
+    :func:`train_step`): the log holds the steps before, and no checkpoint
+    is written at or after that step.
 
     ``log_path`` gets the step and eval records, which a fixed seed
     reproduces byte for byte. ``timing_path``, if given, gets one record per
@@ -405,7 +405,7 @@ def train(
                 timing_fh.write(json.dumps({"step": state.step, **cost}, sort_keys=True) + "\n")
             if log_fh:
                 log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            if state.step == 100 and "total" in record:
+            if state.step == 100:
                 state.loss_at_100 = record["total"]
             if state.step % tcfg.eval_every == 0:
                 report = evaluate(state.model, eval_utts)
@@ -418,7 +418,6 @@ def train(
             if (
                 tcfg.target_loss_ratio > 0
                 and state.loss_at_100 is not None
-                and "total" in record
                 and record["total"] < tcfg.target_loss_ratio * state.loss_at_100
             ):
                 break

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -146,10 +147,14 @@ def test_each_successful_command_appends_to_the_run_log(tmp_path):
     os.makedirs(tmp_path / "data")
     assert cli.main(["synth-data", "--config", config]) == 0
     assert cli.main(["prepare", f"--config={config}"]) == 0
-    assert cli.main(["resynth", "--config", config]) == 2  # no checkpoint yet: no record
+    assert cli.main(["resynth", "--config", config]) == 2  # no checkpoint yet
     reports = tmp_path / "reports"
     records = [json.loads(line) for line in (reports / "run_log.jsonl").read_text().splitlines()]
-    assert [r["command"] for r in records] == ["synth-data", "prepare"]
+    assert [r["command"] for r in records] == ["synth-data", "prepare", "resynth"]
+    # a failed command's record: its exit code and its stderr line
+    failed = records.pop()
+    assert set(failed) == {"command", "seconds", "exit", "error"} and failed["seconds"] >= 0
+    assert failed["exit"] == 2 and failed["error"].startswith("data error: no checkpoint at ")
     sha = hashlib.sha256((reports / "effective_config.json").read_bytes()).hexdigest()
     assert all(r["seconds"] >= 0 and r["config_sha"] == sha for r in records)
     assert all(set(r) == {"command", "seconds", "config_sha", "versions", "threads"}
@@ -333,13 +338,13 @@ def test_malformed_checkpoint_exit_2(pipeline, tmp_path, capsys):
     assert "mel_out.w has shape (3, 3)" in capsys.readouterr().err
 
 
-def _diverged_config(pipeline, tmp_path, param: str, index) -> str:
+def _diverged_config(pipeline, tmp_path, param: str, index, value=np.inf) -> str:
     """A config on the pipeline's data and its model, with ``param[index]``
-    set to inf."""
+    set to ``value``."""
     root, _ = pipeline
     config = write_config(tmp_path, paths=_pipeline_data(root))
     model = model_module.load_model(str(root / "ckpt" / "latest.ckpt"))
-    model.params[param][index] = np.inf
+    model.params[param][index] = value
     os.makedirs(tmp_path / "ckpt")
     model_module.save_model(model, str(tmp_path / "ckpt" / "latest.ckpt"))
     return config
@@ -372,9 +377,9 @@ def test_diverged_encoder_checkpoint_exit_3(pipeline, tmp_path, capsys, what):
 
 
 def test_diverging_training_exit_3_without_warnings(tmp_path, capsys):
-    # a valid but huge learning rate: step 1 is finite, every later step is
-    # skipped, and the summary's evaluation finds the model's output not
-    # finite; no numpy warning reaches the user on the way
+    # a valid but huge learning rate: step 1 is finite and step 2 is not,
+    # which ends the run; no numpy warning reaches the user on the way, and
+    # no checkpoint holds the diverged model
     config = write_config(tmp_path, train={"learning_rate": 1e30}, synth={"n_utterances": 4})
     os.makedirs(tmp_path / "data", exist_ok=True)
     assert cli.main(["synth-data", "--config", config]) == 0
@@ -383,11 +388,57 @@ def test_diverging_training_exit_3_without_warnings(tmp_path, capsys):
         warnings.simplefilter("always")
         assert cli.main(["train", "--config", config]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric error: model output is not finite") and err.count("\n") == 1
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert re.fullmatch(r"numeric error: loss is not finite for utterances "
+                        r"\['synth\d+'(, 'synth\d+')*\] at step 2\n", err)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     log = [json.loads(line) for line in (tmp_path / "reports" / "train_log.jsonl").read_text().splitlines()]
-    assert any(rec.get("skipped") for rec in log)
+    assert [rec["step"] for rec in log] == [1] and math.isfinite(log[0]["total"])
+    assert not (tmp_path / "ckpt" / "latest.ckpt").exists()
+    run = json.loads((tmp_path / "reports" / "run_log.jsonl").read_text().splitlines()[-1])
+    assert run["command"] == "train" and run["exit"] == 3 and run["error"] == err.strip()
+
+
+def test_an_overflowing_cached_mel_ends_training_naming_it(tmp_path, capsys):
+    # one cached mel holds a huge but finite value: the first batch that
+    # draws its utterance has a loss that is not finite, and training stops
+    # there instead of going on without it
+    config = write_config(tmp_path)
+    os.makedirs(tmp_path / "data")
+    assert cli.main(["synth-data", "--config", config]) == 0
+    assert cli.main(["prepare", "--config", config]) == 0
+    cfg = load_config(config)
+    corpus = corpus_module.parse_manifest(cfg.paths.manifest, cfg.features,
+                                          cache_dir=cfg.paths.cache_dir, cache_write=False)
+    mel = corpus.by_id("synth0002").mel
+    (path,) = [p for p in (tmp_path / "cache").glob("*.mel")
+               if np.array_equal(corpus_module.read_mel(str(p)).values, mel.values)]
+    values = mel.values.copy()
+    values[0, 0] = 1e20
+    corpus_module.write_mel(str(path), dataclasses.replace(mel, values=values))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric error: loss is not finite for utterances \[[^]]*'synth0002'[^]]*\] "
+                        r"at step \d+\n", err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "ckpt" / "latest.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", [["resynth"], ["metrics", "--task", "reconstruction"]],
+                         ids=["resynth", "reconstruction"])
+def test_a_model_mel_too_large_to_vocode_exit_3(pipeline, tmp_path, capsys, command):
+    # a finite output bias of 800: the model's mel is finite, but exp(800)
+    # is not, so the vocoded audio is not; a numeric error, with no warning
+    config = _diverged_config(pipeline, tmp_path, "mel_out.b", 0, 800.0)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command[0], "--config", config, *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric error: invert_mel: audio is not finite; the mel peaks at \S+\n", err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize(
@@ -636,7 +687,7 @@ _COMMAND_REPORTS = {
                              m, s, _reference(c, u, cfg), c.speakers, cfg.analysis, cfg.features)),
     "reconstruction": ("metrics_reconstruction.json", [],
                        lambda c, m, u, s, cfg: (an.reconstruction_metrics(
-                           m, u, an.reference_pitch(u, cli._audio_paths(cfg), cfg.features),
+                           m, u, an.reference_pitch(u, cfg.features),
                            cfg.features), [])),
 }
 
@@ -873,8 +924,15 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
 
 def test_unreadable_wav_exit_2(pipeline, tmp_path, monkeypatch, capsys):
     _, config = pipeline
-    ids = cli._audio_paths(load_config(config))
-    monkeypatch.setattr(cli, "_audio_paths", lambda cfg: dict.fromkeys(ids, str(tmp_path)))
+    corpus_of = cli._corpus
+
+    def unreadable_audio(cfg):  # each utterance's audio path names a directory
+        corpus = corpus_of(cfg)
+        for utt in corpus.utterances:
+            utt.audio_path = str(tmp_path)
+        return corpus
+
+    monkeypatch.setattr(cli, "_corpus", unreadable_audio)
     capsys.readouterr()
     assert cli.main(["metrics", "--config", config, "--task", "reconstruction"]) == 2
     err = capsys.readouterr().err

@@ -124,6 +124,19 @@ def test_parse_manifest_accepts_valid_record(tmp_path):
     assert int(utt.durations.sum()) == utt.mel.n_frames
 
 
+def test_parse_manifest_keeps_each_utterances_audio_path(tmp_path):
+    # a relative path is taken from the manifest's directory; an absolute one stays
+    os.makedirs(tmp_path / "wavs")
+    records = []
+    for i, audio in enumerate(["wavs/u0.wav", str(tmp_path / "u1.wav")]):
+        frames = tone_wav(tmp_path / audio)
+        records.append({"audio": audio, "speaker": "s", "phones": "a", "durations": [frames]})
+    corpus = parse_manifest(write_corpus(tmp_path, records), CFG)
+    assert [u.id for u in corpus.utterances] == ["u0", "u1"]
+    assert [u.audio_path for u in corpus.utterances] == [str(tmp_path / "wavs" / "u0.wav"),
+                                                         str(tmp_path / "u1.wav")]
+
+
 def test_parse_manifest_rejects_duration_mismatch(tmp_path):
     frames = tone_wav(tmp_path / "u0.wav")
     manifest = write_corpus(

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,7 +33,7 @@ from prosody_codec.dsp import (
     save_wav,
     stft,
 )
-from prosody_codec.errors import ContractError, DataError
+from prosody_codec.errors import ContractError, DataError, NumericError
 
 CFG = FeatureConfig()
 
@@ -205,6 +206,22 @@ def test_invert_mel_rejects_zero_iterations():
     mel = mel_spectrogram(sine(220.0, seconds=0.2), CFG)
     with pytest.raises(ContractError):
         invert_mel(mel, 0)
+
+
+@pytest.mark.parametrize("peak", [709.0, 800.0])
+def test_a_mel_too_large_to_invert_is_a_numeric_error(cores, peak):
+    # exp(709) is finite and overflows in the pseudo-inverse's product and
+    # the FFTs; exp(800) overflows at once. Either way the audio is not
+    # finite: a NumericError alone, with no numpy warning from any part
+    cores(2)
+    mel = toy_utterance_mels(1)[0]
+    values = mel.values.copy()
+    values[mel.n_frames // 2, 3] = peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning in any part would raise
+        with pytest.raises(NumericError, match=f"^invert_mel: audio is not finite; "
+                                               f"the mel peaks at {peak:g}$"):
+            dsp.vocode(MelSpectrogram(values, mel.hop_length, mel.n_fft, mel.sample_rate), CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +585,17 @@ def test_region_parts_cover_the_rows_and_wait_together(cores):
         assert all(prev[1] == nxt[0] for prev, nxt in zip(seen, seen[1:]))
         assert len(seen) == n_parts
         assert len(together) == 4 * n_parts and all(together)
+
+
+def test_region_parts_run_under_the_callers_numpy_error_state(cores):
+    # numpy's error state is per thread; a pool thread's own would be the default
+    cores(3)
+    states = []
+    with np.errstate(over="ignore", invalid="raise"):
+        dsp._in_region(lambda wait, a, b: states.append(np.geterr()), 3)
+    assert len(states) == 3
+    assert all(state["over"] == "ignore" and state["invalid"] == "raise" for state in states)
+    assert np.geterr()["over"] == "warn"  # and the caller's state is its own again
 
 
 def test_split_ranges_cover_the_rows(monkeypatch):

@@ -17,7 +17,7 @@ from prosody_codec.config import FeatureConfig, ModelConfig, SynthSpec, TrainCon
 from prosody_codec.corpus import PhonemeVocab, Utterance, make_batch, synth_corpus
 from prosody_codec.dsp import MelSpectrogram
 from prosody_codec.containers import read_container, write_container
-from prosody_codec.errors import ContractError, DataError
+from prosody_codec.errors import ContractError, DataError, NumericError
 from prosody_codec.model import CodecModel, load_model
 from prosody_codec.quantizer import ema_update, quantize_level, reinit_dead_codes
 from prosody_codec.training import (
@@ -121,19 +121,37 @@ def test_train_step_lr_zero_updates_only_ema():
     assert not np.array_equal(model.rvq.levels[0].ema_count, counts_before)
 
 
-def test_train_step_skips_on_numeric_error():
+def test_train_step_raises_on_numeric_error():
+    # the step's loss is not finite: a NumericError naming the step and the
+    # batch's utterances, raised before Adam moves a parameter
     model = make_model()
     model.params["mel_out.w"][0, 0] = np.nan
     state = new_train_state(model, TrainConfig(batch_size=1, max_steps=5))
     params_before = {k: v.copy() for k, v in model.params.items()}
-    record = train_step(state, make_batch([make_utt()]))
-    assert record.get("skipped") is True
+    with pytest.raises(NumericError, match=r"^loss is not finite for utterances \['u0'\] at step 1$"):
+        train_step(state, make_batch([make_utt()]))
     assert state.step == 1
     for k in params_before:
         np.testing.assert_array_equal(
             model.params[k][np.isfinite(params_before[k])],
             params_before[k][np.isfinite(params_before[k])],
         )
+
+
+def test_train_step_raises_on_a_non_finite_gradient(monkeypatch):
+    # a finite loss whose gradient is not: the NumericError names the
+    # parameter, the batch's utterances and the step
+    state = new_train_state(make_model(), TrainConfig(batch_size=1, max_steps=5))
+    backward = ad.backward
+
+    def nan_gradient(total):
+        backward(total)
+        state.opt.leaves["mel_out.b"].grad[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", nan_gradient)
+    with pytest.raises(NumericError, match=r"^gradient of 'mel_out.b' is not finite "
+                                           r"for utterances \['u0'\] at step 1$"):
+        train_step(state, make_batch([make_utt()]))
 
 
 def test_training_deterministic_same_seed(tmp_path):
@@ -169,8 +187,8 @@ def test_perplexity_is_exp_entropy_of_the_batch_code_histogram(monkeypatch):
     outputs = []
     compute = training.compute_loss
 
-    def keep_output(*args):
-        result = compute(*args)
+    def keep_output(*args, **kwargs):
+        result = compute(*args, **kwargs)
         outputs.append(result[2])
         return result
 
