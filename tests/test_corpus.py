@@ -128,7 +128,7 @@ def test_parse_manifest_keeps_each_utterances_audio_path(tmp_path):
     # a relative path is taken from the manifest's directory; an absolute one stays
     os.makedirs(tmp_path / "wavs")
     records = []
-    for i, audio in enumerate(["wavs/u0.wav", str(tmp_path / "u1.wav")]):
+    for audio in ["wavs/u0.wav", str(tmp_path / "u1.wav")]:
         frames = tone_wav(tmp_path / audio)
         records.append({"audio": audio, "speaker": "s", "phones": "a", "durations": [frames]})
     corpus = parse_manifest(write_corpus(tmp_path, records), CFG)

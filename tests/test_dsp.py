@@ -590,12 +590,12 @@ def test_region_parts_cover_the_rows_and_wait_together(cores):
 def test_region_parts_run_under_the_callers_numpy_error_state(cores):
     # numpy's error state is per thread; a pool thread's own would be the default
     cores(3)
-    states = []
+    states, before = [], np.geterr()
     with np.errstate(over="ignore", invalid="raise"):
         dsp._in_region(lambda wait, a, b: states.append(np.geterr()), 3)
     assert len(states) == 3
     assert all(state["over"] == "ignore" and state["invalid"] == "raise" for state in states)
-    assert np.geterr()["over"] == "warn"  # and the caller's state is its own again
+    assert np.geterr() == before  # and the caller's state is its own again
 
 
 def test_split_ranges_cover_the_rows(monkeypatch):
