@@ -326,8 +326,7 @@ def probe_rows(model, reference: Utterance, proj: PCAProjection, path_codes: lis
     for code in path_codes:
         pair = np.array([code] + [level2_code] * (model.rvq.n_levels - 1), dtype=np.int64)
         codes = CodeSequence(indices=np.tile(pair, (reference.n_phonemes, 1)))
-        audio = vocode(model.decode_codes(codes, reference.phonemes, reference.durations,
-                                          speaker_id), features)
+        audio = vocode(model.decode_codes(codes, reference, speaker_id), features)
         # a span of as many frames as samples covers every frame
         (f0,), (rms,) = span_means(audio, [audio.samples.size], features)
         pc = proj.coords(entries[code][None, :])[0]
@@ -389,7 +388,7 @@ def analyze_usage(model, utterances: list[Utterance]) -> tuple[dict, list[dict]]
     # one encode per batch serves the codes and both reconstructions
     sequences, full, level1 = [], [], []
     for chunk, batch in inference_batches(utterances):
-        codes, recons, recons_l1 = model.codes_and_reconstructions(batch, level1=two_levels)
+        codes, recons, recons_l1 = model.reconstruct_batch(batch, level1=two_levels)
         sequences += codes
         full += mx.reconstruction_scores(chunk, recons)
         if two_levels:
@@ -536,7 +535,7 @@ def shuffled_decode(model, utt: Utterance, rng: np.random.Generator) -> MelSpect
     codes = model.encode_utterance(utt)
     perm = rng.permutation(codes.indices.shape[0])
     shuffled = CodeSequence(indices=codes.indices[perm])
-    return model.decode_codes(shuffled, utt.phonemes, utt.durations, utt.speaker_id)
+    return model.decode_codes(shuffled, utt, utt.speaker_id)
 
 
 def transfer(model, source: Utterance, target: Utterance) -> MelSpectrogram:
@@ -548,7 +547,7 @@ def transfer(model, source: Utterance, target: Utterance) -> MelSpectrogram:
             f"{source.n_phonemes}, target {target.id!r} has {target.n_phonemes}"
         )
     codes = model.encode_utterance(source)
-    return model.decode_codes(codes, target.phonemes, target.durations, source.speaker_id)
+    return model.decode_codes(codes, target, source.speaker_id)
 
 
 def transfer_scores(model, source: Utterance, target: Utterance, features: FeatureConfig) -> dict:

@@ -202,7 +202,7 @@ def cmd_cross_resynth(cfg: RunConfig, args) -> dict:
         cfg,
         utts,
         f"cross_resynth_spk{speaker_id}",
-        lambda u: model.reconstruct(u, override_speaker=speaker_id),
+        lambda u: model.decode_codes(model.encode_utterance(u), u, speaker_id),
     )
     return {"cross_resynth": n, "target_speaker": speaker_id}
 

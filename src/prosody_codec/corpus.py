@@ -192,6 +192,8 @@ def cached_mel(
 
 
 _MEL_FRAMING = ("hop_length", "n_fft", "sample_rate")
+# the logs of the smallest positive and the largest finite float64
+_LOG_RANGE = (float(np.log(np.nextafter(0.0, 1.0))), float(np.log(np.finfo(np.float64).max)))
 
 
 def write_mel(path: str, mel: MelSpectrogram) -> None:
@@ -201,7 +203,7 @@ def write_mel(path: str, mel: MelSpectrogram) -> None:
 
 
 def read_mel(path: str) -> MelSpectrogram:
-    """The mel ``write_mel`` stored; anything else in the file is a DataError."""
+    """The mel ``write_mel`` stored; anything else, or a value outside _LOG_RANGE, is a DataError."""
     meta, arrays = read_container(path)
     if meta.get("kind") != "mel":
         raise DataError(f"{path}: not a mel file (kind {meta.get('kind')!r})")
@@ -211,9 +213,14 @@ def read_mel(path: str) -> MelSpectrogram:
     if "values" not in arrays:
         raise DataError(f"{path}: no values array")
     try:
-        return MelSpectrogram(arrays["values"], meta["hop_length"], meta["n_fft"], meta["sample_rate"])
+        mel = MelSpectrogram(arrays["values"], meta["hop_length"], meta["n_fft"], meta["sample_rate"])
     except ContractError as exc:
         raise DataError(f"{path}: {exc}") from None
+    outside = mel.values[(mel.values < _LOG_RANGE[0]) | (mel.values > _LOG_RANGE[1])]
+    if outside.size:  # the log of no finite, positive magnitude
+        raise DataError(f"{path}: {outside.size} values outside [{_LOG_RANGE[0]:.1f}, {_LOG_RANGE[1]:.1f}], "
+                        f"the logs of finite positive magnitudes (first: {outside[0]:.4g})")
+    return mel
 
 
 def _is_int(value) -> bool:

@@ -9,11 +9,15 @@ packed (n, D). Resampling weights are (B, T frames, N phonemes), rows
 summing to one in the upsampling direction.
 
 ``encode_batch`` and ``decode_batch`` are the model's two halves. Training
-composes them around the quantizer in ``forward_batch``; every inference
-operation, batched or single-utterance, is a thin wrapper over the same two.
+composes them around the quantizer in ``forward_batch``. Inference is one
+batched encode (``codes_batch``) and one batched reconstruct; single
+utterances run them, or the decoder half alone (``decode_codes``), on a
+batch of one from ``corpus.make_batch``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import FeatureConfig, ModelConfig, parse_section, section_json
 from .containers import read_container, write_container
-from .corpus import Batch, Utterance
+from .corpus import Batch, Utterance, make_batch
 from .dsp import MelSpectrogram
 from .errors import NONFINITE_REPORTED, ConfigError, ContractError, DataError, NumericError
 from .quantizer import RVQ, CodeSequence, decode_vectors, new_rvq, rvq_forward, rvq_quantize
@@ -408,33 +412,26 @@ class CodecModel:
             codes, _ = self._quantize(z, batch)
         return self._sequences(codes, batch)
 
-    def reconstruct_batch(self, batch: Batch) -> list[MelSpectrogram]:
-        """Encode, quantize when the model has a quantizer, decode; each
-        conformer stack runs once."""
+    def reconstruct_batch(
+        self, batch: Batch, level1: bool = False
+    ) -> tuple[list[CodeSequence] | None, list[MelSpectrogram], list[MelSpectrogram] | None]:
+        """Encode, quantize when the model has a quantizer, decode; each conformer
+        stack runs once. Returns the code sequences (None for the continuous twin),
+        the mels and, with ``level1``, the mels of the same codes' level-1 entries."""
+        if level1:
+            self._require_rvq("level-1 reconstruct")
         pt = self.param_tensors(train=False)
+        codes = partial = None
         with np.errstate(**NONFINITE_REPORTED):
             ling, w, latent = self.encode_batch(pt, batch)
             if self.rvq is not None:
-                latent = self._latent(self._quantize(latent, batch)[1])
-            return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
-
-    def codes_and_reconstructions(
-        self, batch: Batch, level1: bool
-    ) -> tuple[list[CodeSequence], list[MelSpectrogram], list[MelSpectrogram] | None]:
-        """What ``codes_batch`` and ``reconstruct_batch`` return, from one
-        encode and quantization; with ``level1``, also the level-1-only
-        reconstructions, decoded from the same codes (else None)."""
-        self._require_rvq("reconstruct")
-        pt = self.param_tensors(train=False)
-        with np.errstate(**NONFINITE_REPORTED):
-            ling, w, z = self.encode_batch(pt, batch)
-            codes, vectors = self._quantize(z, batch)
-            full = self._mels(self.decode_batch(pt, batch, self._latent(vectors), ling, w), batch)
-            partial = None
+                codes, vectors = self._quantize(latent, batch)
+                latent = self._latent(vectors)
+            full = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
             if level1:
                 latent = self._latent(decode_vectors(self.rvq, codes.indices, level1_only=True))
                 partial = self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)
-        return self._sequences(codes, batch), full, partial
+        return None if codes is None else self._sequences(codes, batch), full, partial
 
     def _quantize(self, z: Tensor, batch: Batch) -> tuple[CodeSequence, np.ndarray]:
         """``rvq_quantize`` of the encoder output. A non-finite latent at a
@@ -467,56 +464,28 @@ class CodecModel:
             for v in values
         ]
 
-    # -- single-utterance operations: one-utterance batches through the above
-
-    def _single_batch(self, phonemes, durations, speaker_id, mel_values=None,
-                      utt_id: str = "_single") -> Batch:
-        """A one-utterance batch; without mel values it carries only what
-        the decoder is conditioned on."""
-        phonemes = np.asarray(phonemes, dtype=np.int64)
-        durations = np.asarray(durations, dtype=np.int64)
-        T = int(durations.sum())
-        return Batch(
-            phonemes=phonemes[None, :],
-            durations=durations[None, :],
-            mels=None if mel_values is None else mel_values[None, ...],
-            speaker_ids=np.array([speaker_id], dtype=np.int64),
-            phoneme_mask=np.ones((1, len(phonemes)), dtype=bool),
-            frame_mask=np.ones((1, T), dtype=bool),
-            ids=[utt_id],
-        )
+    # -- single-utterance operations: batches of one through the above
 
     def encode_utterance(self, utt: Utterance) -> CodeSequence:
         """Utterance -> per-phoneme code index tuples (speaker never enters)."""
-        return self.codes_batch(
-            self._single_batch(utt.phonemes, utt.durations, 0, utt.mel.values, utt.id)
-        )[0]
+        return self.codes_batch(make_batch([utt]))[0]
 
-    def decode_codes(self, codes: CodeSequence, phonemes, durations, speaker_id: int) -> MelSpectrogram:
-        """Code sequence + conditioning -> mel with sum(durations) frames."""
+    def decode_codes(self, codes: CodeSequence, utt: Utterance, speaker_id: int) -> MelSpectrogram:
+        """Code sequence -> mel on ``utt``'s phonemes and durations, for ``speaker_id``."""
         self._require_rvq("decode_codes")
-        vectors = decode_vectors(self.rvq, codes.indices)
-        return self.decode_continuous(vectors, phonemes, durations, speaker_id)
-
-    def decode_continuous(self, z: np.ndarray, phonemes, durations, speaker_id: int) -> MelSpectrogram:
-        """Latents (N, d) + conditioning -> mel; runs no mel encoder."""
-        z = np.asarray(z)
-        if not (z.shape[0] == len(phonemes) == len(durations)):
-            raise ContractError(
-                f"decode: lengths disagree: {z.shape[0]} latents, "
-                f"{len(phonemes)} phonemes, {len(durations)} durations"
-            )
-        batch = self._single_batch(phonemes, durations, speaker_id)
+        if codes.indices.shape[0] != utt.n_phonemes:
+            raise ContractError(f"decode: lengths disagree: {codes.indices.shape[0]} codes, "
+                                f"{utt.n_phonemes} phonemes in {utt.id!r}")
+        batch = dataclasses.replace(make_batch([utt]), mels=None, speaker_ids=[speaker_id])
         pt = self.param_tensors(train=False)
         with np.errstate(**NONFINITE_REPORTED):
             ling, w, _ = self.encode_batch(pt, batch)
-            return self._mels(self.decode_batch(pt, batch, self._latent(z[None]), ling, w), batch)[0]
+            latent = self._latent(decode_vectors(self.rvq, codes.indices)[None])
+            return self._mels(self.decode_batch(pt, batch, latent, ling, w), batch)[0]
 
-    def reconstruct(self, utt: Utterance, override_speaker: int | None = None) -> MelSpectrogram:
-        """Encode-then-decode, optionally with a different speaker embedding."""
-        speaker = utt.speaker_id if override_speaker is None else int(override_speaker)
-        batch = self._single_batch(utt.phonemes, utt.durations, speaker, utt.mel.values, utt.id)
-        return self.reconstruct_batch(batch)[0]
+    def reconstruct(self, utt: Utterance) -> MelSpectrogram:
+        """Encode-then-decode with the utterance's own speaker."""
+        return self.reconstruct_batch(make_batch([utt]))[1][0]
 
 
 # ---------------------------------------------------------------------------

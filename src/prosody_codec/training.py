@@ -199,7 +199,7 @@ def evaluate(model: CodecModel, eval_set: list[Utterance]) -> dict:
         raise ContractError("evaluate: empty eval set")
     scores = []
     for chunk, batch in inference_batches(eval_set):
-        recons = model.reconstruct_batch(batch)
+        _, recons, _ = model.reconstruct_batch(batch)
         scores += reconstruction_scores(chunk, recons)
     return score_report(scores)
 

@@ -399,9 +399,9 @@ def test_diverging_training_exit_3_without_warnings(tmp_path, capsys):
 
 
 def test_an_overflowing_cached_mel_ends_training_naming_it(tmp_path, capsys):
-    # one cached mel holds a huge but finite value: the first batch that
-    # draws its utterance has a loss that is not finite, and training stops
-    # there instead of going on without it
+    # one cached mel holds a huge but finite value, the log of no finite
+    # magnitude: reading it is a data error naming the file, before any
+    # step (or the output bias, which averages every mel) sees it
     config = write_config(tmp_path)
     os.makedirs(tmp_path / "data")
     assert cli.main(["synth-data", "--config", config]) == 0
@@ -412,18 +412,19 @@ def test_an_overflowing_cached_mel_ends_training_naming_it(tmp_path, capsys):
     mel = corpus.by_id("synth0002").mel
     (path,) = [p for p in (tmp_path / "cache").glob("*.mel")
                if np.array_equal(corpus_module.read_mel(str(p)).values, mel.values)]
-    values = mel.values.copy()
-    values[0, 0] = 1e20
-    corpus_module.write_mel(str(path), dataclasses.replace(mel, values=values))
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(["train", "--config", config]) == 3
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"numeric error: loss is not finite for utterances \[[^]]*'synth0002'[^]]*\] "
-                        r"at step \d+\n", err)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not (tmp_path / "ckpt" / "latest.ckpt").exists()
+    for huge in (1e20, 1e25, 1e45):
+        values = mel.values.copy()
+        values[0, 0] = huge
+        corpus_module.write_mel(str(path), dataclasses.replace(mel, values=values))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["train", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: record 2: field 'audio': {path}: 1 values outside "
+                       f"[-744.4, 709.8], the logs of finite positive magnitudes (first: {huge:.4g})\n")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "ckpt" / "latest.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", [["resynth"], ["metrics", "--task", "reconstruction"]],

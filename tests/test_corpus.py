@@ -361,11 +361,23 @@ def _mel_file(tmp_path, edit):
         (lambda m, a: a.pop("values"), "no values array"),
         (lambda m, a: a.update(values=np.zeros(5)), "bad shape"),
         (lambda m, a: a.update(values=np.full((5, 20), np.nan)), "must be finite"),
+        # the log of no finite positive float64 magnitude
+        (lambda m, a: a.update(values=np.where(np.arange(20) == 3, 710.0, a["values"])),
+         r"5 values outside \[-744.4, 709.8\], the logs of finite positive magnitudes \(first: 710\)"),
+        (lambda m, a: a.update(values=np.full((5, 20), -745.0)), r"100 values outside .*first: -745"),
     ],
 )
 def test_read_mel_rejects_malformed_file(tmp_path, edit, message):
     with pytest.raises(DataError, match=message):
         read_mel(_mel_file(tmp_path, edit))
+
+
+def test_read_mel_keeps_the_logs_of_the_extreme_float64_magnitudes(tmp_path):
+    tiny, huge = np.log(np.nextafter(0.0, 1.0)), np.log(np.finfo(np.float64).max)
+    values = np.full((5, 20), tiny)
+    values[2] = huge
+    path = _mel_file(tmp_path, lambda m, a: a.update(values=values))
+    assert np.array_equal(read_mel(path).values, values)
 
 
 @pytest.mark.parametrize(

@@ -400,7 +400,7 @@ def test_decode_frame_count_is_duration_sum():
     model = make_model()
     utt = make_utt(n=5, per=4)
     codes = model.encode_utterance(utt)
-    mel = model.decode_codes(codes, utt.phonemes, utt.durations, 1)
+    mel = model.decode_codes(codes, utt, 1)
     assert mel.n_frames == 20
     assert mel.n_mels == tiny_feat().n_mels
 
@@ -409,17 +409,15 @@ def test_decode_length_mismatch_rejected():
     model = make_model()
     utt = make_utt(n=4)
     codes = model.encode_utterance(utt)
-    with pytest.raises(ContractError, match="lengths disagree"):
-        model.decode_codes(codes, utt.phonemes[:3], utt.durations[:3], 0)
+    with pytest.raises(ContractError, match="lengths disagree: 3 codes, 4 phonemes in 'u0'"):
+        model.decode_codes(CodeSequence(indices=codes.indices[:3]), utt, 0)
 
 
 def test_reconstruct_equals_composition_exactly():
     model = make_model()
     utt = make_utt()
     recon = model.reconstruct(utt)
-    composed = model.decode_codes(
-        model.encode_utterance(utt), utt.phonemes, utt.durations, utt.speaker_id
-    )
+    composed = model.decode_codes(model.encode_utterance(utt), utt, utt.speaker_id)
     assert np.array_equal(recon.values, composed.values)
 
 
@@ -429,7 +427,7 @@ def test_reconstruct_with_shuffled_codes_keeps_shape():
     codes = model.encode_utterance(utt)
     perm = np.random.default_rng(7).permutation(6)
     shuffled = CodeSequence(indices=codes.indices[perm])
-    out = model.decode_codes(shuffled, utt.phonemes, utt.durations, utt.speaker_id)
+    out = model.decode_codes(shuffled, utt, utt.speaker_id)
     assert out.values.shape == utt.mel.values.shape
 
 
@@ -443,22 +441,31 @@ def test_batch_matches_one_at_a_time():
     ]
     batch = make_batch(utts)
     codes = model.codes_batch(batch)
-    recons = model.reconstruct_batch(batch)
+    _, recons, _ = model.reconstruct_batch(batch)
     for utt, seq, recon in zip(utts, codes, recons):
         single = model.encode_utterance(utt)
         assert np.array_equal(seq.indices, single.indices)
         assert recon.values.shape == utt.mel.values.shape
         np.testing.assert_allclose(recon.values, model.reconstruct(utt).values, rtol=1e-5, atol=1e-5)
     continuous = make_model(seed=2, quantized=False)
-    for utt, recon in zip(utts, continuous.reconstruct_batch(batch)):
+    for utt, recon in zip(utts, continuous.reconstruct_batch(batch)[1]):
         single = continuous.reconstruct(utt)
         np.testing.assert_allclose(recon.values, single.values, rtol=1e-5, atol=1e-5)
+    # without padding, a batch gives each utterance's codes and mels bit
+    # for bit, in either dtype and for the continuous twin as well
+    equal = [make_utt(f"e{i}", speaker=i % 2, n=4, per=5, seed=30 + i) for i in range(4)]
+    for dtype in (np.float32, np.float64):
+        for twin in (make_model(seed=2, dtype=dtype), make_model(seed=2, dtype=dtype, quantized=False)):
+            codes, recons, _ = twin.reconstruct_batch(make_batch(equal))
+            for i, (utt, recon) in enumerate(zip(equal, recons, strict=True)):
+                if codes is not None:
+                    assert np.array_equal(codes[i].indices, twin.encode_utterance(utt).indices)
+                assert np.array_equal(recon.values, twin.reconstruct(utt).values)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_inference_gives_the_codes_and_mels_of_the_training_forward(monkeypatch, dtype):
-    # codes_batch, reconstruct_batch and codes_and_reconstructions quantize
-    # through rvq_quantize alone: bitwise what rvq_forward gives inside the
+    # codes_batch and reconstruct_batch quantize through rvq_quantize alone: bitwise what rvq_forward gives inside the
     # training forward on the same padded batch, without calling it
     model = make_model(seed=4, dtype=dtype)
     utts = [make_utt(f"u{i}", speaker=i % 2, n=n, per=per, seed=20 + i)
@@ -472,11 +479,11 @@ def test_inference_gives_the_codes_and_mels_of_the_training_forward(monkeypatch,
         raise AssertionError("inference built the commitment graph")
 
     monkeypatch.setattr(md, "rvq_forward", no_graph)
-    both_codes, both_mels, _ = model.codes_and_reconstructions(batch, level1=False)
+    both_codes, both_mels, level1 = model.reconstruct_batch(batch)
+    assert level1 is None
     for got in ([s.indices for s in model.codes_batch(batch)], [s.indices for s in both_codes]):
         assert all(np.array_equal(a, b) for a, b in zip(got, codes, strict=True))
-    for got in ([m.values for m in model.reconstruct_batch(batch)], [m.values for m in both_mels]):
-        assert all(np.array_equal(a, b) for a, b in zip(got, mels, strict=True))
+    assert all(np.array_equal(a.values, b) for a, b in zip(both_mels, mels, strict=True))
 
 
 def test_inference_tensors_follow_the_parameters():
@@ -493,18 +500,18 @@ def test_inference_tensors_follow_the_parameters():
         assert all(pt[k].data is v and not pt[k].requires_grad for k, v in model.params.items())
         copied = CodecModel(model.cfg, model.features, model.vocab, model.speakers,
                             params={k: v.copy() for k, v in model.params.items()}, rvq=model.rvq)
-        for a, b in zip(model.reconstruct_batch(batch), copied.reconstruct_batch(batch), strict=True):
+        for a, b in zip(model.reconstruct_batch(batch)[1], copied.reconstruct_batch(batch)[1], strict=True):
             assert np.array_equal(a.values, b.values)
         return pt
 
     first = check()
     assert all(t is first[k] for k, t in model.param_tensors(train=False).items())
-    before = [m.values for m in model.reconstruct_batch(batch)]
+    before = [m.values for m in model.reconstruct_batch(batch)[1]]
     state = ad.AdamState(model.params)
     state.grad[:] = np.linspace(-1.0, 1.0, state.grad.size)
     ad.adam_step(state, lr=0.05)
     assert all(t is first[k] for k, t in check().items())
-    assert not np.array_equal(model.reconstruct_batch(batch)[0].values, before[0])
+    assert not np.array_equal(model.reconstruct_batch(batch)[1][0].values, before[0])
     model.params["mel_out.b"] = model.params["mel_out.b"] + 1.0
     swapped = check()
     assert swapped["mel_out.b"] is not first["mel_out.b"]
@@ -546,7 +553,7 @@ def test_each_conformer_stack_runs_once(monkeypatch):
     codes = model.encode_utterance(utt)
     assert sorted(calls) == ["menc", "penc"]
     calls.clear()
-    model.decode_codes(codes, utt.phonemes, utt.durations, 0)
+    model.decode_codes(codes, utt, 0)
     assert sorted(calls) == ["dec", "penc"]
 
 
@@ -554,7 +561,7 @@ def test_decode_speaker_out_of_range_rejected():
     model = make_model()
     utt = make_utt()
     with pytest.raises(ContractError, match="out of range"):
-        model.reconstruct(utt, override_speaker=2)
+        model.decode_codes(model.encode_utterance(utt), utt, 2)
 
 
 def test_level1_only_decode_differs():
@@ -562,13 +569,18 @@ def test_level1_only_decode_differs():
     # entries alone, from the same codes as the full ones
     model = make_model()
     utts = [make_utt("a", seed=1), make_utt("b", speaker=1, n=6, per=3, seed=2)]
-    codes, full, lvl1 = model.codes_and_reconstructions(make_batch(utts), level1=True)
-    for utt, seq, f, l1 in zip(utts, codes, full, lvl1):
-        z = decode_vectors(model.rvq, seq.indices, level1_only=True)
-        single = model.decode_continuous(z, utt.phonemes, utt.durations, utt.speaker_id)
-        np.testing.assert_allclose(l1.values, single.values, rtol=1e-5, atol=1e-5)
+    codes, full, lvl1 = model.reconstruct_batch(make_batch(utts), level1=True)
+    for utt, seq, f, l1 in zip(utts, codes, full, lvl1, strict=True):
+        batch = make_batch([utt])
+        pt = model.param_tensors(train=False)
+        ling, w, _ = model.encode_batch(pt, batch)
+        z = Tensor(decode_vectors(model.rvq, seq.indices, level1_only=True)[None].astype(model.dtype))
+        single = model.decode_batch(pt, batch, z, ling, w).data[0]
+        np.testing.assert_allclose(l1.values, single, rtol=1e-5, atol=1e-5)
         assert f.values.shape == l1.values.shape
         assert not np.array_equal(f.values, l1.values)
+    with pytest.raises(ContractError, match="no quantizer"):
+        make_model(quantized=False).reconstruct_batch(make_batch(utts), level1=True)
 
 
 def test_forward_output_finite_for_finite_inputs():
@@ -715,12 +727,13 @@ def test_a_non_finite_model_output_is_a_numeric_error():
     with pytest.raises(NumericError, match=r"not finite for utterances \['a', 'b'\]"):
         model.reconstruct_batch(batch)
     with pytest.raises(NumericError, match=r"\['a', 'b'\]"):
-        model.codes_and_reconstructions(batch, level1=True)
+        model.reconstruct_batch(batch, level1=True)
     with pytest.raises(NumericError, match=r"\['b'\]"):
         model.reconstruct(utts[1])
     code = model.encode_utterance(utts[0])
-    with pytest.raises(NumericError):
-        model.decode_codes(code, utts[0].phonemes, utts[0].durations, 0)
+    # a decode (probe, transfer, shuffle) names the utterance it decodes onto
+    with pytest.raises(NumericError, match=r"not finite for utterances \['a'\]$"):
+        model.decode_codes(code, utts[0], 1)
 
 
 def test_a_non_finite_encoder_output_is_a_numeric_error():
@@ -734,7 +747,7 @@ def test_a_non_finite_encoder_output_is_a_numeric_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         for method in (model.codes_batch, model.reconstruct_batch,
-                       lambda b: model.codes_and_reconstructions(b, level1=True)):
+                       lambda b: model.reconstruct_batch(b, level1=True)):
             with pytest.raises(NumericError,
                                match=r"not finite for utterances \['a', 'b'\] \(encoder\)"):
                 method(batch)
@@ -756,9 +769,9 @@ def test_a_forward_that_overflows_warns_nothing():
         with pytest.raises(NumericError, match=r"\['a'\]"):
             model.reconstruct_batch(make_batch([utt]))
         with pytest.raises(NumericError):
-            model.codes_and_reconstructions(make_batch([utt]), level1=True)
+            model.reconstruct_batch(make_batch([utt]), level1=True)
         with pytest.raises(NumericError):
-            model.decode_codes(code, utt.phonemes, utt.durations, 0)
+            model.decode_codes(code, utt, 0)
 
 
 def test_reconstruct_rejects_mel_width_mismatch():

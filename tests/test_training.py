@@ -288,7 +288,7 @@ def test_evaluate_empty_set_rejected():
 def test_evaluate_never_touches_ema_state():
     model = make_model()
     counts = [book.ema_count.copy() for book in model.rvq.levels]
-    model.codes_and_reconstructions(make_batch([make_utt()]), level1=True)
+    model.reconstruct_batch(make_batch([make_utt()]), level1=True)
     evaluate(model, [make_utt()])
     for book, before in zip(model.rvq.levels, counts):
         np.testing.assert_array_equal(book.ema_count, before)
