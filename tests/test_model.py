@@ -465,8 +465,9 @@ def test_batch_matches_one_at_a_time():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_inference_gives_the_codes_and_mels_of_the_training_forward(monkeypatch, dtype):
-    # codes_batch and reconstruct_batch quantize through rvq_quantize alone: bitwise what rvq_forward gives inside the
-    # training forward on the same padded batch, without calling it
+    # codes_batch and reconstruct_batch quantize through rvq_quantize
+    # alone: bitwise what rvq_forward gives inside the training forward on
+    # the same padded batch, without calling it
     model = make_model(seed=4, dtype=dtype)
     utts = [make_utt(f"u{i}", speaker=i % 2, n=n, per=per, seed=20 + i)
             for i, (n, per) in enumerate([(3, 4), (6, 2), (5, 3)])]
